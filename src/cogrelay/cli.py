@@ -24,8 +24,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .config import (ConfigError, ResolvedConfig, SweepSpec, config_hash,
-                     nearest_index, resolve_config)
+from .config import (ConfigError, ResolvedConfig, SweepSpec, _grid_index,
+                     config_hash, nearest_index, resolve_config)
 from .mdp import (ActionGrids, CostModel, MdpGrids, PowerPolicy, StateGrids,
                   build_spectrum_mdp, validate)
 from .model import linear_to_db
@@ -137,13 +137,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
 # sweep
 
 
-def _rho_p_index(value: float, grids: StateGrids) -> int:
-    for i, lvl in enumerate(grids.rho_p_levels):
-        if math.isclose(lvl, value, rel_tol=1e-9, abs_tol=1e-12):
-            return i
-    raise ConfigError(f"sweep.rho_p value {value} is not a rho_p grid level")
-
-
 def _pinned_value(rc: ResolvedConfig, state_grids: StateGrids, pd: float,
                   ic: float, rho_p: float, scfg: SolverConfig) -> float:
     """Discounted throughput of holding (pd, ic) fixed, read at the
@@ -153,7 +146,7 @@ def _pinned_value(rc: ResolvedConfig, state_grids: StateGrids, pd: float,
     mdp = build_spectrum_mdp(grids, params, rc.costs())
     values = evaluate_policy_exact(mdp, np.zeros(mdp.n_states, dtype=np.intp),
                                    scfg.discount, reward="throughput")
-    rp_ref = _rho_p_index(rho_p, state_grids)
+    rp_ref = _grid_index(rho_p, state_grids.rho_p_levels, "sweep.rho_p")
     rs_ref, ps_ref = _reference_indices(grids, rc)
     flat = ((rp_ref * len(state_grids.rho_s_levels) + rs_ref)
             * len(state_grids.p_s_levels) + ps_ref)
@@ -206,26 +199,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     all_converged = True
     try:
-        if spec.variable == "pd":
-            header = ("pd", "ic_db", "rho_p", "J")
-            points = [(pd, ic, rp) for pd in spec.grid
-                      for ic in spec.ic_fixed for rp in spec.rho_p]
+        if spec.variable in ("pd", "ic"):
+            if spec.variable == "pd":
+                header = ("pd", "ic_db", "rho_p", "J")
+                points = [(pd, ic, rp) for pd in spec.grid
+                          for ic in spec.ic_fixed for rp in spec.rho_p]
+            else:
+                header = ("ic_db", "pd", "rho_p", "J")
+                points = [(pd, ic, rp) for ic in spec.grid
+                          for pd in spec.pd_fixed for rp in spec.rho_p]
             with ThreadPoolExecutor(max_workers=args.threads) as pool:
                 values = list(pool.map(
-                    lambda p: _pinned_value(rc, state_grids, p[0], p[1], p[2], scfg),
-                    points))
-            rows = [(pd, linear_to_db(ic), rp, j)
-                    for (pd, ic, rp), j in zip(points, values)]
-        elif spec.variable == "ic":
-            header = ("ic_db", "pd", "rho_p", "J")
-            points = [(ic, pd, rp) for ic in spec.grid
-                      for pd in spec.pd_fixed for rp in spec.rho_p]
-            with ThreadPoolExecutor(max_workers=args.threads) as pool:
-                values = list(pool.map(
-                    lambda p: _pinned_value(rc, state_grids, p[1], p[0], p[2], scfg),
-                    points))
-            rows = [(linear_to_db(ic), pd, rp, j)
-                    for (ic, pd, rp), j in zip(points, values)]
+                    lambda p: _pinned_value(rc, state_grids, *p, scfg), points))
+            rows = []
+            for (pd, ic, rp), j in zip(points, values):
+                cells = {"pd": pd, "ic_db": linear_to_db(ic), "rho_p": rp, "J": j}
+                rows.append(tuple(cells[name] for name in header))
         else:
             header = ("pav_db", "argmax_pd", "argmax_ic_db")
             with ThreadPoolExecutor(max_workers=args.threads) as pool:

@@ -119,6 +119,23 @@ DEFAULT_CONFIG: dict[str, dict[str, Any]] = {
 }
 
 
+def _check_leaf(value: Any, bool_allowed: bool, here: str) -> None:
+    """Reject NaN and +-Infinity anywhere in a value, and booleans where the
+    default is not one (JSON parsing lets both through)."""
+    if isinstance(value, bool):
+        if not bool_allowed:
+            raise ConfigError(
+                f"config key {here} must not be a boolean, got {json.dumps(value)}")
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"config key {here} must be finite, got {json.dumps(value)}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _check_leaf(item, False, f"{here}[{i}]")
+    elif isinstance(value, Mapping):
+        for key, item in value.items():
+            _check_leaf(item, False, f"{here}.{key}")
+
+
 def _merge(defaults: Mapping[str, Any], given: Mapping[str, Any], path: str) -> dict[str, Any]:
     merged: dict[str, Any] = {}
     for key, value in given.items():
@@ -131,6 +148,7 @@ def _merge(defaults: Mapping[str, Any], given: Mapping[str, Any], path: str) -> 
                 raise ConfigError(f"config key {here} must be a section, got {type(value).__name__}")
             merged[key] = _merge(base, value, here)
         else:
+            _check_leaf(value, isinstance(base, bool), here)
             merged[key] = value
     for key, base in defaults.items():
         if key not in merged:
@@ -312,8 +330,6 @@ class ResolvedConfig:
                 source = (self.raw["action_grids"]["ic_levels_db"] if variable == "ic"
                           else [float(db) for db in range(-10, 11, 2)])
             grid = [db_to_linear(v) for v in source]
-        if not grid:
-            raise ConfigError("sweep grid must be non-empty")
         return SweepSpec(
             variable=variable,
             grid=tuple(grid),

@@ -1,11 +1,13 @@
 """Discounted value iteration over the augmented slot model.
 
-Two routes to the same fixed point live here.  `value_iteration` exploits
-the product structure of the transition kernel (the continuation value of a
-state depends on its previous-action coordinates only through the applied
-action, so one backup touches each (rho_p, rho_s, P_s) block once).
-`value_iteration_dense` is a plain matrix-based solver for any finite MDP
-given as explicit arrays; tests hold the two against each other and against
+`_FactoredBackup` is the one production transition operator.  It exploits
+the product structure of the kernel (the continuation value of a state
+depends on its previous-action coordinates only through the applied action,
+so one backup touches each (rho_p, rho_s, P_s) block once).  Value iteration
+applies it to one value table per step, `evaluate_policy_exact` to all S
+unit vectors at once to obtain P_pi.  The dense routes work on explicit
+arrays, which `materialize_dense` builds from the scalar `transition` rows;
+tests hold the factored route against that reference and against
 brute-force policy enumeration on small instances.
 """
 
@@ -145,17 +147,24 @@ class _FactoredBackup:
         self.pstat = np.array(mdp.grids.states.p_s_stationary)
 
     def continuation(self, values: np.ndarray) -> np.ndarray:
-        """E[J(next) | r, u, v, a], shape (r, u, v, A)."""
+        """E[J(next) | r, u, v, a], shape (r, u, v, A).
+
+        `values` is one table of shape (S,) or k tables side by side,
+        shape (S, k); each column is contracted exactly as a lone table
+        would be, giving shape (r, u, v, A, k).
+        """
         n_rp, n_rs, n_ps, n_a = self.shape
-        j = values.reshape(n_rp, n_rs, n_ps, n_a)
-        w = np.einsum("v,ruva->rua", self.pstat, j)
-        wp = np.zeros((n_rp + 2, n_rs + 2, n_a))
-        wp[1:-1, 1:-1, :] = w
-        cont = np.zeros((n_rp, n_rs, n_ps, n_a))
+        cols = values.shape[1:]
+        j = values.reshape((n_rp, n_rs, n_ps, n_a) + cols)
+        w = np.einsum("v,ruva...->rua...", self.pstat, j)
+        wp = np.zeros((n_rp + 2, n_rs + 2, n_a) + cols)
+        wp[1:-1, 1:-1] = w
+        kernel = self.kernel.reshape(self.kernel.shape + (1,) * len(cols))
+        cont = np.zeros((n_rp, n_rs, n_ps, n_a) + cols)
         for mp in range(3):
             for ms in range(3):
-                shifted = wp[mp:mp + n_rp, ms:ms + n_rs, :]
-                cont += self.kernel[mp, ms] * shifted[:, :, None, :]
+                shifted = wp[mp:mp + n_rp, ms:ms + n_rs]
+                cont += kernel[mp, ms] * shifted[:, :, None]
         return cont
 
 
@@ -221,6 +230,29 @@ def value_iteration(mdp: SpectrumMDP, cfg: SolverConfig, mode: Mode = "joint",
     return vt, pt
 
 
+def _policy_terms(mdp: SpectrumMDP, policy: PolicyTable | np.ndarray,
+                  reward: Literal["full", "throughput"]
+                  ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Checked (r, u, v, a) index of each state's policy action, and r_pi.
+
+    The index gathers rows of the continuation tensor, where a negative
+    action would wrap silently, so the range is checked here."""
+    actions = policy.actions if isinstance(policy, PolicyTable) else np.asarray(policy)
+    if actions.shape != (mdp.n_states,):
+        raise ValueError(f"policy must assign an action to each of {mdp.n_states} states")
+    if actions.min() < 0 or actions.max() >= mdp.n_actions:
+        raise ValueError("policy contains out-of-range action indices")
+
+    block = np.repeat(np.arange(mdp.n_states // mdp.n_actions), mdp.n_actions)
+    idx = np.unravel_index(block, mdp.grids.shape[:3]) + (actions,)
+    if reward == "throughput":
+        return idx, mdp.g_action[idx]
+    if reward != "full":
+        raise ValueError(f"unknown reward selector {reward!r}")
+    base, g_add = _base_rewards(mdp)
+    return idx, base[idx] if g_add is None else base[idx] + g_add
+
+
 def evaluate_policy(mdp: SpectrumMDP, policy: PolicyTable | np.ndarray,
                     cfg: SolverConfig,
                     reward: Literal["full", "throughput"] = "full") -> ValueTable:
@@ -230,34 +262,14 @@ def evaluate_policy(mdp: SpectrumMDP, policy: PolicyTable | np.ndarray,
     reward is the expected secondary throughput under the policy's action;
     this is what the operating-point sweeps report.
     """
-    actions = policy.actions if isinstance(policy, PolicyTable) else np.asarray(policy)
-    if actions.shape != (mdp.n_states,):
-        raise ValueError(f"policy must assign an action to each of {mdp.n_states} states")
-    if actions.min() < 0 or actions.max() >= mdp.n_actions:
-        raise ValueError("policy contains out-of-range action indices")
-
+    idx, r_pi = _policy_terms(mdp, policy, reward)
     backup = _FactoredBackup(mdp)
-    n_rp, n_rs, n_ps, n_a = backup.shape
-    block_idx = np.repeat(np.arange(n_rp * n_rs * n_ps), n_a)
-    ri, ui, vi = np.unravel_index(block_idx, (n_rp, n_rs, n_ps))
-
-    if reward == "throughput":
-        r_pi = mdp.g_action[ri, ui, vi, actions]
-    elif reward == "full":
-        if mdp.reward_uses_chosen_action:
-            r_pi = mdp.g_action[ri, ui, vi, actions] - mdp.action_cost[actions]
-        else:
-            r_pi = mdp.g_state - mdp.action_cost[actions]
-    else:
-        raise ValueError(f"unknown reward selector {reward!r}")
-
     values = r_pi.copy()
     residuals: list[float] = []
     converged = False
     iterations = 0
     for _ in range(cfg.max_iters):
-        cont = backup.continuation(values)
-        new_values = r_pi + cfg.discount * cont[ri, ui, vi, actions]
+        new_values = r_pi + cfg.discount * backup.continuation(values)[idx]
         residual = float(np.max(np.abs(new_values - values)))
         residuals.append(residual)
         values = new_values
@@ -369,37 +381,16 @@ def evaluate_policy_exact(mdp: SpectrumMDP, policy: PolicyTable | np.ndarray,
                           reward: Literal["full", "throughput"] = "full") -> np.ndarray:
     """Exact J_pi via a linear solve instead of fixed-point iteration.
 
-    Materialises the policy's S x S transition matrix, so this is only for
-    small grids (the operating-point sweeps pin a single action, which keeps
-    S at a few hundred).  The payoff is that J carries no iteration-tail
-    error, which matters when comparing sweep points that differ by less
-    than a value-iteration tolerance.
+    P_pi is the factored backup applied to the S unit vectors at once, so
+    this materialises S x S matrices and is only for small grids (the
+    operating-point sweeps pin a single action, which keeps S at a few
+    hundred).  The payoff is that J carries no iteration-tail error, which
+    matters when comparing sweep points that differ by less than a
+    value-iteration tolerance.
     """
-    actions = policy.actions if isinstance(policy, PolicyTable) else np.asarray(policy)
-    if actions.shape != (mdp.n_states,):
-        raise ValueError(f"policy must assign an action to each of {mdp.n_states} states")
+    idx, r_pi = _policy_terms(mdp, policy, reward)
     n_states = mdp.n_states
-    n_ic = len(mdp.grids.actions.ic_levels)
-
-    block = np.repeat(np.arange(n_states // mdp.n_actions), mdp.n_actions)
-    ri, ui, vi = np.unravel_index(block, mdp.grids.shape[:3])
-    if reward == "throughput":
-        r_pi = mdp.g_action[ri, ui, vi, actions]
-    elif reward == "full":
-        if mdp.reward_uses_chosen_action:
-            r_pi = mdp.g_action[ri, ui, vi, actions] - mdp.action_cost[actions]
-        else:
-            r_pi = mdp.g_state - mdp.action_cost[actions]
-    else:
-        raise ValueError(f"unknown reward selector {reward!r}")
-
-    p_pi = np.zeros((n_states, n_states))
-    for s in range(n_states):
-        a = int(actions[s])
-        row = mdp.transition_row(state_from_flat(s, mdp.grids),
-                                 ControlAction(a // n_ic, a % n_ic))
-        for nxt, prob in zip(row.states, row.probabilities):
-            p_pi[s, nxt.flat_index(mdp.grids)] += prob
+    p_pi = _FactoredBackup(mdp).continuation(np.eye(n_states))[idx]
     return np.linalg.solve(np.eye(n_states) - discount * p_pi, r_pi)
 
 

@@ -67,6 +67,20 @@ def test_unknown_config_key_fails_with_dotted_path(tmp_path, capsys):
     assert "state_grids.rho_p_levls" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, path", [
+    ('{"channel": {"gamma_s_db": NaN}}', "channel.gamma_s_db"),
+    ('{"channel": {"gamma_s_db": true}}', "channel.gamma_s_db"),
+    ('{"costs": {"s_const": Infinity}}', "costs.s_const"),
+])
+def test_validate_rejects_non_finite_and_boolean_values(tmp_path, capsys, text, path):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(text)
+    assert cli.main(["validate", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert path in captured.err
+    assert "all constraints satisfied" not in captured.out
+
+
 def test_solve_exports_lookup_and_manifest(tmp_path):
     cfg = write_config(tmp_path, small_model())
     out = tmp_path / "run1"

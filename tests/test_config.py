@@ -173,3 +173,36 @@ def test_config_files_load_and_fail_loudly(tmp_path):
     arr.write_text("[1, 2]")
     with pytest.raises(ConfigError, match="JSON object"):
         load_config(arr)
+
+
+@pytest.mark.parametrize("doc, path", [
+    ({"channel": {"gamma_s_db": float("nan")}}, "channel.gamma_s_db"),
+    ({"costs": {"s_const": float("inf")}}, "costs.s_const"),
+    ({"queues": {"lambda_s": float("-inf")}}, "queues.lambda_s"),
+    ({"sweep": {"grid": [0.5, float("nan")]}}, r"sweep.grid\[1\]"),
+])
+def test_non_finite_values_are_rejected_with_their_path(doc, path):
+    with pytest.raises(ConfigError, match=f"{path} must be finite"):
+        load_config(doc)
+
+
+@pytest.mark.parametrize("doc, path", [
+    ({"channel": {"gamma_s_db": True}}, "channel.gamma_s_db"),
+    ({"channel": {"beta_sp": False}}, "channel.beta_sp"),
+    ({"state_grids": {"rho_p_levels": [0.1, True]}}, r"state_grids.rho_p_levels\[1\]"),
+])
+def test_booleans_are_rejected_outside_boolean_slots(doc, path):
+    with pytest.raises(ConfigError, match=f"{path} must not be a boolean"):
+        load_config(doc)
+
+
+def test_boolean_slots_still_take_booleans():
+    cfg = load_config({"solver": {"reward_uses_chosen_action": True}})
+    assert cfg["solver"]["reward_uses_chosen_action"] is True
+
+
+def test_json_non_finite_literals_are_rejected(tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text('{"power": {"p_ref_db": NaN}}')
+    with pytest.raises(ConfigError, match="power.p_ref_db must be finite"):
+        load_config(path)

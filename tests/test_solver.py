@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cogrelay.mdp import (ActionGrids, ControlAction, CostModel, MdpGrids,
                           StateGrids, build_spectrum_mdp, state_from_flat)
+from cogrelay.model import QueueParams
 from cogrelay.solver import (LOOKUP_COLUMNS, PolicyTable, SolverConfig,
-                             evaluate_policy, evaluate_policy_dense,
-                             evaluate_policy_exact, extract_lookup_table,
-                             materialize_dense, value_iteration,
-                             value_iteration_dense)
+                             _FactoredBackup, evaluate_policy,
+                             evaluate_policy_dense, evaluate_policy_exact,
+                             extract_lookup_table, materialize_dense,
+                             value_iteration, value_iteration_dense)
 from tests.test_mdp import make_params, small_grids
 
 
@@ -118,10 +120,15 @@ def test_evaluate_policy_throughput_selector():
 
 def test_evaluate_policy_rejects_bad_policies():
     mdp = small_mdp()
-    with pytest.raises(ValueError, match="each of"):
-        evaluate_policy(mdp, np.zeros(3, dtype=int), SolverConfig())
-    with pytest.raises(ValueError, match="out-of-range"):
-        evaluate_policy(mdp, np.full(mdp.n_states, mdp.n_actions), SolverConfig())
+    for evaluate in (lambda a: evaluate_policy(mdp, a, SolverConfig()),
+                     lambda a: evaluate_policy_exact(mdp, a, discount=0.9)):
+        with pytest.raises(ValueError, match="each of"):
+            evaluate(np.zeros(3, dtype=int))
+        with pytest.raises(ValueError, match="out-of-range"):
+            evaluate(np.full(mdp.n_states, mdp.n_actions))
+        # a negative index would wrap silently in the (r, u, v, a) gather
+        with pytest.raises(ValueError, match="out-of-range"):
+            evaluate(np.full(mdp.n_states, -1))
 
 
 def test_power_redraw_chain_hand_formula():
@@ -256,3 +263,90 @@ def test_exact_policy_evaluation_matches_iterative():
     throughput = evaluate_policy_exact(mdp, actions, discount=d,
                                        reward="throughput")
     assert np.all(throughput >= -1e-15)
+
+
+def scalar_row_oracle(mdp, actions, discount, reward="full"):
+    """J_pi and r_pi from the dense arrays built out of scalar transition rows.
+
+    The throughput reward is the chosen-action reward of the same model
+    with zero costs, so that case reads the dense arrays of that twin.
+    """
+    if reward == "throughput":
+        mdp = build_spectrum_mdp(mdp.grids, mdp.params, CostModel(0.0, 0.0),
+                                 reward_uses_chosen_action=True)
+    p, r = materialize_dense(mdp)
+    r_pi = r[np.arange(mdp.n_states), actions]
+    return evaluate_policy_dense(p, r, actions, discount), r_pi
+
+
+@pytest.mark.parametrize("chosen", [False, True])
+@pytest.mark.parametrize("reward", ["full", "throughput"])
+def test_exact_policy_evaluation_matches_scalar_row_oracle(chosen, reward):
+    base = small_mdp()
+    mdp = build_spectrum_mdp(base.grids, base.params, base.costs,
+                             reward_uses_chosen_action=chosen)
+    rng = np.random.default_rng(23)
+    for d in (0.5, 0.95):
+        actions = rng.integers(0, mdp.n_actions, mdp.n_states)
+        assert np.unique(actions).size > 1
+        exact = evaluate_policy_exact(mdp, actions, discount=d, reward=reward)
+        oracle, _ = scalar_row_oracle(mdp, actions, d, reward)
+        np.testing.assert_allclose(exact, oracle, rtol=1e-12, atol=1e-12)
+
+
+def test_batched_continuation_matches_column_by_column():
+    backup = _FactoredBackup(small_mdp())
+    n_states = backup.mdp.n_states
+    rng = np.random.default_rng(5)
+    for tables in (rng.normal(size=(n_states, 4)), np.eye(n_states)):
+        batched = backup.continuation(tables)
+        assert batched.shape == backup.shape + (tables.shape[1],)
+        for k in range(tables.shape[1]):
+            single = backup.continuation(np.ascontiguousarray(tables[:, k]))
+            np.testing.assert_array_equal(batched[..., k], single)
+
+
+def _levels(lo, hi, max_size):
+    return st.lists(st.floats(lo, hi), min_size=1, max_size=max_size,
+                    unique=True).map(lambda v: tuple(sorted(v)))
+
+
+@st.composite
+def small_models(draw):
+    """A random small slot model, reward selector, discount and policy."""
+    p_s_levels = draw(_levels(0.1, 3.0, 2))
+    weights = draw(st.lists(st.integers(1, 9), min_size=len(p_s_levels),
+                            max_size=len(p_s_levels)))
+    states = StateGrids(rho_p_levels=draw(_levels(0.0, 0.95, 3)),
+                        rho_s_levels=draw(_levels(0.0, 0.95, 2)),
+                        p_s_levels=p_s_levels,
+                        p_s_stationary=tuple(w / sum(weights) for w in weights))
+    actions = ActionGrids(pd_levels=draw(_levels(0.05, 0.95, 2)),
+                          ic_levels=draw(_levels(0.05, 5.0, 2)))
+    lambda_p = draw(st.floats(0.05, 0.9))
+    lambda_s = draw(st.floats(0.05, 0.75))
+    params = make_params(queues=QueueParams(
+        lambda_s=lambda_s, mu_s_max=0.8, lambda_p=lambda_p, mu_p_max=1.0,
+        lambda_ps=0.1, mu_ps_max=0.5))
+    costs = CostModel(s_const=draw(st.floats(0.0, 3.0)),
+                      c_const=draw(st.floats(0.0, 3.0)))
+    mdp = build_spectrum_mdp(MdpGrids(states=states, actions=actions), params,
+                             costs, reward_uses_chosen_action=draw(st.booleans()))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    policy = rng.integers(0, mdp.n_actions, mdp.n_states)
+    return (mdp, policy, draw(st.sampled_from(["full", "throughput"])),
+            draw(st.floats(0.0, 0.95)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_models())
+def test_exact_policy_evaluation_properties(case):
+    mdp, actions, reward, d = case
+    exact = evaluate_policy_exact(mdp, actions, discount=d, reward=reward)
+    oracle, r_pi = scalar_row_oracle(mdp, actions, d, reward)
+    scale = max(1.0, float(np.max(np.abs(r_pi)))) / (1.0 - d)
+    np.testing.assert_allclose(exact, oracle, rtol=0.0, atol=1e-12 * scale)
+    # J is a discounted average of rewards the policy collects
+    slack = 1e-12 * scale
+    assert np.all(exact >= r_pi.min() / (1.0 - d) - slack)
+    assert np.all(exact <= r_pi.max() / (1.0 - d) + slack)
