@@ -3,8 +3,8 @@
 Closed-form Rayleigh throughput expressions for a secondary link that senses
 the primary's channel, adapts its power to the sensing outcome, and relays
 primary packets during outages; a finite MDP over queue utilisations, power
-state and previous control; discounted value iteration producing lookup
-tables; and a slot-level Monte-Carlo simulator that checks the formulas.
+state and previous control; discounted value and policy iteration producing
+lookup tables; and a slot-level Monte-Carlo simulator that checks the formulas.
 """
 
 from .model import (
@@ -57,6 +57,7 @@ from .solver import (
     evaluate_policy_exact,
     extract_lookup_table,
     materialize_dense,
+    policy_iteration,
     value_iteration,
     value_iteration_dense,
 )

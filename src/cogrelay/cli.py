@@ -31,7 +31,7 @@ from .mdp import (ActionGrids, CostModel, MdpGrids, PowerPolicy, StateGrids,
 from .model import linear_to_db
 from .sim import analytical_reference, simulate
 from .solver import (LOOKUP_COLUMNS, SolverConfig, evaluate_policy_exact,
-                     extract_lookup_table, value_iteration)
+                     extract_lookup_table, policy_iteration, value_iteration)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -120,6 +120,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "iterations": vt.iterations,
         "converged": vt.converged,
         "final_residual": vt.final_residual,
+        "error_bound": scfg.discount * vt.final_residual / (1.0 - scfg.discount),
+        "distinct_actions": int(np.unique(pt.actions).size),
         "rows": mdp.n_states,
     })
     out = _out_dir(args)
@@ -172,7 +174,7 @@ def _pav_point(rc: ResolvedConfig, pav: float, scfg: SolverConfig) -> tuple[floa
         raise ConfigError(str(report))
     mdp = build_spectrum_mdp(grids, params, CostModel(s_const=0.0, c_const=0.0),
                              reward_uses_chosen_action=rc.reward_uses_chosen_action())
-    vt, pt = value_iteration(mdp, scfg, mode="joint")
+    vt, pt = policy_iteration(mdp, scfg, mode="joint")
     rp_ref = nearest_index(params.queues.rho_p, grids.states.rho_p_levels)
     rs_ref, ps_ref = _reference_indices(grids, rc)
     n_rs = len(grids.states.rho_s_levels)

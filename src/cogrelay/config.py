@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
@@ -119,21 +120,50 @@ DEFAULT_CONFIG: dict[str, dict[str, Any]] = {
 }
 
 
-def _check_leaf(value: Any, bool_allowed: bool, here: str) -> None:
-    """Reject NaN and +-Infinity anywhere in a value, and booleans where the
-    default is not one (JSON parsing lets both through)."""
-    if isinstance(value, bool):
-        if not bool_allowed:
-            raise ConfigError(
-                f"config key {here} must not be a boolean, got {json.dumps(value)}")
-    elif isinstance(value, float) and not math.isfinite(value):
+# Slots that also take null, with the kind of value their constructor reads
+# otherwise.  Every other slot takes the kind of its default.
+_NULLABLE: dict[str, type] = {
+    "channel.beta_sp": float,
+    "power.p_ref_db": float,
+    "state_grids.p_s_levels": list,
+    "state_grids.p_s_stationary": list,
+    "solver.pinned_pd": float,
+    "solver.pinned_ic_db": float,
+    "sim.ic_db": float,
+    "sim.pf": float,
+    "sim.pi1": float,
+    "sweep.grid": list,
+    "sweep.grid_db": list,
+}
+
+_KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number",
+               str: "a string", list: "a list of numbers"}
+
+
+def _check_leaf(value: Any, kind: type, here: str) -> None:
+    """Reject a value that is not of the slot's kind: a float slot takes
+    any finite number, an int slot an integral one, a list slot a list of
+    finite numbers.  NaN, +-Infinity (or an integer too large for a float)
+    and booleans outside boolean slots get their own messages (JSON parsing
+    lets all of them through as numbers)."""
+    if isinstance(value, bool) and kind is not bool:
+        raise ConfigError(
+            f"config key {here} must not be a boolean, got {json.dumps(value)}")
+    if (isinstance(value, float) and not math.isfinite(value)) or (
+            kind is float and isinstance(value, int) and abs(value) > sys.float_info.max):
         raise ConfigError(f"config key {here} must be finite, got {json.dumps(value)}")
-    elif isinstance(value, list):
+    if kind is list and isinstance(value, list):
         for i, item in enumerate(value):
-            _check_leaf(item, False, f"{here}[{i}]")
-    elif isinstance(value, Mapping):
-        for key, item in value.items():
-            _check_leaf(item, False, f"{here}.{key}")
+            _check_leaf(item, float, f"{here}[{i}]")
+        return
+    if kind in (int, float):
+        ok = isinstance(value, int) or (
+            isinstance(value, float) and (kind is float or value.is_integer()))
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise ConfigError(f"config key {here} must be {_KIND_NAMES[kind]}, "
+                          f"got {json.dumps(value, default=repr)}")
 
 
 def _merge(defaults: Mapping[str, Any], given: Mapping[str, Any], path: str) -> dict[str, Any]:
@@ -148,7 +178,8 @@ def _merge(defaults: Mapping[str, Any], given: Mapping[str, Any], path: str) -> 
                 raise ConfigError(f"config key {here} must be a section, got {type(value).__name__}")
             merged[key] = _merge(base, value, here)
         else:
-            _check_leaf(value, isinstance(base, bool), here)
+            if value is not None or here not in _NULLABLE:
+                _check_leaf(value, _NULLABLE.get(here, type(base)), here)
             merged[key] = value
     for key, base in defaults.items():
         if key not in merged:

@@ -1,18 +1,21 @@
-"""Discounted value iteration over the augmented slot model.
+"""Discounted value iteration and policy iteration over the augmented slot model.
 
 `_FactoredBackup` is the one production transition operator.  It exploits
 the product structure of the kernel (the continuation value of a state
 depends on its previous-action coordinates only through the applied action,
-so one backup touches each (rho_p, rho_s, P_s) block once).  Value iteration
-applies it to one value table per step, `evaluate_policy_exact` to all S
-unit vectors at once to obtain P_pi.  The dense routes work on explicit
-arrays, which `materialize_dense` builds from the scalar `transition` rows;
-tests hold the factored route against that reference and against
-brute-force policy enumeration on small instances.
+so one backup touches each (rho_p, rho_s, P_s) block once).  It has three
+users: value iteration applies it to one value table per step,
+`evaluate_policy_exact` to all S unit vectors at once to obtain P_pi, and
+policy iteration to improve each policy, evaluating it with one linear
+solve on the blocks (`_FactoredBackup.block_matrix`).  The dense routes work
+on explicit arrays, which `materialize_dense` builds from the scalar
+`transition` rows; tests hold the factored route against that reference and
+against brute-force policy enumeration on small instances.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -26,6 +29,7 @@ __all__ = [
     "PolicyTable",
     "LookupTable",
     "value_iteration",
+    "policy_iteration",
     "evaluate_policy",
     "evaluate_policy_exact",
     "extract_lookup_table",
@@ -167,6 +171,23 @@ class _FactoredBackup:
                 cont += kernel[mp, ms] * shifted[:, :, None]
         return cont
 
+    def block_matrix(self, block_actions: np.ndarray) -> np.ndarray:
+        """P(b' | b, a_b) over the blocks, shape (B, B), one action per block.
+
+        The kernel at each block's action weights the nine (rho_p, rho_s)
+        moves, and the next power level is a stationary redraw, exactly as
+        `continuation` contracts them."""
+        n_rp, n_rs, n_ps, n_a = self.shape
+        n_blocks = n_rp * n_rs * n_ps
+        blocks = np.arange(n_blocks)
+        r, u, _ = np.unravel_index(blocks, (n_rp, n_rs, n_ps))
+        k = self.kernel.reshape(3, 3, n_blocks, n_a)[:, :, blocks, block_actions]
+        moves = np.zeros((n_blocks, n_rp + 2, n_rs + 2))
+        for mp in range(3):
+            for ms in range(3):
+                moves[blocks, r + mp, u + ms] = k[mp, ms]
+        return (moves[:, 1:-1, 1:-1, None] * self.pstat).reshape(n_blocks, n_blocks)
+
 
 def _base_rewards(mdp: SpectrumMDP) -> tuple[np.ndarray, np.ndarray | None]:
     """Per-(block, action) reward term and (for the default convention) the
@@ -179,55 +200,117 @@ def _base_rewards(mdp: SpectrumMDP) -> tuple[np.ndarray, np.ndarray | None]:
     return base, mdp.g_state
 
 
+def _lift(block_values: np.ndarray, g_add: np.ndarray | None, n_a: int) -> np.ndarray:
+    """Per-state values V(b, prev) = W(b) + g_add(b, prev) from block values W."""
+    values = np.repeat(block_values.reshape(-1), n_a)
+    return values if g_add is None else values + g_add
+
+
+def _policy_table(greedy: np.ndarray, n_a: int, mode: Mode,
+                  pinned: int | None) -> PolicyTable:
+    return PolicyTable(actions=np.repeat(greedy.reshape(-1), n_a), mode=mode,
+                       pinned_pd_idx=pinned if mode == "fixed_pd" else None,
+                       pinned_ic_idx=pinned if mode == "fixed_ic" else None)
+
+
 def value_iteration(mdp: SpectrumMDP, cfg: SolverConfig, mode: Mode = "joint",
                     pinned: int | None = None) -> tuple[ValueTable, PolicyTable]:
     """Synchronous value iteration from the per-state reward vector.
 
     Stops when the sup-norm residual drops to cfg.epsilon; hitting
-    cfg.max_iters first is reported through converged=False rather than an
-    exception.  Ties in the maximisation resolve to the lexicographically
-    lowest (pd index, ic index) pair.
+    cfg.max_iters first, or a non-finite residual, is reported through
+    converged=False rather than an exception.  Ties in the maximisation
+    resolve to the lexicographically lowest (pd index, ic index) pair.
     """
     backup = _FactoredBackup(mdp)
     mask = _allowed_mask(mdp, mode, pinned)
     base, g_add = _base_rewards(mdp)
     neg = np.where(mask, 0.0, -np.inf)
+    n_a = backup.shape[-1]
 
     values = mdp.reward_vec.copy()
     residuals: list[float] = []
     converged = False
     iterations = 0
-    n_rp, n_rs, n_ps, n_a = backup.shape
 
     for _ in range(cfg.max_iters):
         q = base + cfg.discount * backup.continuation(values) + neg
-        best = q.max(axis=-1)
-        if g_add is None:
-            new_values = np.broadcast_to(
-                best[..., None], (n_rp, n_rs, n_ps, n_a)).reshape(-1)
-        else:
-            new_values = np.repeat(best.reshape(-1), n_a) + g_add
-        new_values = np.ascontiguousarray(new_values)
+        new_values = _lift(q.max(axis=-1), g_add, n_a)
         residual = float(np.max(np.abs(new_values - values)))
         residuals.append(residual)
         values = new_values
         iterations += 1
+        if not math.isfinite(residual):
+            break
         if residual <= cfg.epsilon:
             converged = True
             break
 
     q = base + cfg.discount * backup.continuation(values) + neg
-    greedy = q.argmax(axis=-1)
-    actions = np.broadcast_to(greedy[..., None],
-                              (n_rp, n_rs, n_ps, n_a)).reshape(-1)
-    actions = np.ascontiguousarray(actions)
+    vt = ValueTable(values=values, iterations=iterations,
+                    converged=converged, residuals=residuals)
+    return vt, _policy_table(q.argmax(axis=-1), n_a, mode, pinned)
+
+
+def policy_iteration(mdp: SpectrumMDP, cfg: SolverConfig, mode: Mode = "joint",
+                     pinned: int | None = None) -> tuple[ValueTable, PolicyTable]:
+    """Howard policy iteration on the block values W(b).
+
+    Every value table of the model has the form V(b, prev) = W(b) +
+    g_add(b, prev), so a policy is one action per block and its value is
+    one linear solve of size B = n_rho_p * n_rho_s * n_P_s.  Improvement is
+    value iteration's greedy step, with the same lowest-index tie rule.
+    The first policy is greedy with respect to the reward vector; the run
+    stops when the greedy policy repeats one already evaluated.  In exact
+    arithmetic every change strictly improves the values, so a repeat
+    further back than the last policy only comes from rounding between
+    actions that tie.  cfg.epsilon is not used; hitting cfg.max_iters
+    steps first, or a non-finite residual, is reported through
+    converged=False.  Each residual is the sup-norm of T V - V at the
+    evaluated policy, so the last one is the distance of the returned
+    values from a Bellman fixed point; the returned actions are greedy
+    with respect to the returned values.
+    """
+    backup = _FactoredBackup(mdp)
+    mask = _allowed_mask(mdp, mode, pinned)
+    base, g_add = _base_rewards(mdp)
+    neg = np.where(mask, 0.0, -np.inf)
+    n_a = backup.shape[-1]
+    d = cfg.discount
+
+    # r_sigma(b) = base(b, sigma(b)) + d * E[g_add(next) | b, sigma(b)]
+    step_reward = base if g_add is None else base + d * backup.continuation(g_add)
+    step_reward = step_reward.reshape(-1, n_a)
+    blocks = np.arange(step_reward.shape[0])
+    lhs = np.eye(blocks.size)
+
+    values = mdp.reward_vec.copy()
+    greedy = (base + d * backup.continuation(values) + neg).argmax(axis=-1)
+    evaluated: set[bytes] = set()
+    residuals: list[float] = []
+    converged = False
+    iterations = 0
+
+    for _ in range(cfg.max_iters):
+        sigma = greedy.reshape(-1)
+        evaluated.add(sigma.tobytes())
+        w = np.linalg.solve(lhs - d * backup.block_matrix(sigma),
+                            step_reward[blocks, sigma])
+        values = _lift(w, g_add, n_a)
+        q = base + d * backup.continuation(values) + neg
+        residual = float(np.max(np.abs(q.max(axis=-1).reshape(-1) - w)))
+        residuals.append(residual)
+        iterations += 1
+        greedy = q.argmax(axis=-1)
+        if not math.isfinite(residual):
+            break
+        if greedy.tobytes() in evaluated:
+            converged = True
+            break
 
     vt = ValueTable(values=values, iterations=iterations,
                     converged=converged, residuals=residuals)
-    pt = PolicyTable(actions=actions, mode=mode,
-                     pinned_pd_idx=pinned if mode == "fixed_pd" else None,
-                     pinned_ic_idx=pinned if mode == "fixed_ic" else None)
-    return vt, pt
+    return vt, _policy_table(greedy, n_a, mode, pinned)
 
 
 def _policy_terms(mdp: SpectrumMDP, policy: PolicyTable | np.ndarray,

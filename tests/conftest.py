@@ -1,13 +1,15 @@
 """Suite-wide instrumentation.
 
-Every in-process solver run in the tests must contract: the sup-norm
-residual sequence has to satisfy r_{k+1} <= discount * r_k + 1e-12.  Rather
-than trusting each test to check this, the solver entry points are wrapped
-here once, before any test module imports them, so a violating run fails
-loudly at the call site no matter which test triggered it.  Solver runs
-inside `python -m cogrelay` child processes (criterion 10, the entry-point
-test) are outside the wrapper and are not counted: run alone, those tests
-report "contraction property checked on 0 solver runs".
+Every in-process iterative solver run in the tests must contract: the
+sup-norm residual sequence has to satisfy r_{k+1} <= discount * r_k + 1e-12.
+Every converged policy-iteration run must return a Bellman fixed point:
+sup |T V - V| <= 1e-9, with T applied here through the factored operator.
+Rather than trusting each test to check this, the solver entry points are
+wrapped here once, before any test module imports them, so a violating run
+fails loudly at the call site no matter which test triggered it.  Solver
+runs inside `python -m cogrelay` child processes (criterion 10, the
+entry-point test) are outside the wrappers and are not counted: run alone,
+those tests report "contraction property checked on 0 solver runs".
 
 Child processes get their environment from `cli_subprocess_env`, which puts
 this checkout's `src` first on PYTHONPATH, so they run the code under test
@@ -30,11 +32,14 @@ import cogrelay.cli
 import cogrelay.solver
 
 CONTRACTION_SLACK = 1e-12
+FIXED_POINT_TOL = 1e-9
 
 RECORDED_RUNS: list[tuple[str, float, int]] = []
+FIXED_POINT_RUNS: list[tuple[str, float]] = []
 ACCEPTANCE_LINES: list[str] = []
 
 _real_value_iteration = cogrelay.solver.value_iteration
+_real_policy_iteration = cogrelay.solver.policy_iteration
 _real_value_iteration_dense = cogrelay.solver.value_iteration_dense
 _real_evaluate_policy = cogrelay.solver.evaluate_policy
 
@@ -55,6 +60,27 @@ def _checked_value_iteration(mdp, cfg, mode="joint", pinned=None):
     return vt, pt
 
 
+def bellman_residual(mdp, values, discount, mode="joint", pinned=None) -> float:
+    """sup |T V - V| of a per-state value table, T restricted as the mode says."""
+    solver = cogrelay.solver
+    base, g_add = solver._base_rewards(mdp)
+    neg = np.where(solver._allowed_mask(mdp, mode, pinned), 0.0, -np.inf)
+    q = base + discount * solver._FactoredBackup(mdp).continuation(values) + neg
+    backed_up = solver._lift(q.max(axis=-1), g_add, mdp.n_actions)
+    return float(np.max(np.abs(backed_up - values)))
+
+
+def _checked_policy_iteration(mdp, cfg, mode="joint", pinned=None):
+    vt, pt = _real_policy_iteration(mdp, cfg, mode=mode, pinned=pinned)
+    if vt.converged:
+        residual = bellman_residual(mdp, vt.values, cfg.discount, mode, pinned)
+        assert residual <= FIXED_POINT_TOL, (
+            f"policy_iteration[{mode}] returned no fixed point: "
+            f"sup |T V - V| = {residual:.3e}")
+        FIXED_POINT_RUNS.append((f"policy_iteration[{mode}]", residual))
+    return vt, pt
+
+
 def _checked_value_iteration_dense(transitions, rewards, cfg, initial=None):
     vt, actions = _real_value_iteration_dense(transitions, rewards, cfg, initial)
     assert_contraction(vt.residuals, cfg.discount, "value_iteration_dense")
@@ -70,6 +96,8 @@ def _checked_evaluate_policy(mdp, policy, cfg, reward="full"):
 for _ns in (cogrelay, cogrelay.solver, cogrelay.cli):
     if hasattr(_ns, "value_iteration"):
         _ns.value_iteration = _checked_value_iteration
+    if hasattr(_ns, "policy_iteration"):
+        _ns.policy_iteration = _checked_policy_iteration
     if hasattr(_ns, "value_iteration_dense"):
         _ns.value_iteration_dense = _checked_value_iteration_dense
     if hasattr(_ns, "evaluate_policy"):
@@ -97,4 +125,5 @@ def pytest_terminal_summary(terminalreporter):
         for line in sorted(ACCEPTANCE_LINES):
             terminalreporter.write_line(line)
     terminalreporter.write_line(
-        f"contraction property checked on {len(RECORDED_RUNS)} solver runs")
+        f"contraction property checked on {len(RECORDED_RUNS)} solver runs, "
+        f"fixed-point property on {len(FIXED_POINT_RUNS)} policy-iteration runs")

@@ -81,6 +81,21 @@ def test_validate_rejects_non_finite_and_boolean_values(tmp_path, capsys, text, 
     assert "all constraints satisfied" not in captured.out
 
 
+@pytest.mark.parametrize("doc, path", [
+    ({"channel": {"gamma_s_db": "10"}}, "channel.gamma_s_db"),
+    ({"solver": {"epsilon": [1]}}, "solver.epsilon"),
+    ({"state_grids": {"n_power_levels": 4.5}}, "state_grids.n_power_levels"),
+])
+def test_values_of_the_wrong_kind_exit_1_naming_the_key(tmp_path, capsys, doc, path):
+    cfg = write_config(tmp_path, doc)
+    for command in ("validate", "solve"):
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: config key {path} must be")
+        assert "all constraints satisfied" not in captured.out
+    assert not (tmp_path / "out").exists()
+
+
 def test_solve_exports_lookup_and_manifest(tmp_path):
     cfg = write_config(tmp_path, small_model())
     out = tmp_path / "run1"
@@ -107,6 +122,23 @@ def test_solve_exports_lookup_and_manifest(tmp_path):
     np.testing.assert_array_equal(exported, vt.values)
     # ... and the pinned detection level is respected everywhere
     assert {line.split(",")[5] for line in data} == {"0.8"}
+
+
+def test_solve_manifest_reports_policy_facts(tmp_path):
+    doc = small_model()
+    doc["solver"].update(mode="joint", pinned_pd=None)
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "run"
+    assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+
+    rc = resolve_config(doc)
+    mdp = build_spectrum_mdp(rc.grids(), rc.model_params(), rc.costs())
+    vt, pt = value_iteration(mdp, rc.solver_config())
+    assert manifest["distinct_actions"] == len(set(pt.actions.tolist()))
+    d = rc.solver_config().discount
+    assert manifest["error_bound"] == d * vt.final_residual / (1.0 - d)
+    assert 0.0 < manifest["error_bound"] <= d * 1e-8 / (1.0 - d)
 
 
 def test_solve_reruns_are_byte_identical(tmp_path):
@@ -181,6 +213,23 @@ def test_sweep_pav_exports_argmax_rows(tmp_path):
         assert float(pd_opt) in (0.2, 0.8)
         assert float(ic_opt_db) == pytest.approx(-5.0) or \
             float(ic_opt_db) == pytest.approx(5.0)
+
+
+def test_sweep_pav_iteration_cap_exit_code(tmp_path):
+    doc = sweep_doc(variable="pav", grid_db=[0.0, 10.0])
+    doc["solver"]["discount"] = 0.98
+    doc["action_grids"] = {"pd_levels": [0.2, 0.5, 0.8],
+                           "ic_levels_db": [-15.0, -5.0, 5.0]}
+    # the 10 dB budget takes two policy-iteration steps
+    assert cli.main(["sweep", "--config", write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "full")]) == 0
+    doc["solver"]["max_iters"] = 1
+    out = tmp_path / "capped"
+    assert cli.main(["sweep", "--config", write_config(tmp_path, doc, "capped.json"),
+                     "--out", str(out)]) == 2
+    manifest, _, data = read_output(out / "sweep_pav.csv")
+    assert manifest["converged"] is False
+    assert len(data) == 2
 
 
 def test_sweep_off_grid_rho_p_fails(tmp_path, capsys):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cogrelay.config import (DEFAULT_CONFIG, ConfigError, config_hash,
+from cogrelay.config import (_NULLABLE, DEFAULT_CONFIG, ConfigError, config_hash,
                              load_config, nearest_index, resolve_config)
 from cogrelay.mdp import truncated_exponential_levels
 
@@ -180,6 +180,7 @@ def test_config_files_load_and_fail_loudly(tmp_path):
     ({"costs": {"s_const": float("inf")}}, "costs.s_const"),
     ({"queues": {"lambda_s": float("-inf")}}, "queues.lambda_s"),
     ({"sweep": {"grid": [0.5, float("nan")]}}, r"sweep.grid\[1\]"),
+    ({"channel": {"gamma_s_db": 10 ** 400}}, "channel.gamma_s_db"),
 ])
 def test_non_finite_values_are_rejected_with_their_path(doc, path):
     with pytest.raises(ConfigError, match=f"{path} must be finite"):
@@ -206,3 +207,46 @@ def test_json_non_finite_literals_are_rejected(tmp_path):
     path.write_text('{"power": {"p_ref_db": NaN}}')
     with pytest.raises(ConfigError, match="power.p_ref_db must be finite"):
         load_config(path)
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("channel", "gamma_s_db", "10", "must be a number"),
+    ("channel", "gamma_s_db", None, "must be a number, got null"),
+    ("channel", "beta_sp", "0.5", "must be a number"),
+    ("solver", "epsilon", [1], "must be a number"),
+    ("state_grids", "n_power_levels", 4.5, "must be an integer"),
+    ("solver", "max_iters", "2000", "must be an integer"),
+    ("state_grids", "rho_p_levels", 0.1, "must be a list of numbers"),
+    ("state_grids", "rho_p_levels", [0.1, "0.5"], r"\[1\] must be a number"),
+    ("sweep", "grid", {"a": 1}, "must be a list of numbers"),
+    ("solver", "mode", 3, "must be a string"),
+    ("solver", "reward_uses_chosen_action", 1, "must be a boolean"),
+])
+def test_values_of_the_wrong_kind_are_rejected_with_their_path(section, key, value,
+                                                                message):
+    with pytest.raises(ConfigError, match=f"{section}.{key}.*{message}"):
+        load_config({section: {key: value}})
+
+
+def test_slots_take_every_value_of_their_kind():
+    cfg = load_config({
+        "channel": {"gamma_s_db": 10, "beta_sp": 0.5},
+        "state_grids": {"n_power_levels": 3.0, "rho_p_levels": [0, 0.5],
+                        "p_s_levels": None},
+        "solver": {"max_iters": 50, "pinned_pd": None},
+        "sim": {"ic_db": None},
+        "sweep": {"grid": [], "variable": "ic"},
+    })
+    assert cfg["channel"]["gamma_s_db"] == 10
+    assert resolve_config(cfg).state_grids().p_s_levels == \
+        truncated_exponential_levels(10.0 ** 0.5, 10.0 ** 0.5, 3)[0]
+
+
+def test_every_null_default_names_what_it_reads():
+    nulls = {f"{section}.{key}" for section, body in DEFAULT_CONFIG.items()
+             for key, value in body.items() if value is None}
+    assert nulls <= set(_NULLABLE)
+    for path, kind in _NULLABLE.items():
+        section, key = path.split(".")
+        default = DEFAULT_CONFIG[section][key]
+        assert default is None or isinstance(default, kind)

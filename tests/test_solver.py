@@ -1,9 +1,12 @@
-"""Value iteration: both routes, policy evaluation and the lookup table."""
+"""Value and policy iteration: both routes, policy evaluation and the lookup table."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cogrelay.config import resolve_config
 from cogrelay.mdp import (ActionGrids, ControlAction, CostModel, MdpGrids,
                           StateGrids, build_spectrum_mdp, state_from_flat)
 from cogrelay.model import QueueParams
@@ -11,7 +14,8 @@ from cogrelay.solver import (LOOKUP_COLUMNS, PolicyTable, SolverConfig,
                              _FactoredBackup, evaluate_policy,
                              evaluate_policy_dense, evaluate_policy_exact,
                              extract_lookup_table, materialize_dense,
-                             value_iteration, value_iteration_dense)
+                             policy_iteration, value_iteration,
+                             value_iteration_dense)
 from tests.test_mdp import make_params, small_grids
 
 
@@ -350,3 +354,122 @@ def test_exact_policy_evaluation_properties(case):
     slack = 1e-12 * scale
     assert np.all(exact >= r_pi.min() / (1.0 - d) - slack)
     assert np.all(exact <= r_pi.max() / (1.0 - d) + slack)
+
+
+# ---------------------------------------------------------------------------
+# policy iteration
+
+
+def default_model(costs=None, chosen=False):
+    rc = resolve_config(None)
+    return build_spectrum_mdp(rc.grids(), rc.model_params(), costs or rc.costs(),
+                              reward_uses_chosen_action=chosen), rc.solver_config()
+
+
+@pytest.mark.parametrize("chosen", [False, True])
+@pytest.mark.parametrize("costs", [None, CostModel(0.0, 0.0)],
+                         ids=["default_costs", "zero_costs"])
+def test_policy_iteration_matches_value_iteration_on_the_default_grids(costs, chosen):
+    mdp, cfg = default_model(costs, chosen)
+    n_pd = len(mdp.grids.actions.pd_levels)
+    n_ic = len(mdp.grids.actions.ic_levels)
+    for mode, pinned in (("joint", None), ("fixed_pd", n_pd - 3),
+                         ("fixed_ic", n_ic - 1)):
+        vt, pt = value_iteration(mdp, cfg, mode=mode, pinned=pinned)
+        pv, pp = policy_iteration(mdp, cfg, mode=mode, pinned=pinned)
+        assert vt.converged and pv.converged
+        np.testing.assert_array_equal(pp.actions, pt.actions)
+        assert (pp.mode, pp.pinned_pd_idx, pp.pinned_ic_idx) == \
+            (pt.mode, pt.pinned_pd_idx, pt.pinned_ic_idx)
+        # value iteration's a-posteriori bound on its own distance to V*
+        bound = cfg.discount * vt.final_residual / (1.0 - cfg.discount)
+        assert np.max(np.abs(pv.values - vt.values)) <= bound + 1e-9
+        assert pv.iterations <= 10
+
+
+@pytest.mark.parametrize("chosen", [False, True])
+def test_policy_iteration_matches_the_dense_route(chosen):
+    base = small_mdp()
+    mdp = build_spectrum_mdp(base.grids, base.params, base.costs,
+                             reward_uses_chosen_action=chosen)
+    cfg = SolverConfig(epsilon=1e-12, discount=0.9)
+    vt, pt = policy_iteration(mdp, cfg)
+    dense, greedy = value_iteration_dense(*materialize_dense(mdp), cfg)
+    assert vt.converged and dense.converged
+    np.testing.assert_allclose(vt.values, dense.values, rtol=0.0, atol=1e-10)
+    np.testing.assert_array_equal(pt.actions, greedy)
+    assert vt.final_residual <= 1e-12
+
+
+def test_policy_iteration_step_cap_reports_no_convergence():
+    mdp, cfg = default_model(CostModel(0.0, 0.0))
+    full, _ = policy_iteration(mdp, cfg)
+    assert full.converged and full.iterations == 5
+    capped, _ = policy_iteration(mdp, dataclasses.replace(cfg, max_iters=1))
+    assert not capped.converged
+    assert capped.iterations == 1 and len(capped.residuals) == 1
+
+
+def test_policy_iteration_stops_when_tied_actions_alternate():
+    # with rho_s = 0 and no interference charge the two caps tie exactly;
+    # rounding in the linear solves then flips the greedy choice between
+    # them, which a stop on "same policy as the last step" never catches
+    states = StateGrids(rho_p_levels=(0.0, 0.5), rho_s_levels=(0.0,),
+                        p_s_levels=(0.5, 2.5), p_s_stationary=(0.5, 0.5))
+    params = make_params(queues=QueueParams(
+        lambda_s=0.3, mu_s_max=0.8, lambda_p=0.77, mu_p_max=1.0,
+        lambda_ps=0.1, mu_ps_max=0.5))
+    mdp = build_spectrum_mdp(
+        MdpGrids(states=states, actions=ActionGrids((0.3,), (0.5, 2.5))),
+        params, CostModel(2.0, 0.0))
+    for d in (0.9, 0.95):
+        cfg = SolverConfig(epsilon=1e-12, max_iters=20, discount=d)
+        pv, _ = policy_iteration(mdp, cfg)
+        assert pv.converged
+        vt, _ = value_iteration(mdp, dataclasses.replace(cfg, max_iters=2000))
+        np.testing.assert_allclose(pv.values, vt.values, rtol=0.0, atol=1e-9)
+
+
+def test_solvers_stop_on_a_non_finite_residual():
+    mdp = small_mdp()
+    cfg = SolverConfig(epsilon=1e-9, max_iters=50, discount=0.9)
+    reward_vec = mdp.reward_vec.copy()
+    reward_vec[3] = np.nan
+    vt, _ = value_iteration(dataclasses.replace(mdp, reward_vec=reward_vec), cfg)
+    assert not vt.converged
+    assert vt.iterations == 1 and np.isnan(vt.final_residual)
+
+    g_state = mdp.g_state.copy()
+    g_state[3] = np.nan
+    pv, _ = policy_iteration(dataclasses.replace(mdp, g_state=g_state), cfg)
+    assert not pv.converged
+    assert pv.iterations == 1 and np.isnan(pv.final_residual)
+
+
+@st.composite
+def pinned_cases(draw):
+    mdp, _, _, d = draw(small_models())
+    mode = draw(st.sampled_from(["fixed_pd", "fixed_ic"]))
+    n = len(mdp.grids.actions.pd_levels if mode == "fixed_pd"
+            else mdp.grids.actions.ic_levels)
+    return mdp, d, mode, draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pinned_cases())
+def test_policy_iteration_properties(case):
+    mdp, d, mode, pinned = case
+    cfg = SolverConfig(epsilon=1e-12, discount=d)
+    joint, _ = policy_iteration(mdp, cfg)
+    restricted, pt = policy_iteration(mdp, cfg, mode=mode, pinned=pinned)
+    assert joint.converged and restricted.converged
+    n_ic = len(mdp.grids.actions.ic_levels)
+    held = pt.pd_idx(n_ic) if mode == "fixed_pd" else pt.ic_idx(n_ic)
+    assert np.all(held == pinned)
+    scale = max(1.0, float(np.max(np.abs(joint.values))))
+    # a pinned controller never beats the joint one at any state
+    assert np.all(restricted.values <= joint.values + 1e-12 * scale)
+    # ... and the joint values are value iteration's on the dense arrays
+    dense, _ = value_iteration_dense(*materialize_dense(mdp), cfg)
+    np.testing.assert_allclose(joint.values, dense.values, rtol=0.0,
+                               atol=1e-9 * scale)
