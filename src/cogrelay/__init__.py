@@ -53,13 +53,10 @@ from .solver import (
     SolverConfig,
     ValueTable,
     evaluate_policy,
-    evaluate_policy_dense,
     evaluate_policy_exact,
     extract_lookup_table,
-    materialize_dense,
     policy_iteration,
     value_iteration,
-    value_iteration_dense,
 )
 from .sim import (
     Pi1Chain,

@@ -98,6 +98,17 @@ def _checked_setup(rc: ResolvedConfig):
 # solve
 
 
+def _action_histogram(rc: ResolvedConfig, block_actions: np.ndarray) -> dict[str, int]:
+    """Number of (rho_p, rho_s, P_s) blocks per (pd, ic_db) action, keyed by
+    the configured grid values."""
+    grid = rc.raw["action_grids"]
+    n_ic = len(grid["ic_levels_db"])
+    chosen, counts = np.unique(block_actions, return_counts=True)
+    return {f"pd={_fmt(grid['pd_levels'][a // n_ic])},"
+            f"ic_db={_fmt(grid['ic_levels_db'][a % n_ic])}": int(c)
+            for a, c in zip(chosen, counts)}
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     try:
         rc = resolve_config(args.config)
@@ -119,9 +130,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "mode": mode,
         "iterations": vt.iterations,
         "converged": vt.converged,
+        "first_residual": vt.residuals[0],
         "final_residual": vt.final_residual,
         "error_bound": scfg.discount * vt.final_residual / (1.0 - scfg.discount),
         "distinct_actions": int(np.unique(pt.actions).size),
+        # the states of a block differ only in the previous action and
+        # share one greedy action
+        "action_histogram": _action_histogram(rc, pt.actions[::mdp.n_actions]),
         "rows": mdp.n_states,
     })
     out = _out_dir(args)

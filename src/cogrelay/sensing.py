@@ -16,20 +16,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
-from scipy.special import erfc, erfcinv
+_STANDARD_NORMAL = NormalDist()
 
 
 def q_function(x: float) -> float:
     """Gaussian tail probability Q(x) = P(N(0,1) > x)."""
-    return 0.5 * erfc(x / math.sqrt(2.0))
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
 def q_inverse(p: float) -> float:
     """Inverse of the Gaussian tail function on the open interval (0, 1)."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"q_inverse requires 0 < p < 1, got {p}")
-    return math.sqrt(2.0) * erfcinv(2.0 * p)
+    return -_STANDARD_NORMAL.inv_cdf(p)
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,10 @@ so one backup touches each (rho_p, rho_s, P_s) block once).  It has three
 users: value iteration applies it to one value table per step,
 `evaluate_policy_exact` to all S unit vectors at once to obtain P_pi, and
 policy iteration to improve each policy, evaluating it with one linear
-solve on the blocks (`_FactoredBackup.block_matrix`).  The dense routes work
-on explicit arrays, which `materialize_dense` builds from the scalar
-`transition` rows; tests hold the factored route against that reference and
-against brute-force policy enumeration on small instances.
+solve on the blocks (`_FactoredBackup.block_matrix`).  The tests hold the
+factored route against a dense reference built from the scalar `transition`
+rows (`tests/oracles.py`) and against brute-force policy enumeration on
+small instances.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Literal
 
 import numpy as np
 
-from .mdp import ControlAction, SpectrumMDP, state_from_flat
+from .mdp import SpectrumMDP
 
 __all__ = [
     "SolverConfig",
@@ -33,9 +33,6 @@ __all__ = [
     "evaluate_policy",
     "evaluate_policy_exact",
     "extract_lookup_table",
-    "value_iteration_dense",
-    "evaluate_policy_dense",
-    "materialize_dense",
 ]
 
 Mode = Literal["joint", "fixed_ic", "fixed_pd"]
@@ -409,56 +406,6 @@ def extract_lookup_table(mdp: SpectrumMDP, value_table: ValueTable,
     return LookupTable(columns=LOOKUP_COLUMNS, rows=rows)
 
 
-# ---------------------------------------------------------------------------
-# dense route for arbitrary finite MDPs
-
-
-def value_iteration_dense(transitions: np.ndarray, rewards: np.ndarray,
-                          cfg: SolverConfig,
-                          initial: np.ndarray | None = None) -> tuple[ValueTable, np.ndarray]:
-    """Plain value iteration on explicit (A, S, S) / (S, A) arrays.
-
-    Returns the value table and the greedy action per state (first index on
-    ties).  Used as the reference route against the factored solver and by
-    the enumeration tests.
-    """
-    p = np.asarray(transitions, dtype=float)
-    r = np.asarray(rewards, dtype=float)
-    n_actions, n_states, _ = p.shape
-    if r.shape != (n_states, n_actions):
-        raise ValueError(f"rewards must have shape {(n_states, n_actions)}, got {r.shape}")
-
-    values = r.max(axis=1) if initial is None else np.asarray(initial, dtype=float).copy()
-    residuals: list[float] = []
-    converged = False
-    iterations = 0
-    for _ in range(cfg.max_iters):
-        q = r + cfg.discount * np.einsum("ast,t->sa", p, values)
-        new_values = q.max(axis=1)
-        residual = float(np.max(np.abs(new_values - values)))
-        residuals.append(residual)
-        values = new_values
-        iterations += 1
-        if residual <= cfg.epsilon:
-            converged = True
-            break
-    q = r + cfg.discount * np.einsum("ast,t->sa", p, values)
-    actions = q.argmax(axis=1)
-    return ValueTable(values, iterations, converged, residuals), actions
-
-
-def evaluate_policy_dense(transitions: np.ndarray, rewards: np.ndarray,
-                          actions: np.ndarray, discount: float) -> np.ndarray:
-    """Exact J_pi by solving the linear system (I - d P_pi) J = r_pi."""
-    p = np.asarray(transitions, dtype=float)
-    r = np.asarray(rewards, dtype=float)
-    a = np.asarray(actions)
-    n_states = p.shape[1]
-    p_pi = p[a, np.arange(n_states), :]
-    r_pi = r[np.arange(n_states), a]
-    return np.linalg.solve(np.eye(n_states) - discount * p_pi, r_pi)
-
-
 def evaluate_policy_exact(mdp: SpectrumMDP, policy: PolicyTable | np.ndarray,
                           discount: float,
                           reward: Literal["full", "throughput"] = "full") -> np.ndarray:
@@ -475,31 +422,3 @@ def evaluate_policy_exact(mdp: SpectrumMDP, policy: PolicyTable | np.ndarray,
     n_states = mdp.n_states
     p_pi = _FactoredBackup(mdp).continuation(np.eye(n_states))[idx]
     return np.linalg.solve(np.eye(n_states) - discount * p_pi, r_pi)
-
-
-def materialize_dense(mdp: SpectrumMDP) -> tuple[np.ndarray, np.ndarray]:
-    """Expand a (small) slot model into explicit dense arrays.
-
-    Intended for cross-checks; the row count grows as the product of all
-    five grid sizes, so keep the grids tiny.
-    """
-    n_states, n_actions = mdp.n_states, mdp.n_actions
-    n_ic = len(mdp.grids.actions.ic_levels)
-    p = np.zeros((n_actions, n_states, n_states))
-    r = np.empty((n_states, n_actions))
-    base, g_add = _base_rewards(mdp)
-    base_flat = np.broadcast_to(
-        base[..., None, :],
-        mdp.grids.shape[:3] + (mdp.grids.shape[3] * mdp.grids.shape[4], n_actions),
-    ).reshape(n_states, n_actions)
-    r[:] = base_flat
-    if g_add is not None:
-        r += g_add[:, None]
-    for s in range(n_states):
-        state = state_from_flat(s, mdp.grids)
-        for a in range(n_actions):
-            action = ControlAction(a // n_ic, a % n_ic)
-            row = mdp.transition_row(state, action)
-            for nxt, prob in zip(row.states, row.probabilities):
-                p[a, s, nxt.flat_index(mdp.grids)] += prob
-    return p, r

@@ -4,12 +4,15 @@ Every in-process iterative solver run in the tests must contract: the
 sup-norm residual sequence has to satisfy r_{k+1} <= discount * r_k + 1e-12.
 Every converged policy-iteration run must return a Bellman fixed point:
 sup |T V - V| <= 1e-9, with T applied here through the factored operator.
-Rather than trusting each test to check this, the solver entry points are
-wrapped here once, before any test module imports them, so a violating run
-fails loudly at the call site no matter which test triggered it.  Solver
-runs inside `python -m cogrelay` child processes (criterion 10, the
-entry-point test) are outside the wrappers and are not counted: run alone,
-those tests report "contraction property checked on 0 solver runs".
+Rather than trusting each test to check this, the solver entry points (and
+the dense reference `oracles.value_iteration_dense`) are wrapped here once,
+before any test module imports them, so a violating run fails loudly at the
+call site no matter which test triggered it.  Test modules import the
+oracles as `oracles`, the module the wrapper patches, not as
+`tests.oracles`, which would be a second, unwrapped copy.  Solver runs
+inside `python -m cogrelay` child processes (criterion 10, the entry-point
+test) are outside the wrappers and are not counted: run alone, those tests
+report "contraction property checked on 0 solver runs".
 
 Child processes get their environment from `cli_subprocess_env`, which puts
 this checkout's `src` first on PYTHONPATH, so they run the code under test
@@ -30,6 +33,7 @@ import numpy as np
 import cogrelay
 import cogrelay.cli
 import cogrelay.solver
+import oracles
 
 CONTRACTION_SLACK = 1e-12
 FIXED_POINT_TOL = 1e-9
@@ -40,7 +44,7 @@ ACCEPTANCE_LINES: list[str] = []
 
 _real_value_iteration = cogrelay.solver.value_iteration
 _real_policy_iteration = cogrelay.solver.policy_iteration
-_real_value_iteration_dense = cogrelay.solver.value_iteration_dense
+_real_value_iteration_dense = oracles.value_iteration_dense
 _real_evaluate_policy = cogrelay.solver.evaluate_policy
 
 
@@ -98,10 +102,9 @@ for _ns in (cogrelay, cogrelay.solver, cogrelay.cli):
         _ns.value_iteration = _checked_value_iteration
     if hasattr(_ns, "policy_iteration"):
         _ns.policy_iteration = _checked_policy_iteration
-    if hasattr(_ns, "value_iteration_dense"):
-        _ns.value_iteration_dense = _checked_value_iteration_dense
     if hasattr(_ns, "evaluate_policy"):
         _ns.evaluate_policy = _checked_evaluate_policy
+oracles.value_iteration_dense = _checked_value_iteration_dense
 
 
 def cli_subprocess_env() -> dict[str, str]:

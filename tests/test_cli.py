@@ -137,8 +137,39 @@ def test_solve_manifest_reports_policy_facts(tmp_path):
     vt, pt = value_iteration(mdp, rc.solver_config())
     assert manifest["distinct_actions"] == len(set(pt.actions.tolist()))
     d = rc.solver_config().discount
+    assert manifest["first_residual"] == vt.residuals[0]
     assert manifest["error_bound"] == d * vt.final_residual / (1.0 - d)
     assert 0.0 < manifest["error_bound"] <= d * 1e-8 / (1.0 - d)
+    histogram = manifest["action_histogram"]
+    assert sum(histogram.values()) == mdp.n_states // mdp.n_actions
+    assert len(histogram) == manifest["distinct_actions"]
+    csv_manifest, _, _ = read_output(out / "lookup.csv")
+    for key in ("first_residual", "action_histogram"):
+        assert csv_manifest[key] == manifest[key]
+
+
+@pytest.mark.parametrize("costs, histogram", [
+    (None, {"pd=0.0,ic_db=-15.0": 400}),
+    ({"s_const": 0.0, "c_const": 0.0},
+     {"pd=0.0,ic_db=-15.0": 60, "pd=0.1,ic_db=5.0": 4, "pd=0.3,ic_db=5.0": 4,
+      "pd=0.4,ic_db=5.0": 16, "pd=1.0,ic_db=5.0": 316}),
+])
+def test_solve_manifest_action_histogram_on_the_default_grids(tmp_path, costs, histogram):
+    # the default costs pin one action on all 400 blocks; zero costs spread
+    # the blocks over five actions, all at the lowest or highest cap.  A
+    # child process runs the solve, so the suite's count of contraction-
+    # checked runs stays that of the in-process tests.
+    out = tmp_path / "run"
+    argv = [sys.executable, "-m", "cogrelay", "solve", "--out", str(out)]
+    if costs is not None:
+        argv += ["--config", write_config(tmp_path, {"costs": costs})]
+    proc = subprocess.run(argv, capture_output=True, text=True, cwd=tmp_path,
+                          env=conftest.cli_subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["action_histogram"] == histogram
+    assert manifest["distinct_actions"] == len(histogram)
+    assert manifest["first_residual"] > manifest["final_residual"]
 
 
 def test_solve_reruns_are_byte_identical(tmp_path):
@@ -289,6 +320,26 @@ def test_simulate_flags_statistical_disagreement(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, sim_doc(n_slots=20_000))
     out = tmp_path / "bad"
     assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 3
+
+
+@pytest.mark.parametrize("program", [
+    "import cogrelay, cogrelay.cli",
+    # what `python -m cogrelay validate` runs, with sys.modules read after it
+    "import runpy\n"
+    "sys.argv[1:] = ['validate']\n"
+    "try:\n"
+    "    runpy.run_module('cogrelay', run_name='__main__', alter_sys=True)\n"
+    "except SystemExit as exc:\n"
+    "    assert exc.code == 0, exc.code",
+], ids=["import", "validate"])
+def test_runtime_does_not_import_scipy(tmp_path, program):
+    # scipy is a test dependency only; importing it costs every command
+    # more than a second
+    code = f"import sys\n{program}\nprint('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, cwd=tmp_path, env=conftest.cli_subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False", proc.stdout
 
 
 def test_module_entry_point_runs(tmp_path):

@@ -7,12 +7,14 @@ test states the inputs it fed the oracle.
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cogrelay.model import (ChannelParams, OUTCOME_ORDER, QueueParams,
                             SensingOutcome, SensingTiming, db_to_linear,
                             linear_to_db, primary_throughput, relay_branch,
                             secondary_branch, secondary_throughput,
                             success_probability)
+from cogrelay.sensing import SensingConfig, false_alarm_from_detection
 
 # oracle: mp.exp at dps=40
 EXP_M01 = 0.90483741803595957
@@ -217,3 +219,27 @@ def test_branch_sum_is_a_probability_mixture():
                       * (pi1 if o.primary_busy else 1.0 - pi1)
                       for o in OUTCOME_ORDER)
         assert math.isclose(weights, 1.0, abs_tol=1e-12)
+
+
+_prob = st.floats(0.0, 1.0)
+_snr = st.floats(1e-3, 1e3)
+_cutoff = st.floats(0.0, 10.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pd=_prob, pf=_prob, pi1=_prob,
+       snrs=st.tuples(_snr, _snr, _snr), gamma_ps=st.floats(0.0, 100.0),
+       cutoffs=st.tuples(_cutoff, _cutoff, _cutoff),
+       gamma_se=st.floats(1e-3, 10.0), tau=st.floats(1e-6, 1e-3))
+def test_closed_forms_stay_probabilities(pd, pf, pi1, snrs, gamma_ps, cutoffs,
+                                         gamma_se, tau):
+    ch = ChannelParams(*snrs, gamma_ps, *cutoffs)
+    pf_det = false_alarm_from_detection(pd, SensingConfig(gamma_se=gamma_se, tau=tau))
+    assert 0.0 <= pf_det <= 1.0
+    for beta in cutoffs:
+        assert 0.0 <= success_probability(beta, snrs[0], gamma_ps) <= 1.0
+    for branch in (secondary_branch, relay_branch):
+        rates = [branch(o, pf, pd, pi1, ch) for o in OUTCOME_ORDER]
+        assert all(0.0 <= r <= 1.0 for r in rates)
+        # the four outcome weights sum to one up to rounding
+        assert sum(rates) <= 1.0 + 4 * math.ulp(1.0)

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from cogrelay.mdp import ControlAction
-from cogrelay.sim import (Pi1Chain, SimConfig, SimStats, analytical_reference,
-                          outcome_frequency_check, resolve_action, simulate)
+from cogrelay.sim import (_CHI2_999, Pi1Chain, SimConfig, SimStats,
+                          analytical_reference, outcome_frequency_check,
+                          resolve_action, simulate)
 from cogrelay.solver import PolicyTable
 from tests.test_mdp import make_params, small_grids
 
@@ -122,6 +124,21 @@ def test_chi_square_passes_on_faithful_run():
     assert check.passed
     assert check.dof == 2
     assert check.statistic <= check.threshold
+
+
+def test_chi_square_single_group_has_one_dof():
+    # an idle primary leaves one activity group with two live outcomes
+    check = outcome_frequency_check(mixed_config(n_slots=20_000, pf=0.2, pi1=0.0))
+    assert check.dof == 1
+    assert check.threshold == _CHI2_999[1]
+    assert check.passed
+
+
+def test_chi_square_thresholds_match_scipy():
+    assert sorted(_CHI2_999) == [1, 2]
+    for dof, threshold in _CHI2_999.items():
+        assert threshold == pytest.approx(scipy.stats.chi2.ppf(0.999, dof),
+                                          rel=1e-12, abs=0.0)
 
 
 def test_chi_square_guards():

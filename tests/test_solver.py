@@ -12,10 +12,9 @@ from cogrelay.mdp import (ActionGrids, ControlAction, CostModel, MdpGrids,
 from cogrelay.model import QueueParams
 from cogrelay.solver import (LOOKUP_COLUMNS, PolicyTable, SolverConfig,
                              _FactoredBackup, evaluate_policy,
-                             evaluate_policy_dense, evaluate_policy_exact,
-                             extract_lookup_table, materialize_dense,
-                             policy_iteration, value_iteration,
-                             value_iteration_dense)
+                             evaluate_policy_exact, extract_lookup_table,
+                             policy_iteration, value_iteration)
+from oracles import evaluate_policy_dense, materialize_dense, value_iteration_dense
 from tests.test_mdp import make_params, small_grids
 
 
