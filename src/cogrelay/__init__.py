@@ -42,7 +42,6 @@ from .mdp import (
     constrained_power,
     default_action_grids,
     default_state_grids,
-    reward,
     sensing_outcome_distribution,
     transition,
     validate,
@@ -52,7 +51,6 @@ from .solver import (
     PolicyTable,
     SolverConfig,
     ValueTable,
-    evaluate_policy,
     evaluate_policy_exact,
     extract_lookup_table,
     policy_iteration,

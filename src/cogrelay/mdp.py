@@ -12,17 +12,20 @@ Slot dynamics are a product of independent factors:
   * an i.i.d. redraw of the power state from its stationary law,
   * the deterministic copy of the applied action into the next state.
 
+Declared-idle transmissions use the cut-off beta_s and declared-busy
+(constrained) ones the cut-off beta_sp, as in `model.py`'s closed forms.
 Transmit power shapes every cut-off: a transmission radiated at power P_tx
 sees an effective cut-off beta * (p_ref / P_tx), and the interference the
 secondary imposes on the primary link scales with P_tx / p_ref.  Constrained
-(declared-busy) transmissions therefore both survive worse and protect the
-primary better when Ic is tight.
+transmissions therefore both survive worse and protect the primary better
+when Ic is tight.  `_outcome_terms` is the one implementation of this slot
+physics; the compiled tensors and the scalar `transition` both call it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -44,7 +47,6 @@ __all__ = [
     "ValidationReport",
     "constrained_power",
     "sensing_outcome_distribution",
-    "reward",
     "transition",
     "validate",
     "default_state_grids",
@@ -256,100 +258,70 @@ def constrained_power(pp: PowerPolicy, ic: float) -> float:
     return min(pp.p_av, ic / pp.mean_g_sp)
 
 
-def sensing_outcome_distribution(pi1: float, pd: float, pf: float) -> np.ndarray:
+# outcome attribute tables aligned with sensing_outcome_distribution's order
+_OUTCOME_BUSY = np.array([False, False, True, True])
+_OUTCOME_DECLARED_BUSY = np.array([True, False, False, True])
+
+
+def sensing_outcome_distribution(pi1, pd, pf) -> np.ndarray:
     """Probabilities of the four sensing outcomes.
 
     Order: [false alarm, no false alarm, missed detection, detection],
-    i.e. pi_0*Pf, pi_0*(1-Pf), pi_1*(1-Pd), pi_1*Pd.
+    i.e. pi_0*Pf, pi_0*(1-Pf), pi_1*(1-Pd), pi_1*Pd.  Arguments are
+    probabilities, as scalars or as arrays whose last axis has length 1;
+    the outcome axis broadcasts along that last axis.
     """
     for name, val in (("pi1", pi1), ("pd", pd), ("pf", pf)):
-        if not 0.0 <= val <= 1.0:
+        if not np.logical_and(0.0 <= val, val <= 1.0).all():
             raise ValueError(f"{name} must be a probability in [0, 1], got {val}")
-    pi0 = 1.0 - pi1
-    return np.array([pi0 * pf, pi0 * (1.0 - pf), pi1 * (1.0 - pd), pi1 * pd])
+    p_declared = np.where(_OUTCOME_BUSY, pd, pf)
+    return (np.where(_OUTCOME_BUSY, pi1, 1.0 - pi1)
+            * np.where(_OUTCOME_DECLARED_BUSY, p_declared, 1.0 - p_declared))
 
 
-# outcome attribute tables aligned with sensing_outcome_distribution's order
-_OUTCOME_BUSY = np.array([0.0, 0.0, 1.0, 1.0])
-_OUTCOME_DECLARED_BUSY = np.array([1.0, 0.0, 0.0, 1.0])
+def _outcome_terms(pi1, rho_s, p_s, pf, pd, ps1,
+                   params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The slot physics: per-outcome probabilities and queue service probabilities.
 
-
-def _scaled_beta(beta: float, p_ref: float, p_tx: float) -> float:
-    """Effective cut-off of a transmission radiated at p_tx."""
-    return beta * (p_ref / p_tx)
-
-
-def _outcome_kernel(pi1: float, rho_s: float, p_s: float, pd: float, ic: float,
-                    params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-outcome probabilities and queue service probabilities.
-
-    Returns (outcome distribution, rho_p service probs, rho_s service probs),
-    each a 4-vector over the canonical outcome order, for a slot that starts
-    at utilisations (pi1, rho_s), power state p_s, and applies (pd, ic).
+    Returns (outcome distribution, rho_p service probs, rho_s service probs)
+    for a slot that starts at utilisations (pi1, rho_s) and power state p_s,
+    senses with detection and false-alarm probabilities (pd, pf), and
+    radiates ps1 when it declares the channel busy.  Arguments are scalars
+    or arrays whose last axis has length 1, and the outcome axis broadcasts
+    along that last axis, so one call serves a single slot or a whole grid.
     """
-    ch, q, pw = params.channel, params.queues, params.power
-    pf = false_alarm_from_detection(pd, params.sensing)
+    ch, pw = params.channel, params.power
     dist = sensing_outcome_distribution(pi1, pd, pf)
 
+    # declared-idle outcomes radiate the power state against the cut-off
+    # beta_s, declared-busy ones the constrained power against beta_sp
     p_ref = pw.reference_power
-    p_s1 = constrained_power(pw, ic)
-    p_tx = np.where(_OUTCOME_DECLARED_BUSY == 1.0, p_s1, p_s)
-    interf = ch.gamma_ps * _OUTCOME_BUSY
-    beta_su = ch.beta_s * (p_ref / p_tx)
-
-    su_succ = np.exp(-beta_su * (1.0 + interf) / ch.gamma_s)
-    sp_succ = np.exp(-beta_su * (1.0 + interf) / ch.gamma_sp)
+    p_tx = np.where(_OUTCOME_DECLARED_BUSY, ps1, p_s)
+    beta = np.where(_OUTCOME_DECLARED_BUSY, ch.beta_sp, ch.beta_s) * (p_ref / p_tx)
+    interf = 1.0 + ch.gamma_ps * _OUTCOME_BUSY
+    su_succ = np.exp(-beta * interf / ch.gamma_s)
+    sp_succ = np.exp(-beta * interf / ch.gamma_sp)
     # Interference-constrained transmissions sit far below the power states
     # by construction, so only full-power slots degrade the primary link.
-    p_seen = np.where(_OUTCOME_DECLARED_BUSY == 1.0, 0.0, p_s)
+    p_seen = np.where(_OUTCOME_DECLARED_BUSY, 0.0, p_s)
     pu_direct = np.exp(-ch.beta_p * (1.0 + ch.gamma_sp * p_seen / p_ref) / ch.gamma_p)
 
     no_outage = success_probability(ch.beta_p, ch.gamma_p)
-    frame = params.timing.data_fraction
-
-    srv_s = frame * dist * su_succ * rho_s * no_outage
-    srv_p = pu_direct * pi1 + dist * sp_succ * q.rho_ps * (1.0 - no_outage)
+    srv_s = params.timing.data_fraction * dist * su_succ * rho_s * no_outage
+    srv_p = pu_direct * pi1 + dist * sp_succ * params.queues.rho_ps * (1.0 - no_outage)
     return dist, srv_p, srv_s
 
 
-def _birth_death(idx: int, n_levels: int, lam: float, p_srv: float) -> tuple[float, float, float]:
+def _birth_death(srv, lam: float, at_bottom, at_top) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(down, stay, up) probabilities of one quantised queue step.
 
     An arrival without service moves the level up, a service without arrival
-    moves it down; moves off the grid fold into staying.
+    moves it down; moves off the grid (down from the bottom level, up from
+    the top one) fold into staying.  Broadcasts over its arguments.
     """
-    up = lam * (1.0 - p_srv)
-    down = p_srv * (1.0 - lam)
-    if idx == 0:
-        down = 0.0
-    if idx == n_levels - 1:
-        up = 0.0
-    return down, 1.0 - up - down, up
-
-
-def reward(state: AugmentedState, grids: MdpGrids, params: ModelParams,
-           costs: CostModel) -> float:
-    """Immediate reward of an augmented state.
-
-    Expected secondary throughput of the slot (the outcome-weighted
-    closed-form branch values, with the state's rho_s as the backlog
-    probability and the stored previous action fixing Pd, Pf and Ic),
-    minus the detection cost s*Pd and the interference cost c*Ps(1).
-    """
-    state.check(grids)
-    s = grids.states
-    a = grids.actions
-    pi1 = s.rho_p_levels[state.rho_p_idx]
-    rho_s = s.rho_s_levels[state.rho_s_idx]
-    p_s = s.p_s_levels[state.p_s_idx]
-    pd = a.pd_levels[state.prev_pd_idx]
-    ic = a.ic_levels[state.prev_ic_idx]
-
-    _, _, srv_s = _outcome_kernel(pi1, rho_s, p_s, pd, ic, params)
-    g = float(np.sum(srv_s))
-    psi = costs.s_const * pd
-    phi = costs.c_const * constrained_power(params.power, ic)
-    return g - psi - phi
+    down = np.where(at_bottom, 0.0, srv * (1.0 - lam))
+    up = np.where(at_top, 0.0, lam * (1.0 - srv))
+    return down, 1.0 - down - up, up
 
 
 def transition(state: AugmentedState, action: ControlAction, grids: MdpGrids,
@@ -365,44 +337,24 @@ def transition(state: AugmentedState, action: ControlAction, grids: MdpGrids,
     state.check(grids)
     action.check(grids)
     s = grids.states
-    a = grids.actions
-    n_rp = len(s.rho_p_levels)
-    n_rs = len(s.rho_s_levels)
-    pi1 = s.rho_p_levels[state.rho_p_idx]
-    rho_s = s.rho_s_levels[state.rho_s_idx]
-    p_s = s.p_s_levels[state.p_s_idx]
-    pd = a.pd_levels[action.pd_idx]
-    ic = a.ic_levels[action.ic_idx]
+    rp, rs = state.rho_p_idx, state.rho_s_idx
+    pd = grids.actions.pd_levels[action.pd_idx]
+    ic = grids.actions.ic_levels[action.ic_idx]
+    dist, srv_p, srv_s = _outcome_terms(
+        s.rho_p_levels[rp], s.rho_s_levels[rs], s.p_s_levels[state.p_s_idx],
+        false_alarm_from_detection(pd, params.sensing), pd,
+        constrained_power(params.power, ic), params)
+    q = params.queues
+    bd_p = _birth_death(srv_p, q.lambda_p, rp == 0, rp == len(s.rho_p_levels) - 1)
+    bd_s = _birth_death(srv_s, q.lambda_s, rs == 0, rs == len(s.rho_s_levels) - 1)
 
-    dist, srv_p, srv_s = _outcome_kernel(pi1, rho_s, p_s, pd, ic, params)
-
-    acc: dict[tuple[int, int, int], float] = {}
-    lam_p, lam_s = params.queues.lambda_p, params.queues.lambda_s
-    for k in range(4):
-        if dist[k] == 0.0:
-            continue
-        bd_p = _birth_death(state.rho_p_idx, n_rp, lam_p, float(srv_p[k]))
-        bd_s = _birth_death(state.rho_s_idx, n_rs, lam_s, float(srv_s[k]))
-        for dp, w_p in zip((-1, 0, 1), bd_p):
-            if w_p == 0.0:
-                continue
-            for ds, w_s in zip((-1, 0, 1), bd_s):
-                if w_s == 0.0:
-                    continue
-                base = dist[k] * w_p * w_s
-                for ps_next, w_ps in enumerate(s.p_s_stationary):
-                    if w_ps == 0.0:
-                        continue
-                    key = (state.rho_p_idx + dp, state.rho_s_idx + ds, ps_next)
-                    acc[key] = acc.get(key, 0.0) + base * w_ps
-
-    ordered = sorted(acc.items())
+    # (rho_p move, rho_s move, next power level), moves -1, 0, +1 in order
+    moves = np.einsum("x,mx,nx->mn", dist, np.array(bd_p), np.array(bd_s))
+    probs = moves[:, :, None] * np.array(s.p_s_stationary)
     states = tuple(
-        AugmentedState(rp, rs, ps, action.pd_idx, action.ic_idx)
-        for (rp, rs, ps) in (k for k, _ in ordered)
-    )
-    probs = tuple(p for _, p in ordered)
-    return TransitionRow(states=states, probabilities=probs)
+        AugmentedState(rp + mp - 1, rs + ms - 1, ps, action.pd_idx, action.ic_idx)
+        for mp, ms, ps in np.argwhere(probs).tolist())
+    return TransitionRow(states=states, probabilities=tuple(probs[probs != 0.0].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -535,16 +487,11 @@ class SpectrumMDP:
     ps1_of_ic: np.ndarray         # (n_ic,)
     action_cost: np.ndarray       # (A,)
     outcome_dist: np.ndarray      # (r, n_pd, x)
-    su_succ: np.ndarray           # (v, n_ic, x)
-    sp_succ: np.ndarray           # (v, n_ic, x)
-    pu_direct: np.ndarray         # (v, n_ic, x)
     srv_p: np.ndarray             # (r, v, A, x)
     srv_s: np.ndarray             # (r, u, v, A, x)
     g_state: np.ndarray           # (S,) throughput part of the reward at prev action
     g_action: np.ndarray          # (r, u, v, A) throughput at a hypothetical action
     reward_vec: np.ndarray        # (S,) g_state - costs at prev action
-    field_order: tuple[str, ...] = field(default=(
-        "rho_p", "rho_s", "p_s", "prev_pd", "prev_ic"))
 
     @property
     def n_states(self) -> int:
@@ -554,71 +501,32 @@ class SpectrumMDP:
     def n_actions(self) -> int:
         return self.grids.actions.n_actions
 
-    def state_reward(self, state: AugmentedState) -> float:
-        return float(self.reward_vec[state.flat_index(self.grids)])
-
-    def transition_row(self, state: AugmentedState, action: ControlAction) -> TransitionRow:
-        return transition(state, action, self.grids, self.params)
-
 
 def build_spectrum_mdp(grids: MdpGrids, params: ModelParams, costs: CostModel,
                        reward_uses_chosen_action: bool = False) -> SpectrumMDP:
     """Vectorised construction of every tensor the solver needs.
 
-    The arrays here and the scalar `transition`/`reward` operations compute
-    the same quantities; tests cross-check them entry by entry.
+    One call of the slot physics on (rho_p, rho_s, P_s, Pd, Ic)-shaped
+    inputs gives the outcome law and both service probabilities at every
+    state block and action.
     """
     sg, ag = grids.states, grids.actions
     n_rp, n_rs, n_ps, n_pd, n_ic = grids.shape
-    ch, qp, pw = params.channel, params.queues, params.power
 
-    rho_p = np.array(sg.rho_p_levels)
-    rho_s = np.array(sg.rho_s_levels)
-    p_s = np.array(sg.p_s_levels)
     pd = np.array(ag.pd_levels)
-    ic = np.array(ag.ic_levels)
-
     pf = np.array([false_alarm_from_detection(v, params.sensing) for v in pd])
-    ps1 = np.array([constrained_power(pw, v) for v in ic])
+    ps1 = np.array([constrained_power(params.power, v) for v in ag.ic_levels])
 
-    # outcome distribution per (rho_p, pd): order FA, NFA, MD, D
-    pi1 = rho_p[:, None]
-    dist = np.stack([
-        (1.0 - pi1) * pf[None, :],
-        (1.0 - pi1) * (1.0 - pf)[None, :],
-        pi1 * (1.0 - pd)[None, :],
-        pi1 * pd[None, :],
-    ], axis=-1)                                           # (r, n_pd, x)
+    def along(axis: int, values) -> np.ndarray:
+        # grid axis `axis` of (r, u, v, n_pd, n_ic), with the outcome axis last
+        return np.reshape(values, (1,) * axis + (-1,) + (1,) * (5 - axis))
 
-    # per-outcome radiated power: declared-idle -> power state, declared-busy -> P_s^(1)
-    p_ref = pw.reference_power
-    p_tx = np.where(_OUTCOME_DECLARED_BUSY[None, None, :] == 1.0,
-                    ps1[None, :, None], p_s[:, None, None])      # (v, n_ic, x)
-    interf = 1.0 + ch.gamma_ps * _OUTCOME_BUSY[None, None, :]
-    beta_su = ch.beta_s * (p_ref / p_tx)
-    su_succ = np.exp(-beta_su * interf / ch.gamma_s)
-    sp_succ = np.exp(-beta_su * interf / ch.gamma_sp)
-    # Same clamp as the scalar kernel: declared-busy slots radiate far below
-    # the power states, so only full-power slots degrade the primary link.
-    p_seen = np.where(_OUTCOME_DECLARED_BUSY[None, None, :] == 1.0,
-                      np.zeros_like(p_tx), p_s[:, None, None])
-    pu_direct = np.exp(-ch.beta_p * (1.0 + ch.gamma_sp * p_seen / p_ref) / ch.gamma_p)
-
-    no_outage = success_probability(ch.beta_p, ch.gamma_p)
-    frame = params.timing.data_fraction
-
-    # service probabilities per outcome, at every (state coords, action)
-    dist_a = dist[:, :, None, :].repeat(n_ic, axis=2).reshape(n_rp, n_pd * n_ic, 4)
-    su_a = np.tile(su_succ[:, None, :, :], (1, n_pd, 1, 1)).reshape(n_ps, n_pd * n_ic, 4)
-    sp_a = np.tile(sp_succ[:, None, :, :], (1, n_pd, 1, 1)).reshape(n_ps, n_pd * n_ic, 4)
-    pu_a = np.tile(pu_direct[:, None, :, :], (1, n_pd, 1, 1)).reshape(n_ps, n_pd * n_ic, 4)
-
-    srv_p = (pu_a[None, :, :, :] * rho_p[:, None, None, None]
-             + dist_a[:, None, :, :] * sp_a[None, :, :, :] * qp.rho_ps * (1.0 - no_outage))
-    # (r, v, A, x)
-    srv_s = (frame * dist_a[:, None, None, :, :] * su_a[None, None, :, :, :]
-             * rho_s[None, :, None, None, None] * no_outage)
-    # (r, u, v, A, x)
+    dist, srv_p, srv_s = _outcome_terms(
+        along(0, sg.rho_p_levels), along(1, sg.rho_s_levels), along(2, sg.p_s_levels),
+        along(3, pf), along(3, pd), along(4, ps1), params)
+    dist = dist.reshape(n_rp, n_pd, 4)                          # (r, n_pd, x)
+    srv_p = srv_p.reshape(n_rp, n_ps, n_pd * n_ic, 4)           # (r, v, A, x)
+    srv_s = srv_s.reshape(n_rp, n_rs, n_ps, n_pd * n_ic, 4)     # (r, u, v, A, x)
 
     # throughput part of the reward for any (state coords, action) combination;
     # flattened over the prev-action axes it is exactly the per-state g term
@@ -633,8 +541,7 @@ def build_spectrum_mdp(grids: MdpGrids, params: ModelParams, costs: CostModel,
         grids=grids, params=params, costs=costs,
         reward_uses_chosen_action=reward_uses_chosen_action,
         pf_of_pd=pf, ps1_of_ic=ps1, action_cost=action_cost,
-        outcome_dist=dist, su_succ=su_succ, sp_succ=sp_succ, pu_direct=pu_direct,
-        srv_p=srv_p, srv_s=srv_s,
+        outcome_dist=dist, srv_p=srv_p, srv_s=srv_s,
         g_state=np.ascontiguousarray(g_state),
         g_action=np.ascontiguousarray(g_action),
         reward_vec=np.ascontiguousarray(reward_vec),

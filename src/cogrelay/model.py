@@ -184,26 +184,35 @@ def _check_probs(pf: float, pd: float, pi1: float) -> None:
             raise ValueError(f"{name} must be a probability in [0, 1], got {val}")
 
 
+def _branch_rate(
+    outcome: SensingOutcome, pf: float, pd: float, pi1: float, ch: ChannelParams,
+    gamma: float,
+) -> float:
+    """Outcome probability times the success probability of a link of mean SNR gamma.
+
+    Declared-idle outcomes use the full-power cut-off beta_s, declared-busy
+    outcomes the constrained cut-off beta_sp; busy outcomes additionally
+    suffer the primary's interference at the receiving end.
+    """
+    _check_probs(pf, pd, pi1)
+    busy = outcome.primary_busy
+    p_declared = pd if busy else pf
+    weight = ((pi1 if busy else 1.0 - pi1)
+              * (p_declared if outcome.declared_busy else 1.0 - p_declared))
+    beta = ch.beta_sp if outcome.declared_busy else ch.beta_s
+    interf = ch.gamma_ps if busy else 0.0
+    return weight * success_probability(beta, gamma, interf)
+
+
 def secondary_branch(
     outcome: SensingOutcome, pf: float, pd: float, pi1: float, ch: ChannelParams
 ) -> float:
     """Per-outcome secondary rate over the secondary link (own traffic).
 
     Returns the product of the outcome probability and the link success
-    probability.  Declared-idle outcomes use the full-power cut-off beta_s,
-    declared-busy outcomes the constrained cut-off beta_sp; busy outcomes
-    additionally suffer the primary's interference at the secondary receiver.
+    probability at the secondary receiver's mean SNR gamma_s.
     """
-    _check_probs(pf, pd, pi1)
-    beta = ch.beta_sp if outcome.declared_busy else ch.beta_s
-    interf = ch.gamma_ps if outcome.primary_busy else 0.0
-    weight = {
-        SensingOutcome.NO_FALSE_ALARM: (1.0 - pf) * (1.0 - pi1),
-        SensingOutcome.FALSE_ALARM: pf * (1.0 - pi1),
-        SensingOutcome.MISSED_DETECTION: (1.0 - pd) * pi1,
-        SensingOutcome.DETECTION: pd * pi1,
-    }[outcome]
-    return weight * success_probability(beta, ch.gamma_s, interf)
+    return _branch_rate(outcome, pf, pd, pi1, ch, ch.gamma_s)
 
 
 def relay_branch(
@@ -214,16 +223,7 @@ def relay_branch(
     Same structure as :func:`secondary_branch` but the packet travels to the
     primary receiver, so the mean SNR is gamma_sp.
     """
-    _check_probs(pf, pd, pi1)
-    beta = ch.beta_sp if outcome.declared_busy else ch.beta_s
-    interf = ch.gamma_ps if outcome.primary_busy else 0.0
-    weight = {
-        SensingOutcome.NO_FALSE_ALARM: (1.0 - pf) * (1.0 - pi1),
-        SensingOutcome.FALSE_ALARM: pf * (1.0 - pi1),
-        SensingOutcome.MISSED_DETECTION: (1.0 - pd) * pi1,
-        SensingOutcome.DETECTION: pd * pi1,
-    }[outcome]
-    return weight * success_probability(beta, ch.gamma_sp, interf)
+    return _branch_rate(outcome, pf, pd, pi1, ch, ch.gamma_sp)
 
 
 def secondary_throughput(

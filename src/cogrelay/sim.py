@@ -21,9 +21,8 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .mdp import ControlAction, MdpGrids, ModelParams
+from .mdp import ModelParams, sensing_outcome_distribution
 from .sensing import false_alarm_from_detection
-from .solver import PolicyTable
 
 __all__ = [
     "Pi1Chain",
@@ -33,7 +32,6 @@ __all__ = [
     "simulate",
     "outcome_frequency_check",
     "analytical_reference",
-    "resolve_action",
 ]
 
 _CHUNK = 1 << 20
@@ -148,21 +146,6 @@ class SimStats:
     slots_busy_unserved: int
     slots_relayed_total: int
     counts: dict[str, int] = field(default_factory=dict)
-
-
-def resolve_action(policy: PolicyTable | ControlAction, grids: MdpGrids,
-                   flat_state: int | None = None) -> tuple[float, float]:
-    """Pd and Ic levels prescribed by a policy at a state, or by a fixed action."""
-    if isinstance(policy, ControlAction):
-        policy.check(grids)
-        return (grids.actions.pd_levels[policy.pd_idx],
-                grids.actions.ic_levels[policy.ic_idx])
-    if flat_state is None:
-        raise ValueError("a PolicyTable needs the state to look the action up at")
-    a = int(policy.actions[flat_state])
-    n_ic = len(grids.actions.ic_levels)
-    return (grids.actions.pd_levels[a // n_ic],
-            grids.actions.ic_levels[a % n_ic])
 
 
 def _se(successes: int, n: int) -> float:
@@ -340,12 +323,10 @@ def analytical_reference(cfg: SimConfig) -> dict[str, float | np.ndarray]:
     pd, pf, pi1 = cfg.pd, cfg.resolved_pf, cfg.resolved_pi1
     branch_s = np.array([secondary_branch(o, pf, pd, pi1, ch) for o in OUTCOME_ORDER])
     branch_ps = np.array([relay_branch(o, pf, pd, pi1, ch) for o in OUTCOME_ORDER])
-    pi0 = 1.0 - pi1
-    outcome = np.array([pi0 * pf, pi0 * (1.0 - pf), pi1 * (1.0 - pd), pi1 * pd])
     return {
         "mu_s": secondary_throughput(float(branch_s.sum()), timing, q, ch),
         "mu_p": primary_throughput(float(branch_ps.sum()), q, ch, pi1),
-        "outcome_freq": outcome,
+        "outcome_freq": sensing_outcome_distribution(pi1, pd, pf),
         "branch_mu_s": branch_s,
         "branch_mu_ps": branch_ps,
     }

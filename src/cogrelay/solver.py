@@ -21,7 +21,7 @@ from typing import Literal
 
 import numpy as np
 
-from .mdp import SpectrumMDP
+from .mdp import SpectrumMDP, _birth_death
 
 __all__ = [
     "SolverConfig",
@@ -30,7 +30,6 @@ __all__ = [
     "LookupTable",
     "value_iteration",
     "policy_iteration",
-    "evaluate_policy",
     "evaluate_policy_exact",
     "extract_lookup_table",
 ]
@@ -120,28 +119,16 @@ class _FactoredBackup:
         self.mdp = mdp
         n_rp, n_rs, n_ps, n_pd, n_ic = mdp.grids.shape
         self.shape = (n_rp, n_rs, n_ps, n_pd * n_ic)
-        lam_p = mdp.params.queues.lambda_p
-        lam_s = mdp.params.queues.lambda_s
+        q = mdp.params.queues
 
         # outcome distribution expanded over the flat action axis: (r, A, x)
         dist = np.repeat(mdp.outcome_dist, n_ic, axis=1)
 
-        up_p = lam_p * (1.0 - mdp.srv_p)                  # (r, v, A, x)
-        dn_p = mdp.srv_p * (1.0 - lam_p)
-        up_s = lam_s * (1.0 - mdp.srv_s)                  # (r, u, v, A, x)
-        dn_s = mdp.srv_s * (1.0 - lam_s)
-
-        bdp = np.empty((3,) + mdp.srv_p.shape)
-        bdp[0], bdp[2] = dn_p, up_p
-        bdp[0][0, ...] = 0.0
-        bdp[2][n_rp - 1, ...] = 0.0
-        bdp[1] = 1.0 - bdp[0] - bdp[2]
-
-        bds = np.empty((3,) + mdp.srv_s.shape)
-        bds[0], bds[2] = dn_s, up_s
-        bds[0][:, 0, ...] = 0.0
-        bds[2][:, n_rs - 1, ...] = 0.0
-        bds[1] = 1.0 - bds[0] - bds[2]
+        # level index along the leading axis of srv_p (r) and of srv_s[r] (u)
+        r = np.arange(n_rp)[:, None, None, None]
+        u = np.arange(n_rs)[:, None, None, None]
+        bdp = np.stack(_birth_death(mdp.srv_p, q.lambda_p, r == 0, r == n_rp - 1))
+        bds = np.stack(_birth_death(mdp.srv_s, q.lambda_s, u == 0, u == n_rs - 1))
 
         qbp = dist[None, :, None, :, :] * bdp             # (mp, r, v, A, x)
         self.kernel = np.einsum("mrvax,nruvax->mnruva", qbp, bds)
@@ -331,34 +318,6 @@ def _policy_terms(mdp: SpectrumMDP, policy: PolicyTable | np.ndarray,
         raise ValueError(f"unknown reward selector {reward!r}")
     base, g_add = _base_rewards(mdp)
     return idx, base[idx] if g_add is None else base[idx] + g_add
-
-
-def evaluate_policy(mdp: SpectrumMDP, policy: PolicyTable | np.ndarray,
-                    cfg: SolverConfig,
-                    reward: Literal["full", "throughput"] = "full") -> ValueTable:
-    """Fixed-point evaluation of a stationary policy.
-
-    With reward="throughput" the control costs are dropped and the slot
-    reward is the expected secondary throughput under the policy's action;
-    this is what the operating-point sweeps report.
-    """
-    idx, r_pi = _policy_terms(mdp, policy, reward)
-    backup = _FactoredBackup(mdp)
-    values = r_pi.copy()
-    residuals: list[float] = []
-    converged = False
-    iterations = 0
-    for _ in range(cfg.max_iters):
-        new_values = r_pi + cfg.discount * backup.continuation(values)[idx]
-        residual = float(np.max(np.abs(new_values - values)))
-        residuals.append(residual)
-        values = new_values
-        iterations += 1
-        if residual <= cfg.epsilon:
-            converged = True
-            break
-    return ValueTable(values=values, iterations=iterations,
-                      converged=converged, residuals=residuals)
 
 
 @dataclass

@@ -5,11 +5,11 @@ sup-norm residual sequence has to satisfy r_{k+1} <= discount * r_k + 1e-12.
 Every converged policy-iteration run must return a Bellman fixed point:
 sup |T V - V| <= 1e-9, with T applied here through the factored operator.
 Rather than trusting each test to check this, the solver entry points (and
-the dense reference `oracles.value_iteration_dense`) are wrapped here once,
-before any test module imports them, so a violating run fails loudly at the
-call site no matter which test triggered it.  Test modules import the
-oracles as `oracles`, the module the wrapper patches, not as
-`tests.oracles`, which would be a second, unwrapped copy.  Solver runs
+the references `oracles.value_iteration_dense` and `oracles.evaluate_policy`)
+are wrapped here once, before any test module imports them, so a violating
+run fails loudly at the call site no matter which test triggered it.  Test
+modules import the oracles as `oracles`, the module the wrapper patches, not
+as `tests.oracles`, which would be a second, unwrapped copy.  Solver runs
 inside `python -m cogrelay` child processes (criterion 10, the entry-point
 test) are outside the wrappers and are not counted: run alone, those tests
 report "contraction property checked on 0 solver runs".
@@ -45,7 +45,7 @@ ACCEPTANCE_LINES: list[str] = []
 _real_value_iteration = cogrelay.solver.value_iteration
 _real_policy_iteration = cogrelay.solver.policy_iteration
 _real_value_iteration_dense = oracles.value_iteration_dense
-_real_evaluate_policy = cogrelay.solver.evaluate_policy
+_real_evaluate_policy = oracles.evaluate_policy
 
 
 def assert_contraction(residuals, discount: float, label: str) -> None:
@@ -102,9 +102,8 @@ for _ns in (cogrelay, cogrelay.solver, cogrelay.cli):
         _ns.value_iteration = _checked_value_iteration
     if hasattr(_ns, "policy_iteration"):
         _ns.policy_iteration = _checked_policy_iteration
-    if hasattr(_ns, "evaluate_policy"):
-        _ns.evaluate_policy = _checked_evaluate_policy
 oracles.value_iteration_dense = _checked_value_iteration_dense
+oracles.evaluate_policy = _checked_evaluate_policy
 
 
 def cli_subprocess_env() -> dict[str, str]:

@@ -1,18 +1,22 @@
 """Grids, rewards and the one-step transition law of the slot model."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from cogrelay.model import ChannelParams, QueueParams, SensingTiming
+from cogrelay.model import (OUTCOME_ORDER, ChannelParams, QueueParams,
+                            SensingTiming, relay_branch, secondary_branch,
+                            success_probability)
 from cogrelay.sensing import SensingConfig, false_alarm_from_detection
 from cogrelay.mdp import (ActionGrids, AugmentedState, ControlAction, CostModel,
                           MdpGrids, ModelParams, PowerPolicy, StateGrids,
                           build_spectrum_mdp, constrained_power,
-                          default_action_grids, default_state_grids, reward,
+                          default_action_grids, default_state_grids,
                           sensing_outcome_distribution, state_from_flat,
                           transition, truncated_exponential_levels, validate)
+from oracles import reward, state_reward
 
 
 def make_params(**kw):
@@ -362,7 +366,7 @@ def test_compiled_rewards_match_scalar_path():
         st = state_from_flat(flat, grids)
         assert mdp.reward_vec[flat] == pytest.approx(
             reward(st, grids, params, costs), abs=1e-14)
-        assert mdp.state_reward(st) == mdp.reward_vec[flat]
+        assert state_reward(mdp, st) == mdp.reward_vec[flat]
 
 
 def test_compiled_detector_and_power_tables():
@@ -381,3 +385,49 @@ def test_compiled_throughput_tensor_flattens_to_state_vector():
     mdp = build_spectrum_mdp(grids, make_params(), CostModel())
     assert mdp.g_action.shape == grids.shape[:3] + (grids.actions.n_actions,)
     np.testing.assert_array_equal(mdp.g_state, mdp.g_action.reshape(-1))
+
+
+def test_compiled_tensors_reduce_to_the_closed_forms_at_the_reference_power():
+    """With every transmission radiated at p_ref no cut-off is rescaled.
+
+    The one power level is p_ref = p_av, and every cap admits at least p_av,
+    so the constrained power is p_ref as well.  The compiled service
+    probabilities are then `model.py`'s closed forms outcome by outcome,
+    declared-busy outcomes included: those read beta_sp, set apart from
+    beta_s here.
+    """
+    ch = ChannelParams(gamma_s=10.0, gamma_p=10.0, gamma_sp=5.0, gamma_ps=1.0,
+                       beta_s=0.5, beta_sp=0.9, beta_p=4.0)
+    states = StateGrids(rho_p_levels=(0.1, 0.5, 0.9), rho_s_levels=(0.3, 0.7),
+                        p_s_levels=(3.0,), p_s_stationary=(1.0,))
+    grids = MdpGrids(states=states, actions=ActionGrids((0.2, 0.8), (3.0, 5.0)))
+    params = make_params(channel=ch, power=PowerPolicy(p_av=3.0, mean_g_sp=1.0))
+    no_relay = dataclasses.replace(
+        params, queues=dataclasses.replace(params.queues, lambda_ps=0.0))
+    mdp = build_spectrum_mdp(grids, params, CostModel())
+    direct_only = build_spectrum_mdp(grids, no_relay, CostModel())
+    assert np.all(mdp.ps1_of_ic == params.power.reference_power)
+
+    no_outage = success_probability(ch.beta_p, ch.gamma_p)
+    n_ic = len(grids.actions.ic_levels)
+    shape = (len(states.rho_p_levels), grids.actions.n_actions, 4)
+    own, relay, direct = np.empty(shape), np.empty(shape), np.empty(shape)
+    for r, pi1 in enumerate(states.rho_p_levels):
+        for a in range(grids.actions.n_actions):
+            pd, pf = grids.actions.pd_levels[a // n_ic], mdp.pf_of_pd[a // n_ic]
+            for x, o in enumerate(OUTCOME_ORDER):
+                own[r, a, x] = secondary_branch(o, pf, pd, pi1, ch)
+                relay[r, a, x] = relay_branch(o, pf, pd, pi1, ch)
+                seen = 0.0 if o.declared_busy else ch.gamma_sp
+                direct[r, a, x] = success_probability(ch.beta_p, ch.gamma_p, seen) * pi1
+
+    rho_s = np.array(states.rho_s_levels)[None, :, None, None]
+    frame = params.timing.data_fraction
+    np.testing.assert_allclose(mdp.srv_s[:, :, 0],
+                               frame * own[:, None] * rho_s * no_outage,
+                               rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(direct_only.srv_p[:, 0], direct, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(
+        mdp.srv_p[:, 0],
+        direct + relay * params.queues.rho_ps * (1.0 - no_outage),
+        rtol=1e-14, atol=0.0)

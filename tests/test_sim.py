@@ -6,12 +6,9 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from cogrelay.mdp import ControlAction
 from cogrelay.sim import (_CHI2_999, Pi1Chain, SimConfig, SimStats,
-                          analytical_reference, outcome_frequency_check,
-                          resolve_action, simulate)
-from cogrelay.solver import PolicyTable
-from tests.test_mdp import make_params, small_grids
+                          analytical_reference, outcome_frequency_check, simulate)
+from tests.test_mdp import make_params
 
 
 def mixed_config(n_slots=200_000, seed=202, **kw):
@@ -172,17 +169,6 @@ def test_chain_run_matches_stationary_mixture():
     # detection frequency against the stationary mixture pi1 * pd
     se_d = math.sqrt(0.4 * 0.8 * (1.0 - 0.32) / cfg.n_slots)
     assert abs(stats.outcome_freq[3] - 0.4 * 0.8) <= 4.0 * se_d
-
-
-def test_resolve_action_paths():
-    grids = small_grids()
-    assert resolve_action(ControlAction(1, 0), grids) == (0.8, 0.5)
-    policy = PolicyTable(actions=np.full(grids.n_states, 3))
-    assert resolve_action(policy, grids, flat_state=5) == (0.8, 2.0)
-    with pytest.raises(ValueError, match="state"):
-        resolve_action(policy, grids)
-    with pytest.raises(ValueError):
-        resolve_action(ControlAction(5, 0), grids)
 
 
 def test_stats_record_run_identity():

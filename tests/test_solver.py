@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cogrelay.config import resolve_config
-from cogrelay.mdp import (ActionGrids, ControlAction, CostModel, MdpGrids,
-                          StateGrids, build_spectrum_mdp, state_from_flat)
-from cogrelay.model import QueueParams
-from cogrelay.solver import (LOOKUP_COLUMNS, PolicyTable, SolverConfig,
-                             _FactoredBackup, evaluate_policy,
+from cogrelay.mdp import (ActionGrids, AugmentedState, ControlAction, CostModel,
+                          MdpGrids, PowerPolicy, StateGrids, build_spectrum_mdp,
+                          state_from_flat, transition)
+from cogrelay.model import ChannelParams, QueueParams
+from cogrelay.solver import (LOOKUP_COLUMNS, SolverConfig, _FactoredBackup,
                              evaluate_policy_exact, extract_lookup_table,
                              policy_iteration, value_iteration)
-from oracles import evaluate_policy_dense, materialize_dense, value_iteration_dense
+from oracles import (dense_rewards, evaluate_policy, evaluate_policy_dense,
+                     materialize_dense, outcome_kernel, value_iteration_dense)
 from tests.test_mdp import make_params, small_grids
 
 
@@ -316,7 +317,11 @@ def _levels(lo, hi, max_size):
 
 @st.composite
 def small_models(draw):
-    """A random small slot model, reward selector, discount and policy."""
+    """A random small slot model, reward selector, discount and policy.
+
+    The channel is drawn too, with beta_sp free of beta_s, and the reference
+    power p_ref is left at p_av or drawn apart from it.
+    """
     p_s_levels = draw(_levels(0.1, 3.0, 2))
     weights = draw(st.lists(st.integers(1, 9), min_size=len(p_s_levels),
                             max_size=len(p_s_levels)))
@@ -328,9 +333,16 @@ def small_models(draw):
                           ic_levels=draw(_levels(0.05, 5.0, 2)))
     lambda_p = draw(st.floats(0.05, 0.9))
     lambda_s = draw(st.floats(0.05, 0.75))
-    params = make_params(queues=QueueParams(
-        lambda_s=lambda_s, mu_s_max=0.8, lambda_p=lambda_p, mu_p_max=1.0,
-        lambda_ps=0.1, mu_ps_max=0.5))
+    gamma = st.floats(0.5, 20.0)
+    beta = st.floats(0.0, 3.0)
+    channel = ChannelParams(gamma_s=draw(gamma), gamma_p=draw(gamma),
+                            gamma_sp=draw(gamma), gamma_ps=draw(st.floats(0.0, 3.0)),
+                            beta_s=draw(beta), beta_sp=draw(beta), beta_p=draw(beta))
+    params = make_params(
+        channel=channel,
+        power=PowerPolicy(p_av=3.0, p_ref=draw(st.none() | st.floats(0.1, 5.0))),
+        queues=QueueParams(lambda_s=lambda_s, mu_s_max=0.8, lambda_p=lambda_p,
+                           mu_p_max=1.0, lambda_ps=0.1, mu_ps_max=0.5))
     costs = CostModel(s_const=draw(st.floats(0.0, 3.0)),
                       c_const=draw(st.floats(0.0, 3.0)))
     mdp = build_spectrum_mdp(MdpGrids(states=states, actions=actions), params,
@@ -353,6 +365,55 @@ def test_exact_policy_evaluation_properties(case):
     slack = 1e-12 * scale
     assert np.all(exact >= r_pi.min() / (1.0 - d) - slack)
     assert np.all(exact <= r_pi.max() / (1.0 - d) + slack)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_models())
+def test_kernel_properties(case):
+    mdp = case[0]
+    grids, params = mdp.grids, mdp.params
+    sg, ag = grids.states, grids.actions
+    n_rp, n_rs, n_ps, _, n_ic = grids.shape
+    backup = _FactoredBackup(mdp)
+    kernel = backup.kernel                        # (mp, ms, r, u, v, a)
+    assert np.all(kernel >= 0.0)
+    np.testing.assert_allclose(kernel.sum(axis=(0, 1)), 1.0, rtol=0.0, atol=1e-12)
+
+    for r, u, v in np.ndindex(n_rp, n_rs, n_ps):
+        for a in range(mdp.n_actions):
+            pd, ic = ag.pd_levels[a // n_ic], ag.ic_levels[a % n_ic]
+            # the compiled tensors against the scalar reference physics
+            dist, srv_p, srv_s = outcome_kernel(sg.rho_p_levels[r], sg.rho_s_levels[u],
+                                                sg.p_s_levels[v], pd, ic, params)
+            np.testing.assert_allclose(mdp.outcome_dist[r, a // n_ic], dist,
+                                       rtol=0.0, atol=1e-15)
+            np.testing.assert_allclose(mdp.srv_p[r, v, a], srv_p, rtol=0.0, atol=1e-15)
+            np.testing.assert_allclose(mdp.srv_s[r, u, v, a], srv_s, rtol=0.0, atol=1e-15)
+
+            # a scalar row is the kernel's nine moves times the power redraw
+            expected = np.zeros((n_rp + 2, n_rs + 2, n_ps))
+            for mp, ms in np.ndindex(3, 3):
+                expected[r + mp, u + ms] = kernel[mp, ms, r, u, v, a] * backup.pstat
+            row = transition(AugmentedState(r, u, v, 0, 0),
+                             ControlAction(a // n_ic, a % n_ic), grids, params)
+            got = np.zeros((n_rp, n_rs, n_ps))
+            for nxt, prob in zip(row.states, row.probabilities):
+                got[nxt.rho_p_idx, nxt.rho_s_idx, nxt.p_s_idx] = prob
+            np.testing.assert_allclose(got, expected[1:-1, 1:-1], rtol=0.0, atol=1e-15)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_models())
+def test_values_lie_within_the_discounted_reward_range(case):
+    mdp, _, _, d = case
+    vt, _ = value_iteration(mdp, SolverConfig(epsilon=1e-9, discount=d))
+    assert vt.converged
+    r = dense_rewards(mdp)
+    # V* lies in [min r, max r] / (1 - d); the iterate is within the
+    # a-posteriori bound d * residual / (1 - d) of V*
+    slack = (d * vt.final_residual + 1e-12 * max(1.0, np.abs(r).max())) / (1.0 - d)
+    assert np.all(vt.values >= r.min() / (1.0 - d) - slack)
+    assert np.all(vt.values <= r.max() / (1.0 - d) + slack)
 
 
 # ---------------------------------------------------------------------------
