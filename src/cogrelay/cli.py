@@ -71,14 +71,14 @@ def _base_manifest(command: str, rc: ResolvedConfig) -> dict[str, Any]:
     return {"command": command, "config": rc.raw, "config_sha256": rc.sha256}
 
 
-def _reference_indices(grids: MdpGrids, rc: ResolvedConfig) -> tuple[int, int]:
-    """Reporting point: the rho_s level nearest the configured utilisation
-    and the power level nearest the stationary mean."""
-    q = rc.queues()
-    rs_ref = nearest_index(q.rho_s, grids.states.rho_s_levels)
+def _reference_block(grids: MdpGrids, rc: ResolvedConfig, rp_ref: int) -> int:
+    """Flat (rho_p, rho_s, P_s) block index of the reporting point: the given
+    rho_p level, the rho_s level nearest the configured utilisation and the
+    power level nearest the stationary mean."""
+    rs_ref = nearest_index(rc.queues().rho_s, grids.states.rho_s_levels)
     mean_ps = float(np.dot(grids.states.p_s_levels, grids.states.p_s_stationary))
     ps_ref = nearest_index(mean_ps, grids.states.p_s_levels)
-    return rs_ref, ps_ref
+    return int(np.ravel_multi_index((rp_ref, rs_ref, ps_ref), grids.shape[:3]))
 
 
 def _checked_setup(rc: ResolvedConfig):
@@ -161,13 +161,11 @@ def _pinned_value(rc: ResolvedConfig, state_grids: StateGrids, pd: float,
     grids = MdpGrids(states=state_grids, actions=ActionGrids((pd,), (ic,)))
     params = rc.model_params()
     mdp = build_spectrum_mdp(grids, params, rc.costs())
+    # singleton action: the previous-action axes have size 1, so S = B
     values = evaluate_policy_exact(mdp, np.zeros(mdp.n_states, dtype=np.intp),
                                    scfg.discount, reward="throughput")
     rp_ref = _grid_index(rho_p, state_grids.rho_p_levels, "sweep.rho_p")
-    rs_ref, ps_ref = _reference_indices(grids, rc)
-    flat = ((rp_ref * len(state_grids.rho_s_levels) + rs_ref)
-            * len(state_grids.p_s_levels) + ps_ref)
-    return float(values[flat])         # singleton action: prev axes are size 1
+    return float(values[_reference_block(grids, rc, rp_ref)])
 
 
 def _pav_point(rc: ResolvedConfig, pav: float, scfg: SolverConfig) -> tuple[float, float, bool]:
@@ -191,12 +189,8 @@ def _pav_point(rc: ResolvedConfig, pav: float, scfg: SolverConfig) -> tuple[floa
                              reward_uses_chosen_action=rc.reward_uses_chosen_action())
     vt, pt = policy_iteration(mdp, scfg, mode="joint")
     rp_ref = nearest_index(params.queues.rho_p, grids.states.rho_p_levels)
-    rs_ref, ps_ref = _reference_indices(grids, rc)
-    n_rs = len(grids.states.rho_s_levels)
-    n_ps = len(grids.states.p_s_levels)
-    n_prev = grids.shape[3] * grids.shape[4]
-    flat = (((rp_ref * n_rs + rs_ref) * n_ps + ps_ref)) * n_prev
-    action = int(pt.actions[flat])
+    block_actions = pt.actions[::mdp.n_actions]
+    action = int(block_actions[_reference_block(grids, rc, rp_ref)])
     n_ic = len(grids.actions.ic_levels)
     return (grids.actions.pd_levels[action // n_ic],
             grids.actions.ic_levels[action % n_ic],
@@ -344,8 +338,17 @@ def cmd_validate(args: argparse.Namespace) -> int:
 # entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 like every other input error, not argparse's 2,
+    which here means the iteration cap."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cogrelay",
         description="Sensing-based spectrum sharing with packet relaying: "
                     "analytical throughputs, control optimisation, simulation.")
@@ -380,7 +383,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error(f"argument --threads: must be at least 1, got {args.threads}")
     return args.func(args)
 
 

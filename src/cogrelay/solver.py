@@ -3,14 +3,14 @@
 `_FactoredBackup` is the one production transition operator.  It exploits
 the product structure of the kernel (the continuation value of a state
 depends on its previous-action coordinates only through the applied action,
-so one backup touches each (rho_p, rho_s, P_s) block once).  It has three
-users: value iteration applies it to one value table per step,
-`evaluate_policy_exact` to all S unit vectors at once to obtain P_pi, and
-policy iteration to improve each policy, evaluating it with one linear
-solve on the blocks (`_FactoredBackup.block_matrix`).  The tests hold the
-factored route against a dense reference built from the scalar `transition`
-rows (`tests/oracles.py`) and against brute-force policy enumeration on
-small instances.
+so one backup touches each (rho_p, rho_s, P_s) block once).  `_BlockBellman`
+builds the Bellman operator on it over the blocks: every value table has
+the form V(b, prev) = W(b) + g_add(b, prev), so value iteration, policy
+iteration and `evaluate_policy_exact` all work on the B block values W and
+lift to the S states once, at the end.  The tests hold this route against
+the per-state value-iteration loop, against a dense reference built from
+the scalar `transition` rows (both in `tests/oracles.py`) and against
+brute-force policy enumeration on small instances.
 """
 
 from __future__ import annotations
@@ -116,7 +116,6 @@ class _FactoredBackup:
     """
 
     def __init__(self, mdp: SpectrumMDP):
-        self.mdp = mdp
         n_rp, n_rs, n_ps, n_pd, n_ic = mdp.grids.shape
         self.shape = (n_rp, n_rs, n_ps, n_pd * n_ic)
         q = mdp.params.queues
@@ -137,22 +136,21 @@ class _FactoredBackup:
     def continuation(self, values: np.ndarray) -> np.ndarray:
         """E[J(next) | r, u, v, a], shape (r, u, v, A).
 
-        `values` is one table of shape (S,) or k tables side by side,
-        shape (S, k); each column is contracted exactly as a lone table
-        would be, giving shape (r, u, v, A, k).
+        `values` is a per-state table, shape (S,), or a block table W(b),
+        shape (B,), which stands for the per-state table that repeats W(b)
+        over the previous-action coordinates.
         """
         n_rp, n_rs, n_ps, n_a = self.shape
-        cols = values.shape[1:]
-        j = values.reshape((n_rp, n_rs, n_ps, n_a) + cols)
-        w = np.einsum("v,ruva...->rua...", self.pstat, j)
-        wp = np.zeros((n_rp + 2, n_rs + 2, n_a) + cols)
+        per_state = values.size == n_rp * n_rs * n_ps * n_a
+        j = values.reshape(n_rp, n_rs, n_ps, n_a if per_state else 1)
+        w = np.einsum("v,ruva->rua", self.pstat, j)
+        wp = np.zeros((n_rp + 2, n_rs + 2, w.shape[-1]))
         wp[1:-1, 1:-1] = w
-        kernel = self.kernel.reshape(self.kernel.shape + (1,) * len(cols))
-        cont = np.zeros((n_rp, n_rs, n_ps, n_a) + cols)
+        cont = np.zeros(self.shape)
         for mp in range(3):
             for ms in range(3):
                 shifted = wp[mp:mp + n_rp, ms:ms + n_rs]
-                cont += kernel[mp, ms] * shifted[:, :, None]
+                cont += self.kernel[mp, ms] * shifted[:, :, None]
         return cont
 
     def block_matrix(self, block_actions: np.ndarray) -> np.ndarray:
@@ -197,127 +195,119 @@ def _policy_table(greedy: np.ndarray, n_a: int, mode: Mode,
                        pinned_ic_idx=pinned if mode == "fixed_ic" else None)
 
 
+class _BlockBellman:
+    """The Bellman operator of one model on block tables W(b).
+
+    Every value table the solvers produce has the form V(b, prev) = W(b) +
+    g_add(b, prev), so E[V(next) | b, a] = E[W(next) | b, a] +
+    E[g_add(next) | b, a], and the second term, with the reward, is one
+    step reward fixed for the whole solve.  `q` backs up a block table,
+    `q_state` a per-state one (the reward vector both solvers start from
+    has no block form), and `evaluate` solves for the block values of one
+    action per block.  reward="throughput" prices a slot by the throughput
+    of the chosen action alone, with no control costs.
+    """
+
+    def __init__(self, mdp: SpectrumMDP, discount: float, mode: Mode,
+                 pinned: int | None, reward: Literal["full", "throughput"]):
+        self.backup = _FactoredBackup(mdp)
+        self.neg = np.where(_allowed_mask(mdp, mode, pinned), 0.0, -np.inf)
+        if reward == "full":
+            self.base, self.g_add = _base_rewards(mdp)
+        elif reward == "throughput":
+            self.base, self.g_add = mdp.g_action, None
+        else:
+            raise ValueError(f"unknown reward selector {reward!r}")
+        self.discount = discount
+        self.n_a = mdp.n_actions
+        # r(b, a) + d * E[g_add(next) | b, a]
+        self.step_reward = (self.base if self.g_add is None else
+                            self.base + discount * self.backup.continuation(self.g_add))
+
+    def q(self, block_values: np.ndarray) -> np.ndarray:
+        cont = self.backup.continuation(block_values)
+        return self.step_reward + self.discount * cont + self.neg
+
+    def q_state(self, values: np.ndarray) -> np.ndarray:
+        return self.base + self.discount * self.backup.continuation(values) + self.neg
+
+    def evaluate(self, block_actions: np.ndarray) -> np.ndarray:
+        """W_sigma from (I - d P_sigma) W = r_sigma, one action per block."""
+        r_sigma = self.step_reward.reshape(-1, self.n_a)[
+            np.arange(block_actions.size), block_actions]
+        p_sigma = self.backup.block_matrix(block_actions)
+        return np.linalg.solve(np.eye(block_actions.size) - self.discount * p_sigma,
+                               r_sigma)
+
+    def lift(self, block_values: np.ndarray) -> np.ndarray:
+        return _lift(block_values, self.g_add, self.n_a)
+
+
 def value_iteration(mdp: SpectrumMDP, cfg: SolverConfig, mode: Mode = "joint",
                     pinned: int | None = None) -> tuple[ValueTable, PolicyTable]:
     """Synchronous value iteration from the per-state reward vector.
 
-    Stops when the sup-norm residual drops to cfg.epsilon; hitting
-    cfg.max_iters first, or a non-finite residual, is reported through
-    converged=False rather than an exception.  Ties in the maximisation
-    resolve to the lexicographically lowest (pd index, ic index) pair.
+    After the first backup every iterate is a block table W, and its
+    residual sup |W_{k+1} - W_k| equals that of the lifted tables because
+    g_add cancels; the values are lifted once, at the end.  Stops when the
+    sup-norm residual drops to cfg.epsilon; hitting cfg.max_iters first, or
+    a non-finite residual, is reported through converged=False rather than
+    an exception.  Ties in the maximisation resolve to the
+    lexicographically lowest (pd index, ic index) pair.
     """
-    backup = _FactoredBackup(mdp)
-    mask = _allowed_mask(mdp, mode, pinned)
-    base, g_add = _base_rewards(mdp)
-    neg = np.where(mask, 0.0, -np.inf)
-    n_a = backup.shape[-1]
+    bellman = _BlockBellman(mdp, cfg.discount, mode, pinned, "full")
+    w = bellman.q_state(mdp.reward_vec).max(axis=-1).reshape(-1)
+    residuals = [float(np.max(np.abs(bellman.lift(w) - mdp.reward_vec)))]
+    while (len(residuals) < cfg.max_iters and math.isfinite(residuals[-1])
+           and residuals[-1] > cfg.epsilon):
+        new_w = bellman.q(w).max(axis=-1).reshape(-1)
+        residuals.append(float(np.max(np.abs(new_w - w))))
+        w = new_w
 
-    values = mdp.reward_vec.copy()
-    residuals: list[float] = []
-    converged = False
-    iterations = 0
-
-    for _ in range(cfg.max_iters):
-        q = base + cfg.discount * backup.continuation(values) + neg
-        new_values = _lift(q.max(axis=-1), g_add, n_a)
-        residual = float(np.max(np.abs(new_values - values)))
-        residuals.append(residual)
-        values = new_values
-        iterations += 1
-        if not math.isfinite(residual):
-            break
-        if residual <= cfg.epsilon:
-            converged = True
-            break
-
-    q = base + cfg.discount * backup.continuation(values) + neg
-    vt = ValueTable(values=values, iterations=iterations,
-                    converged=converged, residuals=residuals)
-    return vt, _policy_table(q.argmax(axis=-1), n_a, mode, pinned)
+    vt = ValueTable(values=bellman.lift(w), iterations=len(residuals),
+                    converged=residuals[-1] <= cfg.epsilon, residuals=residuals)
+    return vt, _policy_table(bellman.q(w).argmax(axis=-1), mdp.n_actions, mode, pinned)
 
 
 def policy_iteration(mdp: SpectrumMDP, cfg: SolverConfig, mode: Mode = "joint",
                      pinned: int | None = None) -> tuple[ValueTable, PolicyTable]:
     """Howard policy iteration on the block values W(b).
 
-    Every value table of the model has the form V(b, prev) = W(b) +
-    g_add(b, prev), so a policy is one action per block and its value is
-    one linear solve of size B = n_rho_p * n_rho_s * n_P_s.  Improvement is
-    value iteration's greedy step, with the same lowest-index tie rule.
-    The first policy is greedy with respect to the reward vector; the run
-    stops when the greedy policy repeats one already evaluated.  In exact
-    arithmetic every change strictly improves the values, so a repeat
-    further back than the last policy only comes from rounding between
-    actions that tie.  cfg.epsilon is not used; hitting cfg.max_iters
-    steps first, or a non-finite residual, is reported through
-    converged=False.  Each residual is the sup-norm of T V - V at the
-    evaluated policy, so the last one is the distance of the returned
-    values from a Bellman fixed point; the returned actions are greedy
-    with respect to the returned values.
+    A policy is one action per block and its value is one linear solve of
+    size B = n_rho_p * n_rho_s * n_P_s.  Improvement is value iteration's
+    greedy step, with the same lowest-index tie rule.  The first policy is
+    greedy with respect to the reward vector; the run stops when the greedy
+    policy repeats one already evaluated.  In exact arithmetic every change
+    strictly improves the values, so a repeat further back than the last
+    policy only comes from rounding between actions that tie.  cfg.epsilon
+    is not used; hitting cfg.max_iters steps first, or a non-finite
+    residual, is reported through converged=False.  Each residual is the
+    sup-norm of T V - V at the evaluated policy, so the last one is the
+    distance of the returned values from a Bellman fixed point; the
+    returned actions are greedy with respect to the returned values.
     """
-    backup = _FactoredBackup(mdp)
-    mask = _allowed_mask(mdp, mode, pinned)
-    base, g_add = _base_rewards(mdp)
-    neg = np.where(mask, 0.0, -np.inf)
-    n_a = backup.shape[-1]
-    d = cfg.discount
-
-    # r_sigma(b) = base(b, sigma(b)) + d * E[g_add(next) | b, sigma(b)]
-    step_reward = base if g_add is None else base + d * backup.continuation(g_add)
-    step_reward = step_reward.reshape(-1, n_a)
-    blocks = np.arange(step_reward.shape[0])
-    lhs = np.eye(blocks.size)
-
-    values = mdp.reward_vec.copy()
-    greedy = (base + d * backup.continuation(values) + neg).argmax(axis=-1)
+    bellman = _BlockBellman(mdp, cfg.discount, mode, pinned, "full")
+    greedy = bellman.q_state(mdp.reward_vec).argmax(axis=-1)
     evaluated: set[bytes] = set()
     residuals: list[float] = []
     converged = False
-    iterations = 0
 
     for _ in range(cfg.max_iters):
         sigma = greedy.reshape(-1)
         evaluated.add(sigma.tobytes())
-        w = np.linalg.solve(lhs - d * backup.block_matrix(sigma),
-                            step_reward[blocks, sigma])
-        values = _lift(w, g_add, n_a)
-        q = base + d * backup.continuation(values) + neg
-        residual = float(np.max(np.abs(q.max(axis=-1).reshape(-1) - w)))
-        residuals.append(residual)
-        iterations += 1
+        w = bellman.evaluate(sigma)
+        q = bellman.q(w)
+        residuals.append(float(np.max(np.abs(q.max(axis=-1).reshape(-1) - w))))
         greedy = q.argmax(axis=-1)
-        if not math.isfinite(residual):
+        if not math.isfinite(residuals[-1]):
             break
         if greedy.tobytes() in evaluated:
             converged = True
             break
 
-    vt = ValueTable(values=values, iterations=iterations,
+    vt = ValueTable(values=bellman.lift(w), iterations=len(residuals),
                     converged=converged, residuals=residuals)
-    return vt, _policy_table(greedy, n_a, mode, pinned)
-
-
-def _policy_terms(mdp: SpectrumMDP, policy: PolicyTable | np.ndarray,
-                  reward: Literal["full", "throughput"]
-                  ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Checked (r, u, v, a) index of each state's policy action, and r_pi.
-
-    The index gathers rows of the continuation tensor, where a negative
-    action would wrap silently, so the range is checked here."""
-    actions = policy.actions if isinstance(policy, PolicyTable) else np.asarray(policy)
-    if actions.shape != (mdp.n_states,):
-        raise ValueError(f"policy must assign an action to each of {mdp.n_states} states")
-    if actions.min() < 0 or actions.max() >= mdp.n_actions:
-        raise ValueError("policy contains out-of-range action indices")
-
-    block = np.repeat(np.arange(mdp.n_states // mdp.n_actions), mdp.n_actions)
-    idx = np.unravel_index(block, mdp.grids.shape[:3]) + (actions,)
-    if reward == "throughput":
-        return idx, mdp.g_action[idx]
-    if reward != "full":
-        raise ValueError(f"unknown reward selector {reward!r}")
-    base, g_add = _base_rewards(mdp)
-    return idx, base[idx] if g_add is None else base[idx] + g_add
+    return vt, _policy_table(greedy, mdp.n_actions, mode, pinned)
 
 
 @dataclass
@@ -365,19 +355,22 @@ def extract_lookup_table(mdp: SpectrumMDP, value_table: ValueTable,
     return LookupTable(columns=LOOKUP_COLUMNS, rows=rows)
 
 
-def evaluate_policy_exact(mdp: SpectrumMDP, policy: PolicyTable | np.ndarray,
+def evaluate_policy_exact(mdp: SpectrumMDP, block_actions: np.ndarray,
                           discount: float,
                           reward: Literal["full", "throughput"] = "full") -> np.ndarray:
-    """Exact J_pi via a linear solve instead of fixed-point iteration.
+    """Exact per-state J of one action per (rho_p, rho_s, P_s) block.
 
-    P_pi is the factored backup applied to the S unit vectors at once, so
-    this materialises S x S matrices and is only for small grids (the
-    operating-point sweeps pin a single action, which keeps S at a few
-    hundred).  The payoff is that J carries no iteration-tail error, which
-    matters when comparing sweep points that differ by less than a
-    value-iteration tolerance.
+    Every policy the solvers make is constant on a block, so J is one
+    linear solve on the B block values, lifted to the S states at the end.
+    J carries no iteration-tail error, which matters when comparing sweep
+    points that differ by less than a value-iteration tolerance.
     """
-    idx, r_pi = _policy_terms(mdp, policy, reward)
-    n_states = mdp.n_states
-    p_pi = _FactoredBackup(mdp).continuation(np.eye(n_states))[idx]
-    return np.linalg.solve(np.eye(n_states) - discount * p_pi, r_pi)
+    actions = np.asarray(block_actions)
+    n_blocks = mdp.n_states // mdp.n_actions
+    if actions.shape != (n_blocks,):
+        raise ValueError(f"policy must assign an action to each of {n_blocks} blocks")
+    # block_matrix gathers kernel columns, where a negative index would wrap
+    if actions.min() < 0 or actions.max() >= mdp.n_actions:
+        raise ValueError("policy contains out-of-range action indices")
+    bellman = _BlockBellman(mdp, discount, "joint", None, reward)
+    return bellman.lift(bellman.evaluate(actions))

@@ -5,9 +5,10 @@ sup-norm residual sequence has to satisfy r_{k+1} <= discount * r_k + 1e-12.
 Every converged policy-iteration run must return a Bellman fixed point:
 sup |T V - V| <= 1e-9, with T applied here through the factored operator.
 Rather than trusting each test to check this, the solver entry points (and
-the references `oracles.value_iteration_dense` and `oracles.evaluate_policy`)
-are wrapped here once, before any test module imports them, so a violating
-run fails loudly at the call site no matter which test triggered it.  Test
+the references `oracles.value_iteration_dense`,
+`oracles.value_iteration_lifted` and `oracles.evaluate_policy`) are wrapped
+here once, before any test module imports them, so a violating run fails
+loudly at the call site no matter which test triggered it.  Test
 modules import the oracles as `oracles`, the module the wrapper patches, not
 as `tests.oracles`, which would be a second, unwrapped copy.  Solver runs
 inside `python -m cogrelay` child processes (criterion 10, the entry-point
@@ -45,6 +46,7 @@ ACCEPTANCE_LINES: list[str] = []
 _real_value_iteration = cogrelay.solver.value_iteration
 _real_policy_iteration = cogrelay.solver.policy_iteration
 _real_value_iteration_dense = oracles.value_iteration_dense
+_real_value_iteration_lifted = oracles.value_iteration_lifted
 _real_evaluate_policy = oracles.evaluate_policy
 
 
@@ -91,6 +93,12 @@ def _checked_value_iteration_dense(transitions, rewards, cfg, initial=None):
     return vt, actions
 
 
+def _checked_value_iteration_lifted(mdp, cfg, mode="joint", pinned=None):
+    vt, pt = _real_value_iteration_lifted(mdp, cfg, mode=mode, pinned=pinned)
+    assert_contraction(vt.residuals, cfg.discount, f"value_iteration_lifted[{mode}]")
+    return vt, pt
+
+
 def _checked_evaluate_policy(mdp, policy, cfg, reward="full"):
     vt = _real_evaluate_policy(mdp, policy, cfg, reward=reward)
     assert_contraction(vt.residuals, cfg.discount, "evaluate_policy")
@@ -103,6 +111,7 @@ for _ns in (cogrelay, cogrelay.solver, cogrelay.cli):
     if hasattr(_ns, "policy_iteration"):
         _ns.policy_iteration = _checked_policy_iteration
 oracles.value_iteration_dense = _checked_value_iteration_dense
+oracles.value_iteration_lifted = _checked_value_iteration_lifted
 oracles.evaluate_policy = _checked_evaluate_policy
 
 

@@ -6,13 +6,17 @@ so they share no transition operator with `cogrelay.solver`.
 `outcome_kernel` states the slot physics one scalar slot at a time, apart
 from the broadcasting `cogrelay.mdp._outcome_terms` that the library
 compiles, and `reward` prices a single state from it.  `evaluate_policy`
-is fixed-point policy evaluation, the iterative twin of the library's exact
-`evaluate_policy_exact`.  `tests/conftest.py` wraps `value_iteration_dense`
+is fixed-point policy evaluation of a per-state policy, the iterative twin
+of the library's exact, block-wise `evaluate_policy_exact`.
+`value_iteration_lifted` is value iteration backing up all S per-state
+values on every sweep, the route the library's block iteration replaced.
+`tests/conftest.py` wraps `value_iteration_dense`, `value_iteration_lifted`
 and `evaluate_policy` with the suite-wide contraction check.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Literal
 
 import numpy as np
@@ -22,8 +26,9 @@ from cogrelay.mdp import (AugmentedState, ControlAction, CostModel, MdpGrids,
                           state_from_flat, transition)
 from cogrelay.model import success_probability
 from cogrelay.sensing import false_alarm_from_detection
-from cogrelay.solver import (PolicyTable, SolverConfig, ValueTable, _base_rewards,
-                             _FactoredBackup, _policy_terms)
+from cogrelay.solver import (Mode, PolicyTable, SolverConfig, ValueTable,
+                             _allowed_mask, _base_rewards, _FactoredBackup, _lift,
+                             _policy_table)
 
 
 def outcome_kernel(pi1: float, rho_s: float, p_s: float, pd: float, ic: float,
@@ -85,6 +90,29 @@ def state_reward(mdp: SpectrumMDP, state: AugmentedState) -> float:
     return float(mdp.reward_vec[state.flat_index(mdp.grids)])
 
 
+def policy_terms(mdp: SpectrumMDP, policy: PolicyTable | np.ndarray,
+                 reward: Literal["full", "throughput"]
+                 ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Checked (r, u, v, a) index of each state's policy action, and r_pi.
+
+    The index gathers rows of the continuation tensor, where a negative
+    action would wrap silently, so the range is checked here."""
+    actions = policy.actions if isinstance(policy, PolicyTable) else np.asarray(policy)
+    if actions.shape != (mdp.n_states,):
+        raise ValueError(f"policy must assign an action to each of {mdp.n_states} states")
+    if actions.min() < 0 or actions.max() >= mdp.n_actions:
+        raise ValueError("policy contains out-of-range action indices")
+
+    block = np.repeat(np.arange(mdp.n_states // mdp.n_actions), mdp.n_actions)
+    idx = np.unravel_index(block, mdp.grids.shape[:3]) + (actions,)
+    if reward == "throughput":
+        return idx, mdp.g_action[idx]
+    if reward != "full":
+        raise ValueError(f"unknown reward selector {reward!r}")
+    base, g_add = _base_rewards(mdp)
+    return idx, base[idx] if g_add is None else base[idx] + g_add
+
+
 def evaluate_policy(mdp: SpectrumMDP, policy: PolicyTable | np.ndarray,
                     cfg: SolverConfig,
                     reward: Literal["full", "throughput"] = "full") -> ValueTable:
@@ -94,7 +122,7 @@ def evaluate_policy(mdp: SpectrumMDP, policy: PolicyTable | np.ndarray,
     reward is the expected secondary throughput under the policy's action;
     this is what the operating-point sweeps report.
     """
-    idx, r_pi = _policy_terms(mdp, policy, reward)
+    idx, r_pi = policy_terms(mdp, policy, reward)
     backup = _FactoredBackup(mdp)
     values = r_pi.copy()
     residuals: list[float] = []
@@ -111,6 +139,37 @@ def evaluate_policy(mdp: SpectrumMDP, policy: PolicyTable | np.ndarray,
             break
     return ValueTable(values=values, iterations=iterations,
                       converged=converged, residuals=residuals)
+
+
+def value_iteration_lifted(mdp: SpectrumMDP, cfg: SolverConfig, mode: Mode = "joint",
+                           pinned: int | None = None) -> tuple[ValueTable, PolicyTable]:
+    """Value iteration that backs up all S per-state values on every sweep.
+
+    Same start (the reward vector), stopping rule and tie rule as
+    `cogrelay.solver.value_iteration`, which iterates on the block values
+    instead; the two differ only in rounding.
+    """
+    backup = _FactoredBackup(mdp)
+    base, g_add = _base_rewards(mdp)
+    neg = np.where(_allowed_mask(mdp, mode, pinned), 0.0, -np.inf)
+    values = mdp.reward_vec.copy()
+    residuals: list[float] = []
+    converged = False
+    for _ in range(cfg.max_iters):
+        q = base + cfg.discount * backup.continuation(values) + neg
+        new_values = _lift(q.max(axis=-1), g_add, mdp.n_actions)
+        residual = float(np.max(np.abs(new_values - values)))
+        residuals.append(residual)
+        values = new_values
+        if not math.isfinite(residual):
+            break
+        if residual <= cfg.epsilon:
+            converged = True
+            break
+    q = base + cfg.discount * backup.continuation(values) + neg
+    vt = ValueTable(values=values, iterations=len(residuals),
+                    converged=converged, residuals=residuals)
+    return vt, _policy_table(q.argmax(axis=-1), mdp.n_actions, mode, pinned)
 
 
 def value_iteration_dense(transitions: np.ndarray, rewards: np.ndarray,

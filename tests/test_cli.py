@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -263,6 +264,22 @@ def test_sweep_pav_iteration_cap_exit_code(tmp_path):
     assert len(data) == 2
 
 
+@pytest.mark.parametrize("argv, names", [
+    (["sweep", "--threads", "abc"], "--threads"),
+    (["sweep", "--threads", "0"], "--threads"),
+    (["solve", "--threads", "-1"], "--threads"),
+    (["bogus"], "bogus"),
+])
+def test_usage_errors_exit_1(tmp_path, capsys, argv, names):
+    # 2 is reserved for a solver that hit its iteration cap
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert names in err and "error" in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_sweep_off_grid_rho_p_fails(tmp_path, capsys):
     doc = sweep_doc(variable="pd", grid=[0.2], ic_db=[-5.0], rho_p=[0.3])
     cfg = write_config(tmp_path, doc)
@@ -348,3 +365,13 @@ def test_module_entry_point_runs(tmp_path):
                           env=conftest.cli_subprocess_env())
     assert proc.returncode == 0, proc.stderr
     assert "all constraints satisfied" in proc.stdout
+
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs(tmp_path, demo):
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
+                          text=True, cwd=tmp_path, env=conftest.cli_subprocess_env())
+    assert proc.returncode == 0, proc.stderr

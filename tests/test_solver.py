@@ -11,17 +11,28 @@ from cogrelay.mdp import (ActionGrids, AugmentedState, ControlAction, CostModel,
                           MdpGrids, PowerPolicy, StateGrids, build_spectrum_mdp,
                           state_from_flat, transition)
 from cogrelay.model import ChannelParams, QueueParams
-from cogrelay.solver import (LOOKUP_COLUMNS, SolverConfig, _FactoredBackup,
+from cogrelay.solver import (LOOKUP_COLUMNS, SolverConfig, _FactoredBackup, _lift,
                              evaluate_policy_exact, extract_lookup_table,
                              policy_iteration, value_iteration)
 from oracles import (dense_rewards, evaluate_policy, evaluate_policy_dense,
-                     materialize_dense, outcome_kernel, value_iteration_dense)
+                     materialize_dense, outcome_kernel, value_iteration_dense,
+                     value_iteration_lifted)
 from tests.test_mdp import make_params, small_grids
 
 
 def small_mdp(costs=None, grids=None, params=None):
     return build_spectrum_mdp(grids or small_grids(), params or make_params(),
                               costs or CostModel(s_const=1.0, c_const=0.5))
+
+
+def random_block_policy(mdp, rng):
+    """One random action per (rho_p, rho_s, P_s) block."""
+    return rng.integers(0, mdp.n_actions, mdp.n_states // mdp.n_actions)
+
+
+def lifted(mdp, block_actions):
+    """The per-state policy that repeats each block's action."""
+    return np.repeat(block_actions, mdp.n_actions)
 
 
 def singleton_mdp(rho_s=0.5, costs=CostModel(0.0, 0.0), p_s_levels=(1.0,),
@@ -124,15 +135,19 @@ def test_evaluate_policy_throughput_selector():
 
 def test_evaluate_policy_rejects_bad_policies():
     mdp = small_mdp()
-    for evaluate in (lambda a: evaluate_policy(mdp, a, SolverConfig()),
-                     lambda a: evaluate_policy_exact(mdp, a, discount=0.9)):
+    n_blocks = mdp.n_states // mdp.n_actions
+    for evaluate, size in ((lambda a: evaluate_policy(mdp, a, SolverConfig()), mdp.n_states),
+                           (lambda a: evaluate_policy_exact(mdp, a, discount=0.9), n_blocks)):
         with pytest.raises(ValueError, match="each of"):
             evaluate(np.zeros(3, dtype=int))
         with pytest.raises(ValueError, match="out-of-range"):
-            evaluate(np.full(mdp.n_states, mdp.n_actions))
+            evaluate(np.full(size, mdp.n_actions))
         # a negative index would wrap silently in the (r, u, v, a) gather
         with pytest.raises(ValueError, match="out-of-range"):
-            evaluate(np.full(mdp.n_states, -1))
+            evaluate(np.full(size, -1))
+    # one action per state is not one action per block
+    with pytest.raises(ValueError, match="each of"):
+        evaluate_policy_exact(mdp, np.zeros(mdp.n_states, dtype=int), discount=0.9)
 
 
 def test_power_redraw_chain_hand_formula():
@@ -255,12 +270,52 @@ def test_factored_route_matches_dense_route():
     np.testing.assert_array_equal(pt_f.actions, greedy)
 
 
+def assert_matches_lifted_route(mdp, cfg, mode="joint", pinned=None):
+    """Block value iteration against the per-state loop: same sweeps and
+    actions, residuals within 1e-13, values within 1e-12 relative."""
+    vt, pt = value_iteration(mdp, cfg, mode=mode, pinned=pinned)
+    ref, ref_pt = value_iteration_lifted(mdp, cfg, mode=mode, pinned=pinned)
+    assert vt.converged and ref.converged
+    assert vt.iterations == ref.iterations
+    np.testing.assert_array_equal(pt.actions, ref_pt.actions)
+    assert (pt.mode, pt.pinned_pd_idx, pt.pinned_ic_idx) == \
+        (ref_pt.mode, ref_pt.pinned_pd_idx, ref_pt.pinned_ic_idx)
+    np.testing.assert_allclose(vt.residuals, ref.residuals, rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(vt.values, ref.values, rtol=1e-12, atol=0.0)
+    return vt, pt
+
+
+@pytest.mark.parametrize("chosen", [False, True])
+@pytest.mark.parametrize("mode, pinned", [("joint", None), ("fixed_pd", 1),
+                                          ("fixed_ic", 0)])
+def test_block_value_iteration_matches_the_lifted_route(mode, pinned, chosen):
+    base = small_mdp()
+    mdp = build_spectrum_mdp(base.grids, base.params, base.costs,
+                             reward_uses_chosen_action=chosen)
+    assert_matches_lifted_route(mdp, SolverConfig(epsilon=1e-10, discount=0.9),
+                                mode, pinned)
+
+
+@pytest.mark.parametrize("costs", [None, CostModel(0.0, 0.0)],
+                         ids=["default_costs", "zero_costs"])
+def test_block_value_iteration_matches_the_lifted_route_on_the_default_grids(costs):
+    mdp, cfg = default_model(costs)
+    vt, pt = assert_matches_lifted_route(mdp, cfg)
+    # the exact value of the returned policy, at the full 92,400 states, lies
+    # within value iteration's a-posteriori bound of its values
+    exact = evaluate_policy_exact(mdp, pt.actions[::mdp.n_actions], cfg.discount)
+    bound = cfg.discount * vt.final_residual / (1.0 - cfg.discount)
+    assert exact.shape == (mdp.n_states,)
+    assert np.max(np.abs(exact - vt.values)) <= bound
+
+
 def test_exact_policy_evaluation_matches_iterative():
     mdp = small_mdp()
     rng = np.random.default_rng(11)
-    actions = rng.integers(0, mdp.n_actions, mdp.n_states)
+    actions = random_block_policy(mdp, rng)
+    assert np.unique(actions).size > 1
     d = 0.9
-    iterative = evaluate_policy(mdp, actions,
+    iterative = evaluate_policy(mdp, lifted(mdp, actions),
                                 SolverConfig(epsilon=1e-12, discount=d))
     exact = evaluate_policy_exact(mdp, actions, discount=d)
     np.testing.assert_allclose(iterative.values, exact, atol=1e-10)
@@ -291,23 +346,26 @@ def test_exact_policy_evaluation_matches_scalar_row_oracle(chosen, reward):
                              reward_uses_chosen_action=chosen)
     rng = np.random.default_rng(23)
     for d in (0.5, 0.95):
-        actions = rng.integers(0, mdp.n_actions, mdp.n_states)
+        actions = random_block_policy(mdp, rng)
         assert np.unique(actions).size > 1
         exact = evaluate_policy_exact(mdp, actions, discount=d, reward=reward)
-        oracle, _ = scalar_row_oracle(mdp, actions, d, reward)
+        oracle, _ = scalar_row_oracle(mdp, lifted(mdp, actions), d, reward)
         np.testing.assert_allclose(exact, oracle, rtol=1e-12, atol=1e-12)
 
 
-def test_batched_continuation_matches_column_by_column():
-    backup = _FactoredBackup(small_mdp())
-    n_states = backup.mdp.n_states
+def test_block_continuation_matches_the_lifted_table():
+    # the identity the block solvers rest on: a block table W backs up as the
+    # per-state table that repeats W over the previous-action coordinates
     rng = np.random.default_rng(5)
-    for tables in (rng.normal(size=(n_states, 4)), np.eye(n_states)):
-        batched = backup.continuation(tables)
-        assert batched.shape == backup.shape + (tables.shape[1],)
-        for k in range(tables.shape[1]):
-            single = backup.continuation(np.ascontiguousarray(tables[:, k]))
-            np.testing.assert_array_equal(batched[..., k], single)
+    for mdp in (small_mdp(), default_model()[0]):
+        backup = _FactoredBackup(mdp)
+        for _ in range(3):
+            w = rng.normal(size=mdp.n_states // mdp.n_actions)
+            cont = backup.continuation(w)
+            assert cont.shape == backup.shape
+            np.testing.assert_allclose(
+                cont, backup.continuation(_lift(w, None, mdp.n_actions)),
+                rtol=0.0, atol=1e-15 * np.abs(w).max())
 
 
 def _levels(lo, hi, max_size):
@@ -317,7 +375,7 @@ def _levels(lo, hi, max_size):
 
 @st.composite
 def small_models(draw):
-    """A random small slot model, reward selector, discount and policy.
+    """A random small slot model, reward selector, discount and block policy.
 
     The channel is drawn too, with beta_sp free of beta_s, and the reference
     power p_ref is left at p_av or drawn apart from it.
@@ -348,7 +406,7 @@ def small_models(draw):
     mdp = build_spectrum_mdp(MdpGrids(states=states, actions=actions), params,
                              costs, reward_uses_chosen_action=draw(st.booleans()))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    policy = rng.integers(0, mdp.n_actions, mdp.n_states)
+    policy = random_block_policy(mdp, rng)
     return (mdp, policy, draw(st.sampled_from(["full", "throughput"])),
             draw(st.floats(0.0, 0.95)))
 
@@ -358,7 +416,7 @@ def small_models(draw):
 def test_exact_policy_evaluation_properties(case):
     mdp, actions, reward, d = case
     exact = evaluate_policy_exact(mdp, actions, discount=d, reward=reward)
-    oracle, r_pi = scalar_row_oracle(mdp, actions, d, reward)
+    oracle, r_pi = scalar_row_oracle(mdp, lifted(mdp, actions), d, reward)
     scale = max(1.0, float(np.max(np.abs(r_pi)))) / (1.0 - d)
     np.testing.assert_allclose(exact, oracle, rtol=0.0, atol=1e-12 * scale)
     # J is a discounted average of rewards the policy collects
@@ -445,6 +503,10 @@ def test_policy_iteration_matches_value_iteration_on_the_default_grids(costs, ch
         bound = cfg.discount * vt.final_residual / (1.0 - cfg.discount)
         assert np.max(np.abs(pv.values - vt.values)) <= bound + 1e-9
         assert pv.iterations <= 10
+        # policy iteration evaluates through the exact evaluator's path
+        np.testing.assert_array_equal(
+            pv.values, evaluate_policy_exact(mdp, pp.actions[::mdp.n_actions],
+                                             cfg.discount))
 
 
 @pytest.mark.parametrize("chosen", [False, True])
@@ -459,6 +521,8 @@ def test_policy_iteration_matches_the_dense_route(chosen):
     np.testing.assert_allclose(vt.values, dense.values, rtol=0.0, atol=1e-10)
     np.testing.assert_array_equal(pt.actions, greedy)
     assert vt.final_residual <= 1e-12
+    np.testing.assert_array_equal(
+        vt.values, evaluate_policy_exact(mdp, pt.actions[::mdp.n_actions], 0.9))
 
 
 def test_policy_iteration_step_cap_reports_no_convergence():
