@@ -57,7 +57,6 @@ from .solver import (
     value_iteration,
 )
 from .sim import (
-    Pi1Chain,
     SimConfig,
     SimStats,
     analytical_reference,

@@ -24,8 +24,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .config import (ConfigError, ResolvedConfig, SweepSpec, _grid_index,
-                     config_hash, nearest_index, resolve_config)
+from .config import (ConfigError, ResolvedConfig, _grid_index, nearest_index,
+                     resolve_config)
 from .mdp import (ActionGrids, CostModel, MdpGrids, PowerPolicy, StateGrids,
                   build_spectrum_mdp, validate)
 from .model import linear_to_db
@@ -124,6 +124,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     vt, pt = value_iteration(mdp, scfg, mode=mode, pinned=pinned)
     wall = time.perf_counter() - t0
     table = extract_lookup_table(mdp, vt, pt)
+    # the states of a block differ only in the previous action and share one
+    # greedy action, so the block histogram has one key per distinct action
+    histogram = _action_histogram(rc, pt.actions[::mdp.n_actions])
 
     manifest = _base_manifest("solve", rc)
     manifest.update({
@@ -133,10 +136,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "first_residual": vt.residuals[0],
         "final_residual": vt.final_residual,
         "error_bound": scfg.discount * vt.final_residual / (1.0 - scfg.discount),
-        "distinct_actions": int(np.unique(pt.actions).size),
-        # the states of a block differ only in the previous action and
-        # share one greedy action
-        "action_histogram": _action_histogram(rc, pt.actions[::mdp.n_actions]),
+        "distinct_actions": len(histogram),
+        "action_histogram": histogram,
         "rows": mdp.n_states,
     })
     out = _out_dir(args)
@@ -329,7 +330,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _fail_config(str(exc))
 
-    report = validate(params, grids, q=rc.raw["queues"])
+    report = validate(params, grids)
     print(str(report))
     return EXIT_OK if report.ok else EXIT_CONFIG
 
@@ -347,6 +348,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
+def positive_int(text: str) -> int:
+    """An integer of at least 1, such as a worker-thread count."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="cogrelay",
@@ -354,39 +363,26 @@ def build_parser() -> argparse.ArgumentParser:
                     "analytical throughputs, control optimisation, simulation.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def command(name: str, func, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", type=Path, default=None,
                        help="JSON configuration file (defaults fill missing keys)")
         p.add_argument("--out", type=Path, default=Path("."),
                        help="output directory for CSV artifacts")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the simulation seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for sweep points")
+        p.set_defaults(func=func)
+        return p
 
-    p_solve = sub.add_parser("solve", help="value-iterate and export the lookup table")
-    common(p_solve)
-    p_solve.set_defaults(func=cmd_solve)
-
-    p_sweep = sub.add_parser("sweep", help="evaluate operating-point sweeps")
-    common(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_sim = sub.add_parser("simulate", help="Monte-Carlo run with analytical z-scores")
-    common(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_val = sub.add_parser("validate", help="check a configuration against constraints")
-    common(p_val)
-    p_val.set_defaults(func=cmd_validate)
+    command("solve", cmd_solve, "value-iterate and export the lookup table")
+    command("sweep", cmd_sweep, "evaluate operating-point sweeps").add_argument(
+        "--threads", type=positive_int, default=1, help="worker threads for sweep points")
+    command("simulate", cmd_simulate, "Monte-Carlo run with analytical z-scores").add_argument(
+        "--seed", type=int, default=None, help="override the simulation seed")
+    command("validate", cmd_validate, "check a configuration against constraints")
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error(f"argument --threads: must be at least 1, got {args.threads}")
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

@@ -4,9 +4,12 @@ A run configuration is a nested JSON document.  Every key has a default, so
 an empty document is a complete run; unknown keys are rejected by their
 dotted path.  Power-like quantities are written in dB under keys suffixed
 ``_db`` and converted once at resolution time; everything downstream is
-linear.  The fully resolved document (defaults filled in, exactly as the
-run used it) is echoed into every output file together with its SHA-256
-hash, which is what makes reruns byte-comparable.
+linear.  Every key feeds the output of at least one command, so a run
+never carries a setting it ignores; library options that no command reads
+(the detector's noise power ``SensingConfig.n0``, say) have no key.  The
+fully resolved document (defaults filled in, exactly as the run used it) is
+echoed into every output file together with its SHA-256 hash, which is
+what makes reruns byte-comparable.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from .model import ChannelParams, QueueParams, SensingTiming, db_to_linear
 from .mdp import (ActionGrids, CostModel, MdpGrids, ModelParams, PowerPolicy,
-                  StateGrids, default_action_grids, truncated_exponential_levels)
+                  StateGrids, truncated_exponential_levels)
 from .sensing import SensingConfig
 from .sim import SimConfig
 from .solver import SolverConfig
@@ -53,7 +56,6 @@ DEFAULT_CONFIG: dict[str, dict[str, Any]] = {
         "beta_s": 1.0e-3,       # full-power outage cut-off
         "beta_sp": None,        # constrained cut-off; default: equal to beta_s
         "beta_p": 2.2,          # primary-link outage cut-off
-        "n0": 1.0,              # receiver noise power (watts)
     },
     "queues": {
         "lambda_s": 0.5,
@@ -70,7 +72,6 @@ DEFAULT_CONFIG: dict[str, dict[str, Any]] = {
     "sensing": {
         "gamma_se_db": -15.0,   # sensed SNR at the detector
         "f_s_hz": 1.0e6,        # sampling rate: tau * f_s detector samples
-        "n0": 1.0,
     },
     "power": {
         "p_av_db": 5.0,         # average power budget
@@ -105,7 +106,6 @@ DEFAULT_CONFIG: dict[str, dict[str, Any]] = {
         "n_slots": 1_000_000,
         "seed": 20250801,
         "pd": 0.8,
-        "ic_db": 5.0,
         "pf": None,             # default: energy-detector false alarm at pd
         "pi1": None,            # default: rho_p of the queues
     },
@@ -129,7 +129,6 @@ _NULLABLE: dict[str, type] = {
     "state_grids.p_s_stationary": list,
     "solver.pinned_pd": float,
     "solver.pinned_ic_db": float,
-    "sim.ic_db": float,
     "sim.pf": float,
     "sim.pi1": float,
     "sweep.grid": list,
@@ -211,9 +210,9 @@ def config_hash(resolved: Mapping[str, Any]) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _maybe_db(value: float | None, fallback: float | None = None) -> float | None:
+def _maybe_db(value: float | None) -> float | None:
     if value is None:
-        return fallback
+        return None
     return db_to_linear(float(value))
 
 
@@ -237,7 +236,6 @@ class ResolvedConfig:
             gamma_sp=db_to_linear(c["gamma_sp_db"]),
             gamma_ps=db_to_linear(c["gamma_ps_db"]),
             beta_s=beta_s, beta_sp=beta_sp, beta_p=float(c["beta_p"]),
-            n0=float(c["n0"]),
         )
 
     def queues(self) -> QueueParams:
@@ -259,7 +257,6 @@ class ResolvedConfig:
             gamma_se=db_to_linear(s["gamma_se_db"]),
             tau=self.timing().tau,
             f_s=float(s["f_s_hz"]),
-            n0=float(s["n0"]),
         )
 
     def power(self) -> PowerPolicy:
@@ -335,14 +332,13 @@ class ResolvedConfig:
     def reward_uses_chosen_action(self) -> bool:
         return bool(self.raw["solver"]["reward_uses_chosen_action"])
 
-    def sim_config(self, seed: int | None = None) -> SimConfig:
+    def sim_config(self) -> SimConfig:
         s = self.raw["sim"]
         return SimConfig(
             n_slots=int(s["n_slots"]),
-            seed=int(s["seed"]) if seed is None else int(seed),
+            seed=int(s["seed"]),
             params=self.model_params(),
             pd=float(s["pd"]),
-            ic=_maybe_db(s["ic_db"]),
             pf=None if s["pf"] is None else float(s["pf"]),
             pi1=None if s["pi1"] is None else float(s["pi1"]),
         )

@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .model import ChannelParams, QueueParams, SensingTiming, success_probability
+from .model import (OUTCOME_ORDER, ChannelParams, QueueParams, SensingTiming,
+                    success_probability)
 from .sensing import SensingConfig, false_alarm_from_detection
 
 __all__ = [
@@ -258,9 +259,9 @@ def constrained_power(pp: PowerPolicy, ic: float) -> float:
     return min(pp.p_av, ic / pp.mean_g_sp)
 
 
-# outcome attribute tables aligned with sensing_outcome_distribution's order
-_OUTCOME_BUSY = np.array([False, False, True, True])
-_OUTCOME_DECLARED_BUSY = np.array([True, False, False, True])
+# outcome attribute tables in the canonical order of sensing_outcome_distribution
+_OUTCOME_BUSY = np.array([o.primary_busy for o in OUTCOME_ORDER])
+_OUTCOME_DECLARED_BUSY = np.array([o.declared_busy for o in OUTCOME_ORDER])
 
 
 def sensing_outcome_distribution(pi1, pd, pf) -> np.ndarray:
@@ -381,53 +382,45 @@ class ValidationReport:
         return "; ".join(f"[{v.constraint}] {v.message}" for v in self.violations)
 
 
-def _queue_triples(q: QueueParams | Mapping[str, float]) -> Iterable[tuple[str, float, float]]:
-    get = (lambda k: getattr(q, k)) if isinstance(q, QueueParams) else (lambda k: float(q[k]))
-    for lam, mu in (("lambda_s", "mu_s_max"), ("lambda_p", "mu_p_max"), ("lambda_ps", "mu_ps_max")):
-        yield lam, get(lam), get(mu)
-
-
-def validate(params: ModelParams | None = None, grids: MdpGrids | None = None,
-             q: QueueParams | Mapping[str, float] | None = None) -> ValidationReport:
+def validate(params: ModelParams, grids: MdpGrids) -> ValidationReport:
     """Check the operating constraints; report violations instead of raising.
 
-    Covers queue stability (constraint 1), the power-state range against the
-    budget (constraint 2), the detection grid range (constraint 3) and the
-    boundedness of the interference grid (constraint 4).  `q` overrides the
-    queue parameters inside `params`, and may be a raw mapping so that
-    configurations too inconsistent to construct can still be reported on.
+    Covers strict queue stability (constraint 1), the power-state range
+    against the budget (constraint 2), the detection grid range (constraint
+    3) and the boundedness of the interference grid (constraint 4).  The
+    constructors of `params` and `grids` already reject some of these
+    breaches; the checks stay so that every constraint is reported here in
+    one place, whatever built the arguments.
     """
     found: list[Violation] = []
-    if q is None and params is not None:
-        q = params.queues
-    if q is not None:
-        for lam_name, lam, mu in _queue_triples(q):
-            if lam >= mu:
-                found.append(Violation(
-                    "constraint 1 (queue stability)",
-                    f"{lam_name}={lam} must be below its service capacity {mu}"))
-            if not 0.0 <= lam <= 1.0:
-                found.append(Violation(
-                    "constraint 1 (queue stability)",
-                    f"{lam_name}={lam} is not a per-slot arrival probability"))
-    if grids is not None:
-        if params is not None:
-            p_av = params.power.p_av
-            for lvl in grids.states.p_s_levels:
-                if not 0.0 < lvl <= p_av:
-                    found.append(Violation(
-                        "constraint 2 (power range)",
-                        f"power state level {lvl} outside (0, p_av={p_av}]"))
-        for pd in grids.actions.pd_levels:
-            if not 0.0 <= pd <= 1.0:
-                found.append(Violation(
-                    "constraint 3 (detection range)",
-                    f"pd level {pd} outside [0, 1]"))
-        ic = grids.actions.ic_levels
-        if any(not math.isfinite(v) or v <= 0.0 for v in ic):
+    q = params.queues
+    for lam_name, mu_name in (("lambda_s", "mu_s_max"), ("lambda_p", "mu_p_max"),
+                              ("lambda_ps", "mu_ps_max")):
+        lam, mu = getattr(q, lam_name), getattr(q, mu_name)
+        if lam >= mu:
             found.append(Violation(
-                "constraint 4 (interference range)",
-                f"ic levels must be positive and finite, got {ic}"))
+                "constraint 1 (queue stability)",
+                f"{lam_name}={lam} must be below its service capacity {mu}"))
+        if not 0.0 <= lam <= 1.0:
+            found.append(Violation(
+                "constraint 1 (queue stability)",
+                f"{lam_name}={lam} is not a per-slot arrival probability"))
+    p_av = params.power.p_av
+    for lvl in grids.states.p_s_levels:
+        if not 0.0 < lvl <= p_av:
+            found.append(Violation(
+                "constraint 2 (power range)",
+                f"power state level {lvl} outside (0, p_av={p_av}]"))
+    for pd in grids.actions.pd_levels:
+        if not 0.0 <= pd <= 1.0:
+            found.append(Violation(
+                "constraint 3 (detection range)",
+                f"pd level {pd} outside [0, 1]"))
+    ic = grids.actions.ic_levels
+    if any(not math.isfinite(v) or v <= 0.0 for v in ic):
+        found.append(Violation(
+            "constraint 4 (interference range)",
+            f"ic levels must be positive and finite, got {ic}"))
     return ValidationReport(violations=tuple(found))
 
 

@@ -67,7 +67,6 @@ class ChannelParams:
     beta_s    cut-off SNR for full-power secondary transmission
     beta_sp   cut-off SNR for constrained secondary transmission
     beta_p    cut-off SNR for the primary link
-    n0        noise power at the detector input (watts)
     """
 
     gamma_s: float
@@ -77,10 +76,9 @@ class ChannelParams:
     beta_s: float
     beta_sp: float
     beta_p: float
-    n0: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("gamma_s", "gamma_p", "gamma_sp", "n0"):
+        for name in ("gamma_s", "gamma_p", "gamma_sp"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.gamma_ps < 0.0:

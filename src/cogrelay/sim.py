@@ -1,13 +1,14 @@
 """Slot-level Monte-Carlo simulation of the sensing/relaying link pair.
 
-The simulator draws, per slot: the primary's activity, the sensing decision,
-one Rayleigh fade per link, and the backlog state of the secondary and relay
-queues.  A single primary-link fade decides everything on that side: the
-direct packet survives when the fade clears the interference-penalised
-cut-off, and the slot is a relaying slot when the fade is below the plain
-cut-off.  Secondary own traffic is served only outside relaying slots, which
-is exactly the split the closed-form throughput expressions integrate over,
-so the empirical averages here are an independent check of those formulas.
+The simulator draws, per slot: the primary's activity (busy with one fixed
+probability pi_1 for the whole run), the sensing decision, one Rayleigh fade
+per link, and the backlog state of the secondary and relay queues.  A
+single primary-link fade decides everything on that side: the direct packet
+survives when the fade clears the interference-penalised cut-off, and the
+slot is a relaying slot when the fade is below the plain cut-off.
+Secondary own traffic is served only outside relaying slots, which is
+exactly the split the closed-form throughput expressions integrate over, so
+the empirical averages here are an independent check of those formulas.
 
 All indicator averages come with binomial standard errors, and a run is a
 pure function of its seed.
@@ -25,7 +26,6 @@ from .mdp import ModelParams, sensing_outcome_distribution
 from .sensing import false_alarm_from_detection
 
 __all__ = [
-    "Pi1Chain",
     "SimConfig",
     "SimStats",
     "ChiSquareCheck",
@@ -43,56 +43,22 @@ _CHI2_999 = {1: NormalDist().inv_cdf(0.9995) ** 2, 2: -2.0 * math.log(0.001)}
 
 
 @dataclass(frozen=True)
-class Pi1Chain:
-    """Two-level Markov chain for the primary activity probability.
-
-    Each slot the chain sits at one of two pi_1 levels; p_up is the chance of
-    switching from the low level to the high one, p_down the reverse.
-    """
-
-    levels: tuple[float, float]
-    p_up: float
-    p_down: float
-
-    def __post_init__(self) -> None:
-        lo, hi = self.levels
-        for v in (lo, hi):
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"chain levels must be probabilities, got {self.levels}")
-        for name, v in (("p_up", self.p_up), ("p_down", self.p_down)):
-            if not 0.0 < v <= 1.0:
-                raise ValueError(f"{name} must lie in (0, 1], got {v}")
-
-    @property
-    def stationary(self) -> tuple[float, float]:
-        total = self.p_up + self.p_down
-        return (self.p_down / total, self.p_up / total)
-
-    @property
-    def mean_pi1(self) -> float:
-        w = self.stationary
-        return w[0] * self.levels[0] + w[1] * self.levels[1]
-
-
-@dataclass(frozen=True)
 class SimConfig:
     """One reproducible Monte-Carlo run.
 
     pd fixes the detector operating point; pf defaults to the energy
     detector's false-alarm rate at that point and can be overridden to probe
-    corner regimes.  pi1 defaults to the primary utilisation rho_p.  ic is
-    carried along for reporting; the channel cut-offs in params already
-    reflect whatever power constraint applies.
+    corner regimes.  pi1 defaults to the primary utilisation rho_p.  The
+    channel cut-offs in params already reflect whatever power constraint
+    applies, so the run takes no interference cap of its own.
     """
 
     n_slots: int
     seed: int
     params: ModelParams
     pd: float
-    ic: float | None = None
     pf: float | None = None
     pi1: float | None = None
-    pi1_chain: Pi1Chain | None = None
 
     def __post_init__(self) -> None:
         if self.n_slots < 1:
@@ -112,8 +78,6 @@ class SimConfig:
 
     @property
     def resolved_pi1(self) -> float:
-        if self.pi1_chain is not None:
-            return self.pi1_chain.mean_pi1
         if self.pi1 is not None:
             return self.pi1
         return self.params.queues.rho_p
@@ -153,25 +117,6 @@ def _se(successes: int, n: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
 
-def _chain_path(chain: Pi1Chain, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Level indices of the two-state chain, started from its stationary law.
-
-    Sequential by nature; chunked callers restart each chunk from the
-    stationary draw, which keeps every slot's marginal law exact.
-    """
-    u = rng.random(n)
-    path = np.empty(n, dtype=np.int8)
-    state = 1 if u[0] < chain.stationary[1] else 0
-    path[0] = state
-    for t in range(1, n):
-        if state == 0:
-            state = 1 if u[t] < chain.p_up else 0
-        else:
-            state = 0 if u[t] < chain.p_down else 1
-        path[t] = state
-    return path
-
-
 def simulate(cfg: SimConfig) -> SimStats:
     """Run the slot simulation and aggregate indicator averages.
 
@@ -193,10 +138,6 @@ def simulate(cfg: SimConfig) -> SimStats:
     pd, pf = cfg.pd, cfg.resolved_pf
     rho_s, rho_ps = q.rho_s, q.rho_ps
 
-    chain_levels = None
-    if cfg.pi1_chain is not None:
-        chain_levels = np.asarray(cfg.pi1_chain.levels)
-
     c = {k: 0 for k in (
         "busy", "qs", "qps", "own_delivered", "pu_delivered",
         "direct_served", "relayed_busy", "relayed_total")}
@@ -207,11 +148,7 @@ def simulate(cfg: SimConfig) -> SimStats:
     done = 0
     while done < n:
         m = min(_CHUNK, n - done)
-        if chain_levels is not None:
-            pi1_arr = chain_levels[_chain_path(cfg.pi1_chain, m, rng)]
-            busy = rng.random(m) < pi1_arr
-        else:
-            busy = rng.random(m) < cfg.resolved_pi1
+        busy = rng.random(m) < cfg.resolved_pi1
         declared = rng.random(m) < np.where(busy, pd, pf)
         qs = rng.random(m) < rho_s
         qps = rng.random(m) < rho_ps
@@ -287,9 +224,6 @@ def outcome_frequency_check(cfg: SimConfig, stats: SimStats | None = None) -> Ch
     """
     if cfg.n_slots < 10_000:
         raise ValueError(f"need at least 1e4 slots for a stable check, got {cfg.n_slots}")
-    if cfg.pi1_chain is not None:
-        raise ValueError("the conditional check assumes a constant pi1; "
-                         "test chain runs against the stationary mix instead")
     if stats is None:
         stats = simulate(cfg)
     n_busy = stats.slots_busy

@@ -48,6 +48,12 @@ def test_validate_accepts_the_defaults(capsys):
     assert "all constraints satisfied" in capsys.readouterr().out
 
 
+def test_validate_takes_out_and_writes_nothing(tmp_path, capsys):
+    assert cli.main(["validate", "--out", str(tmp_path)]) == 0
+    assert "all constraints satisfied" in capsys.readouterr().out
+    assert not any(tmp_path.iterdir())
+
+
 def test_validate_rejects_unstable_queues(tmp_path, capsys):
     cfg = write_config(tmp_path, {"queues": {"lambda_s": 0.9}})
     assert cli.main(["validate", "--config", cfg]) == 1
@@ -269,6 +275,10 @@ def test_sweep_pav_iteration_cap_exit_code(tmp_path):
     (["sweep", "--threads", "0"], "--threads"),
     (["solve", "--threads", "-1"], "--threads"),
     (["bogus"], "bogus"),
+    (["sweep", "--threads", "-1"], "--threads"),
+    (["solve", "--seed", "1"], "--seed"),
+    (["simulate", "--threads", "2"], "--threads"),
+    (["validate", "--seed", "1"], "--seed"),
 ])
 def test_usage_errors_exit_1(tmp_path, capsys, argv, names):
     # 2 is reserved for a solver that hit its iteration cap

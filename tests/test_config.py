@@ -24,6 +24,11 @@ def test_unknown_keys_are_rejected_with_their_path():
         load_config({"state_grids": {"rho_p_levls": [0.1]}})
     with pytest.raises(ConfigError, match="unknown config key: fudge"):
         load_config({"fudge": 1})
+    # keys that fed no command are gone, not silently accepted
+    for path in ("channel.n0", "sensing.n0", "sim.ic_db"):
+        section, key = path.split(".")
+        with pytest.raises(ConfigError, match=f"unknown config key: {path}$"):
+            load_config({section: {key: 1.0}})
 
 
 def test_sections_must_be_mappings():
@@ -120,7 +125,7 @@ def test_sim_config_resolution_and_seed_override():
     cfg = rc.sim_config()
     assert (cfg.n_slots, cfg.seed, cfg.pd) == (5000, 9, 0.6)
     assert cfg.pf is None and cfg.pi1 is None
-    assert rc.sim_config(seed=77).seed == 77
+    assert resolve_config({"sim": {"seed": 77}}).sim_config().seed == 77
 
 
 def test_config_hash_is_order_invariant():
@@ -234,7 +239,7 @@ def test_slots_take_every_value_of_their_kind():
         "state_grids": {"n_power_levels": 3.0, "rho_p_levels": [0, 0.5],
                         "p_s_levels": None},
         "solver": {"max_iters": 50, "pinned_pd": None},
-        "sim": {"ic_db": None},
+        "sim": {"pi1": None},
         "sweep": {"grid": [], "variable": "ic"},
     })
     assert cfg["channel"]["gamma_s_db"] == 10

@@ -345,14 +345,6 @@ def test_validate_flags_unbounded_interference_grid():
     assert any("constraint 4" in str(v.constraint) for v in report.violations)
 
 
-def test_validate_accepts_raw_queue_mapping():
-    report = validate(q={"lambda_s": 1.4, "mu_s_max": 0.8,
-                         "lambda_p": 0.0, "mu_p_max": 1.0,
-                         "lambda_ps": 0.0, "mu_ps_max": 1.0})
-    assert not report.ok
-    assert "lambda_s" in str(report)
-
-
 # ---------------------------------------------------------------------------
 # compiled tensors
 

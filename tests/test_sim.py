@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from cogrelay.sim import (_CHI2_999, Pi1Chain, SimConfig, SimStats,
+from cogrelay.sim import (_CHI2_999, SimConfig, SimStats,
                           analytical_reference, outcome_frequency_check, simulate)
 from tests.test_mdp import make_params
 
@@ -141,34 +141,6 @@ def test_chi_square_thresholds_match_scipy():
 def test_chi_square_guards():
     with pytest.raises(ValueError, match="1e4"):
         outcome_frequency_check(mixed_config(n_slots=100))
-    chain = Pi1Chain(levels=(0.2, 0.6), p_up=0.5, p_down=0.5)
-    with pytest.raises(ValueError, match="stationary"):
-        outcome_frequency_check(mixed_config(pi1_chain=chain, pi1=None))
-
-
-def test_pi1_chain_stationary_law():
-    chain = Pi1Chain(levels=(0.2, 0.6), p_up=0.25, p_down=0.75)
-    assert chain.stationary == (0.75, 0.25)
-    assert chain.mean_pi1 == pytest.approx(0.75 * 0.2 + 0.25 * 0.6, abs=1e-15)
-    with pytest.raises(ValueError):
-        Pi1Chain(levels=(0.2, 1.6), p_up=0.5, p_down=0.5)
-    with pytest.raises(ValueError):
-        Pi1Chain(levels=(0.2, 0.6), p_up=0.0, p_down=0.5)
-
-
-def test_chain_run_matches_stationary_mixture():
-    # p_up = p_down = 1/2 makes consecutive levels independent, so plain
-    # binomial error bars apply
-    chain = Pi1Chain(levels=(0.2, 0.6), p_up=0.5, p_down=0.5)
-    cfg = mixed_config(n_slots=200_000, seed=404, pi1=None, pi1_chain=chain,
-                       pf=0.2)
-    stats = simulate(cfg)
-    assert cfg.resolved_pi1 == pytest.approx(0.4, abs=1e-15)
-    se = math.sqrt(0.4 * 0.6 / cfg.n_slots)
-    assert abs(stats.busy_frac - 0.4) <= 3.0 * se
-    # detection frequency against the stationary mixture pi1 * pd
-    se_d = math.sqrt(0.4 * 0.8 * (1.0 - 0.32) / cfg.n_slots)
-    assert abs(stats.outcome_freq[3] - 0.4 * 0.8) <= 4.0 * se_d
 
 
 def test_stats_record_run_identity():
