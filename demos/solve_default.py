@@ -29,8 +29,9 @@ def solve(costs):
 
 
 def pd_histogram(mdp, policy):
+    """Number of (rho_p, rho_s, P_s) blocks per chosen pd level."""
     n_ic = len(mdp.grids.actions.ic_levels)
-    counts = np.bincount(policy.pd_idx(n_ic),
+    counts = np.bincount(policy.actions // n_ic,
                          minlength=len(mdp.grids.actions.pd_levels))
     return "  ".join(f"{lvl:3.1f}:{n:d}"
                      for lvl, n in zip(mdp.grids.actions.pd_levels, counts))
@@ -41,17 +42,17 @@ print(f"default costs (sensing {rc.costs().s_const}, "
 mdp, vt, policy = solve(rc.costs())
 print(f"states: {mdp.n_states}, actions: {mdp.n_actions}")
 
-table = extract_lookup_table(mdp, vt, policy)
+rows = extract_lookup_table(mdp, vt, policy)
 print()
 print("  ".join(f"{c:>7}" for c in LOOKUP_COLUMNS))
 rng = np.random.default_rng(11)
 for i in sorted(rng.choice(mdp.n_states, size=8, replace=False)):
-    print("  ".join(f"{v:7.3f}" for v in table.row_for(int(i))))
+    print("  ".join(f"{v:7.3f}" for v in rows[i]))
 
 print()
-print("chosen pd histogram:", pd_histogram(mdp, policy))
+print("chosen pd histogram (blocks):", pd_histogram(mdp, policy))
 
 print()
 print("zero costs (pure throughput)")
 mdp0, vt0, policy0 = solve(CostModel(0.0, 0.0))
-print("chosen pd histogram:", pd_histogram(mdp0, policy0))
+print("chosen pd histogram (blocks):", pd_histogram(mdp0, policy0))

@@ -40,14 +40,11 @@ from .mdp import (
     TransitionRow,
     build_spectrum_mdp,
     constrained_power,
-    default_action_grids,
-    default_state_grids,
     sensing_outcome_distribution,
     transition,
     validate,
 )
 from .solver import (
-    LookupTable,
     PolicyTable,
     SolverConfig,
     ValueTable,

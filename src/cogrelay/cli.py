@@ -123,10 +123,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     vt, pt = value_iteration(mdp, scfg, mode=mode, pinned=pinned)
     wall = time.perf_counter() - t0
-    table = extract_lookup_table(mdp, vt, pt)
-    # the states of a block differ only in the previous action and share one
-    # greedy action, so the block histogram has one key per distinct action
-    histogram = _action_histogram(rc, pt.actions[::mdp.n_actions])
+    rows = extract_lookup_table(mdp, vt, pt)
+    histogram = _action_histogram(rc, pt.actions)
 
     manifest = _base_manifest("solve", rc)
     manifest.update({
@@ -141,7 +139,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "rows": mdp.n_states,
     })
     out = _out_dir(args)
-    _write_csv(out / "lookup.csv", manifest, LOOKUP_COLUMNS, table.rows)
+    _write_csv(out / "lookup.csv", manifest, LOOKUP_COLUMNS, rows)
     (out / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
@@ -190,8 +188,7 @@ def _pav_point(rc: ResolvedConfig, pav: float, scfg: SolverConfig) -> tuple[floa
                              reward_uses_chosen_action=rc.reward_uses_chosen_action())
     vt, pt = policy_iteration(mdp, scfg, mode="joint")
     rp_ref = nearest_index(params.queues.rho_p, grids.states.rho_p_levels)
-    block_actions = pt.actions[::mdp.n_actions]
-    action = int(block_actions[_reference_block(grids, rc, rp_ref)])
+    action = int(pt.actions[_reference_block(grids, rc, rp_ref)])
     n_ic = len(grids.actions.ic_levels)
     return (grids.actions.pd_levels[action // n_ic],
             grids.actions.ic_levels[action % n_ic],

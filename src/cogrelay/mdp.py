@@ -50,8 +50,6 @@ __all__ = [
     "sensing_outcome_distribution",
     "transition",
     "validate",
-    "default_state_grids",
-    "default_action_grids",
     "truncated_exponential_levels",
     "SpectrumMDP",
     "build_spectrum_mdp",
@@ -425,7 +423,7 @@ def validate(params: ModelParams, grids: MdpGrids) -> ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# default grids
+# power-state quantisation
 
 
 def truncated_exponential_levels(mean: float, cap: float, n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -447,19 +445,6 @@ def truncated_exponential_levels(mean: float, cap: float, n: int) -> tuple[tuple
     return tuple(levels), tuple(1.0 / n for _ in range(n))
 
 
-def default_state_grids(p_av: float, n_power_levels: int = 4) -> StateGrids:
-    rho = tuple(i / 10.0 for i in range(10))
-    levels, probs = truncated_exponential_levels(p_av, p_av, n_power_levels)
-    return StateGrids(rho_p_levels=rho, rho_s_levels=rho,
-                      p_s_levels=levels, p_s_stationary=probs)
-
-
-def default_action_grids() -> ActionGrids:
-    pd = tuple(i / 10.0 for i in range(11))
-    ic = tuple(10.0 ** (db / 10.0) for db in range(-15, 6))
-    return ActionGrids(pd_levels=pd, ic_levels=ic)
-
-
 # ---------------------------------------------------------------------------
 # compiled model for the solver
 
@@ -469,22 +454,19 @@ class SpectrumMDP:
     """Precompiled tensors of the slot model, indexed on the grid axes.
 
     Axis letters used in comments: r=rho_p, u=rho_s, v=P_s, a=flat action,
-    x=sensing outcome, m=move (-1, 0, +1).
+    x=sensing outcome, m=move (-1, 0, +1).  Flattened, g_action is the
+    throughput part of the per-state reward, read at the previous action.
     """
 
     grids: MdpGrids
     params: ModelParams
-    costs: CostModel
     reward_uses_chosen_action: bool
-    pf_of_pd: np.ndarray          # (n_pd,)
-    ps1_of_ic: np.ndarray         # (n_ic,)
     action_cost: np.ndarray       # (A,)
     outcome_dist: np.ndarray      # (r, n_pd, x)
     srv_p: np.ndarray             # (r, v, A, x)
     srv_s: np.ndarray             # (r, u, v, A, x)
-    g_state: np.ndarray           # (S,) throughput part of the reward at prev action
     g_action: np.ndarray          # (r, u, v, A) throughput at a hypothetical action
-    reward_vec: np.ndarray        # (S,) g_state - costs at prev action
+    reward_vec: np.ndarray        # (S,) throughput - costs at prev action
 
     @property
     def n_states(self) -> int:
@@ -524,18 +506,14 @@ def build_spectrum_mdp(grids: MdpGrids, params: ModelParams, costs: CostModel,
     # throughput part of the reward for any (state coords, action) combination;
     # flattened over the prev-action axes it is exactly the per-state g term
     g_action = srv_s.sum(axis=-1)                         # (r, u, v, A)
-    g_state = g_action.reshape(-1)
 
     action_cost = (costs.s_const * np.repeat(pd, n_ic)
                    + costs.c_const * np.tile(ps1, n_pd))  # (A,)
-    reward_vec = g_state - np.tile(action_cost, n_rp * n_rs * n_ps)
+    reward_vec = g_action.reshape(-1) - np.tile(action_cost, n_rp * n_rs * n_ps)
 
     return SpectrumMDP(
-        grids=grids, params=params, costs=costs,
+        grids=grids, params=params,
         reward_uses_chosen_action=reward_uses_chosen_action,
-        pf_of_pd=pf, ps1_of_ic=ps1, action_cost=action_cost,
-        outcome_dist=dist, srv_p=srv_p, srv_s=srv_s,
-        g_state=np.ascontiguousarray(g_state),
-        g_action=np.ascontiguousarray(g_action),
-        reward_vec=np.ascontiguousarray(reward_vec),
+        action_cost=action_cost, outcome_dist=dist, srv_p=srv_p, srv_s=srv_s,
+        g_action=g_action, reward_vec=reward_vec,
     )

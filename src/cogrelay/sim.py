@@ -10,14 +10,15 @@ Secondary own traffic is served only outside relaying slots, which is
 exactly the split the closed-form throughput expressions integrate over, so
 the empirical averages here are an independent check of those formulas.
 
-All indicator averages come with binomial standard errors, and a run is a
-pure function of its seed.
+All indicator averages come with binomial standard errors, the slot counts
+behind them stay in the one tally `SimStats.counts`, and a run is a pure
+function of its seed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -85,7 +86,13 @@ class SimConfig:
 
 @dataclass
 class SimStats:
-    """Empirical averages of one run, each with its standard error."""
+    """Empirical averages of one run, each with its standard error.
+
+    `counts` holds slot counts: "busy", "qs" and "qps" (primary active,
+    secondary and relay queues backlogged), "own_delivered", "pu_delivered",
+    "direct_served" (busy slots whose direct primary packet survived), and
+    "relayed_busy" / "relayed_total" (relay deliveries in busy / all slots).
+    """
 
     n_slots: int
     seed: int
@@ -101,15 +108,7 @@ class SimStats:
     branch_mu_s_se: np.ndarray
     branch_mu_ps: np.ndarray        # (4,) relay-link branch rates
     branch_mu_ps_se: np.ndarray
-    busy_frac: float
-    qs_frac: float
-    qps_frac: float
-    slots_busy: int
-    slots_direct_served: int
-    slots_relayed_busy: int
-    slots_busy_unserved: int
-    slots_relayed_total: int
-    counts: dict[str, int] = field(default_factory=dict)
+    counts: dict[str, int]
 
 
 def _se(successes: int, n: int) -> float:
@@ -193,15 +192,7 @@ def simulate(cfg: SimConfig) -> SimStats:
         branch_mu_s_se=np.array([_se(int(k), n) for k in n_branch_s]),
         branch_mu_ps=n_branch_ps / n,
         branch_mu_ps_se=np.array([_se(int(k), n) for k in n_branch_ps]),
-        busy_frac=c["busy"] / n,
-        qs_frac=c["qs"] / n,
-        qps_frac=c["qps"] / n,
-        slots_busy=c["busy"],
-        slots_direct_served=c["direct_served"],
-        slots_relayed_busy=c["relayed_busy"],
-        slots_busy_unserved=c["busy"] - c["direct_served"] - c["relayed_busy"],
-        slots_relayed_total=c["relayed_total"],
-        counts=dict(c),
+        counts=c,
     )
 
 
@@ -226,7 +217,7 @@ def outcome_frequency_check(cfg: SimConfig, stats: SimStats | None = None) -> Ch
         raise ValueError(f"need at least 1e4 slots for a stable check, got {cfg.n_slots}")
     if stats is None:
         stats = simulate(cfg)
-    n_busy = stats.slots_busy
+    n_busy = stats.counts["busy"]
     n_idle = stats.n_slots - n_busy
     observed = stats.outcome_freq * stats.n_slots
     expected = np.array([

@@ -7,16 +7,19 @@ so one backup touches each (rho_p, rho_s, P_s) block once).  `_BlockBellman`
 builds the Bellman operator on it over the blocks: every value table has
 the form V(b, prev) = W(b) + g_add(b, prev), so value iteration, policy
 iteration and `evaluate_policy_exact` all work on the B block values W and
-lift to the S states once, at the end.  The tests hold this route against
-the per-state value-iteration loop, against a dense reference built from
-the scalar `transition` rows (both in `tests/oracles.py`) and against
-brute-force policy enumeration on small instances.
+lift to the S states once, at the end.  A policy is one action per block:
+the greedy action never depends on the previous action, so `PolicyTable`
+holds the B block actions and only `extract_lookup_table` repeats them over
+the S states.  The tests hold this route against the per-state
+value-iteration loop, against a dense reference built from the scalar
+`transition` rows (both in `tests/oracles.py`) and against brute-force
+policy enumeration on small instances.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -27,7 +30,6 @@ __all__ = [
     "SolverConfig",
     "ValueTable",
     "PolicyTable",
-    "LookupTable",
     "value_iteration",
     "policy_iteration",
     "evaluate_policy_exact",
@@ -56,12 +58,15 @@ class SolverConfig:
 
 @dataclass
 class ValueTable:
-    """Converged (or best-so-far) state values and the iteration record."""
+    """Converged (or best-so-far) state values and the residual of each iteration."""
 
     values: np.ndarray
-    iterations: int
     converged: bool
-    residuals: list[float] = field(default_factory=list)
+    residuals: list[float]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.residuals)
 
     @property
     def final_residual(self) -> float:
@@ -70,18 +75,10 @@ class ValueTable:
 
 @dataclass
 class PolicyTable:
-    """Greedy action per state, with the action-set restriction it was built under."""
+    """Greedy flat action index (pd index * n_ic + ic index) per
+    (rho_p, rho_s, P_s) block, shape (B,)."""
 
-    actions: np.ndarray            # flat action index per state
-    mode: Mode = "joint"
-    pinned_pd_idx: int | None = None
-    pinned_ic_idx: int | None = None
-
-    def pd_idx(self, n_ic: int) -> np.ndarray:
-        return self.actions // n_ic
-
-    def ic_idx(self, n_ic: int) -> np.ndarray:
-        return self.actions % n_ic
+    actions: np.ndarray
 
 
 def _allowed_mask(mdp: SpectrumMDP, mode: Mode, pinned: int | None) -> np.ndarray:
@@ -179,20 +176,13 @@ def _base_rewards(mdp: SpectrumMDP) -> tuple[np.ndarray, np.ndarray | None]:
     n_rp, n_rs, n_ps, _, _ = mdp.grids.shape
     base = np.broadcast_to(-mdp.action_cost,
                            (n_rp, n_rs, n_ps, mdp.n_actions))
-    return base, mdp.g_state
+    return base, mdp.g_action.reshape(-1)
 
 
 def _lift(block_values: np.ndarray, g_add: np.ndarray | None, n_a: int) -> np.ndarray:
     """Per-state values V(b, prev) = W(b) + g_add(b, prev) from block values W."""
     values = np.repeat(block_values.reshape(-1), n_a)
     return values if g_add is None else values + g_add
-
-
-def _policy_table(greedy: np.ndarray, n_a: int, mode: Mode,
-                  pinned: int | None) -> PolicyTable:
-    return PolicyTable(actions=np.repeat(greedy.reshape(-1), n_a), mode=mode,
-                       pinned_pd_idx=pinned if mode == "fixed_pd" else None,
-                       pinned_ic_idx=pinned if mode == "fixed_ic" else None)
 
 
 class _BlockBellman:
@@ -225,11 +215,14 @@ class _BlockBellman:
                             self.base + discount * self.backup.continuation(self.g_add))
 
     def q(self, block_values: np.ndarray) -> np.ndarray:
+        """Q(b, a), shape (B, A), of a block table."""
         cont = self.backup.continuation(block_values)
-        return self.step_reward + self.discount * cont + self.neg
+        return (self.step_reward + self.discount * cont + self.neg).reshape(-1, self.n_a)
 
     def q_state(self, values: np.ndarray) -> np.ndarray:
-        return self.base + self.discount * self.backup.continuation(values) + self.neg
+        """Q(b, a), shape (B, A), of a per-state table."""
+        cont = self.backup.continuation(values)
+        return (self.base + self.discount * cont + self.neg).reshape(-1, self.n_a)
 
     def evaluate(self, block_actions: np.ndarray) -> np.ndarray:
         """W_sigma from (I - d P_sigma) W = r_sigma, one action per block."""
@@ -256,17 +249,17 @@ def value_iteration(mdp: SpectrumMDP, cfg: SolverConfig, mode: Mode = "joint",
     lexicographically lowest (pd index, ic index) pair.
     """
     bellman = _BlockBellman(mdp, cfg.discount, mode, pinned, "full")
-    w = bellman.q_state(mdp.reward_vec).max(axis=-1).reshape(-1)
+    w = bellman.q_state(mdp.reward_vec).max(axis=-1)
     residuals = [float(np.max(np.abs(bellman.lift(w) - mdp.reward_vec)))]
     while (len(residuals) < cfg.max_iters and math.isfinite(residuals[-1])
            and residuals[-1] > cfg.epsilon):
-        new_w = bellman.q(w).max(axis=-1).reshape(-1)
+        new_w = bellman.q(w).max(axis=-1)
         residuals.append(float(np.max(np.abs(new_w - w))))
         w = new_w
 
-    vt = ValueTable(values=bellman.lift(w), iterations=len(residuals),
-                    converged=residuals[-1] <= cfg.epsilon, residuals=residuals)
-    return vt, _policy_table(bellman.q(w).argmax(axis=-1), mdp.n_actions, mode, pinned)
+    vt = ValueTable(values=bellman.lift(w), converged=residuals[-1] <= cfg.epsilon,
+                    residuals=residuals)
+    return vt, PolicyTable(bellman.q(w).argmax(axis=-1))
 
 
 def policy_iteration(mdp: SpectrumMDP, cfg: SolverConfig, mode: Mode = "joint",
@@ -293,11 +286,10 @@ def policy_iteration(mdp: SpectrumMDP, cfg: SolverConfig, mode: Mode = "joint",
     converged = False
 
     for _ in range(cfg.max_iters):
-        sigma = greedy.reshape(-1)
-        evaluated.add(sigma.tobytes())
-        w = bellman.evaluate(sigma)
+        evaluated.add(greedy.tobytes())
+        w = bellman.evaluate(greedy)
         q = bellman.q(w)
-        residuals.append(float(np.max(np.abs(q.max(axis=-1).reshape(-1) - w))))
+        residuals.append(float(np.max(np.abs(q.max(axis=-1) - w))))
         greedy = q.argmax(axis=-1)
         if not math.isfinite(residuals[-1]):
             break
@@ -305,20 +297,8 @@ def policy_iteration(mdp: SpectrumMDP, cfg: SolverConfig, mode: Mode = "joint",
             converged = True
             break
 
-    vt = ValueTable(values=bellman.lift(w), iterations=len(residuals),
-                    converged=converged, residuals=residuals)
-    return vt, _policy_table(greedy, mdp.n_actions, mode, pinned)
-
-
-@dataclass
-class LookupTable:
-    """One row per augmented state: levels, greedy action levels, value."""
-
-    columns: tuple[str, ...]
-    rows: np.ndarray               # (n_states, len(columns)) float array
-
-    def row_for(self, flat_index: int) -> np.ndarray:
-        return self.rows[flat_index]
+    vt = ValueTable(values=bellman.lift(w), converged=converged, residuals=residuals)
+    return vt, PolicyTable(greedy)
 
 
 LOOKUP_COLUMNS = ("rho_p", "rho_s", "p_s", "prev_pd", "prev_ic",
@@ -326,23 +306,22 @@ LOOKUP_COLUMNS = ("rho_p", "rho_s", "p_s", "prev_pd", "prev_ic",
 
 
 def extract_lookup_table(mdp: SpectrumMDP, value_table: ValueTable,
-                         policy_table: PolicyTable) -> LookupTable:
-    """Flatten values and greedy actions into a per-state operating table."""
-    grids = mdp.grids
-    n_states = mdp.n_states
-    n_ic = len(grids.actions.ic_levels)
-    sg, ag = grids.states, grids.actions
+                         policy_table: PolicyTable) -> np.ndarray:
+    """The (S, 8) per-state operating table, columns in LOOKUP_COLUMNS order.
 
-    flat = np.arange(n_states)
+    Each block's greedy action is repeated over its previous-action states."""
+    sg, ag = mdp.grids.states, mdp.grids.actions
+    n_ic = len(ag.ic_levels)
+
+    flat = np.arange(mdp.n_states)
     rem, ic_i = np.divmod(flat, n_ic)
     rem, pd_i = np.divmod(rem, len(ag.pd_levels))
     rem, ps_i = np.divmod(rem, len(sg.p_s_levels))
     rp_i, rs_i = np.divmod(rem, len(sg.rho_s_levels))
 
-    pd_opt = policy_table.pd_idx(n_ic)
-    ic_opt = policy_table.ic_idx(n_ic)
+    pd_opt, ic_opt = np.divmod(np.repeat(policy_table.actions, mdp.n_actions), n_ic)
 
-    rows = np.column_stack([
+    return np.column_stack([
         np.array(sg.rho_p_levels)[rp_i],
         np.array(sg.rho_s_levels)[rs_i],
         np.array(sg.p_s_levels)[ps_i],
@@ -352,7 +331,6 @@ def extract_lookup_table(mdp: SpectrumMDP, value_table: ValueTable,
         np.array(ag.ic_levels)[ic_opt],
         value_table.values,
     ])
-    return LookupTable(columns=LOOKUP_COLUMNS, rows=rows)
 
 
 def evaluate_policy_exact(mdp: SpectrumMDP, block_actions: np.ndarray,

@@ -27,8 +27,7 @@ from cogrelay.mdp import (AugmentedState, ControlAction, CostModel, MdpGrids,
 from cogrelay.model import success_probability
 from cogrelay.sensing import false_alarm_from_detection
 from cogrelay.solver import (Mode, PolicyTable, SolverConfig, ValueTable,
-                             _allowed_mask, _base_rewards, _FactoredBackup, _lift,
-                             _policy_table)
+                             _allowed_mask, _base_rewards, _FactoredBackup, _lift)
 
 
 def outcome_kernel(pi1: float, rho_s: float, p_s: float, pd: float, ic: float,
@@ -90,14 +89,14 @@ def state_reward(mdp: SpectrumMDP, state: AugmentedState) -> float:
     return float(mdp.reward_vec[state.flat_index(mdp.grids)])
 
 
-def policy_terms(mdp: SpectrumMDP, policy: PolicyTable | np.ndarray,
+def policy_terms(mdp: SpectrumMDP, policy: np.ndarray,
                  reward: Literal["full", "throughput"]
                  ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """Checked (r, u, v, a) index of each state's policy action, and r_pi.
 
     The index gathers rows of the continuation tensor, where a negative
     action would wrap silently, so the range is checked here."""
-    actions = policy.actions if isinstance(policy, PolicyTable) else np.asarray(policy)
+    actions = np.asarray(policy)
     if actions.shape != (mdp.n_states,):
         raise ValueError(f"policy must assign an action to each of {mdp.n_states} states")
     if actions.min() < 0 or actions.max() >= mdp.n_actions:
@@ -113,10 +112,9 @@ def policy_terms(mdp: SpectrumMDP, policy: PolicyTable | np.ndarray,
     return idx, base[idx] if g_add is None else base[idx] + g_add
 
 
-def evaluate_policy(mdp: SpectrumMDP, policy: PolicyTable | np.ndarray,
-                    cfg: SolverConfig,
+def evaluate_policy(mdp: SpectrumMDP, policy: np.ndarray, cfg: SolverConfig,
                     reward: Literal["full", "throughput"] = "full") -> ValueTable:
-    """Fixed-point evaluation of a stationary policy.
+    """Fixed-point evaluation of a stationary policy, one action per state.
 
     With reward="throughput" the control costs are dropped and the slot
     reward is the expected secondary throughput under the policy's action;
@@ -127,18 +125,15 @@ def evaluate_policy(mdp: SpectrumMDP, policy: PolicyTable | np.ndarray,
     values = r_pi.copy()
     residuals: list[float] = []
     converged = False
-    iterations = 0
     for _ in range(cfg.max_iters):
         new_values = r_pi + cfg.discount * backup.continuation(values)[idx]
         residual = float(np.max(np.abs(new_values - values)))
         residuals.append(residual)
         values = new_values
-        iterations += 1
         if residual <= cfg.epsilon:
             converged = True
             break
-    return ValueTable(values=values, iterations=iterations,
-                      converged=converged, residuals=residuals)
+    return ValueTable(values=values, converged=converged, residuals=residuals)
 
 
 def value_iteration_lifted(mdp: SpectrumMDP, cfg: SolverConfig, mode: Mode = "joint",
@@ -167,9 +162,8 @@ def value_iteration_lifted(mdp: SpectrumMDP, cfg: SolverConfig, mode: Mode = "jo
             converged = True
             break
     q = base + cfg.discount * backup.continuation(values) + neg
-    vt = ValueTable(values=values, iterations=len(residuals),
-                    converged=converged, residuals=residuals)
-    return vt, _policy_table(q.argmax(axis=-1), mdp.n_actions, mode, pinned)
+    vt = ValueTable(values=values, converged=converged, residuals=residuals)
+    return vt, PolicyTable(q.argmax(axis=-1).reshape(-1))
 
 
 def value_iteration_dense(transitions: np.ndarray, rewards: np.ndarray,
@@ -190,20 +184,18 @@ def value_iteration_dense(transitions: np.ndarray, rewards: np.ndarray,
     values = r.max(axis=1) if initial is None else np.asarray(initial, dtype=float).copy()
     residuals: list[float] = []
     converged = False
-    iterations = 0
     for _ in range(cfg.max_iters):
         q = r + cfg.discount * np.einsum("ast,t->sa", p, values)
         new_values = q.max(axis=1)
         residual = float(np.max(np.abs(new_values - values)))
         residuals.append(residual)
         values = new_values
-        iterations += 1
         if residual <= cfg.epsilon:
             converged = True
             break
     q = r + cfg.discount * np.einsum("ast,t->sa", p, values)
     actions = q.argmax(axis=1)
-    return ValueTable(values, iterations, converged, residuals), actions
+    return ValueTable(values, converged, residuals), actions
 
 
 def evaluate_policy_dense(transitions: np.ndarray, rewards: np.ndarray,

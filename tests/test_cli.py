@@ -385,3 +385,13 @@ def test_demo_runs(tmp_path, demo):
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
                           text=True, cwd=tmp_path, env=conftest.cli_subprocess_env())
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_runs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = readme.split("```python\n")[1:]
+    assert len(blocks) == 1, "README.md should hold one python block, the Quick start"
+    proc = subprocess.run([sys.executable, "-c", blocks[0].split("```")[0]],
+                          capture_output=True, text=True, cwd=tmp_path,
+                          env=conftest.cli_subprocess_env())
+    assert proc.returncode == 0, proc.stderr

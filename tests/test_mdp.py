@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from cogrelay.config import resolve_config
 from cogrelay.model import (OUTCOME_ORDER, ChannelParams, QueueParams,
                             SensingTiming, relay_branch, secondary_branch,
                             success_probability)
@@ -13,7 +14,6 @@ from cogrelay.sensing import SensingConfig, false_alarm_from_detection
 from cogrelay.mdp import (ActionGrids, AugmentedState, ControlAction, CostModel,
                           MdpGrids, ModelParams, PowerPolicy, StateGrids,
                           build_spectrum_mdp, constrained_power,
-                          default_action_grids, default_state_grids,
                           sensing_outcome_distribution, state_from_flat,
                           transition, truncated_exponential_levels, validate)
 from oracles import reward, state_reward
@@ -75,8 +75,7 @@ def test_action_grids_ranges():
 
 
 def test_default_grid_cardinality():
-    grids = MdpGrids(states=default_state_grids(p_av=10.0 ** 0.5),
-                     actions=default_action_grids())
+    grids = resolve_config(None).grids()
     assert grids.shape == (10, 10, 4, 11, 21)
     assert grids.n_states == 92_400
 
@@ -365,10 +364,11 @@ def test_compiled_detector_and_power_tables():
     grids = small_grids()
     params = make_params()
     mdp = build_spectrum_mdp(grids, params, CostModel())
-    for i, pd in enumerate(grids.actions.pd_levels):
-        assert mdp.pf_of_pd[i] == false_alarm_from_detection(pd, params.sensing)
-    for j, ic in enumerate(grids.actions.ic_levels):
-        assert mdp.ps1_of_ic[j] == constrained_power(params.power, ic)
+    for r, pi1 in enumerate(grids.states.rho_p_levels):
+        for i, pd in enumerate(grids.actions.pd_levels):
+            pf = false_alarm_from_detection(pd, params.sensing)
+            np.testing.assert_array_equal(mdp.outcome_dist[r, i],
+                                          sensing_outcome_distribution(pi1, pd, pf))
     np.testing.assert_allclose(mdp.outcome_dist.sum(axis=-1), 1.0, atol=1e-12)
 
 
@@ -376,7 +376,12 @@ def test_compiled_throughput_tensor_flattens_to_state_vector():
     grids = small_grids()
     mdp = build_spectrum_mdp(grids, make_params(), CostModel())
     assert mdp.g_action.shape == grids.shape[:3] + (grids.actions.n_actions,)
-    np.testing.assert_array_equal(mdp.g_state, mdp.g_action.reshape(-1))
+    # flattened, the throughput read at each state's previous action is the
+    # per-state reward before the control costs of that action
+    n_blocks = mdp.n_states // mdp.n_actions
+    np.testing.assert_allclose(mdp.g_action.reshape(-1),
+                               mdp.reward_vec + np.tile(mdp.action_cost, n_blocks),
+                               rtol=0.0, atol=1e-15)
 
 
 def test_compiled_tensors_reduce_to_the_closed_forms_at_the_reference_power():
@@ -398,7 +403,8 @@ def test_compiled_tensors_reduce_to_the_closed_forms_at_the_reference_power():
         params, queues=dataclasses.replace(params.queues, lambda_ps=0.0))
     mdp = build_spectrum_mdp(grids, params, CostModel())
     direct_only = build_spectrum_mdp(grids, no_relay, CostModel())
-    assert np.all(mdp.ps1_of_ic == params.power.reference_power)
+    assert all(constrained_power(params.power, ic) == params.power.reference_power
+               for ic in grids.actions.ic_levels)
 
     no_outage = success_probability(ch.beta_p, ch.gamma_p)
     n_ic = len(grids.actions.ic_levels)
@@ -406,7 +412,8 @@ def test_compiled_tensors_reduce_to_the_closed_forms_at_the_reference_power():
     own, relay, direct = np.empty(shape), np.empty(shape), np.empty(shape)
     for r, pi1 in enumerate(states.rho_p_levels):
         for a in range(grids.actions.n_actions):
-            pd, pf = grids.actions.pd_levels[a // n_ic], mdp.pf_of_pd[a // n_ic]
+            pd = grids.actions.pd_levels[a // n_ic]
+            pf = false_alarm_from_detection(pd, params.sensing)
             for x, o in enumerate(OUTCOME_ORDER):
                 own[r, a, x] = secondary_branch(o, pf, pd, pi1, ch)
                 relay[r, a, x] = relay_branch(o, pf, pd, pi1, ch)

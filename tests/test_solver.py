@@ -20,9 +20,10 @@ from oracles import (dense_rewards, evaluate_policy, evaluate_policy_dense,
 from tests.test_mdp import make_params, small_grids
 
 
-def small_mdp(costs=None, grids=None, params=None):
+def small_mdp(costs=None, grids=None, params=None, chosen=False):
     return build_spectrum_mdp(grids or small_grids(), params or make_params(),
-                              costs or CostModel(s_const=1.0, c_const=0.5))
+                              costs or CostModel(s_const=1.0, c_const=0.5),
+                              reward_uses_chosen_action=chosen)
 
 
 def random_block_policy(mdp, rng):
@@ -116,7 +117,7 @@ def test_evaluate_policy_myopic_limit():
     actions = rng.integers(0, mdp.n_actions, mdp.n_states)
     vt = evaluate_policy(mdp, actions, SolverConfig(epsilon=1e-12, discount=0.0))
     assert vt.converged
-    expected = mdp.g_state - mdp.action_cost[actions]
+    expected = mdp.g_action.reshape(-1) - mdp.action_cost[actions]
     np.testing.assert_array_equal(vt.values, expected)
 
 
@@ -171,7 +172,7 @@ def test_evaluate_policy_agrees_with_value_iteration():
     mdp = small_mdp()
     cfg = SolverConfig(epsilon=1e-9, discount=0.9)
     vt, pt = value_iteration(mdp, cfg)
-    jv = evaluate_policy(mdp, pt, cfg)
+    jv = evaluate_policy(mdp, lifted(mdp, pt.actions), cfg)
     np.testing.assert_allclose(jv.values, vt.values, atol=1e-6)
 
 
@@ -180,10 +181,8 @@ def test_fixed_pd_mode_pins_every_state():
     cfg = SolverConfig(epsilon=1e-8, discount=0.9)
     vt, pt = value_iteration(mdp, cfg, mode="fixed_pd", pinned=1)
     assert vt.converged
-    assert pt.mode == "fixed_pd"
-    assert pt.pinned_pd_idx == 1 and pt.pinned_ic_idx is None
     n_ic = len(mdp.grids.actions.ic_levels)
-    assert np.all(pt.pd_idx(n_ic) == 1)
+    assert np.all(pt.actions // n_ic == 1)
 
 
 def test_fixed_ic_mode_pins_every_state():
@@ -191,8 +190,7 @@ def test_fixed_ic_mode_pins_every_state():
     cfg = SolverConfig(epsilon=1e-8, discount=0.9)
     _, pt = value_iteration(mdp, cfg, mode="fixed_ic", pinned=0)
     n_ic = len(mdp.grids.actions.ic_levels)
-    assert np.all(pt.ic_idx(n_ic) == 0)
-    assert pt.pinned_ic_idx == 0 and pt.pinned_pd_idx is None
+    assert np.all(pt.actions % n_ic == 0)
 
 
 def test_mode_argument_validation():
@@ -217,24 +215,35 @@ def test_restricting_the_action_set_never_helps():
 
 
 def test_lookup_table_layout():
-    mdp = small_mdp()
-    vt, pt = value_iteration(mdp, SolverConfig(epsilon=1e-8, discount=0.9))
-    table = extract_lookup_table(mdp, vt, pt)
-    assert table.columns == LOOKUP_COLUMNS
-    assert table.rows.shape == (mdp.n_states, len(LOOKUP_COLUMNS))
-    np.testing.assert_array_equal(table.rows[:, -1], vt.values)
-    assert set(np.unique(table.rows[:, 5])) <= set(mdp.grids.actions.pd_levels)
-    assert set(np.unique(table.rows[:, 6])) <= set(mdp.grids.actions.ic_levels)
+    cfg = SolverConfig(epsilon=1e-8, discount=0.9)
+    # the second model's policy uses two actions, so a lift that tiles the
+    # block actions instead of repeating them would show in the opt columns
+    for mdp in (small_mdp(), small_mdp(CostModel(0.0, 0.0), chosen=True)):
+        vt, pt = value_iteration(mdp, cfg)
+        # every solver returns one action per (rho_p, rho_s, P_s) block
+        n_blocks = mdp.n_states // mdp.n_actions
+        for solve in (value_iteration, policy_iteration, value_iteration_lifted):
+            assert solve(mdp, cfg)[1].actions.shape == (n_blocks,)
 
-    flat = 17
-    st = state_from_flat(flat, mdp.grids)
-    row = table.row_for(flat)
-    sg, ag = mdp.grids.states, mdp.grids.actions
-    assert row[0] == sg.rho_p_levels[st.rho_p_idx]
-    assert row[1] == sg.rho_s_levels[st.rho_s_idx]
-    assert row[2] == sg.p_s_levels[st.p_s_idx]
-    assert row[3] == ag.pd_levels[st.prev_pd_idx]
-    assert row[4] == ag.ic_levels[st.prev_ic_idx]
+        rows = extract_lookup_table(mdp, vt, pt)
+        assert rows.shape == (mdp.n_states, len(LOOKUP_COLUMNS))
+        np.testing.assert_array_equal(rows[:, -1], vt.values)
+        # the opt_pd / opt_ic columns repeat each block's action over its states
+        sg, ag = mdp.grids.states, mdp.grids.actions
+        n_ic = len(ag.ic_levels)
+        per_state = lifted(mdp, pt.actions)
+        np.testing.assert_array_equal(rows[:, 5], np.array(ag.pd_levels)[per_state // n_ic])
+        np.testing.assert_array_equal(rows[:, 6], np.array(ag.ic_levels)[per_state % n_ic])
+
+        for flat in (0, 17, mdp.n_states - 1):
+            st = state_from_flat(flat, mdp.grids)
+            row = rows[flat]
+            assert row[0] == sg.rho_p_levels[st.rho_p_idx]
+            assert row[1] == sg.rho_s_levels[st.rho_s_idx]
+            assert row[2] == sg.p_s_levels[st.p_s_idx]
+            assert row[3] == ag.pd_levels[st.prev_pd_idx]
+            assert row[4] == ag.ic_levels[st.prev_ic_idx]
+    assert np.unique(pt.actions).size > 1
 
 
 def test_value_iteration_is_deterministic():
@@ -267,7 +276,7 @@ def test_factored_route_matches_dense_route():
 
     assert vt_f.iterations == vt_d.iterations
     np.testing.assert_allclose(vt_f.values, vt_d.values, atol=1e-10)
-    np.testing.assert_array_equal(pt_f.actions, greedy)
+    np.testing.assert_array_equal(lifted(mdp, pt_f.actions), greedy)
 
 
 def assert_matches_lifted_route(mdp, cfg, mode="joint", pinned=None):
@@ -278,8 +287,6 @@ def assert_matches_lifted_route(mdp, cfg, mode="joint", pinned=None):
     assert vt.converged and ref.converged
     assert vt.iterations == ref.iterations
     np.testing.assert_array_equal(pt.actions, ref_pt.actions)
-    assert (pt.mode, pt.pinned_pd_idx, pt.pinned_ic_idx) == \
-        (ref_pt.mode, ref_pt.pinned_pd_idx, ref_pt.pinned_ic_idx)
     np.testing.assert_allclose(vt.residuals, ref.residuals, rtol=0.0, atol=1e-13)
     np.testing.assert_allclose(vt.values, ref.values, rtol=1e-12, atol=0.0)
     return vt, pt
@@ -289,9 +296,7 @@ def assert_matches_lifted_route(mdp, cfg, mode="joint", pinned=None):
 @pytest.mark.parametrize("mode, pinned", [("joint", None), ("fixed_pd", 1),
                                           ("fixed_ic", 0)])
 def test_block_value_iteration_matches_the_lifted_route(mode, pinned, chosen):
-    base = small_mdp()
-    mdp = build_spectrum_mdp(base.grids, base.params, base.costs,
-                             reward_uses_chosen_action=chosen)
+    mdp = small_mdp(chosen=chosen)
     assert_matches_lifted_route(mdp, SolverConfig(epsilon=1e-10, discount=0.9),
                                 mode, pinned)
 
@@ -303,7 +308,7 @@ def test_block_value_iteration_matches_the_lifted_route_on_the_default_grids(cos
     vt, pt = assert_matches_lifted_route(mdp, cfg)
     # the exact value of the returned policy, at the full 92,400 states, lies
     # within value iteration's a-posteriori bound of its values
-    exact = evaluate_policy_exact(mdp, pt.actions[::mdp.n_actions], cfg.discount)
+    exact = evaluate_policy_exact(mdp, pt.actions, cfg.discount)
     bound = cfg.discount * vt.final_residual / (1.0 - cfg.discount)
     assert exact.shape == (mdp.n_states,)
     assert np.max(np.abs(exact - vt.values)) <= bound
@@ -341,9 +346,7 @@ def scalar_row_oracle(mdp, actions, discount, reward="full"):
 @pytest.mark.parametrize("chosen", [False, True])
 @pytest.mark.parametrize("reward", ["full", "throughput"])
 def test_exact_policy_evaluation_matches_scalar_row_oracle(chosen, reward):
-    base = small_mdp()
-    mdp = build_spectrum_mdp(base.grids, base.params, base.costs,
-                             reward_uses_chosen_action=chosen)
+    mdp = small_mdp(chosen=chosen)
     rng = np.random.default_rng(23)
     for d in (0.5, 0.95):
         actions = random_block_policy(mdp, rng)
@@ -497,32 +500,26 @@ def test_policy_iteration_matches_value_iteration_on_the_default_grids(costs, ch
         pv, pp = policy_iteration(mdp, cfg, mode=mode, pinned=pinned)
         assert vt.converged and pv.converged
         np.testing.assert_array_equal(pp.actions, pt.actions)
-        assert (pp.mode, pp.pinned_pd_idx, pp.pinned_ic_idx) == \
-            (pt.mode, pt.pinned_pd_idx, pt.pinned_ic_idx)
         # value iteration's a-posteriori bound on its own distance to V*
         bound = cfg.discount * vt.final_residual / (1.0 - cfg.discount)
         assert np.max(np.abs(pv.values - vt.values)) <= bound + 1e-9
         assert pv.iterations <= 10
         # policy iteration evaluates through the exact evaluator's path
         np.testing.assert_array_equal(
-            pv.values, evaluate_policy_exact(mdp, pp.actions[::mdp.n_actions],
-                                             cfg.discount))
+            pv.values, evaluate_policy_exact(mdp, pp.actions, cfg.discount))
 
 
 @pytest.mark.parametrize("chosen", [False, True])
 def test_policy_iteration_matches_the_dense_route(chosen):
-    base = small_mdp()
-    mdp = build_spectrum_mdp(base.grids, base.params, base.costs,
-                             reward_uses_chosen_action=chosen)
+    mdp = small_mdp(chosen=chosen)
     cfg = SolverConfig(epsilon=1e-12, discount=0.9)
     vt, pt = policy_iteration(mdp, cfg)
     dense, greedy = value_iteration_dense(*materialize_dense(mdp), cfg)
     assert vt.converged and dense.converged
     np.testing.assert_allclose(vt.values, dense.values, rtol=0.0, atol=1e-10)
-    np.testing.assert_array_equal(pt.actions, greedy)
+    np.testing.assert_array_equal(lifted(mdp, pt.actions), greedy)
     assert vt.final_residual <= 1e-12
-    np.testing.assert_array_equal(
-        vt.values, evaluate_policy_exact(mdp, pt.actions[::mdp.n_actions], 0.9))
+    np.testing.assert_array_equal(vt.values, evaluate_policy_exact(mdp, pt.actions, 0.9))
 
 
 def test_policy_iteration_step_cap_reports_no_convergence():
@@ -563,9 +560,9 @@ def test_solvers_stop_on_a_non_finite_residual():
     assert not vt.converged
     assert vt.iterations == 1 and np.isnan(vt.final_residual)
 
-    g_state = mdp.g_state.copy()
-    g_state[3] = np.nan
-    pv, _ = policy_iteration(dataclasses.replace(mdp, g_state=g_state), cfg)
+    g_action = mdp.g_action.copy()
+    g_action.flat[3] = np.nan
+    pv, _ = policy_iteration(dataclasses.replace(mdp, g_action=g_action), cfg)
     assert not pv.converged
     assert pv.iterations == 1 and np.isnan(pv.final_residual)
 
@@ -588,7 +585,7 @@ def test_policy_iteration_properties(case):
     restricted, pt = policy_iteration(mdp, cfg, mode=mode, pinned=pinned)
     assert joint.converged and restricted.converged
     n_ic = len(mdp.grids.actions.ic_levels)
-    held = pt.pd_idx(n_ic) if mode == "fixed_pd" else pt.ic_idx(n_ic)
+    held = pt.actions // n_ic if mode == "fixed_pd" else pt.actions % n_ic
     assert np.all(held == pinned)
     scale = max(1.0, float(np.max(np.abs(joint.values))))
     # a pinned controller never beats the joint one at any state
