@@ -49,10 +49,24 @@ def _manifest_line(payload: dict[str, Any]) -> str:
     return "# " + json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _fmt_column(column: Sequence[Any]) -> Sequence[str]:
+    """`_fmt` of each cell.  A float64 array column formats each distinct
+    value once, keyed by its bits, so -0.0 and 0.0 (and NaN payloads) stay
+    apart."""
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
+        text = np.array([_fmt(v) for v in bits.view(np.float64)], dtype=object)
+        return text[inverse]
+    return [_fmt(v) for v in column]
+
+
 def _write_csv(path: Path, manifest: dict[str, Any], header: Sequence[str],
                rows: Sequence[Sequence[Any]]) -> None:
+    """Rows are a 2-D float array or a sequence of tuples; each line is
+    `",".join(_fmt(v) for v in row)`, formatted column by column."""
+    columns = rows.T if isinstance(rows, np.ndarray) else list(zip(*rows))
     lines = [_manifest_line(manifest), ",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(map(",".join, zip(*map(_fmt_column, columns))))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -135,6 +149,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "final_residual": vt.final_residual,
         "error_bound": scfg.discount * vt.final_residual / (1.0 - scfg.discount),
         "distinct_actions": len(histogram),
+        "active_actions": vt.active_actions,
         "action_histogram": histogram,
         "rows": mdp.n_states,
     })

@@ -10,15 +10,31 @@ iteration and `evaluate_policy_exact` all work on the B block values W and
 lift to the S states once, at the end.  A policy is one action per block:
 the greedy action never depends on the previous action, so `PolicyTable`
 holds the B block actions and only `extract_lookup_table` repeats them over
-the S states.  The tests hold this route against the per-state
-value-iteration loop, against a dense reference built from the scalar
-`transition` rows (both in `tests/oracles.py`) and against brute-force
-policy enumeration on small instances.
+the S states.
+
+A mode's actions are an ascending index set of flat action columns (all
+231 at the defaults, one pd level's 21 or one ic level's 11), and the
+backups contract the kernel and step-reward slices of those columns only.
+Value iteration shrinks the set as it goes: every 25 sweeps it drops each
+column that MacQueen's suboptimal-action test, with Porteus's bounds on
+V* from the last two iterates and a margin for the distance of every later
+iterate from V*, rules out at every block (`_may_still_win` states the
+test and its rounding slack).  A dropped column can never reach or tie a
+later maximum and each Q entry is the same elementwise arithmetic whatever
+other columns are present, so values, residuals and actions are the same
+floats as with all columns.  Policy iteration and `evaluate_policy_exact`
+back up all the mode's columns.
+
+The tests hold this route against the full-column block iteration, against
+the per-state value-iteration loop, against a dense reference built from
+the scalar `transition` rows (all in `tests/oracles.py`) and against
+brute-force policy enumeration on small instances.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Literal
 
@@ -48,8 +64,10 @@ class SolverConfig:
     discount: float = 0.9
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
         if not 0.0 <= self.discount < 1.0:
@@ -58,11 +76,15 @@ class SolverConfig:
 
 @dataclass
 class ValueTable:
-    """Converged (or best-so-far) state values and the residual of each iteration."""
+    """Converged (or best-so-far) state values and the residual of each iteration.
+
+    active_actions is the number of action columns the solver still backed
+    up when it stopped; the reference routes in the tests leave it None."""
 
     values: np.ndarray
     converged: bool
     residuals: list[float]
+    active_actions: int | None = None
 
     @property
     def iterations(self) -> int:
@@ -81,27 +103,25 @@ class PolicyTable:
     actions: np.ndarray
 
 
-def _allowed_mask(mdp: SpectrumMDP, mode: Mode, pinned: int | None) -> np.ndarray:
+def _allowed_columns(mdp: SpectrumMDP, mode: Mode, pinned: int | None) -> np.ndarray:
+    """The flat action columns (pd index * n_ic + ic index) a mode may use, ascending."""
     n_pd = len(mdp.grids.actions.pd_levels)
     n_ic = len(mdp.grids.actions.ic_levels)
-    mask = np.ones(n_pd * n_ic, dtype=bool)
     if mode == "joint":
         if pinned is not None:
             raise ValueError("joint mode takes no pinned index")
-        return mask
+        return np.arange(n_pd * n_ic)
     if pinned is None:
         raise ValueError(f"mode {mode!r} requires a pinned grid index")
     if mode == "fixed_ic":
         if not 0 <= pinned < n_ic:
             raise ValueError(f"pinned ic index {pinned} out of range")
-        mask &= (np.arange(n_pd * n_ic) % n_ic) == pinned
-    elif mode == "fixed_pd":
+        return np.arange(pinned, n_pd * n_ic, n_ic)
+    if mode == "fixed_pd":
         if not 0 <= pinned < n_pd:
             raise ValueError(f"pinned pd index {pinned} out of range")
-        mask &= (np.arange(n_pd * n_ic) // n_ic) == pinned
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return mask
+        return np.arange(pinned * n_ic, (pinned + 1) * n_ic)
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 class _FactoredBackup:
@@ -130,24 +150,29 @@ class _FactoredBackup:
         self.kernel = np.einsum("mrvax,nruvax->mnruva", qbp, bds)
         self.pstat = np.array(mdp.grids.states.p_s_stationary)
 
-    def continuation(self, values: np.ndarray) -> np.ndarray:
+    def continuation(self, values: np.ndarray,
+                     kernel: np.ndarray | None = None) -> np.ndarray:
         """E[J(next) | r, u, v, a], shape (r, u, v, A).
 
         `values` is a per-state table, shape (S,), or a block table W(b),
         shape (B,), which stands for the per-state table that repeats W(b)
-        over the previous-action coordinates.
+        over the previous-action coordinates.  Given `kernel`, a contiguous
+        copy of some action columns of K, a block table backs up over those
+        columns only, and each entry is the same nine multiply-adds as with
+        the full K.
         """
         n_rp, n_rs, n_ps, n_a = self.shape
+        kernel = self.kernel if kernel is None else kernel
         per_state = values.size == n_rp * n_rs * n_ps * n_a
         j = values.reshape(n_rp, n_rs, n_ps, n_a if per_state else 1)
         w = np.einsum("v,ruva->rua", self.pstat, j)
         wp = np.zeros((n_rp + 2, n_rs + 2, w.shape[-1]))
         wp[1:-1, 1:-1] = w
-        cont = np.zeros(self.shape)
+        cont = np.zeros(kernel.shape[2:])
         for mp in range(3):
             for ms in range(3):
                 shifted = wp[mp:mp + n_rp, ms:ms + n_rs]
-                cont += self.kernel[mp, ms] * shifted[:, :, None]
+                cont += kernel[mp, ms] * shifted[:, :, None]
         return cont
 
     def block_matrix(self, block_actions: np.ndarray) -> np.ndarray:
@@ -194,14 +219,15 @@ class _BlockBellman:
     step reward fixed for the whole solve.  `q` backs up a block table,
     `q_state` a per-state one (the reward vector both solvers start from
     has no block form), and `evaluate` solves for the block values of one
-    action per block.  reward="throughput" prices a slot by the throughput
-    of the chosen action alone, with no control costs.
+    action per block.  Both backups cover the ascending action `columns`
+    only, and `greedy` maps a column of their result back to its flat
+    action index.  reward="throughput" prices a slot by the throughput of
+    the chosen action alone, with no control costs.
     """
 
-    def __init__(self, mdp: SpectrumMDP, discount: float, mode: Mode,
-                 pinned: int | None, reward: Literal["full", "throughput"]):
+    def __init__(self, mdp: SpectrumMDP, discount: float, columns: np.ndarray,
+                 reward: Literal["full", "throughput"]):
         self.backup = _FactoredBackup(mdp)
-        self.neg = np.where(_allowed_mask(mdp, mode, pinned), 0.0, -np.inf)
         if reward == "full":
             self.base, self.g_add = _base_rewards(mdp)
         elif reward == "throughput":
@@ -213,16 +239,34 @@ class _BlockBellman:
         # r(b, a) + d * E[g_add(next) | b, a]
         self.step_reward = (self.base if self.g_add is None else
                             self.base + discount * self.backup.continuation(self.g_add))
+        self.restrict(columns)
+
+    def restrict(self, columns: np.ndarray) -> None:
+        """Back up only `columns` from here on.  All columns read the full
+        tensors; a subset reads contiguous copies of its slices, made here."""
+        self.columns = columns
+        if columns.size == self.n_a:
+            self._kernel, self._step_reward = self.backup.kernel, self.step_reward
+        else:
+            self._kernel = np.ascontiguousarray(self.backup.kernel[..., columns])
+            self._step_reward = np.ascontiguousarray(self.step_reward[..., columns])
 
     def q(self, block_values: np.ndarray) -> np.ndarray:
-        """Q(b, a), shape (B, A), of a block table."""
-        cont = self.backup.continuation(block_values)
-        return (self.step_reward + self.discount * cont + self.neg).reshape(-1, self.n_a)
+        """Q(b, a) of a block table over the columns, shape (B, len(columns))."""
+        cont = self.backup.continuation(block_values, self._kernel)
+        return (self._step_reward + self.discount * cont).reshape(-1, self.columns.size)
 
     def q_state(self, values: np.ndarray) -> np.ndarray:
-        """Q(b, a), shape (B, A), of a per-state table."""
-        cont = self.backup.continuation(values)
-        return (self.base + self.discount * cont + self.neg).reshape(-1, self.n_a)
+        """Q(b, a) of a per-state table over the columns, shape (B, len(columns)).
+
+        A per-state table backs up over all actions, since its next-state
+        values depend on the action taken; the solvers call this once."""
+        q = self.base + self.discount * self.backup.continuation(values)
+        return q[..., self.columns].reshape(-1, self.columns.size)
+
+    def greedy(self, q: np.ndarray) -> np.ndarray:
+        """Flat action index of each block's maximising column, the lowest on ties."""
+        return self.columns[q.argmax(axis=-1)]
 
     def evaluate(self, block_actions: np.ndarray) -> np.ndarray:
         """W_sigma from (I - d P_sigma) W = r_sigma, one action per block."""
@@ -236,30 +280,73 @@ class _BlockBellman:
         return _lift(block_values, self.g_add, self.n_a)
 
 
+# value iteration tests the backed-up columns for elimination every this many sweeps
+_ELIMINATION_PERIOD = 25
+
+
+def _may_still_win(q: np.ndarray, new_w: np.ndarray, step: np.ndarray,
+                   discount: float, reward_bound: float) -> np.ndarray:
+    """Mask of the columns of q = Q(W_k) that MacQueen's test does not rule out.
+
+    `step` is W_k - W_{k-1} and new_w = max_a q.  Porteus's bounds
+    lo = W_k + c_lo <= V* <= hi = W_k + c_hi hold with the constants
+    c_lo = d/(1-d) min(step) and c_hi = d/(1-d) max(step), and every later
+    iterate lies within e = d/(1-d) ||step|| of V*, so its Q lies within
+    d*e of Q(V*).  As the kernel is stochastic, Q(hi) = q + d*c_hi and
+    Q(lo) = q + d*c_lo.  A column is dropped only if
+    Q(hi)(b, a) + 2*d*e + slack < max_a' Q(lo)(b, a') at every block b: it
+    can then never reach or tie any later maximum, so the maxima and their
+    lowest-index argmax stay the same floats.
+
+    slack = 2^-40 * (max|r| + d max|W|) / (1 - d) covers rounding.  One Q
+    entry is r plus d times about n_ps + 9 products of W entries with
+    probabilities, so it is off by at most about (n_ps + 12) * 2^-53 of
+    max|r| + d max|W|; the computed iterates inherit that error over
+    1 / (1 - d) sweeps, on both sides of the test.  2^-40 is 2^13 such
+    roundings, a wide margin at any grid these models use.
+    """
+    d = discount
+    e = d / (1.0 - d) * float(np.max(np.abs(step)))
+    span = d / (1.0 - d) * float(np.max(step) - np.min(step))     # c_hi - c_lo
+    slack = 2.0**-40 * (reward_bound + d * float(np.max(np.abs(new_w)))) / (1.0 - d)
+    return np.any(q + (d * span + 2.0 * d * e + slack) >= new_w[:, None], axis=0)
+
+
 def value_iteration(mdp: SpectrumMDP, cfg: SolverConfig, mode: Mode = "joint",
                     pinned: int | None = None) -> tuple[ValueTable, PolicyTable]:
     """Synchronous value iteration from the per-state reward vector.
 
     After the first backup every iterate is a block table W, and its
     residual sup |W_{k+1} - W_k| equals that of the lifted tables because
-    g_add cancels; the values are lifted once, at the end.  Stops when the
+    g_add cancels; the values are lifted once, at the end.  Every
+    `_ELIMINATION_PERIOD` sweeps the columns that `_may_still_win` rules
+    out at every block stop being backed up, which leaves every float of
+    the result as it would be with all the mode's columns.  Stops when the
     sup-norm residual drops to cfg.epsilon; hitting cfg.max_iters first, or
     a non-finite residual, is reported through converged=False rather than
     an exception.  Ties in the maximisation resolve to the
     lexicographically lowest (pd index, ic index) pair.
     """
-    bellman = _BlockBellman(mdp, cfg.discount, mode, pinned, "full")
+    bellman = _BlockBellman(mdp, cfg.discount, _allowed_columns(mdp, mode, pinned), "full")
+    reward_bound = float(np.max(np.abs(bellman.step_reward[..., bellman.columns])))
     w = bellman.q_state(mdp.reward_vec).max(axis=-1)
     residuals = [float(np.max(np.abs(bellman.lift(w) - mdp.reward_vec)))]
+    # the first test comes after several sweeps, so w - prev is then the
+    # step between two block iterates
+    prev = w
     while (len(residuals) < cfg.max_iters and math.isfinite(residuals[-1])
            and residuals[-1] > cfg.epsilon):
-        new_w = bellman.q(w).max(axis=-1)
+        q = bellman.q(w)
+        new_w = q.max(axis=-1)
         residuals.append(float(np.max(np.abs(new_w - w))))
-        w = new_w
+        if len(residuals) % _ELIMINATION_PERIOD == 0 and math.isfinite(residuals[-1]):
+            keep = _may_still_win(q, new_w, w - prev, cfg.discount, reward_bound)
+            bellman.restrict(bellman.columns[keep])
+        prev, w = w, new_w
 
     vt = ValueTable(values=bellman.lift(w), converged=residuals[-1] <= cfg.epsilon,
-                    residuals=residuals)
-    return vt, PolicyTable(bellman.q(w).argmax(axis=-1))
+                    residuals=residuals, active_actions=bellman.columns.size)
+    return vt, PolicyTable(bellman.greedy(bellman.q(w)))
 
 
 def policy_iteration(mdp: SpectrumMDP, cfg: SolverConfig, mode: Mode = "joint",
@@ -268,19 +355,20 @@ def policy_iteration(mdp: SpectrumMDP, cfg: SolverConfig, mode: Mode = "joint",
 
     A policy is one action per block and its value is one linear solve of
     size B = n_rho_p * n_rho_s * n_P_s.  Improvement is value iteration's
-    greedy step, with the same lowest-index tie rule.  The first policy is
-    greedy with respect to the reward vector; the run stops when the greedy
-    policy repeats one already evaluated.  In exact arithmetic every change
-    strictly improves the values, so a repeat further back than the last
-    policy only comes from rounding between actions that tie.  cfg.epsilon
+    greedy step over all the mode's columns, with the same lowest-index tie
+    rule.  The first policy is greedy with respect to the reward vector;
+    the run stops when the greedy policy repeats one already evaluated.  In
+    exact arithmetic every change strictly improves the values, so a repeat
+    further back than the last policy only comes from rounding between
+    actions that tie.  cfg.epsilon
     is not used; hitting cfg.max_iters steps first, or a non-finite
     residual, is reported through converged=False.  Each residual is the
     sup-norm of T V - V at the evaluated policy, so the last one is the
     distance of the returned values from a Bellman fixed point; the
     returned actions are greedy with respect to the returned values.
     """
-    bellman = _BlockBellman(mdp, cfg.discount, mode, pinned, "full")
-    greedy = bellman.q_state(mdp.reward_vec).argmax(axis=-1)
+    bellman = _BlockBellman(mdp, cfg.discount, _allowed_columns(mdp, mode, pinned), "full")
+    greedy = bellman.greedy(bellman.q_state(mdp.reward_vec))
     evaluated: set[bytes] = set()
     residuals: list[float] = []
     converged = False
@@ -290,14 +378,15 @@ def policy_iteration(mdp: SpectrumMDP, cfg: SolverConfig, mode: Mode = "joint",
         w = bellman.evaluate(greedy)
         q = bellman.q(w)
         residuals.append(float(np.max(np.abs(q.max(axis=-1) - w))))
-        greedy = q.argmax(axis=-1)
+        greedy = bellman.greedy(q)
         if not math.isfinite(residuals[-1]):
             break
         if greedy.tobytes() in evaluated:
             converged = True
             break
 
-    vt = ValueTable(values=bellman.lift(w), converged=converged, residuals=residuals)
+    vt = ValueTable(values=bellman.lift(w), converged=converged, residuals=residuals,
+                    active_actions=bellman.columns.size)
     return vt, PolicyTable(greedy)
 
 
@@ -350,5 +439,5 @@ def evaluate_policy_exact(mdp: SpectrumMDP, block_actions: np.ndarray,
     # block_matrix gathers kernel columns, where a negative index would wrap
     if actions.min() < 0 or actions.max() >= mdp.n_actions:
         raise ValueError("policy contains out-of-range action indices")
-    bellman = _BlockBellman(mdp, discount, "joint", None, reward)
+    bellman = _BlockBellman(mdp, discount, np.arange(mdp.n_actions), reward)
     return bellman.lift(bellman.evaluate(actions))

@@ -6,11 +6,12 @@ Every converged policy-iteration run must return a Bellman fixed point:
 sup |T V - V| <= 1e-9, with T applied here through the factored operator.
 Rather than trusting each test to check this, the solver entry points (and
 the references `oracles.value_iteration_dense`,
-`oracles.value_iteration_lifted` and `oracles.evaluate_policy`) are wrapped
-here once, before any test module imports them, so a violating run fails
-loudly at the call site no matter which test triggered it.  Test
-modules import the oracles as `oracles`, the module the wrapper patches, not
-as `tests.oracles`, which would be a second, unwrapped copy.  Solver runs
+`oracles.value_iteration_lifted`, `oracles.value_iteration_full_columns`
+and `oracles.evaluate_policy`) are wrapped here once, before any test
+module imports them, so a violating run fails loudly at the call site no
+matter which test triggered it.  Test modules import the oracles as
+`oracles`, the module the wrapper patches, not as `tests.oracles`, which
+would be a second, unwrapped copy.  Solver runs
 inside `python -m cogrelay` child processes (criterion 10, the entry-point
 test) are outside the wrappers and are not counted: run alone, those tests
 report "contraction property checked on 0 solver runs".
@@ -47,6 +48,7 @@ _real_value_iteration = cogrelay.solver.value_iteration
 _real_policy_iteration = cogrelay.solver.policy_iteration
 _real_value_iteration_dense = oracles.value_iteration_dense
 _real_value_iteration_lifted = oracles.value_iteration_lifted
+_real_value_iteration_full_columns = oracles.value_iteration_full_columns
 _real_evaluate_policy = oracles.evaluate_policy
 
 
@@ -70,8 +72,8 @@ def bellman_residual(mdp, values, discount, mode="joint", pinned=None) -> float:
     """sup |T V - V| of a per-state value table, T restricted as the mode says."""
     solver = cogrelay.solver
     base, g_add = solver._base_rewards(mdp)
-    neg = np.where(solver._allowed_mask(mdp, mode, pinned), 0.0, -np.inf)
-    q = base + discount * solver._FactoredBackup(mdp).continuation(values) + neg
+    q = base + discount * solver._FactoredBackup(mdp).continuation(values)
+    q = q[..., solver._allowed_columns(mdp, mode, pinned)]
     backed_up = solver._lift(q.max(axis=-1), g_add, mdp.n_actions)
     return float(np.max(np.abs(backed_up - values)))
 
@@ -99,6 +101,13 @@ def _checked_value_iteration_lifted(mdp, cfg, mode="joint", pinned=None):
     return vt, pt
 
 
+def _checked_value_iteration_full_columns(mdp, cfg, mode="joint", pinned=None):
+    vt, pt = _real_value_iteration_full_columns(mdp, cfg, mode=mode, pinned=pinned)
+    assert_contraction(vt.residuals, cfg.discount,
+                       f"value_iteration_full_columns[{mode}]")
+    return vt, pt
+
+
 def _checked_evaluate_policy(mdp, policy, cfg, reward="full"):
     vt = _real_evaluate_policy(mdp, policy, cfg, reward=reward)
     assert_contraction(vt.residuals, cfg.discount, "evaluate_policy")
@@ -112,6 +121,7 @@ for _ns in (cogrelay, cogrelay.solver, cogrelay.cli):
         _ns.policy_iteration = _checked_policy_iteration
 oracles.value_iteration_dense = _checked_value_iteration_dense
 oracles.value_iteration_lifted = _checked_value_iteration_lifted
+oracles.value_iteration_full_columns = _checked_value_iteration_full_columns
 oracles.evaluate_policy = _checked_evaluate_policy
 
 

@@ -9,9 +9,12 @@ compiles, and `reward` prices a single state from it.  `evaluate_policy`
 is fixed-point policy evaluation of a per-state policy, the iterative twin
 of the library's exact, block-wise `evaluate_policy_exact`.
 `value_iteration_lifted` is value iteration backing up all S per-state
-values on every sweep, the route the library's block iteration replaced.
-`tests/conftest.py` wraps `value_iteration_dense`, `value_iteration_lifted`
-and `evaluate_policy` with the suite-wide contraction check.
+values on every sweep, the route the library's block iteration replaced,
+and `value_iteration_full_columns` is block value iteration backing up
+every action column on every sweep, the route the library's action
+elimination replaced.  `tests/conftest.py` wraps `value_iteration_dense`,
+`value_iteration_lifted`, `value_iteration_full_columns` and
+`evaluate_policy` with the suite-wide contraction check.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from cogrelay.mdp import (AugmentedState, ControlAction, CostModel, MdpGrids,
 from cogrelay.model import success_probability
 from cogrelay.sensing import false_alarm_from_detection
 from cogrelay.solver import (Mode, PolicyTable, SolverConfig, ValueTable,
-                             _allowed_mask, _base_rewards, _FactoredBackup, _lift)
+                             _allowed_columns, _base_rewards, _FactoredBackup, _lift)
 
 
 def outcome_kernel(pi1: float, rho_s: float, p_s: float, pd: float, ic: float,
@@ -136,6 +139,13 @@ def evaluate_policy(mdp: SpectrumMDP, policy: np.ndarray, cfg: SolverConfig,
     return ValueTable(values=values, converged=converged, residuals=residuals)
 
 
+def column_mask(mdp: SpectrumMDP, mode: Mode, pinned: int | None) -> np.ndarray:
+    """0 on the mode's action columns and -inf elsewhere, added to a Q table."""
+    neg = np.full(mdp.n_actions, -np.inf)
+    neg[_allowed_columns(mdp, mode, pinned)] = 0.0
+    return neg
+
+
 def value_iteration_lifted(mdp: SpectrumMDP, cfg: SolverConfig, mode: Mode = "joint",
                            pinned: int | None = None) -> tuple[ValueTable, PolicyTable]:
     """Value iteration that backs up all S per-state values on every sweep.
@@ -146,7 +156,7 @@ def value_iteration_lifted(mdp: SpectrumMDP, cfg: SolverConfig, mode: Mode = "jo
     """
     backup = _FactoredBackup(mdp)
     base, g_add = _base_rewards(mdp)
-    neg = np.where(_allowed_mask(mdp, mode, pinned), 0.0, -np.inf)
+    neg = column_mask(mdp, mode, pinned)
     values = mdp.reward_vec.copy()
     residuals: list[float] = []
     converged = False
@@ -164,6 +174,38 @@ def value_iteration_lifted(mdp: SpectrumMDP, cfg: SolverConfig, mode: Mode = "jo
     q = base + cfg.discount * backup.continuation(values) + neg
     vt = ValueTable(values=values, converged=converged, residuals=residuals)
     return vt, PolicyTable(q.argmax(axis=-1).reshape(-1))
+
+
+def value_iteration_full_columns(mdp: SpectrumMDP, cfg: SolverConfig,
+                                 mode: Mode = "joint", pinned: int | None = None
+                                 ) -> tuple[ValueTable, PolicyTable]:
+    """Block value iteration that backs up every action column on every sweep.
+
+    The mode's columns are the ones a -inf mask leaves open.  Same start,
+    stopping rule and tie rule as `cogrelay.solver.value_iteration`, which
+    stops backing up the columns that can no longer win; the two agree bit
+    for bit.
+    """
+    backup = _FactoredBackup(mdp)
+    base, g_add = _base_rewards(mdp)
+    neg = column_mask(mdp, mode, pinned)
+    step_reward = base if g_add is None else base + cfg.discount * backup.continuation(g_add)
+
+    def q(values, reward):
+        cont = backup.continuation(values)
+        return (reward + cfg.discount * cont + neg).reshape(-1, mdp.n_actions)
+
+    w = q(mdp.reward_vec, base).max(axis=-1)
+    residuals = [float(np.max(np.abs(_lift(w, g_add, mdp.n_actions) - mdp.reward_vec)))]
+    while (len(residuals) < cfg.max_iters and math.isfinite(residuals[-1])
+           and residuals[-1] > cfg.epsilon):
+        new_w = q(w, step_reward).max(axis=-1)
+        residuals.append(float(np.max(np.abs(new_w - w))))
+        w = new_w
+
+    vt = ValueTable(values=_lift(w, g_add, mdp.n_actions),
+                    converged=residuals[-1] <= cfg.epsilon, residuals=residuals)
+    return vt, PolicyTable(q(w, step_reward).argmax(axis=-1))
 
 
 def value_iteration_dense(transitions: np.ndarray, rewards: np.ndarray,

@@ -11,7 +11,7 @@ import pytest
 import cogrelay.cli as cli
 from cogrelay.config import config_hash, resolve_config
 from cogrelay.mdp import build_spectrum_mdp
-from cogrelay.solver import value_iteration
+from cogrelay.solver import extract_lookup_table, value_iteration
 
 import conftest
 
@@ -150,9 +150,21 @@ def test_solve_manifest_reports_policy_facts(tmp_path):
     histogram = manifest["action_histogram"]
     assert sum(histogram.values()) == mdp.n_states // mdp.n_actions
     assert len(histogram) == manifest["distinct_actions"]
+    assert manifest["active_actions"] == vt.active_actions
     csv_manifest, _, _ = read_output(out / "lookup.csv")
-    for key in ("first_residual", "action_histogram"):
+    for key in ("first_residual", "action_histogram", "active_actions"):
         assert csv_manifest[key] == manifest[key]
+
+    # value iteration backs up at least the columns its policy uses and at
+    # most the mode's: on the default grids 231 joint columns, one pd
+    # level's 21 ic columns, one ic level's 11 pd columns
+    for solver, allowed in (({}, 231), ({"mode": "fixed_pd", "pinned_pd": 0.5}, 21),
+                            ({"mode": "fixed_ic", "pinned_ic_db": -5.0}, 11)):
+        cfg = write_config(tmp_path, {"solver": solver}, name=f"default_{allowed}.json")
+        out = tmp_path / f"default_{allowed}"
+        assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["distinct_actions"] <= manifest["active_actions"] <= allowed
 
 
 @pytest.mark.parametrize("costs, histogram", [
@@ -177,6 +189,39 @@ def test_solve_manifest_action_histogram_on_the_default_grids(tmp_path, costs, h
     assert manifest["action_histogram"] == histogram
     assert manifest["distinct_actions"] == len(histogram)
     assert manifest["first_residual"] > manifest["final_residual"]
+
+
+def per_cell_csv(manifest, header, rows):
+    """The CSV bytes of formatting every cell on its own."""
+    lines = [cli._manifest_line(manifest), ",".join(header)]
+    lines.extend(",".join(cli._fmt(v) for v in row) for row in rows)
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_write_csv_formats_like_each_cell_on_its_own(tmp_path):
+    nan_payload = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+    edge = np.array([[-0.0, np.nan, 5e-324, 1.0],
+                     [0.0, np.inf, -5e-324, 1.0],
+                     [-0.0, -np.inf, nan_payload, 0.1 + 0.2],
+                     [0.0, np.nan, 5e-324, 0.3]])
+    rc = resolve_config(None)
+    mdp = build_spectrum_mdp(rc.grids(), rc.model_params(), rc.costs())
+    vt, pt = value_iteration(mdp, rc.solver_config())
+    lookup = extract_lookup_table(mdp, vt, pt)
+    sweep_rows = [(0.2, -5.0, 0.1, 0.123), (0.8, 5.0, 0.1, -0.0)]
+    simulate_rows = [("mu_s", 0.5, 1e-3, 0.5, 0.0), ("outcome_fa", 0.0, 0.0, 0.0, -np.inf),
+                     ("branch_mu_s_d", float("nan"), 0.0, 0.1, float("nan"))]
+    cases = [(edge, ("a", "b", "c", "d")), (lookup, cli.LOOKUP_COLUMNS),
+             (lookup[:0], cli.LOOKUP_COLUMNS),
+             (sweep_rows, ("pd", "ic_db", "rho_p", "J")),
+             (simulate_rows, ("metric", "estimate", "se", "analytical", "z")),
+             ([(1, True, "x", np.float64(2.0))], ("i", "b", "s", "f"))]
+    for rows, header in cases:
+        path = tmp_path / "out.csv"
+        cli._write_csv(path, {"n": len(rows)}, header, rows)
+        assert path.read_bytes() == per_cell_csv({"n": len(rows)}, header, rows)
+    # the edge table keeps -0.0 apart from 0.0 and formats each NaN as nan
+    assert b"\n-0.0,nan,5e-324,1.0\n0.0,inf,-5e-324,1.0\n" in per_cell_csv({}, "abcd", edge)
 
 
 def test_solve_reruns_are_byte_identical(tmp_path):

@@ -16,7 +16,7 @@ from cogrelay.solver import (LOOKUP_COLUMNS, SolverConfig, _FactoredBackup, _lif
                              policy_iteration, value_iteration)
 from oracles import (dense_rewards, evaluate_policy, evaluate_policy_dense,
                      materialize_dense, outcome_kernel, value_iteration_dense,
-                     value_iteration_lifted)
+                     value_iteration_full_columns, value_iteration_lifted)
 from tests.test_mdp import make_params, small_grids
 
 
@@ -51,6 +51,15 @@ def test_solver_config_validation():
         SolverConfig(max_iters=0)
     with pytest.raises(ValueError):
         SolverConfig(discount=1.0)
+    # NaN fails every comparison, so value iteration would stop after one
+    # sweep; a float cap would reach range() in policy iteration
+    for epsilon in (float("nan"), float("inf"), -1e-6):
+        with pytest.raises(ValueError, match="epsilon"):
+            SolverConfig(epsilon=epsilon)
+    for max_iters in (2.5, 10.0, True):
+        with pytest.raises(ValueError, match="max_iters"):
+            SolverConfig(max_iters=max_iters)
+    assert SolverConfig(max_iters=np.int64(3)).max_iters == 3
     assert SolverConfig(discount=0.0).discount == 0.0
 
 
@@ -475,6 +484,79 @@ def test_values_lie_within_the_discounted_reward_range(case):
     slack = (d * vt.final_residual + 1e-12 * max(1.0, np.abs(r).max())) / (1.0 - d)
     assert np.all(vt.values >= r.min() / (1.0 - d) - slack)
     assert np.all(vt.values <= r.max() / (1.0 - d) + slack)
+
+
+# ---------------------------------------------------------------------------
+# action elimination
+
+
+def assert_matches_full_columns(mdp, cfg, mode="joint", pinned=None):
+    """Value iteration against the full-column block iteration, bit for bit:
+    values, residual list, sweep count and block actions."""
+    vt, pt = value_iteration(mdp, cfg, mode=mode, pinned=pinned)
+    ref, ref_pt = value_iteration_full_columns(mdp, cfg, mode=mode, pinned=pinned)
+    assert vt.values.tobytes() == ref.values.tobytes()
+    assert vt.residuals == ref.residuals
+    assert vt.iterations == ref.iterations and vt.converged == ref.converged
+    assert pt.actions.dtype == ref_pt.actions.dtype
+    np.testing.assert_array_equal(pt.actions, ref_pt.actions)
+    return vt, pt
+
+
+@st.composite
+def elimination_cases(draw):
+    """A random small model, stopping rule and mode, weighted towards exact
+    ties: caps above p_av * mean_g_sp = 3 give the same power, so their
+    columns tie, and the costs may be zero and the discount 0."""
+    mdp = draw(small_models())[0]
+    ic_levels = draw(_levels(0.05, 2.9, 2))
+    if draw(st.booleans()):
+        ic_levels += (4.0, 8.0)
+    pd_levels = draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=3, unique=True))
+    actions = ActionGrids(pd_levels=tuple(sorted(pd_levels)), ic_levels=ic_levels)
+    costs = draw(st.sampled_from([CostModel(0.0, 0.0), None]))
+    if costs is None:
+        costs = CostModel(s_const=draw(st.floats(0.0, 3.0)),
+                          c_const=draw(st.floats(0.0, 3.0)))
+    mdp = build_spectrum_mdp(MdpGrids(states=mdp.grids.states, actions=actions),
+                             mdp.params, costs,
+                             reward_uses_chosen_action=mdp.reward_uses_chosen_action)
+    discount = draw(st.sampled_from([0.0, 0.9, 0.98]) | st.floats(0.5, 0.98))
+    cfg = SolverConfig(epsilon=draw(st.sampled_from([1e-6, 1e-9, 1e-12])),
+                       max_iters=4000, discount=discount)
+    mode = draw(st.sampled_from(["joint", "fixed_pd", "fixed_ic"]))
+    pinned = None if mode == "joint" else draw(st.integers(
+        0, len(actions.pd_levels if mode == "fixed_pd" else actions.ic_levels) - 1))
+    return mdp, cfg, mode, pinned
+
+
+@settings(max_examples=60, deadline=None)
+@given(elimination_cases())
+def test_action_elimination_keeps_every_float(case):
+    mdp, cfg, mode, pinned = case
+    vt, _ = assert_matches_full_columns(mdp, cfg, mode, pinned)
+    n_pd = len(mdp.grids.actions.pd_levels)
+    n_ic = len(mdp.grids.actions.ic_levels)
+    allowed = {"joint": n_pd * n_ic, "fixed_pd": n_ic, "fixed_ic": n_pd}[mode]
+    assert 1 <= vt.active_actions <= allowed
+
+
+@pytest.mark.parametrize("mode, pinned, chosen", [("joint", None, False),
+                                                  ("fixed_pd", 8, True)])
+@pytest.mark.parametrize("epsilon", [1e-6, 5e-12])
+@pytest.mark.parametrize("costs", [None, CostModel(0.0, 0.0)],
+                         ids=["default_costs", "zero_costs"])
+def test_action_elimination_keeps_every_float_on_the_default_grids(costs, epsilon,
+                                                                   mode, pinned, chosen):
+    # at pd level 8 with the chosen-action reward the greedy cap changes
+    # well after the first elimination test, so a test without its margins
+    # fails there
+    mdp, cfg = default_model(costs, chosen)
+    vt, _ = assert_matches_full_columns(mdp, dataclasses.replace(cfg, epsilon=epsilon),
+                                        mode, pinned)
+    if mode == "joint":
+        # the test ran and dropped most of the 231 columns
+        assert vt.active_actions < mdp.n_actions / 2
 
 
 # ---------------------------------------------------------------------------
