@@ -57,7 +57,6 @@ from .sim import (
     SimConfig,
     SimStats,
     analytical_reference,
-    outcome_frequency_check,
     simulate,
 )
 from .config import DEFAULT_CONFIG, ConfigError, load_config, resolve_config

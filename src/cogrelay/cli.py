@@ -26,8 +26,8 @@ import numpy as np
 
 from .config import (ConfigError, ResolvedConfig, _grid_index, nearest_index,
                      resolve_config)
-from .mdp import (ActionGrids, CostModel, MdpGrids, PowerPolicy, StateGrids,
-                  build_spectrum_mdp, validate)
+from .mdp import (ActionGrids, CostModel, MdpGrids, ModelParams, PowerPolicy,
+                  StateGrids, build_spectrum_mdp, validate)
 from .model import linear_to_db
 from .sim import analytical_reference, simulate
 from .solver import (LOOKUP_COLUMNS, SolverConfig, evaluate_policy_exact,
@@ -168,18 +168,44 @@ def cmd_solve(args: argparse.Namespace) -> int:
 # sweep
 
 
+def _pinned_values(rc: ResolvedConfig, params: ModelParams, state_grids: StateGrids,
+                   points: Sequence[tuple[float, float, float]], scfg: SolverConfig,
+                   threads: int = 1) -> list[float]:
+    """Discounted throughput of holding each point's (pd, ic) fixed, read at
+    the reporting state for the point's primary utilisation rho_p.
+
+    One model spans the distinct pd and ic values, sorted as its grids
+    require.  Each distinct (pd, ic) pair is one exact evaluation on it,
+    mapped over `threads` workers, and every point of a pair reads its J
+    from that pair's one value vector."""
+    pds = sorted({pd for pd, _, _ in points})
+    ics = sorted({ic for _, ic, _ in points})
+    grids = MdpGrids(states=state_grids, actions=ActionGrids(pds, ics))
+    blocks = [_reference_block(grids, rc, _grid_index(rp, state_grids.rho_p_levels,
+                                                      "sweep.rho_p"))
+              for _, _, rp in points]
+    mdp = build_spectrum_mdp(grids, params, rc.costs())
+    n_blocks = mdp.n_states // mdp.n_actions
+
+    def block_values(pair: tuple[float, float]) -> np.ndarray:
+        action = pds.index(pair[0]) * len(ics) + ics.index(pair[1])
+        values = evaluate_policy_exact(mdp, np.full(n_blocks, action),
+                                       scfg.discount, reward="throughput")
+        # the throughput reward has no per-state term: J repeats each block's
+        # value; a copy, so that the lifted vector is freed
+        return values[::mdp.n_actions].copy()
+
+    pairs = list(dict.fromkeys((pd, ic) for pd, ic, _ in points))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        solved = dict(zip(pairs, pool.map(block_values, pairs)))
+    return [float(solved[pd, ic][block]) for (pd, ic, _), block in zip(points, blocks)]
+
+
 def _pinned_value(rc: ResolvedConfig, state_grids: StateGrids, pd: float,
                   ic: float, rho_p: float, scfg: SolverConfig) -> float:
     """Discounted throughput of holding (pd, ic) fixed, read at the
     reporting state for the requested primary utilisation."""
-    grids = MdpGrids(states=state_grids, actions=ActionGrids((pd,), (ic,)))
-    params = rc.model_params()
-    mdp = build_spectrum_mdp(grids, params, rc.costs())
-    # singleton action: the previous-action axes have size 1, so S = B
-    values = evaluate_policy_exact(mdp, np.zeros(mdp.n_states, dtype=np.intp),
-                                   scfg.discount, reward="throughput")
-    rp_ref = _grid_index(rho_p, state_grids.rho_p_levels, "sweep.rho_p")
-    return float(values[_reference_block(grids, rc, rp_ref)])
+    return _pinned_values(rc, rc.model_params(), state_grids, [(pd, ic, rho_p)], scfg)[0]
 
 
 def _pav_point(rc: ResolvedConfig, pav: float, scfg: SolverConfig) -> tuple[float, float, bool]:
@@ -213,10 +239,9 @@ def _pav_point(rc: ResolvedConfig, pav: float, scfg: SolverConfig) -> tuple[floa
 def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         rc = resolve_config(args.config)
-        _checked_setup(rc)
+        params, grids = _checked_setup(rc)
         spec = rc.sweep_spec()
         scfg = rc.solver_config()
-        state_grids = rc.state_grids()
     except (ConfigError, ValueError) as exc:
         return _fail_config(str(exc))
 
@@ -232,9 +257,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 header = ("ic_db", "pd", "rho_p", "J")
                 points = [(pd, ic, rp) for ic in spec.grid
                           for pd in spec.pd_fixed for rp in spec.rho_p]
-            with ThreadPoolExecutor(max_workers=args.threads) as pool:
-                values = list(pool.map(
-                    lambda p: _pinned_value(rc, state_grids, *p, scfg), points))
+            values = _pinned_values(rc, params, grids.states, points, scfg, args.threads)
             rows = []
             for (pd, ic, rp), j in zip(points, values):
                 cells = {"pd": pd, "ic_db": linear_to_db(ic), "rho_p": rp, "J": j}

@@ -19,7 +19,9 @@ sees an effective cut-off beta * (p_ref / P_tx), and the interference the
 secondary imposes on the primary link scales with P_tx / p_ref.  Constrained
 transmissions therefore both survive worse and protect the primary better
 when Ic is tight.  `_outcome_terms` is the one implementation of this slot
-physics; the compiled tensors and the scalar `transition` both call it.
+physics and `_move_kernel` the one aggregation of it into the (rho_p move,
+rho_s move) law; `build_spectrum_mdp` calls both on the whole grid, once,
+and the scalar `transition` on its one slot.
 """
 
 from __future__ import annotations
@@ -323,15 +325,32 @@ def _birth_death(srv, lam: float, at_bottom, at_top) -> tuple[np.ndarray, np.nda
     return down, 1.0 - down - up, up
 
 
+def _move_kernel(dist, srv_p, srv_s, rp, rs, grids: MdpGrids,
+                 params: ModelParams) -> np.ndarray:
+    """K[mp, ms, r, u, v, a]: the probability that rho_p moves mp - 1 levels
+    and rho_s ms - 1 levels in one slot.
+
+    The outcome law dist[r, a, x] weights the product of the two queues'
+    birth-death steps, whose service probabilities are srv_p[r, v, a, x] and
+    srv_s[r, u, v, a, x].  rp and rs are the grid indices of the rho_p and
+    rho_s levels, shaped (r, 1, 1, 1) and (u, 1, 1, 1) or plain integers for
+    one slot; they place the grid edges.
+    """
+    q = params.queues
+    bdp = np.array(_birth_death(srv_p, q.lambda_p, rp == 0,
+                                rp == len(grids.states.rho_p_levels) - 1))
+    bds = np.array(_birth_death(srv_s, q.lambda_s, rs == 0,
+                                rs == len(grids.states.rho_s_levels) - 1))
+    return np.einsum("mrvax,nruvax->mnruva", dist[None, :, None] * bdp, bds)
+
+
 def transition(state: AugmentedState, action: ControlAction, grids: MdpGrids,
                params: ModelParams) -> TransitionRow:
     """One-step distribution over next augmented states under `action`.
 
-    The row is the product of the sensing-outcome distribution, the two
-    birth-death factors (whose service probabilities are the per-outcome
-    analytical throughputs) and the stationary power redraw; the applied
-    action becomes the next state's previous-action field.  Zero-probability
-    branches are dropped.
+    The row is the slot's (rho_p move, rho_s move) law from `_move_kernel`
+    times the stationary power redraw; the applied action becomes the next
+    state's previous-action field.  Zero-probability branches are dropped.
     """
     state.check(grids)
     action.check(grids)
@@ -343,13 +362,10 @@ def transition(state: AugmentedState, action: ControlAction, grids: MdpGrids,
         s.rho_p_levels[rp], s.rho_s_levels[rs], s.p_s_levels[state.p_s_idx],
         false_alarm_from_detection(pd, params.sensing), pd,
         constrained_power(params.power, ic), params)
-    q = params.queues
-    bd_p = _birth_death(srv_p, q.lambda_p, rp == 0, rp == len(s.rho_p_levels) - 1)
-    bd_s = _birth_death(srv_s, q.lambda_s, rs == 0, rs == len(s.rho_s_levels) - 1)
-
-    # (rho_p move, rho_s move, next power level), moves -1, 0, +1 in order
-    moves = np.einsum("x,mx,nx->mn", dist, np.array(bd_p), np.array(bd_s))
-    probs = moves[:, :, None] * np.array(s.p_s_stationary)
+    # the one slot is a grid box of size 1 on every axis
+    moves = _move_kernel(dist.reshape(1, 1, 4), srv_p.reshape(1, 1, 1, 4),
+                         srv_s.reshape(1, 1, 1, 1, 4), rp, rs, grids, params)
+    probs = moves.reshape(3, 3, 1) * np.array(s.p_s_stationary)
     states = tuple(
         AugmentedState(rp + mp - 1, rs + ms - 1, ps, action.pd_idx, action.ic_idx)
         for mp, ms, ps in np.argwhere(probs).tolist())
@@ -454,17 +470,17 @@ class SpectrumMDP:
     """Precompiled tensors of the slot model, indexed on the grid axes.
 
     Axis letters used in comments: r=rho_p, u=rho_s, v=P_s, a=flat action,
-    x=sensing outcome, m=move (-1, 0, +1).  Flattened, g_action is the
-    throughput part of the per-state reward, read at the previous action.
+    m=move (-1, 0, +1).  kernel is `_move_kernel` on the whole grid; the next
+    power level is a stationary redraw, so it and the grids are the whole
+    transition law.  Flattened, g_action is the throughput part of the
+    per-state reward, read at the previous action.
     """
 
     grids: MdpGrids
     params: ModelParams
     reward_uses_chosen_action: bool
     action_cost: np.ndarray       # (A,)
-    outcome_dist: np.ndarray      # (r, n_pd, x)
-    srv_p: np.ndarray             # (r, v, A, x)
-    srv_s: np.ndarray             # (r, u, v, A, x)
+    kernel: np.ndarray            # (mp, ms, r, u, v, A) move probabilities
     g_action: np.ndarray          # (r, u, v, A) throughput at a hypothetical action
     reward_vec: np.ndarray        # (S,) throughput - costs at prev action
 
@@ -483,7 +499,8 @@ def build_spectrum_mdp(grids: MdpGrids, params: ModelParams, costs: CostModel,
 
     One call of the slot physics on (rho_p, rho_s, P_s, Pd, Ic)-shaped
     inputs gives the outcome law and both service probabilities at every
-    state block and action.
+    state block and action, and one `_move_kernel` call aggregates them
+    into the transition kernel.
     """
     sg, ag = grids.states, grids.actions
     n_rp, n_rs, n_ps, n_pd, n_ic = grids.shape
@@ -499,9 +516,12 @@ def build_spectrum_mdp(grids: MdpGrids, params: ModelParams, costs: CostModel,
     dist, srv_p, srv_s = _outcome_terms(
         along(0, sg.rho_p_levels), along(1, sg.rho_s_levels), along(2, sg.p_s_levels),
         along(3, pf), along(3, pd), along(4, ps1), params)
-    dist = dist.reshape(n_rp, n_pd, 4)                          # (r, n_pd, x)
-    srv_p = srv_p.reshape(n_rp, n_ps, n_pd * n_ic, 4)           # (r, v, A, x)
-    srv_s = srv_s.reshape(n_rp, n_rs, n_ps, n_pd * n_ic, 4)     # (r, u, v, A, x)
+    # the outcome law depends on the action through pd only
+    dist = np.repeat(dist.reshape(n_rp, n_pd, 4), n_ic, axis=1)     # (r, A, x)
+    srv_p = srv_p.reshape(n_rp, n_ps, n_pd * n_ic, 4)               # (r, v, A, x)
+    srv_s = srv_s.reshape(n_rp, n_rs, n_ps, n_pd * n_ic, 4)         # (r, u, v, A, x)
+    kernel = _move_kernel(dist, srv_p, srv_s, np.arange(n_rp).reshape(-1, 1, 1, 1),
+                          np.arange(n_rs).reshape(-1, 1, 1, 1), grids, params)
 
     # throughput part of the reward for any (state coords, action) combination;
     # flattened over the prev-action axes it is exactly the per-state g term
@@ -514,6 +534,6 @@ def build_spectrum_mdp(grids: MdpGrids, params: ModelParams, costs: CostModel,
     return SpectrumMDP(
         grids=grids, params=params,
         reward_uses_chosen_action=reward_uses_chosen_action,
-        action_cost=action_cost, outcome_dist=dist, srv_p=srv_p, srv_s=srv_s,
+        action_cost=action_cost, kernel=kernel,
         g_action=g_action, reward_vec=reward_vec,
     )

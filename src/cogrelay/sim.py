@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
@@ -29,18 +28,11 @@ from .sensing import false_alarm_from_detection
 __all__ = [
     "SimConfig",
     "SimStats",
-    "ChiSquareCheck",
     "simulate",
-    "outcome_frequency_check",
     "analytical_reference",
 ]
 
 _CHUNK = 1 << 20
-
-# 0.999 quantiles of the chi-square law at the only dof the outcome check can
-# reach (four outcomes in at most two activity groups): the square of a
-# normal quantile for one, an exponential of mean 2 for two
-_CHI2_999 = {1: NormalDist().inv_cdf(0.9995) ** 2, 2: -2.0 * math.log(0.001)}
 
 
 @dataclass(frozen=True)
@@ -194,49 +186,6 @@ def simulate(cfg: SimConfig) -> SimStats:
         branch_mu_ps_se=np.array([_se(int(k), n) for k in n_branch_ps]),
         counts=c,
     )
-
-
-@dataclass(frozen=True)
-class ChiSquareCheck:
-    """Goodness-of-fit of observed sensing outcomes, conditioned on activity."""
-
-    statistic: float
-    dof: int
-    threshold: float
-    passed: bool
-
-
-def outcome_frequency_check(cfg: SimConfig, stats: SimStats | None = None) -> ChiSquareCheck:
-    """Chi-square test of the sensing-outcome counts against their law.
-
-    Conditions on the realised busy/idle split, so the expected counts are
-    n_idle * (Pf, 1-Pf) and n_busy * (1-Pd, Pd); a detector with Pd=1, Pf=0
-    is deterministic given the activity and must score exactly zero.
-    """
-    if cfg.n_slots < 10_000:
-        raise ValueError(f"need at least 1e4 slots for a stable check, got {cfg.n_slots}")
-    if stats is None:
-        stats = simulate(cfg)
-    n_busy = stats.counts["busy"]
-    n_idle = stats.n_slots - n_busy
-    observed = stats.outcome_freq * stats.n_slots
-    expected = np.array([
-        n_idle * stats.pf, n_idle * (1.0 - stats.pf),
-        n_busy * (1.0 - stats.pd), n_busy * stats.pd,
-    ])
-
-    live = expected > 0.0
-    if np.any(~live & (observed > 0.5)):
-        return ChiSquareCheck(statistic=math.inf, dof=0, threshold=0.0, passed=False)
-    groups = int(n_idle > 0) + int(n_busy > 0)
-    dof = int(live.sum()) - groups
-    statistic = float(np.sum((observed[live] - expected[live]) ** 2 / expected[live]))
-    if dof < 1:
-        return ChiSquareCheck(statistic=statistic, dof=0, threshold=0.0,
-                              passed=statistic <= 1e-9)
-    threshold = _CHI2_999[dof]
-    return ChiSquareCheck(statistic=statistic, dof=dof, threshold=threshold,
-                          passed=statistic <= threshold)
 
 
 def analytical_reference(cfg: SimConfig) -> dict[str, float | np.ndarray]:

@@ -1,10 +1,12 @@
 """Discounted value iteration and policy iteration over the augmented slot model.
 
-`_FactoredBackup` is the one production transition operator.  It exploits
-the product structure of the kernel (the continuation value of a state
-depends on its previous-action coordinates only through the applied action,
-so one backup touches each (rho_p, rho_s, P_s) block once).  `_BlockBellman`
-builds the Bellman operator on it over the blocks: every value table has
+The model's kernel K[mp, ms, r, u, v, a] is its whole transition law, up to
+the stationary power redraw, and the solvers read it through two functions:
+`_continuation` contracts it with a value table (the continuation value of
+a state depends on its previous-action coordinates only through the applied
+action, so one backup touches each (rho_p, rho_s, P_s) block once), and
+`_block_matrix` gathers it at one action per block.  `_BlockBellman` builds
+the Bellman operator on them over the blocks: every value table has
 the form V(b, prev) = W(b) + g_add(b, prev), so value iteration, policy
 iteration and `evaluate_policy_exact` all work on the B block values W and
 lift to the S states once, at the end.  A policy is one action per block:
@@ -28,7 +30,10 @@ back up all the mode's columns.
 The tests hold this route against the full-column block iteration, against
 the per-state value-iteration loop, against a dense reference built from
 the scalar `transition` rows (all in `tests/oracles.py`) and against
-brute-force policy enumeration on small instances.
+brute-force policy enumeration on small instances.  The scalar rows come
+from the model's own kernel assembly, so the dense reference checks the
+contraction and the gathers; the tests check the kernel itself against a
+scalar statement of the slot physics.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from typing import Literal
 
 import numpy as np
 
-from .mdp import SpectrumMDP, _birth_death
+from .mdp import SpectrumMDP
 
 __all__ = [
     "SolverConfig",
@@ -124,73 +129,50 @@ def _allowed_columns(mdp: SpectrumMDP, mode: Mode, pinned: int | None) -> np.nda
     raise ValueError(f"unknown mode {mode!r}")
 
 
-class _FactoredBackup:
-    """Iteration-independent tensors of the factored Bellman operator.
+def _continuation(mdp: SpectrumMDP, values: np.ndarray,
+                  kernel: np.ndarray | None = None) -> np.ndarray:
+    """E[J(next) | r, u, v, a], shape (r, u, v, A): nine shifted tensor
+    contractions of the kernel against the power-averaged value table.
 
-    K[mp, ms, r, u, v, a] aggregates the outcome distribution with both
-    birth-death factors for a (rho_p move, rho_s move) pair, so a backup is
-    nine shifted tensor contractions against the power-averaged value table.
+    `values` is a per-state table, shape (S,), or a block table W(b),
+    shape (B,), which stands for the per-state table that repeats W(b)
+    over the previous-action coordinates.  Given `kernel`, a contiguous
+    copy of some action columns of `mdp.kernel`, a block table backs up
+    over those columns only, and each entry is the same nine multiply-adds
+    as with the full kernel.
     """
+    kernel = mdp.kernel if kernel is None else kernel
+    n_rp, n_rs, n_ps = mdp.grids.shape[:3]
+    per_state = values.size == mdp.n_states
+    j = values.reshape(n_rp, n_rs, n_ps, mdp.n_actions if per_state else 1)
+    w = np.einsum("v,ruva->rua", np.array(mdp.grids.states.p_s_stationary), j)
+    wp = np.zeros((n_rp + 2, n_rs + 2, w.shape[-1]))
+    wp[1:-1, 1:-1] = w
+    cont = np.zeros(kernel.shape[2:])
+    for mp in range(3):
+        for ms in range(3):
+            shifted = wp[mp:mp + n_rp, ms:ms + n_rs]
+            cont += kernel[mp, ms] * shifted[:, :, None]
+    return cont
 
-    def __init__(self, mdp: SpectrumMDP):
-        n_rp, n_rs, n_ps, n_pd, n_ic = mdp.grids.shape
-        self.shape = (n_rp, n_rs, n_ps, n_pd * n_ic)
-        q = mdp.params.queues
 
-        # outcome distribution expanded over the flat action axis: (r, A, x)
-        dist = np.repeat(mdp.outcome_dist, n_ic, axis=1)
+def _block_matrix(mdp: SpectrumMDP, block_actions: np.ndarray) -> np.ndarray:
+    """P(b' | b, a_b) over the blocks, shape (B, B), one action per block.
 
-        # level index along the leading axis of srv_p (r) and of srv_s[r] (u)
-        r = np.arange(n_rp)[:, None, None, None]
-        u = np.arange(n_rs)[:, None, None, None]
-        bdp = np.stack(_birth_death(mdp.srv_p, q.lambda_p, r == 0, r == n_rp - 1))
-        bds = np.stack(_birth_death(mdp.srv_s, q.lambda_s, u == 0, u == n_rs - 1))
-
-        qbp = dist[None, :, None, :, :] * bdp             # (mp, r, v, A, x)
-        self.kernel = np.einsum("mrvax,nruvax->mnruva", qbp, bds)
-        self.pstat = np.array(mdp.grids.states.p_s_stationary)
-
-    def continuation(self, values: np.ndarray,
-                     kernel: np.ndarray | None = None) -> np.ndarray:
-        """E[J(next) | r, u, v, a], shape (r, u, v, A).
-
-        `values` is a per-state table, shape (S,), or a block table W(b),
-        shape (B,), which stands for the per-state table that repeats W(b)
-        over the previous-action coordinates.  Given `kernel`, a contiguous
-        copy of some action columns of K, a block table backs up over those
-        columns only, and each entry is the same nine multiply-adds as with
-        the full K.
-        """
-        n_rp, n_rs, n_ps, n_a = self.shape
-        kernel = self.kernel if kernel is None else kernel
-        per_state = values.size == n_rp * n_rs * n_ps * n_a
-        j = values.reshape(n_rp, n_rs, n_ps, n_a if per_state else 1)
-        w = np.einsum("v,ruva->rua", self.pstat, j)
-        wp = np.zeros((n_rp + 2, n_rs + 2, w.shape[-1]))
-        wp[1:-1, 1:-1] = w
-        cont = np.zeros(kernel.shape[2:])
-        for mp in range(3):
-            for ms in range(3):
-                shifted = wp[mp:mp + n_rp, ms:ms + n_rs]
-                cont += kernel[mp, ms] * shifted[:, :, None]
-        return cont
-
-    def block_matrix(self, block_actions: np.ndarray) -> np.ndarray:
-        """P(b' | b, a_b) over the blocks, shape (B, B), one action per block.
-
-        The kernel at each block's action weights the nine (rho_p, rho_s)
-        moves, and the next power level is a stationary redraw, exactly as
-        `continuation` contracts them."""
-        n_rp, n_rs, n_ps, n_a = self.shape
-        n_blocks = n_rp * n_rs * n_ps
-        blocks = np.arange(n_blocks)
-        r, u, _ = np.unravel_index(blocks, (n_rp, n_rs, n_ps))
-        k = self.kernel.reshape(3, 3, n_blocks, n_a)[:, :, blocks, block_actions]
-        moves = np.zeros((n_blocks, n_rp + 2, n_rs + 2))
-        for mp in range(3):
-            for ms in range(3):
-                moves[blocks, r + mp, u + ms] = k[mp, ms]
-        return (moves[:, 1:-1, 1:-1, None] * self.pstat).reshape(n_blocks, n_blocks)
+    The kernel at each block's action weights the nine (rho_p, rho_s)
+    moves, and the next power level is a stationary redraw, exactly as
+    `_continuation` contracts them."""
+    n_rp, n_rs, n_ps = mdp.grids.shape[:3]
+    n_blocks = n_rp * n_rs * n_ps
+    blocks = np.arange(n_blocks)
+    r, u, _ = np.unravel_index(blocks, (n_rp, n_rs, n_ps))
+    k = mdp.kernel.reshape(3, 3, n_blocks, mdp.n_actions)[:, :, blocks, block_actions]
+    moves = np.zeros((n_blocks, n_rp + 2, n_rs + 2))
+    for mp in range(3):
+        for ms in range(3):
+            moves[blocks, r + mp, u + ms] = k[mp, ms]
+    pstat = np.array(mdp.grids.states.p_s_stationary)
+    return (moves[:, 1:-1, 1:-1, None] * pstat).reshape(n_blocks, n_blocks)
 
 
 def _base_rewards(mdp: SpectrumMDP) -> tuple[np.ndarray, np.ndarray | None]:
@@ -227,7 +209,7 @@ class _BlockBellman:
 
     def __init__(self, mdp: SpectrumMDP, discount: float, columns: np.ndarray,
                  reward: Literal["full", "throughput"]):
-        self.backup = _FactoredBackup(mdp)
+        self.mdp = mdp
         if reward == "full":
             self.base, self.g_add = _base_rewards(mdp)
         elif reward == "throughput":
@@ -238,7 +220,7 @@ class _BlockBellman:
         self.n_a = mdp.n_actions
         # r(b, a) + d * E[g_add(next) | b, a]
         self.step_reward = (self.base if self.g_add is None else
-                            self.base + discount * self.backup.continuation(self.g_add))
+                            self.base + discount * _continuation(mdp, self.g_add))
         self.restrict(columns)
 
     def restrict(self, columns: np.ndarray) -> None:
@@ -246,14 +228,14 @@ class _BlockBellman:
         tensors; a subset reads contiguous copies of its slices, made here."""
         self.columns = columns
         if columns.size == self.n_a:
-            self._kernel, self._step_reward = self.backup.kernel, self.step_reward
+            self._kernel, self._step_reward = self.mdp.kernel, self.step_reward
         else:
-            self._kernel = np.ascontiguousarray(self.backup.kernel[..., columns])
+            self._kernel = np.ascontiguousarray(self.mdp.kernel[..., columns])
             self._step_reward = np.ascontiguousarray(self.step_reward[..., columns])
 
     def q(self, block_values: np.ndarray) -> np.ndarray:
         """Q(b, a) of a block table over the columns, shape (B, len(columns))."""
-        cont = self.backup.continuation(block_values, self._kernel)
+        cont = _continuation(self.mdp, block_values, self._kernel)
         return (self._step_reward + self.discount * cont).reshape(-1, self.columns.size)
 
     def q_state(self, values: np.ndarray) -> np.ndarray:
@@ -261,7 +243,7 @@ class _BlockBellman:
 
         A per-state table backs up over all actions, since its next-state
         values depend on the action taken; the solvers call this once."""
-        q = self.base + self.discount * self.backup.continuation(values)
+        q = self.base + self.discount * _continuation(self.mdp, values)
         return q[..., self.columns].reshape(-1, self.columns.size)
 
     def greedy(self, q: np.ndarray) -> np.ndarray:
@@ -272,9 +254,12 @@ class _BlockBellman:
         """W_sigma from (I - d P_sigma) W = r_sigma, one action per block."""
         r_sigma = self.step_reward.reshape(-1, self.n_a)[
             np.arange(block_actions.size), block_actions]
-        p_sigma = self.backup.block_matrix(block_actions)
-        return np.linalg.solve(np.eye(block_actions.size) - self.discount * p_sigma,
-                               r_sigma)
+        # I - d P_sigma, formed in P_sigma's own storage: -(d p) and 1 - d p
+        # are the same floats as with a separate identity matrix
+        a = _block_matrix(self.mdp, block_actions)
+        a *= -self.discount
+        a.flat[::a.shape[0] + 1] += 1.0
+        return np.linalg.solve(a, r_sigma)
 
     def lift(self, block_values: np.ndarray) -> np.ndarray:
         return _lift(block_values, self.g_add, self.n_a)
@@ -436,7 +421,7 @@ def evaluate_policy_exact(mdp: SpectrumMDP, block_actions: np.ndarray,
     n_blocks = mdp.n_states // mdp.n_actions
     if actions.shape != (n_blocks,):
         raise ValueError(f"policy must assign an action to each of {n_blocks} blocks")
-    # block_matrix gathers kernel columns, where a negative index would wrap
+    # _block_matrix gathers kernel columns, where a negative index would wrap
     if actions.min() < 0 or actions.max() >= mdp.n_actions:
         raise ValueError("policy contains out-of-range action indices")
     bellman = _BlockBellman(mdp, discount, np.arange(mdp.n_actions), reward)

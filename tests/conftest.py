@@ -3,7 +3,7 @@
 Every in-process iterative solver run in the tests must contract: the
 sup-norm residual sequence has to satisfy r_{k+1} <= discount * r_k + 1e-12.
 Every converged policy-iteration run must return a Bellman fixed point:
-sup |T V - V| <= 1e-9, with T applied here through the factored operator.
+sup |T V - V| <= 1e-9, with T applied here through the model's kernel.
 Rather than trusting each test to check this, the solver entry points (and
 the references `oracles.value_iteration_dense`,
 `oracles.value_iteration_lifted`, `oracles.value_iteration_full_columns`
@@ -72,7 +72,7 @@ def bellman_residual(mdp, values, discount, mode="joint", pinned=None) -> float:
     """sup |T V - V| of a per-state value table, T restricted as the mode says."""
     solver = cogrelay.solver
     base, g_add = solver._base_rewards(mdp)
-    q = base + discount * solver._FactoredBackup(mdp).continuation(values)
+    q = base + discount * solver._continuation(mdp, values)
     q = q[..., solver._allowed_columns(mdp, mode, pinned)]
     backed_up = solver._lift(q.max(axis=-1), g_add, mdp.n_actions)
     return float(np.max(np.abs(backed_up - values)))

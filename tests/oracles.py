@@ -1,11 +1,14 @@
 """Reference routes that the tests hold the library against.
 
 The dense solvers work on explicit (A, S, S) transition and (S, A) reward
-arrays, which `materialize_dense` builds from the scalar `transition` rows,
-so they share no transition operator with `cogrelay.solver`.
+arrays, which `materialize_dense` builds from the scalar `transition` rows.
+Those rows come from the same kernel assembly as the model's compiled
+kernel (`cogrelay.mdp._move_kernel`, run on one slot), so the dense route
+checks the solvers' contraction, gathers and lifting, not the physics.
 `outcome_kernel` states the slot physics one scalar slot at a time, apart
 from the broadcasting `cogrelay.mdp._outcome_terms` that the library
-compiles, and `reward` prices a single state from it.  `evaluate_policy`
+compiles, and `reward` prices a single state from it; with the tests'
+hand-written birth-death step they are the independent physics check.  `evaluate_policy`
 is fixed-point policy evaluation of a per-state policy, the iterative twin
 of the library's exact, block-wise `evaluate_policy_exact`.
 `value_iteration_lifted` is value iteration backing up all S per-state
@@ -15,11 +18,15 @@ every action column on every sweep, the route the library's action
 elimination replaced.  `tests/conftest.py` wraps `value_iteration_dense`,
 `value_iteration_lifted`, `value_iteration_full_columns` and
 `evaluate_policy` with the suite-wide contraction check.
+`outcome_frequency_check` is a chi-square test of a simulation's
+sensing-outcome counts against their law.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Literal
 
 import numpy as np
@@ -29,8 +36,9 @@ from cogrelay.mdp import (AugmentedState, ControlAction, CostModel, MdpGrids,
                           state_from_flat, transition)
 from cogrelay.model import success_probability
 from cogrelay.sensing import false_alarm_from_detection
+from cogrelay.sim import SimConfig, SimStats, simulate
 from cogrelay.solver import (Mode, PolicyTable, SolverConfig, ValueTable,
-                             _allowed_columns, _base_rewards, _FactoredBackup, _lift)
+                             _allowed_columns, _base_rewards, _continuation, _lift)
 
 
 def outcome_kernel(pi1: float, rho_s: float, p_s: float, pd: float, ic: float,
@@ -124,12 +132,11 @@ def evaluate_policy(mdp: SpectrumMDP, policy: np.ndarray, cfg: SolverConfig,
     this is what the operating-point sweeps report.
     """
     idx, r_pi = policy_terms(mdp, policy, reward)
-    backup = _FactoredBackup(mdp)
     values = r_pi.copy()
     residuals: list[float] = []
     converged = False
     for _ in range(cfg.max_iters):
-        new_values = r_pi + cfg.discount * backup.continuation(values)[idx]
+        new_values = r_pi + cfg.discount * _continuation(mdp, values)[idx]
         residual = float(np.max(np.abs(new_values - values)))
         residuals.append(residual)
         values = new_values
@@ -154,14 +161,13 @@ def value_iteration_lifted(mdp: SpectrumMDP, cfg: SolverConfig, mode: Mode = "jo
     `cogrelay.solver.value_iteration`, which iterates on the block values
     instead; the two differ only in rounding.
     """
-    backup = _FactoredBackup(mdp)
     base, g_add = _base_rewards(mdp)
     neg = column_mask(mdp, mode, pinned)
     values = mdp.reward_vec.copy()
     residuals: list[float] = []
     converged = False
     for _ in range(cfg.max_iters):
-        q = base + cfg.discount * backup.continuation(values) + neg
+        q = base + cfg.discount * _continuation(mdp, values) + neg
         new_values = _lift(q.max(axis=-1), g_add, mdp.n_actions)
         residual = float(np.max(np.abs(new_values - values)))
         residuals.append(residual)
@@ -171,7 +177,7 @@ def value_iteration_lifted(mdp: SpectrumMDP, cfg: SolverConfig, mode: Mode = "jo
         if residual <= cfg.epsilon:
             converged = True
             break
-    q = base + cfg.discount * backup.continuation(values) + neg
+    q = base + cfg.discount * _continuation(mdp, values) + neg
     vt = ValueTable(values=values, converged=converged, residuals=residuals)
     return vt, PolicyTable(q.argmax(axis=-1).reshape(-1))
 
@@ -186,13 +192,12 @@ def value_iteration_full_columns(mdp: SpectrumMDP, cfg: SolverConfig,
     stops backing up the columns that can no longer win; the two agree bit
     for bit.
     """
-    backup = _FactoredBackup(mdp)
     base, g_add = _base_rewards(mdp)
     neg = column_mask(mdp, mode, pinned)
-    step_reward = base if g_add is None else base + cfg.discount * backup.continuation(g_add)
+    step_reward = base if g_add is None else base + cfg.discount * _continuation(mdp, g_add)
 
     def q(values, reward):
-        cont = backup.continuation(values)
+        cont = _continuation(mdp, values)
         return (reward + cfg.discount * cont + neg).reshape(-1, mdp.n_actions)
 
     w = q(mdp.reward_vec, base).max(axis=-1)
@@ -280,3 +285,52 @@ def dense_rewards(mdp: SpectrumMDP) -> np.ndarray:
         mdp.grids.shape[:3] + (mdp.grids.shape[3] * mdp.grids.shape[4], n_actions),
     ).reshape(n_states, n_actions)
     return r.copy() if g_add is None else r + g_add[:, None]
+
+
+# 0.999 quantiles of the chi-square law at the only dof the outcome check can
+# reach (four outcomes in at most two activity groups): the square of a
+# normal quantile for one, an exponential of mean 2 for two
+_CHI2_999 = {1: NormalDist().inv_cdf(0.9995) ** 2, 2: -2.0 * math.log(0.001)}
+
+
+@dataclass(frozen=True)
+class ChiSquareCheck:
+    """Goodness-of-fit of observed sensing outcomes, conditioned on activity."""
+
+    statistic: float
+    dof: int
+    threshold: float
+    passed: bool
+
+
+def outcome_frequency_check(cfg: SimConfig, stats: SimStats | None = None) -> ChiSquareCheck:
+    """Chi-square test of the sensing-outcome counts against their law.
+
+    Conditions on the realised busy/idle split, so the expected counts are
+    n_idle * (Pf, 1-Pf) and n_busy * (1-Pd, Pd); a detector with Pd=1, Pf=0
+    is deterministic given the activity and must score exactly zero.
+    """
+    if cfg.n_slots < 10_000:
+        raise ValueError(f"need at least 1e4 slots for a stable check, got {cfg.n_slots}")
+    if stats is None:
+        stats = simulate(cfg)
+    n_busy = stats.counts["busy"]
+    n_idle = stats.n_slots - n_busy
+    observed = stats.outcome_freq * stats.n_slots
+    expected = np.array([
+        n_idle * stats.pf, n_idle * (1.0 - stats.pf),
+        n_busy * (1.0 - stats.pd), n_busy * stats.pd,
+    ])
+
+    live = expected > 0.0
+    if np.any(~live & (observed > 0.5)):
+        return ChiSquareCheck(statistic=math.inf, dof=0, threshold=0.0, passed=False)
+    groups = int(n_idle > 0) + int(n_busy > 0)
+    dof = int(live.sum()) - groups
+    statistic = float(np.sum((observed[live] - expected[live]) ** 2 / expected[live]))
+    if dof < 1:
+        return ChiSquareCheck(statistic=statistic, dof=0, threshold=0.0,
+                              passed=statistic <= 1e-9)
+    threshold = _CHI2_999[dof]
+    return ChiSquareCheck(statistic=statistic, dof=dof, threshold=threshold,
+                          passed=statistic <= threshold)

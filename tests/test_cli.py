@@ -11,6 +11,7 @@ import pytest
 import cogrelay.cli as cli
 from cogrelay.config import config_hash, resolve_config
 from cogrelay.mdp import build_spectrum_mdp
+from cogrelay.model import linear_to_db
 from cogrelay.solver import extract_lookup_table, value_iteration
 
 import conftest
@@ -336,10 +337,63 @@ def test_usage_errors_exit_1(tmp_path, capsys, argv, names):
 
 
 def test_sweep_off_grid_rho_p_fails(tmp_path, capsys):
-    doc = sweep_doc(variable="pd", grid=[0.2], ic_db=[-5.0], rho_p=[0.3])
+    doc = sweep_doc(variable="pd", grid=[0.2], ic_db=[-5.0], rho_p=[0.1, 0.3])
     cfg = write_config(tmp_path, doc)
     assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 1
-    assert "rho_p" in capsys.readouterr().err
+    assert "sweep.rho_p=0.3 is not on the configured grid" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("sweep", [
+    # an unsorted pd grid with a repeat, and two unsorted caps
+    {"variable": "pd", "grid": [0.8, 0.2, 0.8], "ic_db": [5.0, -5.0], "rho_p": [0.5, 0.1]},
+    # an unsorted cap grid against an unsorted pd list
+    {"variable": "ic", "grid_db": [5.0, -5.0, 0.0], "pd": [0.8, 0.2], "rho_p": [0.5, 0.1]},
+], ids=["pd", "ic"])
+def test_sweep_rows_match_one_pinned_model_per_point(tmp_path, sweep):
+    # the sweep solves each (pd, ic) pair once on one model over all the
+    # pairs; each row must be the J of that point's own one-action model,
+    # in the configured order
+    cfg = write_config(tmp_path, sweep_doc(**sweep))
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out), "--threads", "2"]) == 0
+    _, header, data = read_output(out / f"sweep_{sweep['variable']}.csv")
+
+    rc = resolve_config(cfg)
+    spec, scfg, sg = rc.sweep_spec(), rc.solver_config(), rc.state_grids()
+    if spec.variable == "pd":
+        points = [(pd, ic, rp) for pd in spec.grid for ic in spec.ic_fixed
+                  for rp in spec.rho_p]
+    else:
+        points = [(pd, ic, rp) for ic in spec.grid for pd in spec.pd_fixed
+                  for rp in spec.rho_p]
+    expected = []
+    for pd, ic, rp in points:
+        cells = {"pd": pd, "ic_db": linear_to_db(ic), "rho_p": rp,
+                 "J": cli._pinned_value(rc, sg, pd, ic, rp, scfg)}
+        expected.append(",".join(cli._fmt(cells[name]) for name in header))
+    assert data == expected
+
+
+def test_default_pinned_sweeps_solve_each_pair_once(tmp_path, monkeypatch):
+    calls = {"build": 0, "exact": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "build_spectrum_mdp", counted("build", cli.build_spectrum_mdp))
+    monkeypatch.setattr(cli, "evaluate_policy_exact",
+                        counted("exact", cli.evaluate_policy_exact))
+    for variable, rows, pairs in (("pd", 66, 33), ("ic", 84, 42)):
+        calls.update(build=0, exact=0)
+        cfg = write_config(tmp_path, {"sweep": {"variable": variable}}, f"{variable}.json")
+        assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+        _, _, data = read_output(tmp_path / f"sweep_{variable}.csv")
+        assert len(data) == rows
+        assert calls == {"build": 1, "exact": pairs}
 
 
 def test_sweep_empty_grid_fails(tmp_path, capsys):

@@ -13,10 +13,10 @@ from cogrelay.model import (OUTCOME_ORDER, ChannelParams, QueueParams,
 from cogrelay.sensing import SensingConfig, false_alarm_from_detection
 from cogrelay.mdp import (ActionGrids, AugmentedState, ControlAction, CostModel,
                           MdpGrids, ModelParams, PowerPolicy, StateGrids,
-                          build_spectrum_mdp, constrained_power,
+                          _outcome_terms, build_spectrum_mdp, constrained_power,
                           sensing_outcome_distribution, state_from_flat,
                           transition, truncated_exponential_levels, validate)
-from oracles import reward, state_reward
+from oracles import outcome_kernel, reward, state_reward
 
 
 def make_params(**kw):
@@ -275,10 +275,10 @@ def test_transition_mid_state_birth_death_masses():
 
 
 def test_transition_matches_hand_composed_product():
-    """Full row against an independent outcome x move x redraw composition."""
+    """Full row against an independent outcome x move x redraw composition:
+    the scalar reference physics and a hand-written birth-death step."""
     grids = small_grids()
     params = make_params()
-    mdp = build_spectrum_mdp(grids, params, CostModel())
     n_rp = len(grids.states.rho_p_levels)
     n_rs = len(grids.states.rho_s_levels)
     pstat = grids.states.p_s_stationary
@@ -289,12 +289,12 @@ def test_transition_matches_hand_composed_product():
         st = state_from_flat(int(flat), grids)
         a = int(rng.integers(0, grids.actions.n_actions))
         act = ControlAction(a // 2, a % 2)
-        pd = grids.actions.pd_levels[act.pd_idx]
-        pf = false_alarm_from_detection(pd, params.sensing)
-        dist = sensing_outcome_distribution(
-            grids.states.rho_p_levels[st.rho_p_idx], pd, pf)
-        srv_p = mdp.srv_p[st.rho_p_idx, st.p_s_idx, a]
-        srv_s = mdp.srv_s[st.rho_p_idx, st.rho_s_idx, st.p_s_idx, a]
+        dist, srv_p, srv_s = outcome_kernel(
+            grids.states.rho_p_levels[st.rho_p_idx],
+            grids.states.rho_s_levels[st.rho_s_idx],
+            grids.states.p_s_levels[st.p_s_idx],
+            grids.actions.pd_levels[act.pd_idx],
+            grids.actions.ic_levels[act.ic_idx], params)
 
         expected: dict[tuple[int, int, int], float] = {}
         for k in range(4):
@@ -361,15 +361,21 @@ def test_compiled_rewards_match_scalar_path():
 
 
 def test_compiled_detector_and_power_tables():
+    # the slot physics broadcast over the (rho_p, pd) grid, as the model
+    # build calls it, gives each cell's scalar outcome law exactly
     grids = small_grids()
     params = make_params()
-    mdp = build_spectrum_mdp(grids, params, CostModel())
+    pd_levels = grids.actions.pd_levels
+    pf = [false_alarm_from_detection(pd, params.sensing) for pd in pd_levels]
+    dist, _, _ = _outcome_terms(
+        np.reshape(grids.states.rho_p_levels, (-1, 1, 1)), 0.5, 1.0,
+        np.reshape(pf, (1, -1, 1)), np.reshape(pd_levels, (1, -1, 1)),
+        constrained_power(params.power, grids.actions.ic_levels[0]), params)
     for r, pi1 in enumerate(grids.states.rho_p_levels):
-        for i, pd in enumerate(grids.actions.pd_levels):
-            pf = false_alarm_from_detection(pd, params.sensing)
-            np.testing.assert_array_equal(mdp.outcome_dist[r, i],
-                                          sensing_outcome_distribution(pi1, pd, pf))
-    np.testing.assert_allclose(mdp.outcome_dist.sum(axis=-1), 1.0, atol=1e-12)
+        for i, pd in enumerate(pd_levels):
+            np.testing.assert_array_equal(dist[r, i],
+                                          sensing_outcome_distribution(pi1, pd, pf[i]))
+    np.testing.assert_allclose(dist.sum(axis=-1), 1.0, atol=1e-12)
 
 
 def test_compiled_throughput_tensor_flattens_to_state_vector():
@@ -388,10 +394,10 @@ def test_compiled_tensors_reduce_to_the_closed_forms_at_the_reference_power():
     """With every transmission radiated at p_ref no cut-off is rescaled.
 
     The one power level is p_ref = p_av, and every cap admits at least p_av,
-    so the constrained power is p_ref as well.  The compiled service
-    probabilities are then `model.py`'s closed forms outcome by outcome,
-    declared-busy outcomes included: those read beta_sp, set apart from
-    beta_s here.
+    so the constrained power is p_ref as well.  The service probabilities of
+    the slot physics on the model's grid are then `model.py`'s closed forms
+    outcome by outcome, declared-busy outcomes included: those read beta_sp,
+    set apart from beta_s here.  The compiled throughput is their sum.
     """
     ch = ChannelParams(gamma_s=10.0, gamma_p=10.0, gamma_sp=5.0, gamma_ps=1.0,
                        beta_s=0.5, beta_sp=0.9, beta_p=4.0)
@@ -402,7 +408,6 @@ def test_compiled_tensors_reduce_to_the_closed_forms_at_the_reference_power():
     no_relay = dataclasses.replace(
         params, queues=dataclasses.replace(params.queues, lambda_ps=0.0))
     mdp = build_spectrum_mdp(grids, params, CostModel())
-    direct_only = build_spectrum_mdp(grids, no_relay, CostModel())
     assert all(constrained_power(params.power, ic) == params.power.reference_power
                for ic in grids.actions.ic_levels)
 
@@ -420,13 +425,28 @@ def test_compiled_tensors_reduce_to_the_closed_forms_at_the_reference_power():
                 seen = 0.0 if o.declared_busy else ch.gamma_sp
                 direct[r, a, x] = success_probability(ch.beta_p, ch.gamma_p, seen) * pi1
 
+    def grid_terms(p):
+        # the slot physics on (rho_p, rho_s, flat action) with the outcome axis last
+        pd = np.repeat(grids.actions.pd_levels, n_ic)
+        pf = [false_alarm_from_detection(v, p.sensing) for v in pd]
+        ps1 = np.tile([constrained_power(p.power, v) for v in grids.actions.ic_levels],
+                      len(grids.actions.pd_levels))
+        _, srv_p, srv_s = _outcome_terms(
+            np.reshape(states.rho_p_levels, (-1, 1, 1, 1)),
+            np.reshape(states.rho_s_levels, (1, -1, 1, 1)), states.p_s_levels[0],
+            np.reshape(pf, (1, 1, -1, 1)), np.reshape(pd, (1, 1, -1, 1)),
+            np.reshape(ps1, (1, 1, -1, 1)), p)
+        return srv_p[:, 0], srv_s
+
+    srv_p, srv_s = grid_terms(params)
     rho_s = np.array(states.rho_s_levels)[None, :, None, None]
     frame = params.timing.data_fraction
-    np.testing.assert_allclose(mdp.srv_s[:, :, 0],
-                               frame * own[:, None] * rho_s * no_outage,
+    own_rate = frame * own[:, None] * rho_s * no_outage
+    np.testing.assert_allclose(srv_s, own_rate, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(mdp.g_action[:, :, 0], own_rate.sum(axis=-1),
                                rtol=1e-14, atol=0.0)
-    np.testing.assert_allclose(direct_only.srv_p[:, 0], direct, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(grid_terms(no_relay)[0], direct, rtol=1e-14, atol=0.0)
     np.testing.assert_allclose(
-        mdp.srv_p[:, 0],
+        srv_p,
         direct + relay * params.queues.rho_ps * (1.0 - no_outage),
         rtol=1e-14, atol=0.0)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from cogrelay.sim import (_CHI2_999, SimConfig, SimStats,
-                          analytical_reference, outcome_frequency_check, simulate)
+from cogrelay.sim import SimConfig, SimStats, analytical_reference, simulate
+from oracles import _CHI2_999, outcome_frequency_check
 from tests.test_mdp import make_params
 
 
