@@ -10,6 +10,13 @@ Secondary own traffic is served only outside relaying slots, which is
 exactly the split the closed-form throughput expressions integrate over, so
 the empirical averages here are an independent check of those formulas.
 
+The tally takes one pass per chunk of slots.  Each slot's facts fold into
+one 8-bit code: the sensing outcome (FA=0, NFA=1, MD=2, D=3) in bits 0-1,
+and one bit each for the own-link and relay-link passes, the two queue
+backlogs, the primary outage and the direct primary delivery.  One
+`bincount` per chunk adds the codes to a 256-bin histogram, and every count
+is then the sum of the bins whose codes satisfy its condition.
+
 All indicator averages come with binomial standard errors, the slot counts
 behind them stay in the one tally `SimStats.counts`, and a run is a pure
 function of its seed.
@@ -33,6 +40,9 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 20
+
+# flag bits of a slot code, above the outcome in bits 0-1
+_OWN, _RELAY, _QS, _QPS, _OUTAGE, _DIRECT = 4, 8, 16, 32, 64, 128
 
 
 @dataclass(frozen=True)
@@ -108,73 +118,99 @@ def _se(successes: int, n: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
 
+def _fold(code: np.ndarray, flag: np.ndarray, bit: int) -> None:
+    """Add the 0/1 slot flags to the slot codes as `bit` (overwrites flag)."""
+    flag *= bit
+    code += flag
+
+
 def simulate(cfg: SimConfig) -> SimStats:
     """Run the slot simulation and aggregate indicator averages.
 
-    Per slot and in this fixed draw order: activity, sensing decision, the
-    two queue backlogs, then the three link fades (secondary, relay,
-    primary), all from one seeded generator, so identical configurations are
-    bit-identical.
+    The run goes in chunks of `_CHUNK` slots (the last one shorter).  Each
+    chunk draws seven whole-chunk arrays from one PCG64(seed) generator, in
+    this fixed order: activity, sensing decision, the two queue backlogs
+    (secondary, relay), then the three link fades (secondary, relay,
+    primary).  Identical configurations are therefore bit-identical, and
+    `_CHUNK` and the draw order together fix every `simulate.csv`: changing
+    either changes all outputs.
     """
-    q = cfg.params.queues
-    for lam, mu, name in ((q.lambda_s, q.mu_s_max, "lambda_s"),
-                          (q.lambda_p, q.mu_p_max, "lambda_p"),
-                          (q.lambda_ps, q.mu_ps_max, "lambda_ps")):
-        if lam > mu:
-            raise ValueError(f"unstable queue (constraint 1): {name}={lam} exceeds {mu}")
-
-    ch = cfg.params.channel
+    ch, q = cfg.params.channel, cfg.params.queues
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     n = cfg.n_slots
-    pd, pf = cfg.pd, cfg.resolved_pf
-    rho_s, rho_ps = q.rho_s, q.rho_ps
+    pd, pf, pi1 = cfg.pd, cfg.resolved_pf, cfg.resolved_pi1
 
-    c = {k: 0 for k in (
-        "busy", "qs", "qps", "own_delivered", "pu_delivered",
-        "direct_served", "relayed_busy", "relayed_total")}
-    n_outcome = np.zeros(4, dtype=np.int64)
-    n_branch_s = np.zeros(4, dtype=np.int64)
-    n_branch_ps = np.zeros(4, dtype=np.int64)
+    # per-outcome cut-offs, each computed as the per-slot expression
+    # beta(declared) * (1 + gamma_ps * busy) / gamma would compute it
+    cutoff = [(ch.beta_sp if declared else ch.beta_s) * (1.0 + ch.gamma_ps * busy)
+              for declared, busy in ((True, 0.0), (False, 0.0), (False, 1.0), (True, 1.0))]
+    declare_below = np.array([pf, pd])      # indexed by busy
+    own_cut = np.array([c / ch.gamma_s for c in cutoff])
+    relay_cut = np.array([c / ch.gamma_sp for c in cutoff])
+    outage_below = ch.beta_p / ch.gamma_p
+    direct_from = ch.beta_p * (1.0 + ch.gamma_sp) / ch.gamma_p
+
+    size = min(n, _CHUNK)
+    x_buf, cut_buf = np.empty(size), np.empty(size)
+    flag_buf, outcome_buf, code_buf = (np.empty(size, np.uint8) for _ in range(3))
+    hist = np.zeros(256, dtype=np.int64)
 
     done = 0
     while done < n:
         m = min(_CHUNK, n - done)
-        busy = rng.random(m) < cfg.resolved_pi1
-        declared = rng.random(m) < np.where(busy, pd, pf)
-        qs = rng.random(m) < rho_s
-        qps = rng.random(m) < rho_ps
-        x_s = rng.exponential(1.0, m)
-        x_sp = rng.exponential(1.0, m)
-        x_p = rng.exponential(1.0, m)
+        x, cut = x_buf[:m], cut_buf[:m]
+        flag, outcome, code = flag_buf[:m], outcome_buf[:m], code_buf[:m]
 
-        # canonical outcome order: FA=0, NFA=1, MD=2, D=3
-        outcome = np.where(busy, np.where(declared, 3, 2), np.where(declared, 0, 1))
-        cutoff = np.where(declared, ch.beta_sp, ch.beta_s) * (1.0 + ch.gamma_ps * busy)
-        own_pass = x_s >= cutoff / ch.gamma_s
-        relay_pass = x_sp >= cutoff / ch.gamma_sp
+        rng.random(out=x)
+        np.less(x, pi1, out=outcome)                    # busy
+        rng.random(out=x)
+        # every index is in range; "clip" skips take's costly bounds check
+        np.take(declare_below, outcome, out=cut, mode="clip")
+        np.less(x, cut, out=flag)                       # declared busy
+        np.equal(outcome, flag, out=flag)               # declared as it is
+        outcome *= 2
+        outcome += flag                                 # FA=0, NFA=1, MD=2, D=3
+        np.copyto(code, outcome)
 
-        outage = x_p < ch.beta_p / ch.gamma_p
-        direct_ok = busy & (x_p >= ch.beta_p * (1.0 + ch.gamma_sp) / ch.gamma_p)
-        relaying = outage & qps
-        relay_delivered = relaying & relay_pass
-        own_delivered = ~outage & qs & own_pass
+        rng.random(out=x)
+        _fold(code, np.less(x, q.rho_s, out=flag), _QS)
+        rng.random(out=x)
+        _fold(code, np.less(x, q.rho_ps, out=flag), _QPS)
+        rng.standard_exponential(out=x)
+        np.take(own_cut, outcome, out=cut, mode="clip")
+        _fold(code, np.greater_equal(x, cut, out=flag), _OWN)
+        rng.standard_exponential(out=x)
+        np.take(relay_cut, outcome, out=cut, mode="clip")
+        _fold(code, np.greater_equal(x, cut, out=flag), _RELAY)
+        rng.standard_exponential(out=x)
+        _fold(code, np.less(x, outage_below, out=flag), _OUTAGE)
+        _fold(code, np.greater_equal(x, direct_from, out=flag), _DIRECT)
 
-        n_outcome += np.bincount(outcome, minlength=4)
-        n_branch_s += np.bincount(outcome[own_pass], minlength=4)
-        n_branch_ps += np.bincount(outcome[relay_pass], minlength=4)
-        c["busy"] += int(busy.sum())
-        c["qs"] += int(qs.sum())
-        c["qps"] += int(qps.sum())
-        c["own_delivered"] += int(own_delivered.sum())
-        c["pu_delivered"] += int((direct_ok | relay_delivered).sum())
-        c["direct_served"] += int(direct_ok.sum())
-        c["relayed_busy"] += int((relay_delivered & busy).sum())
-        c["relayed_total"] += int(relay_delivered.sum())
+        hist += np.bincount(code, minlength=256)
         done += m
+
+    # every tally is a sum of histogram bins over a mask of slot codes
+    codes = np.arange(256)
+    busy = codes & 2 > 0                # outcomes MD and D
+    own, relay, qs, qps, outage, direct = (
+        codes & bit > 0 for bit in (_OWN, _RELAY, _QS, _QPS, _OUTAGE, _DIRECT))
+    direct_ok = busy & direct
+    relay_delivered = outage & qps & relay
+    c = {k: int(hist[mask].sum()) for k, mask in (
+        ("busy", busy), ("qs", qs), ("qps", qps),
+        ("own_delivered", ~outage & qs & own),
+        ("pu_delivered", direct_ok | relay_delivered),
+        ("direct_served", direct_ok),
+        ("relayed_busy", relay_delivered & busy),
+        ("relayed_total", relay_delivered))}
+    by_outcome = hist.reshape(64, 4)    # rows: codes >> 2, columns: the outcome
+    n_outcome = by_outcome.sum(axis=0)
+    n_branch_s = by_outcome[own[::4]].sum(axis=0)
+    n_branch_ps = by_outcome[relay[::4]].sum(axis=0)
 
     frame = cfg.params.timing.data_fraction
     return SimStats(
-        n_slots=n, seed=cfg.seed, pd=pd, pf=pf, pi1=cfg.resolved_pi1,
+        n_slots=n, seed=cfg.seed, pd=pd, pf=pf, pi1=pi1,
         mu_s=frame * c["own_delivered"] / n,
         mu_s_se=frame * _se(c["own_delivered"], n),
         mu_p=c["pu_delivered"] / n,

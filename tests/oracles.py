@@ -19,7 +19,10 @@ elimination replaced.  `tests/conftest.py` wraps `value_iteration_dense`,
 `value_iteration_lifted`, `value_iteration_full_columns` and
 `evaluate_policy` with the suite-wide contraction check.
 `outcome_frequency_check` is a chi-square test of a simulation's
-sensing-outcome counts against their law.
+sensing-outcome counts against their law.  `simulate_reference` is the
+simulator's chunk loop written with per-slot boolean arrays and one tally
+per indicator, the route the library's slot-code histogram replaced; on the
+same draws it must give the same `SimStats`.
 """
 
 from __future__ import annotations
@@ -31,12 +34,13 @@ from typing import Literal
 
 import numpy as np
 
+import cogrelay.sim
 from cogrelay.mdp import (AugmentedState, ControlAction, CostModel, MdpGrids,
                           ModelParams, SpectrumMDP, constrained_power,
                           state_from_flat, transition)
 from cogrelay.model import success_probability
 from cogrelay.sensing import false_alarm_from_detection
-from cogrelay.sim import SimConfig, SimStats, simulate
+from cogrelay.sim import SimConfig, SimStats, _se, simulate
 from cogrelay.solver import (Mode, PolicyTable, SolverConfig, ValueTable,
                              _allowed_columns, _base_rewards, _continuation, _lift)
 
@@ -334,3 +338,77 @@ def outcome_frequency_check(cfg: SimConfig, stats: SimStats | None = None) -> Ch
     threshold = _CHI2_999[dof]
     return ChiSquareCheck(statistic=statistic, dof=dof, threshold=threshold,
                           passed=statistic <= threshold)
+
+
+def simulate_reference(cfg: SimConfig) -> SimStats:
+    """`cogrelay.sim.simulate` as per-slot boolean arrays and separate tallies.
+
+    Same generator, draw order and chunking (`cogrelay.sim._CHUNK`, read at
+    call time so a test can shrink it); each indicator is its own array and
+    each count its own sum or `bincount`.
+    """
+    q = cfg.params.queues
+    ch = cfg.params.channel
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    n = cfg.n_slots
+    pd, pf = cfg.pd, cfg.resolved_pf
+    rho_s, rho_ps = q.rho_s, q.rho_ps
+    chunk = cogrelay.sim._CHUNK
+
+    c = {k: 0 for k in (
+        "busy", "qs", "qps", "own_delivered", "pu_delivered",
+        "direct_served", "relayed_busy", "relayed_total")}
+    n_outcome = np.zeros(4, dtype=np.int64)
+    n_branch_s = np.zeros(4, dtype=np.int64)
+    n_branch_ps = np.zeros(4, dtype=np.int64)
+
+    done = 0
+    while done < n:
+        m = min(chunk, n - done)
+        busy = rng.random(m) < cfg.resolved_pi1
+        declared = rng.random(m) < np.where(busy, pd, pf)
+        qs = rng.random(m) < rho_s
+        qps = rng.random(m) < rho_ps
+        x_s = rng.exponential(1.0, m)
+        x_sp = rng.exponential(1.0, m)
+        x_p = rng.exponential(1.0, m)
+
+        # canonical outcome order: FA=0, NFA=1, MD=2, D=3
+        outcome = np.where(busy, np.where(declared, 3, 2), np.where(declared, 0, 1))
+        cutoff = np.where(declared, ch.beta_sp, ch.beta_s) * (1.0 + ch.gamma_ps * busy)
+        own_pass = x_s >= cutoff / ch.gamma_s
+        relay_pass = x_sp >= cutoff / ch.gamma_sp
+
+        outage = x_p < ch.beta_p / ch.gamma_p
+        direct_ok = busy & (x_p >= ch.beta_p * (1.0 + ch.gamma_sp) / ch.gamma_p)
+        relaying = outage & qps
+        relay_delivered = relaying & relay_pass
+        own_delivered = ~outage & qs & own_pass
+
+        n_outcome += np.bincount(outcome, minlength=4)
+        n_branch_s += np.bincount(outcome[own_pass], minlength=4)
+        n_branch_ps += np.bincount(outcome[relay_pass], minlength=4)
+        c["busy"] += int(busy.sum())
+        c["qs"] += int(qs.sum())
+        c["qps"] += int(qps.sum())
+        c["own_delivered"] += int(own_delivered.sum())
+        c["pu_delivered"] += int((direct_ok | relay_delivered).sum())
+        c["direct_served"] += int(direct_ok.sum())
+        c["relayed_busy"] += int((relay_delivered & busy).sum())
+        c["relayed_total"] += int(relay_delivered.sum())
+        done += m
+
+    frame = cfg.params.timing.data_fraction
+    return SimStats(
+        n_slots=n, seed=cfg.seed, pd=pd, pf=pf, pi1=cfg.resolved_pi1,
+        mu_s=frame * c["own_delivered"] / n,
+        mu_s_se=frame * _se(c["own_delivered"], n),
+        mu_p=c["pu_delivered"] / n,
+        mu_p_se=_se(c["pu_delivered"], n),
+        outcome_freq=n_outcome / n,
+        branch_mu_s=n_branch_s / n,
+        branch_mu_s_se=np.array([_se(int(k), n) for k in n_branch_s]),
+        branch_mu_ps=n_branch_ps / n,
+        branch_mu_ps_se=np.array([_se(int(k), n) for k in n_branch_ps]),
+        counts=c,
+    )
