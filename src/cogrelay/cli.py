@@ -18,7 +18,6 @@ import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -26,8 +25,8 @@ import numpy as np
 
 from .config import (ConfigError, ResolvedConfig, _grid_index, nearest_index,
                      resolve_config)
-from .mdp import (ActionGrids, CostModel, MdpGrids, ModelParams, PowerPolicy,
-                  StateGrids, build_spectrum_mdp, validate)
+from .mdp import (ActionGrids, CostModel, MdpGrids, ModelParams, StateGrids,
+                  build_spectrum_mdp, validate)
 from .model import linear_to_db
 from .sim import analytical_reference, simulate
 from .solver import (LOOKUP_COLUMNS, SolverConfig, evaluate_policy_exact,
@@ -95,11 +94,11 @@ def _reference_block(grids: MdpGrids, rc: ResolvedConfig, rp_ref: int) -> int:
     return int(np.ravel_multi_index((rp_ref, rs_ref, ps_ref), grids.shape[:3]))
 
 
-def _checked_setup(rc: ResolvedConfig):
-    """Build params and grids, turning any constraint breach into ConfigError."""
+def _checked_setup(rc: ResolvedConfig, p_av: float | None = None):
+    """Params and grids (at budget p_av if given); a constraint breach is a ConfigError."""
     try:
-        params = rc.model_params()
-        grids = rc.grids()
+        params = rc.model_params(p_av)
+        grids = rc.grids(p_av)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     report = validate(params, grids)
@@ -169,35 +168,32 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _pinned_values(rc: ResolvedConfig, params: ModelParams, state_grids: StateGrids,
-                   points: Sequence[tuple[float, float, float]], scfg: SolverConfig,
-                   threads: int = 1) -> list[float]:
+                   points: Sequence[tuple[float, float, float]],
+                   scfg: SolverConfig) -> list[float]:
     """Discounted throughput of holding each point's (pd, ic) fixed, read at
     the reporting state for the point's primary utilisation rho_p.
 
     One model spans the distinct pd and ic values, sorted as its grids
-    require.  Each distinct (pd, ic) pair is one exact evaluation on it,
-    mapped over `threads` workers, and every point of a pair reads its J
-    from that pair's one value vector."""
+    require, and prices each slot by the throughput of the held action with
+    no control costs.  Each distinct (pd, ic) pair is one exact evaluation
+    on it, and every point of a pair reads its J from that pair's one value
+    vector."""
     pds = sorted({pd for pd, _, _ in points})
     ics = sorted({ic for _, ic, _ in points})
     grids = MdpGrids(states=state_grids, actions=ActionGrids(pds, ics))
     blocks = [_reference_block(grids, rc, _grid_index(rp, state_grids.rho_p_levels,
                                                       "sweep.rho_p"))
               for _, _, rp in points]
-    mdp = build_spectrum_mdp(grids, params, rc.costs())
+    mdp = build_spectrum_mdp(grids, params, CostModel(s_const=0.0, c_const=0.0),
+                             reward_uses_chosen_action=True)
     n_blocks = mdp.n_states // mdp.n_actions
-
-    def block_values(pair: tuple[float, float]) -> np.ndarray:
-        action = pds.index(pair[0]) * len(ics) + ics.index(pair[1])
-        values = evaluate_policy_exact(mdp, np.full(n_blocks, action),
-                                       scfg.discount, reward="throughput")
-        # the throughput reward has no per-state term: J repeats each block's
-        # value; a copy, so that the lifted vector is freed
-        return values[::mdp.n_actions].copy()
-
-    pairs = list(dict.fromkeys((pd, ic) for pd, ic, _ in points))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        solved = dict(zip(pairs, pool.map(block_values, pairs)))
+    solved = {}
+    for pd, ic in dict.fromkeys((pd, ic) for pd, ic, _ in points):
+        action = pds.index(pd) * len(ics) + ics.index(ic)
+        values = evaluate_policy_exact(mdp, np.full(n_blocks, action), scfg.discount)
+        # the chosen-action reward has no per-state term: J repeats each
+        # block's value; a copy, so that the lifted vector is freed
+        solved[pd, ic] = values[::mdp.n_actions].copy()
     return [float(solved[pd, ic][block]) for (pd, ic, _), block in zip(points, blocks)]
 
 
@@ -209,22 +205,16 @@ def _pinned_value(rc: ResolvedConfig, state_grids: StateGrids, pd: float,
 
 
 def _pav_point(rc: ResolvedConfig, pav: float, scfg: SolverConfig) -> tuple[float, float, bool]:
-    """Joint-control throughput argmax at the reporting state for one budget.
+    """Joint-control argmax at the reporting state for one budget.
 
-    The reference power stays pinned at the configured value so cut-offs
-    keep their meaning while the budget (and the power-state grid derived
-    from it) moves.  Like the other sweeps this reports the throughput
-    objective; the absolute sensing/interference charges belong to the
-    solve command's exported values.
+    The model is `_checked_setup`'s at budget pav: the reference power
+    stays the configured one, so cut-offs keep their meaning while the
+    budget (and the power-state grid derived from it) moves.  It prices
+    `solve`'s reward at zero costs, under solver.reward_uses_chosen_action:
+    the throughput of the previous action, or of the chosen one, with no
+    sensing or interference charge.
     """
-    base_power = rc.power()
-    power = PowerPolicy(p_av=pav, mean_g_sp=base_power.mean_g_sp,
-                        p_ref=base_power.reference_power)
-    params = replace(rc.model_params(), power=power)
-    grids = rc.grids(p_av=pav)
-    report = validate(params, grids)
-    if not report.ok:
-        raise ConfigError(str(report))
+    params, grids = _checked_setup(rc, pav)
     mdp = build_spectrum_mdp(grids, params, CostModel(s_const=0.0, c_const=0.0),
                              reward_uses_chosen_action=rc.reward_uses_chosen_action())
     vt, pt = policy_iteration(mdp, scfg, mode="joint")
@@ -257,7 +247,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 header = ("ic_db", "pd", "rho_p", "J")
                 points = [(pd, ic, rp) for ic in spec.grid
                           for pd in spec.pd_fixed for rp in spec.rho_p]
-            values = _pinned_values(rc, params, grids.states, points, scfg, args.threads)
+            values = _pinned_values(rc, params, grids.states, points, scfg)
             rows = []
             for (pd, ic, rp), j in zip(points, values):
                 cells = {"pd": pd, "ic_db": linear_to_db(ic), "rho_p": rp, "J": j}
@@ -409,7 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("solve", cmd_solve, "value-iterate and export the lookup table")
     command("sweep", cmd_sweep, "evaluate operating-point sweeps").add_argument(
-        "--threads", type=positive_int, default=1, help="worker threads for sweep points")
+        "--threads", type=positive_int, default=1,
+        help="worker threads for the pav sweep's budgets; pd and ic sweeps run in one")
     command("simulate", cmd_simulate, "Monte-Carlo run with analytical z-scores").add_argument(
         "--seed", type=int, default=None, help="override the simulation seed")
     command("validate", cmd_validate, "check a configuration against constraints")

@@ -18,7 +18,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -259,22 +259,22 @@ class ResolvedConfig:
             f_s=float(s["f_s_hz"]),
         )
 
-    def power(self) -> PowerPolicy:
+    def power(self, p_av: float | None = None) -> PowerPolicy:
+        """The configured policy, or one at budget p_av that keeps the
+        configured reference power, so the cut-offs keep their meaning."""
         p = self.raw["power"]
-        return PowerPolicy(
-            p_av=db_to_linear(p["p_av_db"]),
-            mean_g_sp=float(p["mean_g_sp"]),
-            p_ref=_maybe_db(p["p_ref_db"]),
-        )
+        power = PowerPolicy(p_av=db_to_linear(p["p_av_db"]), mean_g_sp=float(p["mean_g_sp"]),
+                            p_ref=_maybe_db(p["p_ref_db"]))
+        return power if p_av is None else replace(power, p_av=p_av, p_ref=power.reference_power)
 
-    def model_params(self) -> ModelParams:
+    def model_params(self, p_av: float | None = None) -> ModelParams:
         return ModelParams(channel=self.channel(), queues=self.queues(),
                            timing=self.timing(), sensing=self.sensing(),
-                           power=self.power())
+                           power=self.power(p_av))
 
     def state_grids(self, p_av: float | None = None) -> StateGrids:
         g = self.raw["state_grids"]
-        budget = self.power().p_av if p_av is None else p_av
+        budget = self.power(p_av).p_av
         if g["p_s_levels"] is not None:
             levels = tuple(float(v) for v in g["p_s_levels"])
             if g["p_s_stationary"] is not None:
@@ -379,6 +379,11 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not self.grid:
             raise ConfigError("sweep grid must be non-empty")
+        co = {"pd": ("ic_db", self.ic_fixed), "ic": ("pd", self.pd_fixed)}
+        if self.variable in co:     # pav reads none of the co-variable lists
+            for key, values in (co[self.variable], ("rho_p", self.rho_p)):
+                if not values:
+                    raise ConfigError(f"sweep.{key} must be non-empty for {self.variable} sweeps")
         if self.variable == "pd" and not all(0.0 <= v <= 1.0 for v in self.grid):
             raise ConfigError("pd sweep values must lie in [0, 1]")
         if self.variable in ("ic", "pav") and not all(v > 0.0 for v in self.grid):

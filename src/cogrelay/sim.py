@@ -66,6 +66,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.n_slots < 1:
             raise ValueError(f"n_slots must be at least 1, got {self.n_slots}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 <= self.pd <= 1.0:
             raise ValueError(f"pd must be a probability, got {self.pd}")
         if self.pf is not None and not 0.0 <= self.pf <= 1.0:

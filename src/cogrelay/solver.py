@@ -203,19 +203,12 @@ class _BlockBellman:
     has no block form), and `evaluate` solves for the block values of one
     action per block.  Both backups cover the ascending action `columns`
     only, and `greedy` maps a column of their result back to its flat
-    action index.  reward="throughput" prices a slot by the throughput of
-    the chosen action alone, with no control costs.
+    action index.
     """
 
-    def __init__(self, mdp: SpectrumMDP, discount: float, columns: np.ndarray,
-                 reward: Literal["full", "throughput"]):
+    def __init__(self, mdp: SpectrumMDP, discount: float, columns: np.ndarray):
         self.mdp = mdp
-        if reward == "full":
-            self.base, self.g_add = _base_rewards(mdp)
-        elif reward == "throughput":
-            self.base, self.g_add = mdp.g_action, None
-        else:
-            raise ValueError(f"unknown reward selector {reward!r}")
+        self.base, self.g_add = _base_rewards(mdp)
         self.discount = discount
         self.n_a = mdp.n_actions
         # r(b, a) + d * E[g_add(next) | b, a]
@@ -312,7 +305,7 @@ def value_iteration(mdp: SpectrumMDP, cfg: SolverConfig, mode: Mode = "joint",
     an exception.  Ties in the maximisation resolve to the
     lexicographically lowest (pd index, ic index) pair.
     """
-    bellman = _BlockBellman(mdp, cfg.discount, _allowed_columns(mdp, mode, pinned), "full")
+    bellman = _BlockBellman(mdp, cfg.discount, _allowed_columns(mdp, mode, pinned))
     reward_bound = float(np.max(np.abs(bellman.step_reward[..., bellman.columns])))
     w = bellman.q_state(mdp.reward_vec).max(axis=-1)
     residuals = [float(np.max(np.abs(bellman.lift(w) - mdp.reward_vec)))]
@@ -352,7 +345,7 @@ def policy_iteration(mdp: SpectrumMDP, cfg: SolverConfig, mode: Mode = "joint",
     distance of the returned values from a Bellman fixed point; the
     returned actions are greedy with respect to the returned values.
     """
-    bellman = _BlockBellman(mdp, cfg.discount, _allowed_columns(mdp, mode, pinned), "full")
+    bellman = _BlockBellman(mdp, cfg.discount, _allowed_columns(mdp, mode, pinned))
     greedy = bellman.greedy(bellman.q_state(mdp.reward_vec))
     evaluated: set[bytes] = set()
     residuals: list[float] = []
@@ -408,14 +401,16 @@ def extract_lookup_table(mdp: SpectrumMDP, value_table: ValueTable,
 
 
 def evaluate_policy_exact(mdp: SpectrumMDP, block_actions: np.ndarray,
-                          discount: float,
-                          reward: Literal["full", "throughput"] = "full") -> np.ndarray:
-    """Exact per-state J of one action per (rho_p, rho_s, P_s) block.
+                          discount: float) -> np.ndarray:
+    """Exact per-state J of one action per (rho_p, rho_s, P_s) block, under
+    the model's own reward.
 
     Every policy the solvers make is constant on a block, so J is one
     linear solve on the B block values, lifted to the S states at the end.
     J carries no iteration-tail error, which matters when comparing sweep
-    points that differ by less than a value-iteration tolerance.
+    points that differ by less than a value-iteration tolerance.  The
+    throughput of the held action alone is the J of the model built with
+    zero costs and reward_uses_chosen_action=True.
     """
     actions = np.asarray(block_actions)
     n_blocks = mdp.n_states // mdp.n_actions
@@ -424,5 +419,5 @@ def evaluate_policy_exact(mdp: SpectrumMDP, block_actions: np.ndarray,
     # _block_matrix gathers kernel columns, where a negative index would wrap
     if actions.min() < 0 or actions.max() >= mdp.n_actions:
         raise ValueError("policy contains out-of-range action indices")
-    bellman = _BlockBellman(mdp, discount, np.arange(mdp.n_actions), reward)
+    bellman = _BlockBellman(mdp, discount, np.arange(mdp.n_actions))
     return bellman.lift(bellman.evaluate(actions))

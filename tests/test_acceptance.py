@@ -18,9 +18,9 @@ import scipy.special
 
 import cogrelay.cli as cli
 from cogrelay.config import nearest_index, resolve_config
-from cogrelay.mdp import (ActionGrids, ControlAction, MdpGrids, ModelParams,
-                          PowerPolicy, build_spectrum_mdp, state_from_flat,
-                          transition)
+from cogrelay.mdp import (ActionGrids, ControlAction, CostModel, MdpGrids,
+                          ModelParams, PowerPolicy, build_spectrum_mdp,
+                          state_from_flat, transition)
 from cogrelay.model import (OUTCOME_ORDER, ChannelParams, QueueParams,
                             SensingTiming, db_to_linear, primary_throughput,
                             relay_branch, secondary_branch,
@@ -442,9 +442,10 @@ def _operating_map(rc, pav_db: float) -> list[float]:
         values = []
         for pd in rc.action_grids().pd_levels:
             grids = MdpGrids(states=sg, actions=ActionGrids((pd,), (ic,)))
-            mdp = build_spectrum_mdp(grids, params, rc.costs())
+            mdp = build_spectrum_mdp(grids, params, CostModel(0.0, 0.0),
+                                     reward_uses_chosen_action=True)
             j = evaluate_policy_exact(mdp, np.zeros(mdp.n_states, dtype=np.intp),
-                                      scfg.discount, reward="throughput")
+                                      scfg.discount)
             values.append(float(j[flat]))
         best_pd.append(rc.action_grids().pd_levels[int(np.argmax(values))])
     return best_pd

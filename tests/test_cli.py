@@ -402,6 +402,70 @@ def test_sweep_empty_grid_fails(tmp_path, capsys):
     assert "non-empty" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sweep, key", [
+    ({"variable": "pd", "ic_db": []}, "sweep.ic_db"),
+    ({"variable": "ic", "pd": []}, "sweep.pd"),
+    ({"variable": "pd", "rho_p": []}, "sweep.rho_p"),
+])
+def test_sweep_empty_co_variable_names_its_key(tmp_path, capsys, sweep, key):
+    cfg = write_config(tmp_path, {"sweep": sweep})
+    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {key} must be non-empty" in err
+    assert "pd_levels" not in err
+    assert not any(tmp_path.glob("*.csv"))
+
+
+# J of the first, middle and last rows of the default pd and ic sweeps, bit
+# for bit, with single-threaded OpenBLAS on x86-64: the last bits of a
+# 400x400 LAPACK solve depend on the BLAS thread count
+GOLDEN_SWEEP_J = {
+    "pd": {0: "0x1.08ef6ea6a3f28p+3", 33: "0x1.176cc2ab3b2b6p+2",
+           65: "0x1.a0f052f6cc4bbp+2"},
+    "ic": {0: "0x1.0ec26ca1c5cd6p+3", 42: "0x1.a007a86437a89p+1",
+           83: "0x1.b4fe569a69245p+2"},
+}
+
+
+@pytest.mark.parametrize("variable", sorted(GOLDEN_SWEEP_J))
+def test_default_pinned_sweeps_keep_their_golden_values(tmp_path, variable):
+    env = conftest.cli_subprocess_env()
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    cfg = write_config(tmp_path, {"sweep": {"variable": variable}})
+    proc = subprocess.run([sys.executable, "-m", "cogrelay", "sweep", "--config", cfg,
+                           "--out", str(tmp_path)],
+                          capture_output=True, text=True, cwd=tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr
+    _, _, data = read_output(tmp_path / f"sweep_{variable}.csv")
+    golden = GOLDEN_SWEEP_J[variable]
+    assert len(data) == max(golden) + 1
+    for row, value in golden.items():
+        assert float(data[row].split(",")[-1]) == float.fromhex(value), row
+
+
+class _PoolStarted(Exception):
+    pass
+
+
+def _no_pool(*args, **kwargs):
+    raise _PoolStarted
+
+
+def test_only_the_budget_sweep_starts_a_pool(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, sweep_doc(variable="pd", grid=[0.2, 0.8],
+                                           ic_db=[-5.0, 5.0], rho_p=[0.1, 0.5]))
+    out1, out3 = tmp_path / "t1", tmp_path / "t3"
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out1)]) == 0
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", _no_pool)
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out3),
+                     "--threads", "3"]) == 0
+    assert (out1 / "sweep_pd.csv").read_bytes() == (out3 / "sweep_pd.csv").read_bytes()
+    pav = write_config(tmp_path, sweep_doc(variable="pav", grid_db=[0.0]), "pav.json")
+    with pytest.raises(_PoolStarted):
+        cli.main(["sweep", "--config", pav, "--out", str(tmp_path / "pav"),
+                  "--threads", "3"])
+
+
 def sim_doc(n_slots=100_000, seed=7):
     doc = small_model()
     del doc["solver"]
@@ -432,6 +496,21 @@ def test_simulate_seed_override_and_determinism(tmp_path):
     m1, _, _ = read_output(out1 / "simulate.csv")
     assert m1["seed"] == 123
     assert (out1 / "simulate.csv").read_bytes() == (out2 / "simulate.csv").read_bytes()
+
+
+@pytest.mark.parametrize("seed, flag", [(7, "-1"), (-3, None)],
+                         ids=["flag", "config"])
+def test_simulate_negative_seed_fails_naming_it(tmp_path, seed, flag):
+    argv = [sys.executable, "-m", "cogrelay", "simulate", "--out", str(tmp_path),
+            "--config", write_config(tmp_path, sim_doc(n_slots=1000, seed=seed))]
+    if flag is not None:
+        argv += ["--seed", flag]
+    proc = subprocess.run(argv, capture_output=True, text=True, cwd=tmp_path,
+                          env=conftest.cli_subprocess_env())
+    assert proc.returncode == 1, proc.stderr
+    assert f"error: seed must be non-negative, got {flag or seed}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not any(tmp_path.glob("*.csv"))
 
 
 def test_simulate_flags_statistical_disagreement(tmp_path, monkeypatch):

@@ -118,6 +118,9 @@ def test_sweep_spec_strictness():
         resolve_config({"sweep": {"variable": "power"}}).sweep_spec()
     with pytest.raises(ConfigError, match=r"lie in \[0, 1\]"):
         resolve_config({"sweep": {"grid": [0.5, 1.5]}}).sweep_spec()
+    # the budget sweep reads none of the co-variable lists
+    resolve_config({"sweep": {"variable": "pav", "ic_db": [], "pd": [],
+                              "rho_p": []}}).sweep_spec()
 
 
 def test_sim_config_resolution_and_seed_override():

@@ -17,8 +17,9 @@ from cogrelay.solver import (LOOKUP_COLUMNS, SolverConfig, _continuation, _lift,
                              evaluate_policy_exact, extract_lookup_table,
                              policy_iteration, value_iteration)
 from oracles import (dense_rewards, evaluate_policy, evaluate_policy_dense,
-                     materialize_dense, outcome_kernel, value_iteration_dense,
-                     value_iteration_full_columns, value_iteration_lifted)
+                     materialize_dense, outcome_kernel, policy_terms,
+                     value_iteration_dense, value_iteration_full_columns,
+                     value_iteration_lifted)
 from tests.test_mdp import _hand_birth_death, make_params, small_grids
 
 
@@ -36,6 +37,20 @@ def random_block_policy(mdp, rng):
 def lifted(mdp, block_actions):
     """The per-state policy that repeats each block's action."""
     return np.repeat(block_actions, mdp.n_actions)
+
+
+def throughput_twin(mdp):
+    """The model whose reward is the throughput of the chosen action alone:
+    zero costs and the chosen-action reward."""
+    return build_spectrum_mdp(mdp.grids, mdp.params, CostModel(0.0, 0.0),
+                              reward_uses_chosen_action=True)
+
+
+def library_values(mdp, block_actions, discount, reward):
+    """evaluate_policy_exact under the oracles' reward selector: the model
+    itself for "full", its throughput twin for "throughput"."""
+    model = throughput_twin(mdp) if reward == "throughput" else mdp
+    return evaluate_policy_exact(model, block_actions, discount=discount)
 
 
 def singleton_mdp(rho_s=0.5, costs=CostModel(0.0, 0.0), p_s_levels=(1.0,),
@@ -335,23 +350,23 @@ def test_exact_policy_evaluation_matches_iterative():
                                 SolverConfig(epsilon=1e-12, discount=d))
     exact = evaluate_policy_exact(mdp, actions, discount=d)
     np.testing.assert_allclose(iterative.values, exact, atol=1e-10)
-    throughput = evaluate_policy_exact(mdp, actions, discount=d,
-                                       reward="throughput")
+    iterative = evaluate_policy(mdp, lifted(mdp, actions),
+                                SolverConfig(epsilon=1e-12, discount=d),
+                                reward="throughput")
+    throughput = evaluate_policy_exact(throughput_twin(mdp), actions, discount=d)
+    np.testing.assert_allclose(iterative.values, throughput, atol=1e-10)
     assert np.all(throughput >= -1e-15)
 
 
 def scalar_row_oracle(mdp, actions, discount, reward="full"):
-    """J_pi and r_pi from the dense arrays built out of scalar transition rows.
-
-    The throughput reward is the chosen-action reward of the same model
-    with zero costs, so that case reads the dense arrays of that twin.
-    """
-    if reward == "throughput":
-        mdp = build_spectrum_mdp(mdp.grids, mdp.params, CostModel(0.0, 0.0),
-                                 reward_uses_chosen_action=True)
-    p, r = materialize_dense(mdp)
-    r_pi = r[np.arange(mdp.n_states), actions]
-    return evaluate_policy_dense(p, r, actions, discount), r_pi
+    """J_pi and r_pi of a per-state policy: P_pi from the dense transitions
+    built out of scalar transition rows, r_pi from the oracles' reward
+    selector (reward="throughput" prices the held action's throughput with
+    no costs, read from the model itself, not from its twin)."""
+    p, _ = materialize_dense(mdp)
+    _, r_pi = policy_terms(mdp, actions, reward)
+    p_pi = p[actions, np.arange(mdp.n_states)]
+    return np.linalg.solve(np.eye(mdp.n_states) - discount * p_pi, r_pi), r_pi
 
 
 @pytest.mark.parametrize("chosen", [False, True])
@@ -362,7 +377,7 @@ def test_exact_policy_evaluation_matches_scalar_row_oracle(chosen, reward):
     for d in (0.5, 0.95):
         actions = random_block_policy(mdp, rng)
         assert np.unique(actions).size > 1
-        exact = evaluate_policy_exact(mdp, actions, discount=d, reward=reward)
+        exact = library_values(mdp, actions, d, reward)
         oracle, _ = scalar_row_oracle(mdp, lifted(mdp, actions), d, reward)
         np.testing.assert_allclose(exact, oracle, rtol=1e-12, atol=1e-12)
 
@@ -388,7 +403,7 @@ def _levels(lo, hi, max_size):
 
 @st.composite
 def small_models(draw):
-    """A random small slot model, reward selector, discount and block policy.
+    """A random small slot model, oracle reward selector, discount and block policy.
 
     The channel is drawn too, with beta_sp free of beta_s, and the reference
     power p_ref is left at p_av or drawn apart from it.
@@ -428,7 +443,7 @@ def small_models(draw):
 @given(small_models())
 def test_exact_policy_evaluation_properties(case):
     mdp, actions, reward, d = case
-    exact = evaluate_policy_exact(mdp, actions, discount=d, reward=reward)
+    exact = library_values(mdp, actions, d, reward)
     oracle, r_pi = scalar_row_oracle(mdp, lifted(mdp, actions), d, reward)
     scale = max(1.0, float(np.max(np.abs(r_pi)))) / (1.0 - d)
     np.testing.assert_allclose(exact, oracle, rtol=0.0, atol=1e-12 * scale)
