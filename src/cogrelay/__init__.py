@@ -29,15 +29,12 @@ from .sensing import (
 )
 from .mdp import (
     ActionGrids,
-    AugmentedState,
-    ControlAction,
     CostModel,
     MdpGrids,
     ModelParams,
     PowerPolicy,
     SpectrumMDP,
     StateGrids,
-    TransitionRow,
     build_spectrum_mdp,
     constrained_power,
     sensing_outcome_distribution,

@@ -3,8 +3,9 @@
 Every output is a plain CSV whose first line is a ``#``-prefixed JSON
 manifest carrying the fully resolved configuration and its SHA-256 hash, so
 a file is traceable to the exact run that produced it and reruns with the
-same configuration and seed are byte-identical.  Wall-clock timings go to
-stdout only, never into files.
+same configuration and seed are byte-identical at a fixed BLAS thread count
+(the sweeps' linear solves round differently under different ones).
+Wall-clock timings go to stdout only, never into files.
 
 Exit codes: 0 success, 1 invalid or unstable configuration, 2 solver hit its
 iteration cap, 3 simulation disagrees with the analytical model.

@@ -135,6 +135,9 @@ _NULLABLE: dict[str, type] = {
     "sweep.grid_db": list,
 }
 
+# Integer slots with a lower bound, checked where the document is read.
+_AT_LEAST: dict[str, int] = {"state_grids.n_power_levels": 1}
+
 _KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number",
                str: "a string", list: "a list of numbers"}
 
@@ -144,7 +147,9 @@ def _check_leaf(value: Any, kind: type, here: str) -> None:
     any finite number, an int slot an integral one, a list slot a list of
     finite numbers.  NaN, +-Infinity (or an integer too large for a float)
     and booleans outside boolean slots get their own messages (JSON parsing
-    lets all of them through as numbers)."""
+    lets all of them through as numbers).  A value in a slot whose key ends
+    in ``_db`` must convert to a finite linear value, and a slot in
+    `_AT_LEAST` must reach its bound."""
     if isinstance(value, bool) and kind is not bool:
         raise ConfigError(
             f"config key {here} must not be a boolean, got {json.dumps(value)}")
@@ -163,6 +168,15 @@ def _check_leaf(value: Any, kind: type, here: str) -> None:
     if not ok:
         raise ConfigError(f"config key {here} must be {_KIND_NAMES[kind]}, "
                           f"got {json.dumps(value, default=repr)}")
+    if here.partition("[")[0].endswith("_db"):
+        try:
+            db_to_linear(value)
+        except OverflowError:
+            raise ConfigError(f"config key {here} is too large a dB value, "
+                              f"got {json.dumps(value)}") from None
+    if here in _AT_LEAST and value < _AT_LEAST[here]:
+        raise ConfigError(f"config key {here} must be at least {_AT_LEAST[here]}, "
+                          f"got {json.dumps(value)}")
 
 
 def _merge(defaults: Mapping[str, Any], given: Mapping[str, Any], path: str) -> dict[str, Any]:

@@ -2,8 +2,10 @@
 
 State is the augmented tuple (rho_p, rho_s, P_s; Pd', Ic'): the two queue
 utilisations, the secondary power state, and the action applied in the
-previous slot.  Actions are (Pd, Ic) pairs on finite grids.  The PU activity
-pi_1 is identified with the rho_p state level.
+previous slot.  Actions are (Pd, Ic) pairs on finite grids.  Both are flat
+integers: a state indexes `MdpGrids.shape` in C order, and an action its
+last two axes, pd index * n_ic + ic index.  The PU activity pi_1 is
+identified with the rho_p state level.
 
 Slot dynamics are a product of independent factors:
   * the four-way sensing outcome drawn from the (pi_1, Pd, Pf) distribution,
@@ -40,12 +42,9 @@ __all__ = [
     "StateGrids",
     "ActionGrids",
     "MdpGrids",
-    "AugmentedState",
-    "ControlAction",
     "CostModel",
     "PowerPolicy",
     "ModelParams",
-    "TransitionRow",
     "Violation",
     "ValidationReport",
     "constrained_power",
@@ -136,55 +135,6 @@ class MdpGrids:
 
 
 @dataclass(frozen=True)
-class AugmentedState:
-    """Grid indices of (rho_p, rho_s, P_s; previous Pd, previous Ic)."""
-
-    rho_p_idx: int
-    rho_s_idx: int
-    p_s_idx: int
-    prev_pd_idx: int
-    prev_ic_idx: int
-
-    def check(self, grids: MdpGrids) -> None:
-        shape = grids.shape
-        idx = (self.rho_p_idx, self.rho_s_idx, self.p_s_idx, self.prev_pd_idx, self.prev_ic_idx)
-        for i, (k, n) in enumerate(zip(idx, shape)):
-            if not 0 <= k < n:
-                raise ValueError(f"state index {idx} out of range for grid shape {shape} (axis {i})")
-
-    def flat_index(self, grids: MdpGrids) -> int:
-        _, n_rs, n_ps, n_pd, n_ic = grids.shape
-        return (((self.rho_p_idx * n_rs + self.rho_s_idx) * n_ps + self.p_s_idx)
-                * n_pd + self.prev_pd_idx) * n_ic + self.prev_ic_idx
-
-
-def state_from_flat(index: int, grids: MdpGrids) -> AugmentedState:
-    n_rp, n_rs, n_ps, n_pd, n_ic = grids.shape
-    if not 0 <= index < grids.n_states:
-        raise ValueError(f"flat state index {index} out of range")
-    index, ic = divmod(index, n_ic)
-    index, pd = divmod(index, n_pd)
-    index, ps = divmod(index, n_ps)
-    rp, rs = divmod(index, n_rs)
-    return AugmentedState(rp, rs, ps, pd, ic)
-
-
-@dataclass(frozen=True)
-class ControlAction:
-    pd_idx: int
-    ic_idx: int
-
-    def check(self, grids: MdpGrids) -> None:
-        if not 0 <= self.pd_idx < len(grids.actions.pd_levels):
-            raise ValueError(f"pd_idx {self.pd_idx} out of range")
-        if not 0 <= self.ic_idx < len(grids.actions.ic_levels):
-            raise ValueError(f"ic_idx {self.ic_idx} out of range")
-
-    def flat_index(self, grids: MdpGrids) -> int:
-        return self.pd_idx * len(grids.actions.ic_levels) + self.ic_idx
-
-
-@dataclass(frozen=True)
 class CostModel:
     """Linear per-slot control costs: s_const * Pd and c_const * Ps(1)."""
 
@@ -230,17 +180,6 @@ class ModelParams:
     timing: SensingTiming
     sensing: SensingConfig
     power: PowerPolicy
-
-
-@dataclass(frozen=True)
-class TransitionRow:
-    """Sparse one-step distribution: parallel lists of states and probabilities."""
-
-    states: tuple[AugmentedState, ...]
-    probabilities: tuple[float, ...]
-
-    def total(self) -> float:
-        return sum(self.probabilities)
 
 
 # ---------------------------------------------------------------------------
@@ -344,32 +283,34 @@ def _move_kernel(dist, srv_p, srv_s, rp, rs, grids: MdpGrids,
     return np.einsum("mrvax,nruvax->mnruva", dist[None, :, None] * bdp, bds)
 
 
-def transition(state: AugmentedState, action: ControlAction, grids: MdpGrids,
-               params: ModelParams) -> TransitionRow:
-    """One-step distribution over next augmented states under `action`.
+def transition(state: int, action: int, grids: MdpGrids,
+               params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """One-step distribution over next states under `action`.
 
-    The row is the slot's (rho_p move, rho_s move) law from `_move_kernel`
-    times the stationary power redraw; the applied action becomes the next
-    state's previous-action field.  Zero-probability branches are dropped.
+    `state` is a flat index over `grids.shape` and `action` a flat action
+    index, pd index * n_ic + ic index; either out of range is a ValueError.
+    Returns (next_states, probabilities): the flat next-state indices and
+    their probabilities, zero-probability branches dropped.  The row is the
+    slot's (rho_p move, rho_s move) law from `_move_kernel` times the
+    stationary power redraw; the applied action becomes the next state's
+    previous-action field.
     """
-    state.check(grids)
-    action.check(grids)
     s = grids.states
-    rp, rs = state.rho_p_idx, state.rho_s_idx
-    pd = grids.actions.pd_levels[action.pd_idx]
-    ic = grids.actions.ic_levels[action.ic_idx]
+    rp, rs, ps, _, _ = np.unravel_index(state, grids.shape)
+    pd_i, ic_i = np.unravel_index(action, grids.shape[3:])
+    pd = grids.actions.pd_levels[pd_i]
     dist, srv_p, srv_s = _outcome_terms(
-        s.rho_p_levels[rp], s.rho_s_levels[rs], s.p_s_levels[state.p_s_idx],
+        s.rho_p_levels[rp], s.rho_s_levels[rs], s.p_s_levels[ps],
         false_alarm_from_detection(pd, params.sensing), pd,
-        constrained_power(params.power, ic), params)
+        constrained_power(params.power, grids.actions.ic_levels[ic_i]), params)
     # the one slot is a grid box of size 1 on every axis
     moves = _move_kernel(dist.reshape(1, 1, 4), srv_p.reshape(1, 1, 1, 4),
                          srv_s.reshape(1, 1, 1, 1, 4), rp, rs, grids, params)
     probs = moves.reshape(3, 3, 1) * np.array(s.p_s_stationary)
-    states = tuple(
-        AugmentedState(rp + mp - 1, rs + ms - 1, ps, action.pd_idx, action.ic_idx)
-        for mp, ms, ps in np.argwhere(probs).tolist())
-    return TransitionRow(states=states, probabilities=tuple(probs[probs != 0.0].tolist()))
+    mp, ms, ps_next = np.nonzero(probs)
+    next_states = np.ravel_multi_index(
+        (rp + mp - 1, rs + ms - 1, ps_next, pd_i, ic_i), grids.shape)
+    return next_states, probs[mp, ms, ps_next]
 
 
 # ---------------------------------------------------------------------------

@@ -378,15 +378,10 @@ def extract_lookup_table(mdp: SpectrumMDP, value_table: ValueTable,
 
     Each block's greedy action is repeated over its previous-action states."""
     sg, ag = mdp.grids.states, mdp.grids.actions
-    n_ic = len(ag.ic_levels)
-
-    flat = np.arange(mdp.n_states)
-    rem, ic_i = np.divmod(flat, n_ic)
-    rem, pd_i = np.divmod(rem, len(ag.pd_levels))
-    rem, ps_i = np.divmod(rem, len(sg.p_s_levels))
-    rp_i, rs_i = np.divmod(rem, len(sg.rho_s_levels))
-
-    pd_opt, ic_opt = np.divmod(np.repeat(policy_table.actions, mdp.n_actions), n_ic)
+    shape = mdp.grids.shape
+    rp_i, rs_i, ps_i, pd_i, ic_i = np.unravel_index(np.arange(mdp.n_states), shape)
+    pd_opt, ic_opt = np.unravel_index(np.repeat(policy_table.actions, mdp.n_actions),
+                                      shape[3:])
 
     return np.column_stack([
         np.array(sg.rho_p_levels)[rp_i],

@@ -35,9 +35,8 @@ from typing import Literal
 import numpy as np
 
 import cogrelay.sim
-from cogrelay.mdp import (AugmentedState, ControlAction, CostModel, MdpGrids,
-                          ModelParams, SpectrumMDP, constrained_power,
-                          state_from_flat, transition)
+from cogrelay.mdp import (CostModel, MdpGrids, ModelParams, SpectrumMDP,
+                          constrained_power, transition)
 from cogrelay.model import success_probability
 from cogrelay.sensing import false_alarm_from_detection
 from cogrelay.sim import SimConfig, SimStats, _se, simulate
@@ -79,29 +78,22 @@ def outcome_kernel(pi1: float, rho_s: float, p_s: float, pd: float, ic: float,
     return dist, srv_p, srv_s
 
 
-def reward(state: AugmentedState, grids: MdpGrids, params: ModelParams,
+def reward(state: int, grids: MdpGrids, params: ModelParams,
            costs: CostModel) -> float:
-    """Immediate reward of an augmented state.
+    """Immediate reward of a flat augmented state.
 
     Expected secondary throughput of the slot (the outcome-weighted
     closed-form branch values, with the state's rho_s as the backlog
     probability and the stored previous action fixing Pd, Pf and Ic),
     minus the detection cost s*Pd and the interference cost c*Ps(1).
     """
-    state.check(grids)
+    rp, rs, ps, pd_i, ic_i = np.unravel_index(state, grids.shape)
     s, a = grids.states, grids.actions
-    pd = a.pd_levels[state.prev_pd_idx]
-    ic = a.ic_levels[state.prev_ic_idx]
-    _, _, srv_s = outcome_kernel(s.rho_p_levels[state.rho_p_idx],
-                                 s.rho_s_levels[state.rho_s_idx],
-                                 s.p_s_levels[state.p_s_idx], pd, ic, params)
+    pd, ic = a.pd_levels[pd_i], a.ic_levels[ic_i]
+    _, _, srv_s = outcome_kernel(s.rho_p_levels[rp], s.rho_s_levels[rs],
+                                 s.p_s_levels[ps], pd, ic, params)
     return (float(np.sum(srv_s)) - costs.s_const * pd
             - costs.c_const * constrained_power(params.power, ic))
-
-
-def state_reward(mdp: SpectrumMDP, state: AugmentedState) -> float:
-    """The compiled reward vector's entry at an augmented state."""
-    return float(mdp.reward_vec[state.flat_index(mdp.grids)])
 
 
 def policy_terms(mdp: SpectrumMDP, policy: np.ndarray,
@@ -268,15 +260,11 @@ def materialize_dense(mdp: SpectrumMDP) -> tuple[np.ndarray, np.ndarray]:
     five grid sizes, so keep the grids tiny.
     """
     n_states, n_actions = mdp.n_states, mdp.n_actions
-    n_ic = len(mdp.grids.actions.ic_levels)
     p = np.zeros((n_actions, n_states, n_states))
     for s in range(n_states):
-        state = state_from_flat(s, mdp.grids)
         for a in range(n_actions):
-            action = ControlAction(a // n_ic, a % n_ic)
-            row = transition(state, action, mdp.grids, mdp.params)
-            for nxt, prob in zip(row.states, row.probabilities):
-                p[a, s, nxt.flat_index(mdp.grids)] += prob
+            next_states, probs = transition(s, a, mdp.grids, mdp.params)
+            p[a, s, next_states] = probs
     return p, dense_rewards(mdp)
 
 

@@ -104,6 +104,24 @@ def test_values_of_the_wrong_kind_exit_1_naming_the_key(tmp_path, capsys, doc, p
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, doc, path", [
+    ("validate", {"action_grids": {"ic_levels_db": [-15.0, 5000.0]}},
+     "action_grids.ic_levels_db[1]"),
+    ("validate", {"power": {"p_ref_db": 4000.0}}, "power.p_ref_db"),
+    ("validate", {"sensing": {"gamma_se_db": 4000.0}}, "sensing.gamma_se_db"),
+    ("sweep", {"sweep": {"variable": "pav", "grid_db": [0.0, 4000.0]}}, "sweep.grid_db[1]"),
+    ("validate", {"state_grids": {"n_power_levels": 0}}, "state_grids.n_power_levels"),
+])
+def test_out_of_range_values_exit_1_naming_the_key(tmp_path, capsys, command, doc, path):
+    # a dB value whose linear form overflows a float, and an empty power grid
+    cfg = write_config(tmp_path, doc)
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: config key {path} ")
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "out").exists()
+
+
 def test_solve_exports_lookup_and_manifest(tmp_path):
     cfg = write_config(tmp_path, small_model())
     out = tmp_path / "run1"

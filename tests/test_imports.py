@@ -47,6 +47,34 @@ def test_module_reads_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def stale_exports(source: str) -> list[str]:
+    """Names in ``__all__`` that the module neither defines nor imports at
+    its top level, which ``from module import *`` would fail on."""
+    tree = ast.parse(source)
+    bound: set[str] = set()
+    exported: list[str] = []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(stmt.name)
+        elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            bound.update(a.asname or a.name.split(".")[0] for a in stmt.names)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            bound.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                exported = ast.literal_eval(stmt.value)
+    return [name for name in exported if name not in bound]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_defines_every_name_it_exports(path):
+    assert stale_exports(path.read_text()) == []
+
+
+def test_stale_export_check_catches_a_leftover_name():
+    assert stale_exports("import os\n__all__ = ['os', 'f', 'Gone']\ndef f(): pass\n") == ["Gone"]
+
+
 # ---------------------------------------------------------------------------
 # reachability
 

@@ -11,12 +11,12 @@ from cogrelay.model import (OUTCOME_ORDER, ChannelParams, QueueParams,
                             SensingTiming, relay_branch, secondary_branch,
                             success_probability)
 from cogrelay.sensing import SensingConfig, false_alarm_from_detection
-from cogrelay.mdp import (ActionGrids, AugmentedState, ControlAction, CostModel,
-                          MdpGrids, ModelParams, PowerPolicy, StateGrids,
-                          _outcome_terms, build_spectrum_mdp, constrained_power,
-                          sensing_outcome_distribution, state_from_flat,
-                          transition, truncated_exponential_levels, validate)
-from oracles import outcome_kernel, reward, state_reward
+from cogrelay.mdp import (ActionGrids, CostModel, MdpGrids, ModelParams,
+                          PowerPolicy, StateGrids, _outcome_terms,
+                          build_spectrum_mdp, constrained_power,
+                          sensing_outcome_distribution, transition,
+                          truncated_exponential_levels, validate)
+from oracles import outcome_kernel, reward
 
 
 def make_params(**kw):
@@ -97,17 +97,23 @@ def test_truncated_exponential_levels():
 
 
 def test_flat_index_round_trip():
+    # every next state of every row decodes to a block one rho_p step and one
+    # rho_s step away at most, at any power level, carrying the applied action
     grids = small_grids()
-    for flat in range(grids.n_states):
-        st = state_from_flat(flat, grids)
-        st.check(grids)
-        assert st.flat_index(grids) == flat
-    with pytest.raises(ValueError):
-        state_from_flat(grids.n_states, grids)
-    with pytest.raises(ValueError):
-        AugmentedState(3, 0, 0, 0, 0).check(grids)
-    with pytest.raises(ValueError):
-        ControlAction(2, 0).check(grids)
+    params = make_params()
+    n_ps = len(grids.states.p_s_levels)
+    for state in range(grids.n_states):
+        rp, rs = np.unravel_index(state, grids.shape)[:2]
+        for action in range(grids.actions.n_actions):
+            next_states, _ = transition(state, action, grids, params)
+            nrp, nrs, nps, npd, nic = np.unravel_index(next_states, grids.shape)
+            assert np.all(np.abs(nrp - rp) <= 1) and np.all(np.abs(nrs - rs) <= 1)
+            assert set(nps.tolist()) == set(range(n_ps))
+            assert np.all(np.ravel_multi_index((npd, nic), grids.shape[3:]) == action)
+    for state, action in ((grids.n_states, 0), (-1, 0),
+                          (0, grids.actions.n_actions), (0, -1)):
+        with pytest.raises(ValueError):
+            transition(state, action, grids, params)
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +173,8 @@ def test_reward_empty_secondary_queue_is_pure_cost():
     grids = MdpGrids(states=states, actions=ActionGrids((0.6,), (0.8,)))
     params = make_params()
     costs = CostModel(s_const=2.0, c_const=3.0)
-    st = AugmentedState(0, 0, 0, 0, 0)
     expected = -(2.0 * 0.6 + 3.0 * constrained_power(params.power, 0.8))
-    assert reward(st, grids, params, costs) == pytest.approx(expected, abs=1e-15)
+    assert reward(0, grids, params, costs) == pytest.approx(expected, abs=1e-15)
 
 
 def test_reward_frozen_composition():
@@ -181,15 +186,15 @@ def test_reward_frozen_composition():
     states = StateGrids(rho_p_levels=(0.0, 0.5), rho_s_levels=(0.625,),
                         p_s_levels=(1.0,), p_s_stationary=(1.0,))
     grids = MdpGrids(states=states, actions=ActionGrids((0.0,), (1.0,)))
-    st = AugmentedState(0, 0, 0, 0, 0)
-    out = reward(st, grids, params, CostModel(0.0, 0.0))
+    out = reward(0, grids, params, CostModel(0.0, 0.0))
     assert out == pytest.approx(0.39586637039073231, rel=1e-12)
 
 
 def test_reward_cost_terms_are_linear():
     grids = small_grids(pd_levels=(0.5, 1.0), ic_levels=(0.1, 2.0))
     params = make_params()
-    st = AugmentedState(1, 1, 0, 1, 1)      # prev action (pd=1, ic at grid max)
+    # prev action (pd=1, ic at grid max)
+    st = int(np.ravel_multi_index((1, 1, 0, 1, 1), grids.shape))
     base = reward(st, grids, params, CostModel(0.0, 0.0))
     charged = reward(st, grids, params, CostModel(2.0, 2.0))
     ps1_max = constrained_power(params.power, 2.0)
@@ -214,24 +219,21 @@ def _hand_birth_death(idx, n, lam, srv):
 def test_transition_rows_sum_to_one():
     grids = small_grids()
     params = make_params()
-    for flat in range(grids.n_states):
-        st = state_from_flat(flat, grids)
-        for a in range(grids.actions.n_actions):
-            act = ControlAction(a // 2, a % 2)
-            row = transition(st, act, grids, params)
-            assert row.total() == pytest.approx(1.0, abs=1e-12)
-            assert all(p > 0.0 for p in row.probabilities)
+    for state in range(grids.n_states):
+        for action in range(grids.actions.n_actions):
+            _, probs = transition(state, action, grids, params)
+            assert sum(probs.tolist()) == pytest.approx(1.0, abs=1e-12)
+            assert np.all(probs > 0.0)
 
 
 def test_transition_stamps_applied_action():
     grids = small_grids()
     params = make_params()
-    st = AugmentedState(1, 0, 1, 0, 0)
-    act = ControlAction(1, 0)
-    row = transition(st, act, grids, params)
-    for nxt in row.states:
-        assert nxt.prev_pd_idx == act.pd_idx
-        assert nxt.prev_ic_idx == act.ic_idx
+    state = int(np.ravel_multi_index((1, 0, 1, 0, 0), grids.shape))
+    next_states, _ = transition(state, 2, grids, params)    # pd index 1, ic index 0
+    _, _, _, prev_pd, prev_ic = np.unravel_index(next_states, grids.shape)
+    assert np.all(prev_pd == 1)
+    assert np.all(prev_ic == 0)
 
 
 def test_transition_empty_primary_queue_absorbs_without_arrivals():
@@ -241,10 +243,10 @@ def test_transition_empty_primary_queue_absorbs_without_arrivals():
     states = StateGrids(rho_p_levels=(0.0, 0.4, 0.8), rho_s_levels=(0.3, 0.7),
                         p_s_levels=(1.0, 2.5), p_s_stationary=(0.6, 0.4))
     grids = MdpGrids(states=states, actions=ActionGrids((0.2, 0.8), (0.5, 2.0)))
-    st = AugmentedState(0, 1, 0, 0, 0)
-    row = transition(st, ControlAction(1, 1), grids, params)
-    mass_at_zero = sum(p for nxt, p in zip(row.states, row.probabilities)
-                       if nxt.rho_p_idx == 0)
+    state = int(np.ravel_multi_index((0, 1, 0, 0, 0), grids.shape))
+    next_states, probs = transition(state, 3, grids, params)  # pd index 1, ic index 1
+    rho_p_idx = np.unravel_index(next_states, grids.shape)[0]
+    mass_at_zero = sum(probs[rho_p_idx == 0].tolist())
     assert mass_at_zero == pytest.approx(1.0, abs=1e-12)
 
 
@@ -264,11 +266,12 @@ def test_transition_mid_state_birth_death_masses():
     states = StateGrids(rho_p_levels=(0.3, 0.625, 0.9), rho_s_levels=(0.5,),
                         p_s_levels=(1.0,), p_s_stationary=(1.0,))
     grids = MdpGrids(states=states, actions=ActionGrids((1.0,), (0.5,)))
-    st = AugmentedState(1, 0, 0, 0, 0)
-    row = transition(st, ControlAction(0, 0), grids, params)
+    state = int(np.ravel_multi_index((1, 0, 0, 0, 0), grids.shape))
+    next_states, probs = transition(state, 0, grids, params)
     moved = {-1: 0.0, 0: 0.0, 1: 0.0}
-    for nxt, p in zip(row.states, row.probabilities):
-        moved[nxt.rho_p_idx - 1] += p
+    for rho_p_idx, p in zip(np.unravel_index(next_states, grids.shape)[0].tolist(),
+                            probs.tolist()):
+        moved[rho_p_idx - 1] += p
     assert moved[1] == pytest.approx(0.15, abs=1e-12)
     assert moved[-1] == pytest.approx(0.35, abs=1e-12)
     assert moved[0] == pytest.approx(0.50, abs=1e-12)
@@ -286,29 +289,28 @@ def test_transition_matches_hand_composed_product():
 
     rng = np.random.default_rng(3)
     for flat in rng.integers(0, grids.n_states, 12):
-        st = state_from_flat(int(flat), grids)
+        rp, rs, ps = map(int, np.unravel_index(flat, grids.shape)[:3])
         a = int(rng.integers(0, grids.actions.n_actions))
-        act = ControlAction(a // 2, a % 2)
+        pd_i, ic_i = np.unravel_index(a, grids.shape[3:])
         dist, srv_p, srv_s = outcome_kernel(
-            grids.states.rho_p_levels[st.rho_p_idx],
-            grids.states.rho_s_levels[st.rho_s_idx],
-            grids.states.p_s_levels[st.p_s_idx],
-            grids.actions.pd_levels[act.pd_idx],
-            grids.actions.ic_levels[act.ic_idx], params)
+            grids.states.rho_p_levels[rp], grids.states.rho_s_levels[rs],
+            grids.states.p_s_levels[ps], grids.actions.pd_levels[pd_i],
+            grids.actions.ic_levels[ic_i], params)
 
         expected: dict[tuple[int, int, int], float] = {}
         for k in range(4):
-            bd_p = _hand_birth_death(st.rho_p_idx, n_rp, lam_p, float(srv_p[k]))
-            bd_s = _hand_birth_death(st.rho_s_idx, n_rs, lam_s, float(srv_s[k]))
+            bd_p = _hand_birth_death(rp, n_rp, lam_p, float(srv_p[k]))
+            bd_s = _hand_birth_death(rs, n_rs, lam_s, float(srv_s[k]))
             for dp, wp in bd_p.items():
                 for ds, ws in bd_s.items():
                     for ps2, wps in enumerate(pstat):
-                        key = (st.rho_p_idx + dp, st.rho_s_idx + ds, ps2)
+                        key = (rp + dp, rs + ds, ps2)
                         expected[key] = expected.get(key, 0.0) + dist[k] * wp * ws * wps
 
-        row = transition(st, act, grids, params)
-        got = {(n.rho_p_idx, n.rho_s_idx, n.p_s_idx): p
-               for n, p in zip(row.states, row.probabilities)}
+        next_states, probs = transition(int(flat), a, grids, params)
+        rho_p_idx, rho_s_idx, p_s_idx = np.unravel_index(next_states, grids.shape)[:3]
+        got = dict(zip(zip(rho_p_idx.tolist(), rho_s_idx.tolist(), p_s_idx.tolist()),
+                       probs.tolist()))
         for key, p in expected.items():
             assert got.get(key, 0.0) == pytest.approx(p, abs=1e-13)
         assert sum(got.values()) == pytest.approx(sum(expected.values()), abs=1e-13)
@@ -354,10 +356,8 @@ def test_compiled_rewards_match_scalar_path():
     costs = CostModel(s_const=1.5, c_const=0.5)
     mdp = build_spectrum_mdp(grids, params, costs)
     for flat in range(mdp.n_states):
-        st = state_from_flat(flat, grids)
         assert mdp.reward_vec[flat] == pytest.approx(
-            reward(st, grids, params, costs), abs=1e-14)
-        assert state_reward(mdp, st) == mdp.reward_vec[flat]
+            reward(flat, grids, params, costs), abs=1e-14)
 
 
 def test_compiled_detector_and_power_tables():

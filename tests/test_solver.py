@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cogrelay.config import resolve_config
-from cogrelay.mdp import (ActionGrids, AugmentedState, ControlAction, CostModel,
-                          MdpGrids, PowerPolicy, StateGrids, _outcome_terms,
-                          build_spectrum_mdp, constrained_power, state_from_flat,
-                          transition)
+from cogrelay.mdp import (ActionGrids, CostModel, MdpGrids, PowerPolicy,
+                          StateGrids, _outcome_terms, build_spectrum_mdp,
+                          constrained_power, transition)
 from cogrelay.model import ChannelParams, QueueParams
 from cogrelay.sensing import false_alarm_from_detection
 from cogrelay.solver import (LOOKUP_COLUMNS, SolverConfig, _continuation, _lift,
@@ -262,13 +261,13 @@ def test_lookup_table_layout():
         np.testing.assert_array_equal(rows[:, 6], np.array(ag.ic_levels)[per_state % n_ic])
 
         for flat in (0, 17, mdp.n_states - 1):
-            st = state_from_flat(flat, mdp.grids)
+            rp, rs, ps, pd_i, ic_i = np.unravel_index(flat, mdp.grids.shape)
             row = rows[flat]
-            assert row[0] == sg.rho_p_levels[st.rho_p_idx]
-            assert row[1] == sg.rho_s_levels[st.rho_s_idx]
-            assert row[2] == sg.p_s_levels[st.p_s_idx]
-            assert row[3] == ag.pd_levels[st.prev_pd_idx]
-            assert row[4] == ag.ic_levels[st.prev_ic_idx]
+            assert row[0] == sg.rho_p_levels[rp]
+            assert row[1] == sg.rho_s_levels[rs]
+            assert row[2] == sg.p_s_levels[ps]
+            assert row[3] == ag.pd_levels[pd_i]
+            assert row[4] == ag.ic_levels[ic_i]
     assert np.unique(pt.actions).size > 1
 
 
@@ -491,11 +490,10 @@ def test_kernel_properties(case):
             expected = np.zeros((n_rp + 2, n_rs + 2, n_ps))
             for mp, ms in np.ndindex(3, 3):
                 expected[r + mp, u + ms] = kernel[mp, ms, r, u, v, a] * pstat
-            row = transition(AugmentedState(r, u, v, 0, 0),
-                             ControlAction(a // n_ic, a % n_ic), grids, params)
+            next_states, probs = transition(
+                int(np.ravel_multi_index((r, u, v, 0, 0), grids.shape)), a, grids, params)
             got = np.zeros((n_rp, n_rs, n_ps))
-            for nxt, prob in zip(row.states, row.probabilities):
-                got[nxt.rho_p_idx, nxt.rho_s_idx, nxt.p_s_idx] = prob
+            got[np.unravel_index(next_states, grids.shape)[:3]] = probs
             np.testing.assert_allclose(got, expected[1:-1, 1:-1], rtol=0.0, atol=1e-15)
 
 
