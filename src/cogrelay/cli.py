@@ -116,11 +116,10 @@ def _action_histogram(rc: ResolvedConfig, block_actions: np.ndarray) -> dict[str
     """Number of (rho_p, rho_s, P_s) blocks per (pd, ic_db) action, keyed by
     the configured grid values."""
     grid = rc.raw["action_grids"]
-    n_ic = len(grid["ic_levels_db"])
     chosen, counts = np.unique(block_actions, return_counts=True)
-    return {f"pd={_fmt(grid['pd_levels'][a // n_ic])},"
-            f"ic_db={_fmt(grid['ic_levels_db'][a % n_ic])}": int(c)
-            for a, c in zip(chosen, counts)}
+    pd_i, ic_i = np.unravel_index(chosen, (len(grid["pd_levels"]), len(grid["ic_levels_db"])))
+    return {f"pd={_fmt(grid['pd_levels'][p])},ic_db={_fmt(grid['ic_levels_db'][i])}": int(c)
+            for p, i, c in zip(pd_i, ic_i, counts)}
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -220,11 +219,9 @@ def _pav_point(rc: ResolvedConfig, pav: float, scfg: SolverConfig) -> tuple[floa
                              reward_uses_chosen_action=rc.reward_uses_chosen_action())
     vt, pt = policy_iteration(mdp, scfg, mode="joint")
     rp_ref = nearest_index(params.queues.rho_p, grids.states.rho_p_levels)
-    action = int(pt.actions[_reference_block(grids, rc, rp_ref)])
-    n_ic = len(grids.actions.ic_levels)
-    return (grids.actions.pd_levels[action // n_ic],
-            grids.actions.ic_levels[action % n_ic],
-            vt.converged)
+    pd_i, ic_i = np.unravel_index(pt.actions[_reference_block(grids, rc, rp_ref)],
+                                  grids.shape[3:])
+    return grids.actions.pd_levels[pd_i], grids.actions.ic_levels[ic_i], vt.converged
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

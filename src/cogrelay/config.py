@@ -148,7 +148,7 @@ def _check_leaf(value: Any, kind: type, here: str) -> None:
     finite numbers.  NaN, +-Infinity (or an integer too large for a float)
     and booleans outside boolean slots get their own messages (JSON parsing
     lets all of them through as numbers).  A value in a slot whose key ends
-    in ``_db`` must convert to a finite linear value, and a slot in
+    in ``_db`` must convert to a finite, nonzero linear value, and a slot in
     `_AT_LEAST` must reach its bound."""
     if isinstance(value, bool) and kind is not bool:
         raise ConfigError(
@@ -170,10 +170,13 @@ def _check_leaf(value: Any, kind: type, here: str) -> None:
                           f"got {json.dumps(value, default=repr)}")
     if here.partition("[")[0].endswith("_db"):
         try:
-            db_to_linear(value)
+            linear = db_to_linear(value)
         except OverflowError:
             raise ConfigError(f"config key {here} is too large a dB value, "
                               f"got {json.dumps(value)}") from None
+        if linear == 0.0:
+            raise ConfigError(f"config key {here} is too small a dB value, "
+                              f"got {json.dumps(value)}")
     if here in _AT_LEAST and value < _AT_LEAST[here]:
         raise ConfigError(f"config key {here} must be at least {_AT_LEAST[here]}, "
                           f"got {json.dumps(value)}")

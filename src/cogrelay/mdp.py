@@ -22,12 +22,13 @@ secondary imposes on the primary link scales with P_tx / p_ref.  Constrained
 transmissions therefore both survive worse and protect the primary better
 when Ic is tight.  `_outcome_terms` is the one implementation of this slot
 physics and `_move_kernel` the one aggregation of it into the (rho_p move,
-rho_s move) law; `build_spectrum_mdp` calls both on the whole grid, once,
-and the scalar `transition` on its one slot.
+rho_s move) law; `_compile` runs both once on the whole grid, and
+`build_spectrum_mdp` and the scalar `transition` both read its kernel.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -272,8 +273,8 @@ def _move_kernel(dist, srv_p, srv_s, rp, rs, grids: MdpGrids,
     The outcome law dist[r, a, x] weights the product of the two queues'
     birth-death steps, whose service probabilities are srv_p[r, v, a, x] and
     srv_s[r, u, v, a, x].  rp and rs are the grid indices of the rho_p and
-    rho_s levels, shaped (r, 1, 1, 1) and (u, 1, 1, 1) or plain integers for
-    one slot; they place the grid edges.
+    rho_s levels, shaped (r, 1, 1, 1) and (u, 1, 1, 1); they place the grid
+    edges.
     """
     q = params.queues
     bdp = np.array(_birth_death(srv_p, q.lambda_p, rp == 0,
@@ -290,23 +291,15 @@ def transition(state: int, action: int, grids: MdpGrids,
     `state` is a flat index over `grids.shape` and `action` a flat action
     index, pd index * n_ic + ic index; either out of range is a ValueError.
     Returns (next_states, probabilities): the flat next-state indices and
-    their probabilities, zero-probability branches dropped.  The row is the
-    slot's (rho_p move, rho_s move) law from `_move_kernel` times the
-    stationary power redraw; the applied action becomes the next state's
-    previous-action field.
+    their probabilities, zero-probability branches dropped.  The row is a
+    gather from `_compile`'s kernel times the stationary power redraw; the
+    applied action becomes the next state's previous-action field.  The
+    cache keeps the last model's kernel alive (6.6 MB at the defaults).
     """
-    s = grids.states
     rp, rs, ps, _, _ = np.unravel_index(state, grids.shape)
     pd_i, ic_i = np.unravel_index(action, grids.shape[3:])
-    pd = grids.actions.pd_levels[pd_i]
-    dist, srv_p, srv_s = _outcome_terms(
-        s.rho_p_levels[rp], s.rho_s_levels[rs], s.p_s_levels[ps],
-        false_alarm_from_detection(pd, params.sensing), pd,
-        constrained_power(params.power, grids.actions.ic_levels[ic_i]), params)
-    # the one slot is a grid box of size 1 on every axis
-    moves = _move_kernel(dist.reshape(1, 1, 4), srv_p.reshape(1, 1, 1, 4),
-                         srv_s.reshape(1, 1, 1, 1, 4), rp, rs, grids, params)
-    probs = moves.reshape(3, 3, 1) * np.array(s.p_s_stationary)
+    kernel, _ = _compile(grids, params)
+    probs = kernel[:, :, rp, rs, ps, action, None] * np.array(grids.states.p_s_stationary)
     mp, ms, ps_next = np.nonzero(probs)
     next_states = np.ravel_multi_index(
         (rp + mp - 1, rs + ms - 1, ps_next, pd_i, ic_i), grids.shape)
@@ -434,9 +427,10 @@ class SpectrumMDP:
         return self.grids.actions.n_actions
 
 
-def build_spectrum_mdp(grids: MdpGrids, params: ModelParams, costs: CostModel,
-                       reward_uses_chosen_action: bool = False) -> SpectrumMDP:
-    """Vectorised construction of every tensor the solver needs.
+@functools.lru_cache(maxsize=1)
+def _compile(grids: MdpGrids, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """The cost-free half of the model, (kernel, g_action), cached for the
+    last (grids, params) that `transition` asked about.
 
     One call of the slot physics on (rho_p, rho_s, P_s, Pd, Ic)-shaped
     inputs gives the outcome law and both service probabilities at every
@@ -463,18 +457,23 @@ def build_spectrum_mdp(grids: MdpGrids, params: ModelParams, costs: CostModel,
     srv_s = srv_s.reshape(n_rp, n_rs, n_ps, n_pd * n_ic, 4)         # (r, u, v, A, x)
     kernel = _move_kernel(dist, srv_p, srv_s, np.arange(n_rp).reshape(-1, 1, 1, 1),
                           np.arange(n_rs).reshape(-1, 1, 1, 1), grids, params)
-
     # throughput part of the reward for any (state coords, action) combination;
     # flattened over the prev-action axes it is exactly the per-state g term
-    g_action = srv_s.sum(axis=-1)                         # (r, u, v, A)
+    return kernel, srv_s.sum(axis=-1)
 
-    action_cost = (costs.s_const * np.repeat(pd, n_ic)
+
+def build_spectrum_mdp(grids: MdpGrids, params: ModelParams, costs: CostModel,
+                       reward_uses_chosen_action: bool = False) -> SpectrumMDP:
+    """`_compile`'s tensors, priced with the control costs.  The build skips
+    `_compile`'s cache, so a model's kernel lives no longer than the model."""
+    kernel, g_action = _compile.__wrapped__(grids, params)
+    n_pd, n_ic = grids.shape[3:]
+    ps1 = np.array([constrained_power(params.power, v) for v in grids.actions.ic_levels])
+    action_cost = (costs.s_const * np.repeat(grids.actions.pd_levels, n_ic)
                    + costs.c_const * np.tile(ps1, n_pd))  # (A,)
-    reward_vec = g_action.reshape(-1) - np.tile(action_cost, n_rp * n_rs * n_ps)
-
     return SpectrumMDP(
         grids=grids, params=params,
         reward_uses_chosen_action=reward_uses_chosen_action,
-        action_cost=action_cost, kernel=kernel,
-        g_action=g_action, reward_vec=reward_vec,
+        action_cost=action_cost, kernel=kernel, g_action=g_action,
+        reward_vec=(g_action - action_cost).reshape(-1),
     )

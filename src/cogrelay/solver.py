@@ -30,8 +30,8 @@ back up all the mode's columns.
 The tests hold this route against the full-column block iteration, against
 the per-state value-iteration loop, against a dense reference built from
 the scalar `transition` rows (all in `tests/oracles.py`) and against
-brute-force policy enumeration on small instances.  The scalar rows come
-from the model's own kernel assembly, so the dense reference checks the
+brute-force policy enumeration on small instances.  The scalar rows are
+gathered from the model's own kernel, so the dense reference checks the
 contraction and the gathers; the tests check the kernel itself against a
 scalar statement of the slot physics.
 """

@@ -2,9 +2,9 @@
 
 The dense solvers work on explicit (A, S, S) transition and (S, A) reward
 arrays, which `materialize_dense` builds from the scalar `transition` rows.
-Those rows come from the same kernel assembly as the model's compiled
-kernel (`cogrelay.mdp._move_kernel`, run on one slot), so the dense route
-checks the solvers' contraction, gathers and lifting, not the physics.
+Those rows are gathered from the model's compiled kernel (one row of
+`cogrelay.mdp._compile`'s kernel each), so the dense route checks the
+solvers' contraction, gathers and lifting, not the physics.
 `outcome_kernel` states the slot physics one scalar slot at a time, apart
 from the broadcasting `cogrelay.mdp._outcome_terms` that the library
 compiles, and `reward` prices a single state from it; with the tests'

@@ -111,9 +111,14 @@ def test_values_of_the_wrong_kind_exit_1_naming_the_key(tmp_path, capsys, doc, p
     ("validate", {"sensing": {"gamma_se_db": 4000.0}}, "sensing.gamma_se_db"),
     ("sweep", {"sweep": {"variable": "pav", "grid_db": [0.0, 4000.0]}}, "sweep.grid_db[1]"),
     ("validate", {"state_grids": {"n_power_levels": 0}}, "state_grids.n_power_levels"),
+    ("validate", {"action_grids": {"ic_levels_db": [-5000.0, 5.0]}},
+     "action_grids.ic_levels_db[0]"),
+    ("validate", {"power": {"p_av_db": -5000.0}}, "power.p_av_db"),
+    ("validate", {"channel": {"gamma_ps_db": -5000.0}}, "channel.gamma_ps_db"),
 ])
 def test_out_of_range_values_exit_1_naming_the_key(tmp_path, capsys, command, doc, path):
-    # a dB value whose linear form overflows a float, and an empty power grid
+    # a dB value whose linear form overflows or underflows a float, and an
+    # empty power grid
     cfg = write_config(tmp_path, doc)
     assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     captured = capsys.readouterr()

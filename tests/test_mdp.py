@@ -316,6 +316,32 @@ def test_transition_matches_hand_composed_product():
         assert sum(got.values()) == pytest.approx(sum(expected.values()), abs=1e-13)
 
 
+def test_transition_rows_follow_the_model_asked_about():
+    # two models one INR apart, asked about in the order A, B, A: every row
+    # is the asked model's own kernel row times the power redraw, bit for bit
+    grids = small_grids()
+    params_a = make_params()
+    params_b = dataclasses.replace(
+        params_a, channel=dataclasses.replace(params_a.channel, gamma_ps=2.0))
+    pstat = np.array(grids.states.p_s_stationary)
+    kernels = {params: build_spectrum_mdp(grids, params, CostModel()).kernel
+               for params in (params_a, params_b)}
+    assert not np.array_equal(kernels[params_a], kernels[params_b])
+    for params in (params_a, params_b, params_a):
+        for state in range(grids.n_states):
+            rp, rs, ps = np.unravel_index(state, grids.shape)[:3]
+            for action in range(grids.actions.n_actions):
+                next_states, probs = transition(state, action, grids, params)
+                row = kernels[params][:, :, rp, rs, ps, action, None] * pstat
+                mp, ms, ps_next = np.unravel_index(next_states, grids.shape)[:3]
+                assert np.count_nonzero(row) == len(probs)
+                assert row[mp - rp + 1, ms - rs + 1, ps_next].tobytes() == probs.tobytes()
+    # a warm cache still rejects an out-of-range state or action
+    for state, action in ((grids.n_states, 0), (0, grids.actions.n_actions)):
+        with pytest.raises(ValueError):
+            transition(state, action, grids, params_a)
+
+
 # ---------------------------------------------------------------------------
 # validation
 
