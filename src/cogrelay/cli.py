@@ -3,9 +3,8 @@
 Every output is a plain CSV whose first line is a ``#``-prefixed JSON
 manifest carrying the fully resolved configuration and its SHA-256 hash, so
 a file is traceable to the exact run that produced it and reruns with the
-same configuration and seed are byte-identical at a fixed BLAS thread count
-(the sweeps' linear solves round differently under different ones).
-Wall-clock timings go to stdout only, never into files.
+same configuration and seed are byte-identical, whatever `--threads` or the
+BLAS thread count.  Wall-clock timings go to stdout only, never into files.
 
 Exit codes: 0 success, 1 invalid or unstable configuration, 2 solver hit its
 iteration cap, 3 simulation disagrees with the analytical model.
@@ -217,7 +216,7 @@ def _pav_point(rc: ResolvedConfig, pav: float, scfg: SolverConfig) -> tuple[floa
     params, grids = _checked_setup(rc, pav)
     mdp = build_spectrum_mdp(grids, params, CostModel(s_const=0.0, c_const=0.0),
                              reward_uses_chosen_action=rc.reward_uses_chosen_action())
-    vt, pt = policy_iteration(mdp, scfg, mode="joint")
+    vt, pt = policy_iteration(mdp, scfg)
     rp_ref = nearest_index(params.queues.rho_p, grids.states.rho_p_levels)
     pd_i, ic_i = np.unravel_index(pt.actions[_reference_block(grids, rc, rp_ref)],
                                   grids.shape[3:])

@@ -1,18 +1,15 @@
 """Discounted value iteration and policy iteration over the augmented slot model.
 
 The model's kernel K[mp, ms, r, u, v, a] is its whole transition law, up to
-the stationary power redraw, and the solvers read it through two functions:
-`_continuation` contracts it with a value table (the continuation value of
-a state depends on its previous-action coordinates only through the applied
-action, so one backup touches each (rho_p, rho_s, P_s) block once), and
-`_block_matrix` gathers it at one action per block.  `_BlockBellman` builds
-the Bellman operator on them over the blocks: every value table has
-the form V(b, prev) = W(b) + g_add(b, prev), so value iteration, policy
-iteration and `evaluate_policy_exact` all work on the B block values W and
-lift to the S states once, at the end.  A policy is one action per block:
-the greedy action never depends on the previous action, so `PolicyTable`
-holds the B block actions and only `extract_lookup_table` repeats them over
-the S states.
+the stationary power redraw, and the solvers read it only through
+`_continuation`, which contracts it with a value table; as the continuation
+value of a state depends on its previous-action coordinates only through
+the applied action, one backup touches each (rho_p, rho_s, P_s) block once.
+`_BlockBellman` builds the Bellman operator over the blocks, so value
+iteration, policy iteration and `evaluate_policy_exact` all work on the B
+block values W(b) and lift to the S states once, at the end.  A policy is
+one action per block, as the greedy action never depends on the previous
+one, and its values follow from one banded solve on the (rho_p, rho_s) cells.
 
 A mode's actions are an ascending index set of flat action columns (all
 231 at the defaults, one pd level's 21 or one ic level's 11), and the
@@ -25,14 +22,12 @@ test and its rounding slack).  A dropped column can never reach or tie a
 later maximum and each Q entry is the same elementwise arithmetic whatever
 other columns are present, so values, residuals and actions are the same
 floats as with all columns.  Policy iteration and `evaluate_policy_exact`
-back up all the mode's columns.
+back up all the columns.
 
-The tests hold this route against the full-column block iteration, against
-the per-state value-iteration loop, against a dense reference built from
-the scalar `transition` rows (all in `tests/oracles.py`) and against
-brute-force policy enumeration on small instances.  The scalar rows are
-gathered from the model's own kernel, so the dense reference checks the
-contraction and the gathers; the tests check the kernel itself against a
+The tests hold this route against the references in `tests/oracles.py`
+(full-column and per-state value iteration, the B x B evaluation solve and
+a dense model built from the scalar `transition` rows), against brute-force
+policy enumeration on small instances, and the kernel itself against a
 scalar statement of the slot physics.
 """
 
@@ -139,40 +134,38 @@ def _continuation(mdp: SpectrumMDP, values: np.ndarray,
     over the previous-action coordinates.  Given `kernel`, a contiguous
     copy of some action columns of `mdp.kernel`, a block table backs up
     over those columns only, and each entry is the same nine multiply-adds
-    as with the full kernel.
+    as with the full kernel.  Power averages w(rho_p, rho_s) side by side,
+    shape (n_rho_p, n_rho_s, m), back up the i-th against kernel column i.
     """
     kernel = mdp.kernel if kernel is None else kernel
     n_rp, n_rs, n_ps = mdp.grids.shape[:3]
-    per_state = values.size == mdp.n_states
-    j = values.reshape(n_rp, n_rs, n_ps, mdp.n_actions if per_state else 1)
-    w = np.einsum("v,ruva->rua", np.array(mdp.grids.states.p_s_stationary), j)
-    wp = np.zeros((n_rp + 2, n_rs + 2, w.shape[-1]))
-    wp[1:-1, 1:-1] = w
+    if values.ndim == 1:
+        per_state = values.size == mdp.n_states
+        j = values.reshape(n_rp, n_rs, n_ps, mdp.n_actions if per_state else 1)
+        values = np.einsum("v,ruva->rua", np.array(mdp.grids.states.p_s_stationary), j)
+    wp = np.zeros((n_rp + 2, n_rs + 2, values.shape[-1]))
+    wp[1:-1, 1:-1] = values
     cont = np.zeros(kernel.shape[2:])
-    for mp in range(3):
-        for ms in range(3):
-            shifted = wp[mp:mp + n_rp, ms:ms + n_rs]
-            cont += kernel[mp, ms] * shifted[:, :, None]
+    for mp, ms in np.ndindex(3, 3):
+        shifted = wp[mp:mp + n_rp, ms:ms + n_rs]
+        cont += kernel[mp, ms] * shifted[:, :, None]
     return cont
 
 
-def _block_matrix(mdp: SpectrumMDP, block_actions: np.ndarray) -> np.ndarray:
-    """P(b' | b, a_b) over the blocks, shape (B, B), one action per block.
-
-    The kernel at each block's action weights the nine (rho_p, rho_s)
-    moves, and the next power level is a stationary redraw, exactly as
-    `_continuation` contracts them."""
-    n_rp, n_rs, n_ps = mdp.grids.shape[:3]
-    n_blocks = n_rp * n_rs * n_ps
-    blocks = np.arange(n_blocks)
-    r, u, _ = np.unravel_index(blocks, (n_rp, n_rs, n_ps))
-    k = mdp.kernel.reshape(3, 3, n_blocks, mdp.n_actions)[:, :, blocks, block_actions]
-    moves = np.zeros((n_blocks, n_rp + 2, n_rs + 2))
-    for mp in range(3):
-        for ms in range(3):
-            moves[blocks, r + mp, u + ms] = k[mp, ms]
-    pstat = np.array(mdp.grids.states.p_s_stationary)
-    return (moves[:, 1:-1, 1:-1, None] * pstat).reshape(n_blocks, n_blocks)
+def _solve_banded(a: np.ndarray, b: np.ndarray, band: int) -> np.ndarray:
+    """x with a x = b, for a strictly diagonally dominant `a` whose entries lie
+    within `band` of the diagonal: in-place Gaussian elimination without
+    pivoting, kept to the band, and back substitution by elementwise products."""
+    n = b.size
+    for k in range(n):
+        below = slice(k + 1, min(k + band + 1, n))
+        f = a[below, k] / a[k, k]
+        a[below, below] -= f[:, None] * a[k, below]
+        b[below] -= f * b[k]
+    for k in reversed(range(n)):
+        right = slice(k + 1, min(k + band + 1, n))
+        b[k] = (b[k] - np.sum(a[k, right] * b[right])) / a[k, k]
+    return b
 
 
 def _base_rewards(mdp: SpectrumMDP) -> tuple[np.ndarray, np.ndarray | None]:
@@ -244,15 +237,26 @@ class _BlockBellman:
         return self.columns[q.argmax(axis=-1)]
 
     def evaluate(self, block_actions: np.ndarray) -> np.ndarray:
-        """W_sigma from (I - d P_sigma) W = r_sigma, one action per block."""
-        r_sigma = self.step_reward.reshape(-1, self.n_a)[
-            np.arange(block_actions.size), block_actions]
-        # I - d P_sigma, formed in P_sigma's own storage: -(d p) and 1 - d p
-        # are the same floats as with a separate identity matrix
-        a = _block_matrix(self.mdp, block_actions)
-        a *= -self.discount
-        a.flat[::a.shape[0] + 1] += 1.0
-        return np.linalg.solve(a, r_sigma)
+        """W_sigma of one action per block.  The next power level is a
+        stationary redraw, so W_sigma = r_sigma + d E[w(next)], where w, the
+        pstat average of W_sigma, solves (I - d M) w = r_bar on the (rho_p,
+        rho_s) cells, M and r_bar averaging the policy's kernel and reward
+        over pstat.  M's rows are stochastic, so I - d M is strictly
+        diagonally dominant by rows and needs no pivoting."""
+        n_rp, n_rs, n_ps = self.mdp.grids.shape[:3]
+        n = n_rp * n_rs
+        sigma = block_actions.reshape(n_rp, n_rs, n_ps, 1)
+        k = np.take_along_axis(self.mdp.kernel, sigma[None, None], axis=-1)
+        r_sigma = np.take_along_axis(self.step_reward, sigma, axis=-1)
+        pstat = np.array(self.mdp.grids.states.p_s_stationary)[:, None]
+        k_bar = (pstat * k).sum(axis=4, keepdims=True)
+        # column c of M backs up cell c's indicator; in C order, M's band is n_rho_s + 1
+        m = _continuation(self.mdp, np.eye(n).reshape(n_rp, n_rs, n),
+                          np.broadcast_to(k_bar, k_bar.shape[:-1] + (n,)))
+        a = np.eye(n) - self.discount * m.reshape(n, n)
+        w_bar = _solve_banded(a, (pstat * r_sigma).sum(axis=2).reshape(n), n_rs + 1)
+        cont = _continuation(self.mdp, w_bar.reshape(n_rp, n_rs, 1), k)
+        return (r_sigma + self.discount * cont).reshape(-1)
 
     def lift(self, block_values: np.ndarray) -> np.ndarray:
         return _lift(block_values, self.g_add, self.n_a)
@@ -327,25 +331,22 @@ def value_iteration(mdp: SpectrumMDP, cfg: SolverConfig, mode: Mode = "joint",
     return vt, PolicyTable(bellman.greedy(bellman.q(w)))
 
 
-def policy_iteration(mdp: SpectrumMDP, cfg: SolverConfig, mode: Mode = "joint",
-                     pinned: int | None = None) -> tuple[ValueTable, PolicyTable]:
-    """Howard policy iteration on the block values W(b).
+def policy_iteration(mdp: SpectrumMDP, cfg: SolverConfig) -> tuple[ValueTable, PolicyTable]:
+    """Howard policy iteration on the block values W(b), over all actions.
 
-    A policy is one action per block and its value is one linear solve of
-    size B = n_rho_p * n_rho_s * n_P_s.  Improvement is value iteration's
-    greedy step over all the mode's columns, with the same lowest-index tie
-    rule.  The first policy is greedy with respect to the reward vector;
+    Each step evaluates the policy exactly (`_BlockBellman.evaluate`) and
+    improves it by value iteration's greedy step, with the same lowest-index
+    tie rule.  The first policy is greedy with respect to the reward vector;
     the run stops when the greedy policy repeats one already evaluated.  In
     exact arithmetic every change strictly improves the values, so a repeat
     further back than the last policy only comes from rounding between
-    actions that tie.  cfg.epsilon
-    is not used; hitting cfg.max_iters steps first, or a non-finite
-    residual, is reported through converged=False.  Each residual is the
-    sup-norm of T V - V at the evaluated policy, so the last one is the
-    distance of the returned values from a Bellman fixed point; the
-    returned actions are greedy with respect to the returned values.
+    actions that tie.  cfg.epsilon is not used; hitting cfg.max_iters steps
+    first, or a non-finite residual, is reported through converged=False.
+    Each residual is the sup-norm of T V - V at the evaluated policy, so the
+    last one is the distance of the returned values from a Bellman fixed
+    point; the returned actions are greedy with respect to them.
     """
-    bellman = _BlockBellman(mdp, cfg.discount, _allowed_columns(mdp, mode, pinned))
+    bellman = _BlockBellman(mdp, cfg.discount, np.arange(mdp.n_actions))
     greedy = bellman.greedy(bellman.q_state(mdp.reward_vec))
     evaluated: set[bytes] = set()
     residuals: list[float] = []
@@ -400,8 +401,8 @@ def evaluate_policy_exact(mdp: SpectrumMDP, block_actions: np.ndarray,
     """Exact per-state J of one action per (rho_p, rho_s, P_s) block, under
     the model's own reward.
 
-    Every policy the solvers make is constant on a block, so J is one
-    linear solve on the B block values, lifted to the S states at the end.
+    Every policy the solvers make is constant on a block, so J is one banded
+    solve on the (rho_p, rho_s) cells, lifted to the S states at the end.
     J carries no iteration-tail error, which matters when comparing sweep
     points that differ by less than a value-iteration tolerance.  The
     throughput of the held action alone is the J of the model built with
@@ -411,7 +412,7 @@ def evaluate_policy_exact(mdp: SpectrumMDP, block_actions: np.ndarray,
     n_blocks = mdp.n_states // mdp.n_actions
     if actions.shape != (n_blocks,):
         raise ValueError(f"policy must assign an action to each of {n_blocks} blocks")
-    # _block_matrix gathers kernel columns, where a negative index would wrap
+    # evaluate gathers kernel columns, where a negative index would wrap
     if actions.min() < 0 or actions.max() >= mdp.n_actions:
         raise ValueError("policy contains out-of-range action indices")
     bellman = _BlockBellman(mdp, discount, np.arange(mdp.n_actions))

@@ -68,24 +68,22 @@ def _checked_value_iteration(mdp, cfg, mode="joint", pinned=None):
     return vt, pt
 
 
-def bellman_residual(mdp, values, discount, mode="joint", pinned=None) -> float:
-    """sup |T V - V| of a per-state value table, T restricted as the mode says."""
+def bellman_residual(mdp, values, discount) -> float:
+    """sup |T V - V| of a per-state value table, T over all actions."""
     solver = cogrelay.solver
     base, g_add = solver._base_rewards(mdp)
     q = base + discount * solver._continuation(mdp, values)
-    q = q[..., solver._allowed_columns(mdp, mode, pinned)]
     backed_up = solver._lift(q.max(axis=-1), g_add, mdp.n_actions)
     return float(np.max(np.abs(backed_up - values)))
 
 
-def _checked_policy_iteration(mdp, cfg, mode="joint", pinned=None):
-    vt, pt = _real_policy_iteration(mdp, cfg, mode=mode, pinned=pinned)
+def _checked_policy_iteration(mdp, cfg):
+    vt, pt = _real_policy_iteration(mdp, cfg)
     if vt.converged:
-        residual = bellman_residual(mdp, vt.values, cfg.discount, mode, pinned)
+        residual = bellman_residual(mdp, vt.values, cfg.discount)
         assert residual <= FIXED_POINT_TOL, (
-            f"policy_iteration[{mode}] returned no fixed point: "
-            f"sup |T V - V| = {residual:.3e}")
-        FIXED_POINT_RUNS.append((f"policy_iteration[{mode}]", residual))
+            f"policy_iteration returned no fixed point: sup |T V - V| = {residual:.3e}")
+        FIXED_POINT_RUNS.append(("policy_iteration", residual))
     return vt, pt
 
 

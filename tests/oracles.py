@@ -10,7 +10,10 @@ from the broadcasting `cogrelay.mdp._outcome_terms` that the library
 compiles, and `reward` prices a single state from it; with the tests'
 hand-written birth-death step they are the independent physics check.  `evaluate_policy`
 is fixed-point policy evaluation of a per-state policy, the iterative twin
-of the library's exact, block-wise `evaluate_policy_exact`.
+of the library's exact, block-wise `evaluate_policy_exact`, and
+`evaluate_policy_blocks` solves the dense B x B block system
+(`block_matrix`) with LAPACK, the route the library's banded solve on the
+power-averaged cells replaced.
 `value_iteration_lifted` is value iteration backing up all S per-state
 values on every sweep, the route the library's block iteration replaced,
 and `value_iteration_full_columns` is block value iteration backing up
@@ -140,6 +143,38 @@ def evaluate_policy(mdp: SpectrumMDP, policy: np.ndarray, cfg: SolverConfig,
             converged = True
             break
     return ValueTable(values=values, converged=converged, residuals=residuals)
+
+
+def block_matrix(mdp: SpectrumMDP, block_actions: np.ndarray) -> np.ndarray:
+    """P(b' | b, a_b) over the blocks, shape (B, B), one action per block.
+
+    The kernel at each block's action weights the nine (rho_p, rho_s)
+    moves, and the next power level is a stationary redraw, exactly as
+    `_continuation` contracts them."""
+    n_rp, n_rs, n_ps = mdp.grids.shape[:3]
+    n_blocks = n_rp * n_rs * n_ps
+    blocks = np.arange(n_blocks)
+    r, u, _ = np.unravel_index(blocks, (n_rp, n_rs, n_ps))
+    k = mdp.kernel.reshape(3, 3, n_blocks, mdp.n_actions)[:, :, blocks, block_actions]
+    moves = np.zeros((n_blocks, n_rp + 2, n_rs + 2))
+    for mp in range(3):
+        for ms in range(3):
+            moves[blocks, r + mp, u + ms] = k[mp, ms]
+    pstat = np.array(mdp.grids.states.p_s_stationary)
+    return (moves[:, 1:-1, 1:-1, None] * pstat).reshape(n_blocks, n_blocks)
+
+
+def evaluate_policy_blocks(mdp: SpectrumMDP, block_actions: np.ndarray,
+                           discount: float) -> np.ndarray:
+    """Exact per-state J of one action per block, under the model's own
+    reward: (I - d P_sigma) W = r_sigma on the B blocks by `np.linalg.solve`,
+    lifted to the S states."""
+    base, g_add = _base_rewards(mdp)
+    step_reward = base if g_add is None else base + discount * _continuation(mdp, g_add)
+    blocks = np.arange(block_actions.size)
+    r_sigma = step_reward.reshape(blocks.size, -1)[blocks, block_actions]
+    a = np.eye(blocks.size) - discount * block_matrix(mdp, block_actions)
+    return _lift(np.linalg.solve(a, r_sigma), g_add, mdp.n_actions)
 
 
 def column_mask(mdp: SpectrumMDP, mode: Mode, pinned: int | None) -> np.ndarray:

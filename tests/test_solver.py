@@ -15,8 +15,8 @@ from cogrelay.sensing import false_alarm_from_detection
 from cogrelay.solver import (LOOKUP_COLUMNS, SolverConfig, _continuation, _lift,
                              evaluate_policy_exact, extract_lookup_table,
                              policy_iteration, value_iteration)
-from oracles import (dense_rewards, evaluate_policy, evaluate_policy_dense,
-                     materialize_dense, outcome_kernel, policy_terms,
+from oracles import (dense_rewards, evaluate_policy, evaluate_policy_blocks,
+                     evaluate_policy_dense, materialize_dense, outcome_kernel, policy_terms,
                      value_iteration_dense, value_iteration_full_columns,
                      value_iteration_lifted)
 from tests.test_mdp import _hand_birth_death, make_params, small_grids
@@ -452,6 +452,59 @@ def test_exact_policy_evaluation_properties(case):
     assert np.all(exact <= r_pi.max() / (1.0 - d) + slack)
 
 
+# the banded solve on the power-averaged cells agrees with the dense B x B
+# solve within this multiple of max |J|; the two differ only in rounding
+BLOCK_ROUTE_RTOL = 1e-13
+
+
+def assert_matches_block_route(mdp, actions, discount):
+    exact = evaluate_policy_exact(mdp, actions, discount)
+    reference = evaluate_policy_blocks(mdp, actions, discount)
+    scale = float(np.max(np.abs(reference)))
+    np.testing.assert_allclose(exact, reference, rtol=0.0, atol=BLOCK_ROUTE_RTOL * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_models())
+def test_exact_policy_evaluation_matches_the_block_route(case):
+    mdp, actions, _, d = case
+    assert_matches_block_route(mdp, actions, d)
+
+
+def edge_model(rho_p_levels, rho_s_levels):
+    states = StateGrids(rho_p_levels=rho_p_levels, rho_s_levels=rho_s_levels,
+                        p_s_levels=(0.5, 2.5), p_s_stationary=(0.3, 0.7))
+    return small_mdp(grids=MdpGrids(states=states, actions=small_grids().actions))
+
+
+@pytest.mark.parametrize("discount", [0.0, 0.5, 0.98])
+@pytest.mark.parametrize("rho_p_levels, rho_s_levels", [
+    ((0.1, 0.5, 0.9), (0.4,)),          # one rho_s level: the band is 2 wide
+    ((0.5,), (0.4,)),                   # a single cell
+    ((0.5,), (0.1, 0.5, 0.9)),          # a single rho_p level
+])
+def test_exact_policy_evaluation_matches_the_block_route_at_the_edges(
+        rho_p_levels, rho_s_levels, discount):
+    mdp = edge_model(rho_p_levels, rho_s_levels)
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        assert_matches_block_route(mdp, random_block_policy(mdp, rng), discount)
+
+
+@pytest.mark.parametrize("costs, chosen", [(None, False), (CostModel(0.0, 0.0), False),
+                                           (CostModel(0.0, 0.0), True)],
+                         ids=["default_costs", "zero_costs", "chosen_action"])
+def test_exact_policy_evaluation_matches_the_block_route_on_the_default_grids(costs,
+                                                                             chosen):
+    mdp, cfg = default_model(costs, chosen)
+    rng = np.random.default_rng(29)
+    policies = [random_block_policy(mdp, rng) for _ in range(3)]
+    policies.append(np.full(mdp.n_states // mdp.n_actions, rng.integers(mdp.n_actions)))
+    policies.append(policy_iteration(mdp, cfg)[1].actions)
+    for actions in policies:
+        assert_matches_block_route(mdp, actions, cfg.discount)
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_models())
 def test_kernel_properties(case):
@@ -639,21 +692,17 @@ def default_model(costs=None, chosen=False):
                          ids=["default_costs", "zero_costs"])
 def test_policy_iteration_matches_value_iteration_on_the_default_grids(costs, chosen):
     mdp, cfg = default_model(costs, chosen)
-    n_pd = len(mdp.grids.actions.pd_levels)
-    n_ic = len(mdp.grids.actions.ic_levels)
-    for mode, pinned in (("joint", None), ("fixed_pd", n_pd - 3),
-                         ("fixed_ic", n_ic - 1)):
-        vt, pt = value_iteration(mdp, cfg, mode=mode, pinned=pinned)
-        pv, pp = policy_iteration(mdp, cfg, mode=mode, pinned=pinned)
-        assert vt.converged and pv.converged
-        np.testing.assert_array_equal(pp.actions, pt.actions)
-        # value iteration's a-posteriori bound on its own distance to V*
-        bound = cfg.discount * vt.final_residual / (1.0 - cfg.discount)
-        assert np.max(np.abs(pv.values - vt.values)) <= bound + 1e-9
-        assert pv.iterations <= 10
-        # policy iteration evaluates through the exact evaluator's path
-        np.testing.assert_array_equal(
-            pv.values, evaluate_policy_exact(mdp, pp.actions, cfg.discount))
+    vt, pt = value_iteration(mdp, cfg)
+    pv, pp = policy_iteration(mdp, cfg)
+    assert vt.converged and pv.converged
+    np.testing.assert_array_equal(pp.actions, pt.actions)
+    # value iteration's a-posteriori bound on its own distance to V*
+    bound = cfg.discount * vt.final_residual / (1.0 - cfg.discount)
+    assert np.max(np.abs(pv.values - vt.values)) <= bound + 1e-9
+    assert pv.iterations <= 10
+    # policy iteration evaluates through the exact evaluator's path
+    np.testing.assert_array_equal(
+        pv.values, evaluate_policy_exact(mdp, pp.actions, cfg.discount))
 
 
 @pytest.mark.parametrize("chosen", [False, True])
@@ -714,30 +763,15 @@ def test_solvers_stop_on_a_non_finite_residual():
     assert pv.iterations == 1 and np.isnan(pv.final_residual)
 
 
-@st.composite
-def pinned_cases(draw):
-    mdp, _, _, d = draw(small_models())
-    mode = draw(st.sampled_from(["fixed_pd", "fixed_ic"]))
-    n = len(mdp.grids.actions.pd_levels if mode == "fixed_pd"
-            else mdp.grids.actions.ic_levels)
-    return mdp, d, mode, draw(st.integers(0, n - 1))
-
-
 @settings(max_examples=60, deadline=None)
-@given(pinned_cases())
+@given(small_models())
 def test_policy_iteration_properties(case):
-    mdp, d, mode, pinned = case
+    mdp, _, _, d = case
     cfg = SolverConfig(epsilon=1e-12, discount=d)
     joint, _ = policy_iteration(mdp, cfg)
-    restricted, pt = policy_iteration(mdp, cfg, mode=mode, pinned=pinned)
-    assert joint.converged and restricted.converged
-    n_ic = len(mdp.grids.actions.ic_levels)
-    held = pt.actions // n_ic if mode == "fixed_pd" else pt.actions % n_ic
-    assert np.all(held == pinned)
+    assert joint.converged
     scale = max(1.0, float(np.max(np.abs(joint.values))))
-    # a pinned controller never beats the joint one at any state
-    assert np.all(restricted.values <= joint.values + 1e-12 * scale)
-    # ... and the joint values are value iteration's on the dense arrays
+    # the joint values are value iteration's on the dense arrays
     dense, _ = value_iteration_dense(*materialize_dense(mdp), cfg)
     np.testing.assert_allclose(joint.values, dense.values, rtol=0.0,
                                atol=1e-9 * scale)
