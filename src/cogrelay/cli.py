@@ -51,10 +51,10 @@ def _manifest_line(payload: dict[str, Any]) -> str:
 def _fmt_column(column: Sequence[Any]) -> Sequence[str]:
     """`_fmt` of each cell.  A float64 array column formats each distinct
     value once, keyed by its bits, so -0.0 and 0.0 (and NaN payloads) stay
-    apart."""
+    apart; `repr` of the Python floats `tolist` gives is `_fmt` of each."""
     if isinstance(column, np.ndarray) and column.dtype == np.float64:
         bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
-        text = np.array([_fmt(v) for v in bits.view(np.float64)], dtype=object)
+        text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
         return text[inverse]
     return [_fmt(v) for v in column]
 

@@ -16,9 +16,9 @@ A mode's actions are an ascending index set of flat action columns (all
 backups contract the kernel and step-reward slices of those columns only.
 Value iteration shrinks the set as it goes: every 25 sweeps it drops each
 column that MacQueen's suboptimal-action test, with Porteus's bounds on
-V* from the last two iterates and a margin for the distance of every later
-iterate from V*, rules out at every block (`_may_still_win` states the
-test and its rounding slack).  A dropped column can never reach or tie a
+V* from the last two iterates and a span-seminorm margin for every later
+iterate, rules out at every block (`_may_still_win` states the test and
+its rounding slack).  A dropped column can never reach or tie a
 later maximum and each Q entry is the same elementwise arithmetic whatever
 other columns are present, so values, residuals and actions are the same
 floats as with all columns.  Policy iteration and `evaluate_policy_exact`
@@ -271,14 +271,18 @@ def _may_still_win(q: np.ndarray, new_w: np.ndarray, step: np.ndarray,
     """Mask of the columns of q = Q(W_k) that MacQueen's test does not rule out.
 
     `step` is W_k - W_{k-1} and new_w = max_a q.  Porteus's bounds
-    lo = W_k + c_lo <= V* <= hi = W_k + c_hi hold with the constants
-    c_lo = d/(1-d) min(step) and c_hi = d/(1-d) max(step), and every later
-    iterate lies within e = d/(1-d) ||step|| of V*, so its Q lies within
-    d*e of Q(V*).  As the kernel is stochastic, Q(hi) = q + d*c_hi and
-    Q(lo) = q + d*c_lo.  A column is dropped only if
-    Q(hi)(b, a) + 2*d*e + slack < max_a' Q(lo)(b, a') at every block b: it
-    can then never reach or tie any later maximum, so the maxima and their
-    lowest-index argmax stay the same floats.
+    W_k + c_lo <= V* <= W_k + c_hi, with c_lo = d/(1-d) min(step) and
+    c_hi = d/(1-d) max(step), give sp(V* - W_k) <= span = c_hi - c_lo, where
+    sp(x) = max x - min x.  The Bellman operator contracts sp with modulus
+    d, so every later iterate has sp(W_j - V*) <= span and
+    sp(W_j - W_k) <= 2*span.  A stochastic row pair has
+    (P_a - P_a') x <= sp(x), so Q(W_j)(b, a) - Q(W_j)(b, a') exceeds
+    q(b, a) - q(b, a') by at most 2*d*span, and Q(V*) by at most d*span.
+    A column is dropped only if q(b, a) + 2*d*span + slack < max_a' q(b, a')
+    at every block b: it can then never reach or tie any later maximum, nor
+    the limit's, so the maxima and their lowest-index argmax stay the same
+    floats.  Unlike a sup-norm margin, this one ignores the constant shift
+    of the early iterates.
 
     slack = 2^-40 * (max|r| + d max|W|) / (1 - d) covers rounding.  One Q
     entry is r plus d times about n_ps + 9 products of W entries with
@@ -288,10 +292,9 @@ def _may_still_win(q: np.ndarray, new_w: np.ndarray, step: np.ndarray,
     roundings, a wide margin at any grid these models use.
     """
     d = discount
-    e = d / (1.0 - d) * float(np.max(np.abs(step)))
     span = d / (1.0 - d) * float(np.max(step) - np.min(step))     # c_hi - c_lo
     slack = 2.0**-40 * (reward_bound + d * float(np.max(np.abs(new_w)))) / (1.0 - d)
-    return np.any(q + (d * span + 2.0 * d * e + slack) >= new_w[:, None], axis=0)
+    return np.any(q + (2.0 * d * span + slack) >= new_w[:, None], axis=0)
 
 
 def value_iteration(mdp: SpectrumMDP, cfg: SolverConfig, mode: Mode = "joint",

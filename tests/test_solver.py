@@ -1,6 +1,7 @@
 """Value and policy iteration: both routes, policy evaluation and the lookup table."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from cogrelay.mdp import (ActionGrids, CostModel, MdpGrids, PowerPolicy,
                           constrained_power, transition)
 from cogrelay.model import ChannelParams, QueueParams
 from cogrelay.sensing import false_alarm_from_detection
-from cogrelay.solver import (LOOKUP_COLUMNS, SolverConfig, _continuation, _lift,
-                             evaluate_policy_exact, extract_lookup_table,
+from cogrelay.solver import (_ELIMINATION_PERIOD, LOOKUP_COLUMNS, SolverConfig,
+                             _allowed_columns, _BlockBellman, _continuation, _lift,
+                             _may_still_win, evaluate_policy_exact, extract_lookup_table,
                              policy_iteration, value_iteration)
 from oracles import (dense_rewards, evaluate_policy, evaluate_policy_blocks,
                      evaluate_policy_dense, materialize_dense, outcome_kernel, policy_terms,
@@ -672,9 +674,68 @@ def test_action_elimination_keeps_every_float_on_the_default_grids(costs, epsilo
     mdp, cfg = default_model(costs, chosen)
     vt, _ = assert_matches_full_columns(mdp, dataclasses.replace(cfg, epsilon=epsilon),
                                         mode, pinned)
-    if mode == "joint":
-        # the test ran and dropped most of the 231 columns
-        assert vt.active_actions < mdp.n_actions / 2
+    # the columns left at the end, the same at both stopping rules; a weaker
+    # margin leaves more (11 and 25 joint, 20 and 21 at pd level 8, at 1e-6)
+    active = {("joint", True): 1, ("joint", False): 25,
+              ("fixed_pd", True): 8, ("fixed_pd", False): 1}
+    assert vt.active_actions == active[mode, costs is None]
+
+
+def assert_dropped_columns_never_win(mdp, cfg, mode="joint", pinned=None):
+    """Full-column block value iteration that applies `_may_still_win` at
+    every elimination point and checks the span argument directly: each
+    column it rules out stays strictly below the block maximum at every
+    block, on every later iterate and at the policy-iteration fixed point.
+    Returns the number of columns ruled out."""
+    bellman = _BlockBellman(mdp, cfg.discount, _allowed_columns(mdp, mode, pinned))
+    reward_bound = float(np.max(np.abs(bellman.step_reward[..., bellman.columns])))
+    dropped = np.zeros(bellman.columns.size, dtype=bool)
+
+    def assert_below_the_maximum(q):
+        assert np.all(q[:, dropped] < q.max(axis=-1)[:, None])
+
+    w = bellman.q_state(mdp.reward_vec).max(axis=-1)
+    prev, sweeps, residual = w, 1, math.inf
+    while sweeps < cfg.max_iters and residual > cfg.epsilon:
+        q = bellman.q(w)
+        assert_below_the_maximum(q)
+        new_w = q.max(axis=-1)
+        residual = float(np.max(np.abs(new_w - w)))
+        sweeps += 1
+        if sweeps % _ELIMINATION_PERIOD == 0:
+            dropped |= ~_may_still_win(q, new_w, w - prev, cfg.discount, reward_bound)
+        prev, w = w, new_w
+    assert_below_the_maximum(bellman.q(w))
+
+    # Howard's steps over the mode's columns, from the last iterate
+    evaluated = set()
+    greedy = bellman.greedy(bellman.q(w))
+    while greedy.tobytes() not in evaluated:
+        evaluated.add(greedy.tobytes())
+        q = bellman.q(bellman.evaluate(greedy))
+        greedy = bellman.greedy(q)
+    assert_below_the_maximum(q)
+    return int(dropped.sum())
+
+
+@settings(max_examples=60, deadline=None)
+@given(elimination_cases())
+def test_eliminated_columns_never_win_later(case):
+    mdp, cfg, mode, pinned = case
+    assert_dropped_columns_never_win(mdp, cfg, mode, pinned)
+
+
+@pytest.mark.parametrize("mode, pinned, chosen", [("joint", None, False),
+                                                  ("fixed_pd", 8, True)])
+@pytest.mark.parametrize("costs", [None, CostModel(0.0, 0.0)],
+                         ids=["default_costs", "zero_costs"])
+def test_eliminated_columns_never_win_later_on_the_default_grids(costs, mode, pinned,
+                                                                 chosen):
+    mdp, cfg = default_model(costs, chosen)
+    # a tight stopping rule, so many iterates follow the last elimination
+    dropped = assert_dropped_columns_never_win(
+        mdp, dataclasses.replace(cfg, epsilon=5e-12), mode, pinned)
+    assert dropped > 0
 
 
 # ---------------------------------------------------------------------------
