@@ -1,7 +1,6 @@
 """Value and policy iteration: both routes, policy evaluation and the lookup table."""
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -695,7 +694,7 @@ def assert_dropped_columns_never_win(mdp, cfg, mode="joint", pinned=None):
         assert np.all(q[:, dropped] < q.max(axis=-1)[:, None])
 
     w = bellman.q_state(mdp.reward_vec).max(axis=-1)
-    prev, sweeps, residual = w, 1, math.inf
+    prev, sweeps, residual = w, 1, np.inf
     while sweeps < cfg.max_iters and residual > cfg.epsilon:
         q = bellman.q(w)
         assert_below_the_maximum(q)
