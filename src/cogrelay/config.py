@@ -5,11 +5,9 @@ an empty document is a complete run; unknown keys are rejected by their
 dotted path.  Power-like quantities are written in dB under keys suffixed
 ``_db`` and converted once at resolution time; everything downstream is
 linear.  Every key feeds the output of at least one command, so a run
-never carries a setting it ignores; library options that no command reads
-(the detector's noise power ``SensingConfig.n0``, say) have no key.  The
-fully resolved document (defaults filled in, exactly as the run used it) is
-echoed into every output file together with its SHA-256 hash, which is
-what makes reruns byte-comparable.
+never carries a setting it ignores.  The fully resolved document (defaults
+filled in, exactly as the run used it) is echoed into every output file
+together with its SHA-256 hash, which is what makes reruns byte-comparable.
 """
 
 from __future__ import annotations

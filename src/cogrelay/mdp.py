@@ -22,13 +22,12 @@ secondary imposes on the primary link scales with P_tx / p_ref.  Constrained
 transmissions therefore both survive worse and protect the primary better
 when Ic is tight.  `_outcome_terms` is the one implementation of this slot
 physics and `_move_kernel` the one aggregation of it into the (rho_p move,
-rho_s move) law; `_compile` runs both once on the whole grid, and
-`build_spectrum_mdp` and the scalar `transition` both read its kernel.
+rho_s move) law; `build_spectrum_mdp` runs both once on the whole grid,
+and the scalar `transition` reads a row of the model's kernel.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -284,22 +283,21 @@ def _move_kernel(dist, srv_p, srv_s, rp, rs, grids: MdpGrids,
     return np.einsum("mrvax,nruvax->mnruva", dist[None, :, None] * bdp, bds)
 
 
-def transition(state: int, action: int, grids: MdpGrids,
-               params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """One-step distribution over next states under `action`.
+def transition(mdp: SpectrumMDP, state: int, action: int) -> tuple[np.ndarray, np.ndarray]:
+    """One-step distribution over next states of `mdp` under `action`.
 
-    `state` is a flat index over `grids.shape` and `action` a flat action
+    `state` is a flat index over `mdp.grids.shape` and `action` a flat action
     index, pd index * n_ic + ic index; either out of range is a ValueError.
     Returns (next_states, probabilities): the flat next-state indices and
     their probabilities, zero-probability branches dropped.  The row is a
-    gather from `_compile`'s kernel times the stationary power redraw; the
-    applied action becomes the next state's previous-action field.  The
-    cache keeps the last model's kernel alive (6.6 MB at the defaults).
+    gather from the model's kernel times the stationary power redraw; the
+    applied action becomes the next state's previous-action field.
     """
+    grids = mdp.grids
     rp, rs, ps, _, _ = np.unravel_index(state, grids.shape)
     pd_i, ic_i = np.unravel_index(action, grids.shape[3:])
-    kernel, _ = _compile(grids, params)
-    probs = kernel[:, :, rp, rs, ps, action, None] * np.array(grids.states.p_s_stationary)
+    probs = (mdp.kernel[:, :, rp, rs, ps, action, None]
+             * np.array(grids.states.p_s_stationary))
     mp, ms, ps_next = np.nonzero(probs)
     next_states = np.ravel_multi_index(
         (rp + mp - 1, rs + ms - 1, ps_next, pd_i, ic_i), grids.shape)
@@ -333,12 +331,13 @@ class ValidationReport:
 def validate(params: ModelParams, grids: MdpGrids) -> ValidationReport:
     """Check the operating constraints; report violations instead of raising.
 
-    Covers strict queue stability (constraint 1), the power-state range
-    against the budget (constraint 2), the detection grid range (constraint
-    3) and the boundedness of the interference grid (constraint 4).  The
-    constructors of `params` and `grids` already reject some of these
-    breaches; the checks stay so that every constraint is reported here in
-    one place, whatever built the arguments.
+    Covers the constraints that the argument constructors let through:
+    strict queue stability (constraint 1; `QueueParams` admits lambda ==
+    mu), the power-state range against the budget (constraint 2) and a
+    bounded interference grid (constraint 4; `ActionGrids` admits
+    ic = +inf).  The constructors reject the other breaches themselves:
+    `QueueParams` an arrival rate outside [0, 1], and `ActionGrids` a pd
+    level outside [0, 1] (constraint 3).
     """
     found: list[Violation] = []
     q = params.queues
@@ -349,21 +348,12 @@ def validate(params: ModelParams, grids: MdpGrids) -> ValidationReport:
             found.append(Violation(
                 "constraint 1 (queue stability)",
                 f"{lam_name}={lam} must be below its service capacity {mu}"))
-        if not 0.0 <= lam <= 1.0:
-            found.append(Violation(
-                "constraint 1 (queue stability)",
-                f"{lam_name}={lam} is not a per-slot arrival probability"))
     p_av = params.power.p_av
     for lvl in grids.states.p_s_levels:
         if not 0.0 < lvl <= p_av:
             found.append(Violation(
                 "constraint 2 (power range)",
                 f"power state level {lvl} outside (0, p_av={p_av}]"))
-    for pd in grids.actions.pd_levels:
-        if not 0.0 <= pd <= 1.0:
-            found.append(Violation(
-                "constraint 3 (detection range)",
-                f"pd level {pd} outside [0, 1]"))
     ic = grids.actions.ic_levels
     if any(not math.isfinite(v) or v <= 0.0 for v in ic):
         found.append(Violation(
@@ -427,10 +417,9 @@ class SpectrumMDP:
         return self.grids.actions.n_actions
 
 
-@functools.lru_cache(maxsize=1)
-def _compile(grids: MdpGrids, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """The cost-free half of the model, (kernel, g_action), cached for the
-    last (grids, params) that `transition` asked about.
+def build_spectrum_mdp(grids: MdpGrids, params: ModelParams, costs: CostModel,
+                       reward_uses_chosen_action: bool = False) -> SpectrumMDP:
+    """Compile the slot model on the whole grid and price it with the costs.
 
     One call of the slot physics on (rho_p, rho_s, P_s, Pd, Ic)-shaped
     inputs gives the outcome law and both service probabilities at every
@@ -459,17 +448,8 @@ def _compile(grids: MdpGrids, params: ModelParams) -> tuple[np.ndarray, np.ndarr
                           np.arange(n_rs).reshape(-1, 1, 1, 1), grids, params)
     # throughput part of the reward for any (state coords, action) combination;
     # flattened over the prev-action axes it is exactly the per-state g term
-    return kernel, srv_s.sum(axis=-1)
-
-
-def build_spectrum_mdp(grids: MdpGrids, params: ModelParams, costs: CostModel,
-                       reward_uses_chosen_action: bool = False) -> SpectrumMDP:
-    """`_compile`'s tensors, priced with the control costs.  The build skips
-    `_compile`'s cache, so a model's kernel lives no longer than the model."""
-    kernel, g_action = _compile.__wrapped__(grids, params)
-    n_pd, n_ic = grids.shape[3:]
-    ps1 = np.array([constrained_power(params.power, v) for v in grids.actions.ic_levels])
-    action_cost = (costs.s_const * np.repeat(grids.actions.pd_levels, n_ic)
+    g_action = srv_s.sum(axis=-1)
+    action_cost = (costs.s_const * np.repeat(pd, n_ic)
                    + costs.c_const * np.tile(ps1, n_pd))  # (A,)
     return SpectrumMDP(
         grids=grids, params=params,

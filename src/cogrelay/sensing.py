@@ -5,11 +5,12 @@ gamma_se, fixing the detection probability pd determines the false-alarm
 probability and the decision threshold in closed form:
 
     pf  = Q( Qinv(pd) * sqrt(2*gamma_se + 1) + sqrt(n) * gamma_se )
-    eta = ( Qinv(pd) * sqrt((2*gamma_se + 1) / n) + gamma_se + 1 ) * n0
+    eta = Qinv(pd) * sqrt((2*gamma_se + 1) / n) + gamma_se + 1
 
-where Q is the Gaussian tail function.  Boundary values pd = 0 and pd = 1
-map to pf = 0 and pf = 1 by convention (a detector that never or always
-fires needs no threshold margin).
+where Q is the Gaussian tail function and the threshold eta is in units of
+the noise power.  Boundary values pd = 0 and pd = 1 map to pf = 0 and
+pf = 1 by convention (a detector that never or always fires needs no
+threshold margin).
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ class SensingConfig:
     gamma_se: float
     tau: float
     f_s: float = 1e6
-    n0: float = 1.0
 
     def __post_init__(self) -> None:
         if self.gamma_se <= 0.0:
@@ -53,8 +53,6 @@ class SensingConfig:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if self.f_s <= 0.0:
             raise ValueError(f"f_s must be positive, got {self.f_s}")
-        if self.n0 <= 0.0:
-            raise ValueError(f"n0 must be positive, got {self.n0}")
 
     @property
     def n_samples(self) -> int:
@@ -75,17 +73,18 @@ def false_alarm_from_detection(pd: float, cfg: SensingConfig) -> float:
 
 
 def threshold_from_detection(pd: float, cfg: SensingConfig) -> float:
-    """Energy threshold (scaled by the noise power) that achieves pd."""
+    """Energy threshold, in units of the noise power, that achieves pd."""
     if not 0.0 < pd < 1.0:
         raise ValueError(f"threshold is defined for 0 < pd < 1, got {pd}")
     scale = math.sqrt((2.0 * cfg.gamma_se + 1.0) / cfg.n_samples)
-    return (q_inverse(pd) * scale + cfg.gamma_se + 1.0) * cfg.n0
+    return q_inverse(pd) * scale + cfg.gamma_se + 1.0
 
 
 def detection_from_threshold(eta: float, cfg: SensingConfig) -> float:
-    """Detection probability achieved by energy threshold eta (inverse map)."""
+    """Detection probability achieved by energy threshold eta, in units of
+    the noise power (inverse map)."""
     if eta <= 0.0:
         raise ValueError(f"eta must be positive, got {eta}")
     scale = math.sqrt((2.0 * cfg.gamma_se + 1.0) / cfg.n_samples)
-    arg = (eta / cfg.n0 - cfg.gamma_se - 1.0) / scale
+    arg = (eta - cfg.gamma_se - 1.0) / scale
     return q_function(arg)

@@ -30,6 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp import ModelParams, sensing_outcome_distribution
+from .model import (OUTCOME_ORDER, primary_throughput, relay_branch,
+                    secondary_branch, secondary_throughput)
 from .sensing import false_alarm_from_detection
 
 __all__ = [
@@ -228,9 +230,6 @@ def simulate(cfg: SimConfig) -> SimStats:
 
 def analytical_reference(cfg: SimConfig) -> dict[str, float | np.ndarray]:
     """Closed-form companions of every SimStats estimate, for z-scoring."""
-    from .model import (OUTCOME_ORDER, primary_throughput, relay_branch,
-                        secondary_branch, secondary_throughput)
-
     ch, q, timing = cfg.params.channel, cfg.params.queues, cfg.params.timing
     pd, pf, pi1 = cfg.pd, cfg.resolved_pf, cfg.resolved_pi1
     branch_s = np.array([secondary_branch(o, pf, pd, pi1, ch) for o in OUTCOME_ORDER])

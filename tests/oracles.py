@@ -2,9 +2,8 @@
 
 The dense solvers work on explicit (A, S, S) transition and (S, A) reward
 arrays, which `materialize_dense` builds from the scalar `transition` rows.
-Those rows are gathered from the model's compiled kernel (one row of
-`cogrelay.mdp._compile`'s kernel each), so the dense route checks the
-solvers' contraction, gathers and lifting, not the physics.
+Those rows are gathered from the model's own kernel, so the dense route
+checks the solvers' contraction, gathers and lifting, not the physics.
 `outcome_kernel` states the slot physics one scalar slot at a time, apart
 from the broadcasting `cogrelay.mdp._outcome_terms` that the library
 compiles, and `reward` prices a single state from it; with the tests'
@@ -298,7 +297,7 @@ def materialize_dense(mdp: SpectrumMDP) -> tuple[np.ndarray, np.ndarray]:
     p = np.zeros((n_actions, n_states, n_states))
     for s in range(n_states):
         for a in range(n_actions):
-            next_states, probs = transition(s, a, mdp.grids, mdp.params)
+            next_states, probs = transition(mdp, s, a)
             p[a, s, next_states] = probs
     return p, dense_rewards(mdp)
 

@@ -181,9 +181,10 @@ def test_criterion_02_transition_rows_sum_to_one_on_default_grids():
     acts = rng.integers(0, grids.actions.n_actions, 100_000)
 
     t0 = time.perf_counter()
+    mdp = build_spectrum_mdp(grids, params, CostModel())
     worst = 0.0
     for s, a in zip(states, acts):
-        _, probabilities = transition(int(s), int(a), grids, params)
+        _, probabilities = transition(mdp, int(s), int(a))
         worst = max(worst, abs(sum(probabilities.tolist()) - 1.0))
     elapsed = time.perf_counter() - t0
 

@@ -1,8 +1,10 @@
-"""Every name a library module imports is read by it or re-exported, and
+"""Every name a library module imports is read by it or re-exported,
 every top-level function and class of the library is reachable from an
-entry point."""
+entry point, and no library module keeps a process-wide cache."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -202,3 +204,28 @@ def unreachable_definitions() -> list[str]:
 
 def test_every_library_definition_is_reachable_from_an_entry_point():
     assert unreachable_definitions() == []
+
+
+# ---------------------------------------------------------------------------
+# hidden state
+
+
+def cached_callables() -> list[str]:
+    """Attributes of the library's modules, and of the classes they define,
+    that are functools caches (they carry ``cache_info``)."""
+    found = []
+    for path in MODULES:
+        module = importlib.import_module(f"cogrelay.{path.stem}")
+        for name, value in vars(module).items():
+            members = [(name, value)]
+            if inspect.isclass(value) and value.__module__ == module.__name__:
+                members += [(f"{name}.{attr}", v) for attr, v in vars(value).items()]
+            found += [f"{path.stem}.{label}" for label, v in members
+                      if hasattr(v, "cache_info")]
+    return found
+
+
+def test_library_keeps_no_functools_cache():
+    # a process-wide cache outlives the object it was computed for: it
+    # would keep the last model's kernel alive and answer from it
+    assert cached_callables() == []

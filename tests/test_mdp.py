@@ -100,12 +100,12 @@ def test_flat_index_round_trip():
     # every next state of every row decodes to a block one rho_p step and one
     # rho_s step away at most, at any power level, carrying the applied action
     grids = small_grids()
-    params = make_params()
+    mdp = build_spectrum_mdp(grids, make_params(), CostModel())
     n_ps = len(grids.states.p_s_levels)
     for state in range(grids.n_states):
         rp, rs = np.unravel_index(state, grids.shape)[:2]
         for action in range(grids.actions.n_actions):
-            next_states, _ = transition(state, action, grids, params)
+            next_states, _ = transition(mdp, state, action)
             nrp, nrs, nps, npd, nic = np.unravel_index(next_states, grids.shape)
             assert np.all(np.abs(nrp - rp) <= 1) and np.all(np.abs(nrs - rs) <= 1)
             assert set(nps.tolist()) == set(range(n_ps))
@@ -113,7 +113,7 @@ def test_flat_index_round_trip():
     for state, action in ((grids.n_states, 0), (-1, 0),
                           (0, grids.actions.n_actions), (0, -1)):
         with pytest.raises(ValueError):
-            transition(state, action, grids, params)
+            transition(mdp, state, action)
 
 
 # ---------------------------------------------------------------------------
@@ -218,19 +218,19 @@ def _hand_birth_death(idx, n, lam, srv):
 
 def test_transition_rows_sum_to_one():
     grids = small_grids()
-    params = make_params()
+    mdp = build_spectrum_mdp(grids, make_params(), CostModel())
     for state in range(grids.n_states):
         for action in range(grids.actions.n_actions):
-            _, probs = transition(state, action, grids, params)
+            _, probs = transition(mdp, state, action)
             assert sum(probs.tolist()) == pytest.approx(1.0, abs=1e-12)
             assert np.all(probs > 0.0)
 
 
 def test_transition_stamps_applied_action():
     grids = small_grids()
-    params = make_params()
+    mdp = build_spectrum_mdp(grids, make_params(), CostModel())
     state = int(np.ravel_multi_index((1, 0, 1, 0, 0), grids.shape))
-    next_states, _ = transition(state, 2, grids, params)    # pd index 1, ic index 0
+    next_states, _ = transition(mdp, state, 2)    # pd index 1, ic index 0
     _, _, _, prev_pd, prev_ic = np.unravel_index(next_states, grids.shape)
     assert np.all(prev_pd == 1)
     assert np.all(prev_ic == 0)
@@ -244,7 +244,8 @@ def test_transition_empty_primary_queue_absorbs_without_arrivals():
                         p_s_levels=(1.0, 2.5), p_s_stationary=(0.6, 0.4))
     grids = MdpGrids(states=states, actions=ActionGrids((0.2, 0.8), (0.5, 2.0)))
     state = int(np.ravel_multi_index((0, 1, 0, 0, 0), grids.shape))
-    next_states, probs = transition(state, 3, grids, params)  # pd index 1, ic index 1
+    mdp = build_spectrum_mdp(grids, params, CostModel())
+    next_states, probs = transition(mdp, state, 3)  # pd index 1, ic index 1
     rho_p_idx = np.unravel_index(next_states, grids.shape)[0]
     mass_at_zero = sum(probs[rho_p_idx == 0].tolist())
     assert mass_at_zero == pytest.approx(1.0, abs=1e-12)
@@ -267,7 +268,8 @@ def test_transition_mid_state_birth_death_masses():
                         p_s_levels=(1.0,), p_s_stationary=(1.0,))
     grids = MdpGrids(states=states, actions=ActionGrids((1.0,), (0.5,)))
     state = int(np.ravel_multi_index((1, 0, 0, 0, 0), grids.shape))
-    next_states, probs = transition(state, 0, grids, params)
+    mdp = build_spectrum_mdp(grids, params, CostModel())
+    next_states, probs = transition(mdp, state, 0)
     moved = {-1: 0.0, 0: 0.0, 1: 0.0}
     for rho_p_idx, p in zip(np.unravel_index(next_states, grids.shape)[0].tolist(),
                             probs.tolist()):
@@ -282,6 +284,7 @@ def test_transition_matches_hand_composed_product():
     the scalar reference physics and a hand-written birth-death step."""
     grids = small_grids()
     params = make_params()
+    mdp = build_spectrum_mdp(grids, params, CostModel())
     n_rp = len(grids.states.rho_p_levels)
     n_rs = len(grids.states.rho_s_levels)
     pstat = grids.states.p_s_stationary
@@ -307,39 +310,13 @@ def test_transition_matches_hand_composed_product():
                         key = (rp + dp, rs + ds, ps2)
                         expected[key] = expected.get(key, 0.0) + dist[k] * wp * ws * wps
 
-        next_states, probs = transition(int(flat), a, grids, params)
+        next_states, probs = transition(mdp, int(flat), a)
         rho_p_idx, rho_s_idx, p_s_idx = np.unravel_index(next_states, grids.shape)[:3]
         got = dict(zip(zip(rho_p_idx.tolist(), rho_s_idx.tolist(), p_s_idx.tolist()),
                        probs.tolist()))
         for key, p in expected.items():
             assert got.get(key, 0.0) == pytest.approx(p, abs=1e-13)
         assert sum(got.values()) == pytest.approx(sum(expected.values()), abs=1e-13)
-
-
-def test_transition_rows_follow_the_model_asked_about():
-    # two models one INR apart, asked about in the order A, B, A: every row
-    # is the asked model's own kernel row times the power redraw, bit for bit
-    grids = small_grids()
-    params_a = make_params()
-    params_b = dataclasses.replace(
-        params_a, channel=dataclasses.replace(params_a.channel, gamma_ps=2.0))
-    pstat = np.array(grids.states.p_s_stationary)
-    kernels = {params: build_spectrum_mdp(grids, params, CostModel()).kernel
-               for params in (params_a, params_b)}
-    assert not np.array_equal(kernels[params_a], kernels[params_b])
-    for params in (params_a, params_b, params_a):
-        for state in range(grids.n_states):
-            rp, rs, ps = np.unravel_index(state, grids.shape)[:3]
-            for action in range(grids.actions.n_actions):
-                next_states, probs = transition(state, action, grids, params)
-                row = kernels[params][:, :, rp, rs, ps, action, None] * pstat
-                mp, ms, ps_next = np.unravel_index(next_states, grids.shape)[:3]
-                assert np.count_nonzero(row) == len(probs)
-                assert row[mp - rp + 1, ms - rs + 1, ps_next].tobytes() == probs.tobytes()
-    # a warm cache still rejects an out-of-range state or action
-    for state, action in ((grids.n_states, 0), (0, grids.actions.n_actions)):
-        with pytest.raises(ValueError):
-            transition(state, action, grids, params_a)
 
 
 # ---------------------------------------------------------------------------

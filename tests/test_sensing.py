@@ -90,13 +90,13 @@ def test_false_alarm_monotone_in_detection():
 
 
 def test_threshold_at_half_detection():
-    # Qinv(0.5) = 0, so the threshold is exactly (gamma_se + 1) * n0
-    cfg = SensingConfig(gamma_se=0.25, tau=0.3e-3, f_s=1e6, n0=2.0)
-    assert threshold_from_detection(0.5, cfg) == pytest.approx(2.5, rel=1e-12)
+    # Qinv(0.5) = 0, so the threshold is exactly gamma_se + 1 noise powers
+    cfg = SensingConfig(gamma_se=0.25, tau=0.3e-3, f_s=1e6)
+    assert threshold_from_detection(0.5, cfg) == pytest.approx(1.25, rel=1e-12)
 
 
 def test_threshold_frozen_value():
-    # pd=0.9, gamma_se=0.0316228, 300 samples, n0=1; oracle:
+    # pd=0.9, gamma_se=0.0316228, 300 samples; oracle:
     # Qinv(0.9) * sqrt((2*gamma_se + 1)/300) + gamma_se + 1
     cfg = SensingConfig(gamma_se=0.0316228, tau=0.3e-3, f_s=1e6)
     assert threshold_from_detection(0.9, cfg) == pytest.approx(
@@ -126,5 +126,3 @@ def test_config_validation():
         SensingConfig(gamma_se=0.1, tau=0.0)
     with pytest.raises(ValueError):
         SensingConfig(gamma_se=0.1, tau=0.3e-3, f_s=-1.0)
-    with pytest.raises(ValueError):
-        SensingConfig(gamma_se=0.1, tau=0.3e-3, n0=0.0)

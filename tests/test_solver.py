@@ -545,7 +545,7 @@ def test_kernel_properties(case):
             for mp, ms in np.ndindex(3, 3):
                 expected[r + mp, u + ms] = kernel[mp, ms, r, u, v, a] * pstat
             next_states, probs = transition(
-                int(np.ravel_multi_index((r, u, v, 0, 0), grids.shape)), a, grids, params)
+                mdp, int(np.ravel_multi_index((r, u, v, 0, 0), grids.shape)), a)
             got = np.zeros((n_rp, n_rs, n_ps))
             got[np.unravel_index(next_states, grids.shape)[:3]] = probs
             np.testing.assert_allclose(got, expected[1:-1, 1:-1], rtol=0.0, atol=1e-15)
