@@ -4,8 +4,7 @@ Builds the full 92,400-state model (queue occupancies, power level, previous
 action), runs value iteration over all 231 (pd, ic) pairs, and prints a few
 rows of the resulting lookup table. With the default sensing and interference
 penalties the controller settles on the cheapest action everywhere; dropping
-the penalties shows it spreading over the grid to chase throughput. Takes a
-few seconds per solve.
+the penalties shows it spreading over the grid to chase throughput.
 """
 
 import time
@@ -30,9 +29,8 @@ def solve(costs):
 
 def pd_histogram(mdp, policy):
     """Number of (rho_p, rho_s, P_s) blocks per chosen pd level."""
-    n_ic = len(mdp.grids.actions.ic_levels)
-    counts = np.bincount(policy.actions // n_ic,
-                         minlength=len(mdp.grids.actions.pd_levels))
+    pd_i, _ = np.unravel_index(policy.actions, mdp.grids.shape[3:])
+    counts = np.bincount(pd_i, minlength=len(mdp.grids.actions.pd_levels))
     return "  ".join(f"{lvl:3.1f}:{n:d}"
                      for lvl, n in zip(mdp.grids.actions.pd_levels, counts))
 

@@ -188,11 +188,8 @@ def _pinned_values(rc: ResolvedConfig, params: ModelParams, state_grids: StateGr
     n_blocks = mdp.n_states // mdp.n_actions
     solved = {}
     for pd, ic in dict.fromkeys((pd, ic) for pd, ic, _ in points):
-        action = pds.index(pd) * len(ics) + ics.index(ic)
-        values = evaluate_policy_exact(mdp, np.full(n_blocks, action), scfg.discount)
-        # the chosen-action reward has no per-state term: J repeats each
-        # block's value; a copy, so that the lifted vector is freed
-        solved[pd, ic] = values[::mdp.n_actions].copy()
+        action = np.ravel_multi_index((pds.index(pd), ics.index(ic)), grids.shape[3:])
+        solved[pd, ic] = evaluate_policy_exact(mdp, np.full(n_blocks, action), scfg.discount)
     return [float(solved[pd, ic][block]) for (pd, ic, _), block in zip(points, blocks)]
 
 

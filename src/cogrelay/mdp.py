@@ -333,11 +333,11 @@ def validate(params: ModelParams, grids: MdpGrids) -> ValidationReport:
 
     Covers the constraints that the argument constructors let through:
     strict queue stability (constraint 1; `QueueParams` admits lambda ==
-    mu), the power-state range against the budget (constraint 2) and a
-    bounded interference grid (constraint 4; `ActionGrids` admits
-    ic = +inf).  The constructors reject the other breaches themselves:
-    `QueueParams` an arrival rate outside [0, 1], and `ActionGrids` a pd
-    level outside [0, 1] (constraint 3).
+    mu), power levels above the budget (constraint 2) and an unbounded
+    interference grid (constraint 4; `ActionGrids` admits ic = +inf).  The
+    constructors reject the rest: `QueueParams` an arrival rate outside
+    [0, 1], `StateGrids` a power level <= 0, and `ActionGrids` a pd level
+    outside [0, 1] (constraint 3) and a cap <= 0 or NaN.
     """
     found: list[Violation] = []
     q = params.queues
@@ -350,12 +350,12 @@ def validate(params: ModelParams, grids: MdpGrids) -> ValidationReport:
                 f"{lam_name}={lam} must be below its service capacity {mu}"))
     p_av = params.power.p_av
     for lvl in grids.states.p_s_levels:
-        if not 0.0 < lvl <= p_av:
+        if lvl > p_av:
             found.append(Violation(
                 "constraint 2 (power range)",
                 f"power state level {lvl} outside (0, p_av={p_av}]"))
     ic = grids.actions.ic_levels
-    if any(not math.isfinite(v) or v <= 0.0 for v in ic):
+    if math.inf in ic:
         found.append(Violation(
             "constraint 4 (interference range)",
             f"ic levels must be positive and finite, got {ic}"))

@@ -2,18 +2,19 @@
 
 The model's kernel K[mp, ms, r, u, v, a] is its whole transition law, up to
 the stationary power redraw, and the solvers read it only through
-`_continuation`, which contracts it with a value table; as the continuation
-value of a state depends on its previous-action coordinates only through
-the applied action, one backup touches each (rho_p, rho_s, P_s) block once.
-`_BlockBellman` builds the Bellman operator over the blocks, so value
-iteration, policy iteration and `evaluate_policy_exact` all work on the B
-block values W(b) and lift to the S states once, at the end.  A policy is
-one action per block, as the greedy action never depends on the previous
-one, and its values follow from one banded solve on the (rho_p, rho_s) cells.
+`_continuation`, which contracts it with a value table's power averages;
+as the continuation value of a state depends on its previous-action
+coordinates only through the applied action, one backup touches each
+(rho_p, rho_s, P_s) block once.  `_BlockBellman` builds the Bellman
+operator over the blocks, so value iteration, policy iteration and
+`evaluate_policy_exact` all work on and return the B block values W(b).
+A policy is one action per block, as the greedy action never depends on
+the previous one, and its values follow from one banded solve on the
+(rho_p, rho_s) cells.  Only `extract_lookup_table` lifts to the S states.
 
 A mode's actions are an ascending index set of flat action columns (all
 231 at the defaults, one pd level's 21 or one ic level's 11), and the
-backups contract the kernel and step-reward slices of those columns only.
+operator holds the kernel and step-reward slices of those columns only.
 Value iteration shrinks the set as it goes: every 25 sweeps it drops each
 column that MacQueen's suboptimal-action test, with Porteus's bounds on
 V* from the last two iterates and a span-seminorm margin for every later
@@ -21,8 +22,8 @@ iterate, rules out at every block (`_may_still_win` states the test and
 its rounding slack).  A dropped column can never reach or tie a
 later maximum and each Q entry is the same elementwise arithmetic whatever
 other columns are present, so values, residuals and actions are the same
-floats as with all columns.  Policy iteration and `evaluate_policy_exact`
-back up all the columns.
+floats as with all columns.  Policy iteration backs up all the columns,
+and `evaluate_policy_exact` the ones its policy uses.
 
 The tests hold this route against the references in `tests/oracles.py`
 (full-column and per-state value iteration, the B x B evaluation solve and
@@ -76,8 +77,9 @@ class SolverConfig:
 
 @dataclass
 class ValueTable:
-    """Converged (or best-so-far) state values and the residual of each iteration.
+    """Converged (or best-so-far) values and the residual of each iteration.
 
+    The solvers' values are the block values W(b), shape (B,).
     active_actions is the number of action columns the solver still backed
     up when it stopped; the reference routes in the tests leave it None."""
 
@@ -124,27 +126,27 @@ def _allowed_columns(mdp: SpectrumMDP, mode: Mode, pinned: int | None) -> np.nda
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _continuation(mdp: SpectrumMDP, values: np.ndarray,
-                  kernel: np.ndarray | None = None) -> np.ndarray:
-    """E[J(next) | r, u, v, a], shape (r, u, v, A): nine shifted tensor
-    contractions of the kernel against the power-averaged value table.
+def _power_average(mdp: SpectrumMDP, table: np.ndarray) -> np.ndarray:
+    """sum_v pstat(v) J(rho_p, rho_s, v, ...) of a per-state table, shape
+    (S,), or a block table, shape (B,): shape (n_rho_p, n_rho_s, A) or
+    (n_rho_p, n_rho_s, 1)."""
+    j = table.reshape(*mdp.grids.shape[:3], -1)
+    return np.einsum("v,ruva->rua", np.array(mdp.grids.states.p_s_stationary), j)
 
-    `values` is a per-state table, shape (S,), or a block table W(b),
-    shape (B,), which stands for the per-state table that repeats W(b)
-    over the previous-action coordinates.  Given `kernel`, a contiguous
-    copy of some action columns of `mdp.kernel`, a block table backs up
-    over those columns only, and each entry is the same nine multiply-adds
-    as with the full kernel.  Power averages w(rho_p, rho_s) side by side,
-    shape (n_rho_p, n_rho_s, m), back up the i-th against kernel column i.
+
+def _continuation(mdp: SpectrumMDP, w: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """E[J(next) | r, u, v, a] over the action columns of `kernel`, shape
+    (r, u, v, m): nine shifted tensor contractions of `kernel`, m action
+    columns of `mdp.kernel`, against power averages of J.
+
+    w(rho_p, rho_s), shape (n_rho_p, n_rho_s, 1), backs up against every
+    column; power averages side by side, shape (n_rho_p, n_rho_s, m), back
+    up the i-th against column i.  Each entry is the same nine
+    multiply-adds whatever the other columns are.
     """
-    kernel = mdp.kernel if kernel is None else kernel
-    n_rp, n_rs, n_ps = mdp.grids.shape[:3]
-    if values.ndim == 1:
-        per_state = values.size == mdp.n_states
-        j = values.reshape(n_rp, n_rs, n_ps, mdp.n_actions if per_state else 1)
-        values = np.einsum("v,ruva->rua", np.array(mdp.grids.states.p_s_stationary), j)
-    wp = np.zeros((n_rp + 2, n_rs + 2, values.shape[-1]))
-    wp[1:-1, 1:-1] = values
+    n_rp, n_rs = mdp.grids.shape[:2]
+    wp = np.zeros((n_rp + 2, n_rs + 2, w.shape[-1]))
+    wp[1:-1, 1:-1] = w
     cont = np.zeros(kernel.shape[2:])
     for mp, ms in np.ndindex(3, 3):
         shifted = wp[mp:mp + n_rp, ms:ms + n_rs]
@@ -170,13 +172,11 @@ def _solve_banded(a: np.ndarray, b: np.ndarray, band: int) -> np.ndarray:
 
 def _base_rewards(mdp: SpectrumMDP) -> tuple[np.ndarray, np.ndarray | None]:
     """Per-(block, action) reward term and (for the default convention) the
-    per-state throughput that is added after maximisation."""
+    per-state throughput that is added after maximisation.  Under the default
+    convention the first term is the negated action costs, shape (A,)."""
     if mdp.reward_uses_chosen_action:
         return mdp.g_action - mdp.action_cost, None
-    n_rp, n_rs, n_ps, _, _ = mdp.grids.shape
-    base = np.broadcast_to(-mdp.action_cost,
-                           (n_rp, n_rs, n_ps, mdp.n_actions))
-    return base, mdp.g_action.reshape(-1)
+    return -mdp.action_cost, mdp.g_action.reshape(-1)
 
 
 def _lift(block_values: np.ndarray, g_add: np.ndarray | None, n_a: int) -> np.ndarray:
@@ -186,58 +186,60 @@ def _lift(block_values: np.ndarray, g_add: np.ndarray | None, n_a: int) -> np.nd
 
 
 class _BlockBellman:
-    """The Bellman operator of one model on block tables W(b).
+    """The Bellman operator of one model on block tables W(b), over the
+    ascending action `columns`.
 
     Every value table the solvers produce has the form V(b, prev) = W(b) +
     g_add(b, prev), so E[V(next) | b, a] = E[W(next) | b, a] +
     E[g_add(next) | b, a], and the second term, with the reward, is one
-    step reward fixed for the whole solve.  `q` backs up a block table,
+    step reward fixed for the whole solve.  The operator holds the kernel
+    and that step reward on its columns only.  `q` backs up a block table,
     `q_state` a per-state one (the reward vector both solvers start from
     has no block form), and `evaluate` solves for the block values of one
-    action per block.  Both backups cover the ascending action `columns`
-    only, and `greedy` maps a column of their result back to its flat
+    action per block.  `greedy` maps a column of a backup to its flat
     action index.
     """
 
     def __init__(self, mdp: SpectrumMDP, discount: float, columns: np.ndarray):
         self.mdp = mdp
-        self.base, self.g_add = _base_rewards(mdp)
         self.discount = discount
-        self.n_a = mdp.n_actions
-        # r(b, a) + d * E[g_add(next) | b, a]
-        self.step_reward = (self.base if self.g_add is None else
-                            self.base + discount * _continuation(mdp, self.g_add))
-        self.restrict(columns)
-
-    def restrict(self, columns: np.ndarray) -> None:
-        """Back up only `columns` from here on.  All columns read the full
-        tensors; a subset reads contiguous copies of its slices, made here."""
         self.columns = columns
-        if columns.size == self.n_a:
-            self._kernel, self._step_reward = self.mdp.kernel, self.step_reward
-        else:
-            self._kernel = np.ascontiguousarray(self.mdp.kernel[..., columns])
-            self._step_reward = np.ascontiguousarray(self.step_reward[..., columns])
+        base, self.g_add = _base_rewards(mdp)
+        # all columns share the model's kernel; a subset reads a contiguous copy
+        self.kernel = (mdp.kernel if columns.size == mdp.n_actions
+                       else np.ascontiguousarray(mdp.kernel[..., columns]))
+        # r(b, a) + d * E[g_add(next) | b, a], the Q table of g_add
+        self.step_reward = (np.ascontiguousarray(base[..., columns]) if self.g_add is None
+                            else self.q_state(self.g_add).reshape(self.kernel.shape[2:]))
+
+    def restrict(self, keep: np.ndarray) -> None:
+        """Back up only the columns that the mask `keep` marks from here on."""
+        self.columns = self.columns[keep]
+        self.kernel = np.ascontiguousarray(self.kernel[..., keep])
+        self.step_reward = np.ascontiguousarray(self.step_reward[..., keep])
 
     def q(self, block_values: np.ndarray) -> np.ndarray:
         """Q(b, a) of a block table over the columns, shape (B, len(columns))."""
-        cont = _continuation(self.mdp, block_values, self._kernel)
-        return (self._step_reward + self.discount * cont).reshape(-1, self.columns.size)
+        cont = _continuation(self.mdp, _power_average(self.mdp, block_values), self.kernel)
+        return (self.step_reward + self.discount * cont).reshape(-1, self.columns.size)
 
     def q_state(self, values: np.ndarray) -> np.ndarray:
         """Q(b, a) of a per-state table over the columns, shape (B, len(columns)).
 
-        A per-state table backs up over all actions, since its next-state
-        values depend on the action taken; the solvers call this once."""
-        q = self.base + self.discount * _continuation(self.mdp, values)
-        return q[..., self.columns].reshape(-1, self.columns.size)
+        A per-state table has no block form, since its next-state values
+        depend on the action taken.  Its power average runs over all columns
+        before the selection: on one column, einsum rounds differently."""
+        w = _power_average(self.mdp, values)[..., self.columns]
+        q = (_base_rewards(self.mdp)[0][..., self.columns]
+             + self.discount * _continuation(self.mdp, w, self.kernel))
+        return q.reshape(-1, self.columns.size)
 
     def greedy(self, q: np.ndarray) -> np.ndarray:
         """Flat action index of each block's maximising column, the lowest on ties."""
         return self.columns[q.argmax(axis=-1)]
 
     def evaluate(self, block_actions: np.ndarray) -> np.ndarray:
-        """W_sigma of one action per block.  The next power level is a
+        """W_sigma of one of the columns per block.  The next power level is a
         stationary redraw, so W_sigma = r_sigma + d E[w(next)], where w, the
         pstat average of W_sigma, solves (I - d M) w = r_bar on the (rho_p,
         rho_s) cells, M and r_bar averaging the policy's kernel and reward
@@ -245,8 +247,8 @@ class _BlockBellman:
         diagonally dominant by rows and needs no pivoting."""
         n_rp, n_rs, n_ps = self.mdp.grids.shape[:3]
         n = n_rp * n_rs
-        sigma = block_actions.reshape(n_rp, n_rs, n_ps, 1)
-        k = np.take_along_axis(self.mdp.kernel, sigma[None, None], axis=-1)
+        sigma = np.searchsorted(self.columns, block_actions).reshape(n_rp, n_rs, n_ps, 1)
+        k = np.take_along_axis(self.kernel, sigma[None, None], axis=-1)
         r_sigma = np.take_along_axis(self.step_reward, sigma, axis=-1)
         pstat = np.array(self.mdp.grids.states.p_s_stationary)[:, None]
         k_bar = (pstat * k).sum(axis=4, keepdims=True)
@@ -257,9 +259,6 @@ class _BlockBellman:
         w_bar = _solve_banded(a, (pstat * r_sigma).sum(axis=2).reshape(n), n_rs + 1)
         cont = _continuation(self.mdp, w_bar.reshape(n_rp, n_rs, 1), k)
         return (r_sigma + self.discount * cont).reshape(-1)
-
-    def lift(self, block_values: np.ndarray) -> np.ndarray:
-        return _lift(block_values, self.g_add, self.n_a)
 
 
 # value iteration tests the backed-up columns for elimination every this many sweeps
@@ -303,7 +302,7 @@ def value_iteration(mdp: SpectrumMDP, cfg: SolverConfig, mode: Mode = "joint",
 
     After the first backup every iterate is a block table W, and its
     residual sup |W_{k+1} - W_k| equals that of the lifted tables because
-    g_add cancels; the values are lifted once, at the end.  Every
+    g_add cancels; the values returned are W, shape (B,).  Every
     `_ELIMINATION_PERIOD` sweeps the columns that `_may_still_win` rules
     out at every block stop being backed up, which leaves every float of
     the result as it would be with all the mode's columns.  Stops when the
@@ -313,9 +312,10 @@ def value_iteration(mdp: SpectrumMDP, cfg: SolverConfig, mode: Mode = "joint",
     lexicographically lowest (pd index, ic index) pair.
     """
     bellman = _BlockBellman(mdp, cfg.discount, _allowed_columns(mdp, mode, pinned))
-    reward_bound = float(np.max(np.abs(bellman.step_reward[..., bellman.columns])))
+    reward_bound = float(np.max(np.abs(bellman.step_reward)))
     w = bellman.q_state(mdp.reward_vec).max(axis=-1)
-    residuals = [float(np.max(np.abs(bellman.lift(w) - mdp.reward_vec)))]
+    residuals = [float(np.max(np.abs(_lift(w, bellman.g_add, mdp.n_actions)
+                                     - mdp.reward_vec)))]
     # the first test comes after several sweeps, so w - prev is then the
     # step between two block iterates
     prev = w
@@ -325,11 +325,10 @@ def value_iteration(mdp: SpectrumMDP, cfg: SolverConfig, mode: Mode = "joint",
         new_w = q.max(axis=-1)
         residuals.append(float(np.max(np.abs(new_w - w))))
         if len(residuals) % _ELIMINATION_PERIOD == 0 and math.isfinite(residuals[-1]):
-            keep = _may_still_win(q, new_w, w - prev, cfg.discount, reward_bound)
-            bellman.restrict(bellman.columns[keep])
+            bellman.restrict(_may_still_win(q, new_w, w - prev, cfg.discount, reward_bound))
         prev, w = w, new_w
 
-    vt = ValueTable(values=bellman.lift(w), converged=residuals[-1] <= cfg.epsilon,
+    vt = ValueTable(values=w, converged=residuals[-1] <= cfg.epsilon,
                     residuals=residuals, active_actions=bellman.columns.size)
     return vt, PolicyTable(bellman.greedy(bellman.q(w)))
 
@@ -367,7 +366,7 @@ def policy_iteration(mdp: SpectrumMDP, cfg: SolverConfig) -> tuple[ValueTable, P
             converged = True
             break
 
-    vt = ValueTable(values=bellman.lift(w), converged=converged, residuals=residuals,
+    vt = ValueTable(values=w, converged=converged, residuals=residuals,
                     active_actions=bellman.columns.size)
     return vt, PolicyTable(greedy)
 
@@ -380,7 +379,8 @@ def extract_lookup_table(mdp: SpectrumMDP, value_table: ValueTable,
                          policy_table: PolicyTable) -> np.ndarray:
     """The (S, 8) per-state operating table, columns in LOOKUP_COLUMNS order.
 
-    Each block's greedy action is repeated over its previous-action states."""
+    Each block's greedy action is repeated over its previous-action states,
+    and its value W(b) lifts to V(b, prev) = W(b) + g_add(b, prev)."""
     sg, ag = mdp.grids.states, mdp.grids.actions
     shape = mdp.grids.shape
     rp_i, rs_i, ps_i, pd_i, ic_i = np.unravel_index(np.arange(mdp.n_states), shape)
@@ -395,18 +395,18 @@ def extract_lookup_table(mdp: SpectrumMDP, value_table: ValueTable,
         np.array(ag.ic_levels)[ic_i],
         np.array(ag.pd_levels)[pd_opt],
         np.array(ag.ic_levels)[ic_opt],
-        value_table.values,
+        _lift(value_table.values, _base_rewards(mdp)[1], mdp.n_actions),
     ])
 
 
 def evaluate_policy_exact(mdp: SpectrumMDP, block_actions: np.ndarray,
                           discount: float) -> np.ndarray:
-    """Exact per-state J of one action per (rho_p, rho_s, P_s) block, under
-    the model's own reward.
+    """Exact block values W(b), shape (B,), of one action per (rho_p, rho_s,
+    P_s) block, under the model's own reward.
 
-    Every policy the solvers make is constant on a block, so J is one banded
-    solve on the (rho_p, rho_s) cells, lifted to the S states at the end.
-    J carries no iteration-tail error, which matters when comparing sweep
+    Every policy the solvers make is constant on a block, so W is one banded
+    solve on the (rho_p, rho_s) cells, over the policy's own action columns.
+    W carries no iteration-tail error, which matters when comparing sweep
     points that differ by less than a value-iteration tolerance.  The
     throughput of the held action alone is the J of the model built with
     zero costs and reward_uses_chosen_action=True.
@@ -415,8 +415,7 @@ def evaluate_policy_exact(mdp: SpectrumMDP, block_actions: np.ndarray,
     n_blocks = mdp.n_states // mdp.n_actions
     if actions.shape != (n_blocks,):
         raise ValueError(f"policy must assign an action to each of {n_blocks} blocks")
-    # evaluate gathers kernel columns, where a negative index would wrap
+    # the operator gathers kernel columns, where a negative index would wrap
     if actions.min() < 0 or actions.max() >= mdp.n_actions:
         raise ValueError("policy contains out-of-range action indices")
-    bellman = _BlockBellman(mdp, discount, np.arange(mdp.n_actions))
-    return bellman.lift(bellman.evaluate(actions))
+    return _BlockBellman(mdp, discount, np.unique(actions)).evaluate(actions)

@@ -70,17 +70,17 @@ def _checked_value_iteration(mdp, cfg, mode="joint", pinned=None):
 
 def bellman_residual(mdp, values, discount) -> float:
     """sup |T V - V| of a per-state value table, T over all actions."""
-    solver = cogrelay.solver
-    base, g_add = solver._base_rewards(mdp)
-    q = base + discount * solver._continuation(mdp, values)
-    backed_up = solver._lift(q.max(axis=-1), g_add, mdp.n_actions)
+    base, _ = cogrelay.solver._base_rewards(mdp)
+    q = base + discount * oracles.continuation(mdp, values)
+    backed_up = oracles.state_values(mdp, q.max(axis=-1))
     return float(np.max(np.abs(backed_up - values)))
 
 
 def _checked_policy_iteration(mdp, cfg):
     vt, pt = _real_policy_iteration(mdp, cfg)
     if vt.converged:
-        residual = bellman_residual(mdp, vt.values, cfg.discount)
+        residual = bellman_residual(mdp, oracles.state_values(mdp, vt.values),
+                                    cfg.discount)
         assert residual <= FIXED_POINT_TOL, (
             f"policy_iteration returned no fixed point: sup |T V - V| = {residual:.3e}")
         FIXED_POINT_RUNS.append(("policy_iteration", residual))

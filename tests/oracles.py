@@ -20,6 +20,9 @@ every action column on every sweep, the route the library's action
 elimination replaced.  `tests/conftest.py` wraps `value_iteration_dense`,
 `value_iteration_lifted`, `value_iteration_full_columns` and
 `evaluate_policy` with the suite-wide contraction check.
+`state_values` lifts a solver's block values to the S states, as
+`extract_lookup_table` does, for the checks stated per state, and
+`continuation` backs up a per-state or block table over all columns.
 `outcome_frequency_check` is a chi-square test of a simulation's
 sensing-outcome counts against their law.  `simulate_reference` is the
 simulator's chunk loop written with per-slot boolean arrays and one tally
@@ -43,7 +46,20 @@ from cogrelay.model import success_probability
 from cogrelay.sensing import false_alarm_from_detection
 from cogrelay.sim import SimConfig, SimStats, _se, simulate
 from cogrelay.solver import (Mode, PolicyTable, SolverConfig, ValueTable,
-                             _allowed_columns, _base_rewards, _continuation, _lift)
+                             _allowed_columns, _base_rewards, _continuation, _lift,
+                             _power_average)
+
+
+def state_values(mdp: SpectrumMDP, block_values: np.ndarray) -> np.ndarray:
+    """Per-state values V(b, prev) = W(b) + g_add(b, prev) of block values
+    W, the lift `extract_lookup_table` applies to a solver's result."""
+    return _lift(block_values, _base_rewards(mdp)[1], mdp.n_actions)
+
+
+def continuation(mdp: SpectrumMDP, table: np.ndarray) -> np.ndarray:
+    """E[J(next) | r, u, v, a] over all action columns of a per-state table,
+    shape (S,), or a block table, shape (B,)."""
+    return _continuation(mdp, _power_average(mdp, table), mdp.kernel)
 
 
 def outcome_kernel(pi1: float, rho_s: float, p_s: float, pd: float, ic: float,
@@ -118,6 +134,7 @@ def policy_terms(mdp: SpectrumMDP, policy: np.ndarray,
     if reward != "full":
         raise ValueError(f"unknown reward selector {reward!r}")
     base, g_add = _base_rewards(mdp)
+    base = np.broadcast_to(base, mdp.g_action.shape)
     return idx, base[idx] if g_add is None else base[idx] + g_add
 
 
@@ -134,7 +151,7 @@ def evaluate_policy(mdp: SpectrumMDP, policy: np.ndarray, cfg: SolverConfig,
     residuals: list[float] = []
     converged = False
     for _ in range(cfg.max_iters):
-        new_values = r_pi + cfg.discount * _continuation(mdp, values)[idx]
+        new_values = r_pi + cfg.discount * continuation(mdp, values)[idx]
         residual = float(np.max(np.abs(new_values - values)))
         residuals.append(residual)
         values = new_values
@@ -149,7 +166,7 @@ def block_matrix(mdp: SpectrumMDP, block_actions: np.ndarray) -> np.ndarray:
 
     The kernel at each block's action weights the nine (rho_p, rho_s)
     moves, and the next power level is a stationary redraw, exactly as
-    `_continuation` contracts them."""
+    `continuation` contracts them."""
     n_rp, n_rs, n_ps = mdp.grids.shape[:3]
     n_blocks = n_rp * n_rs * n_ps
     blocks = np.arange(n_blocks)
@@ -169,7 +186,7 @@ def evaluate_policy_blocks(mdp: SpectrumMDP, block_actions: np.ndarray,
     reward: (I - d P_sigma) W = r_sigma on the B blocks by `np.linalg.solve`,
     lifted to the S states."""
     base, g_add = _base_rewards(mdp)
-    step_reward = base if g_add is None else base + discount * _continuation(mdp, g_add)
+    step_reward = base if g_add is None else base + discount * continuation(mdp, g_add)
     blocks = np.arange(block_actions.size)
     r_sigma = step_reward.reshape(blocks.size, -1)[blocks, block_actions]
     a = np.eye(blocks.size) - discount * block_matrix(mdp, block_actions)
@@ -197,7 +214,7 @@ def value_iteration_lifted(mdp: SpectrumMDP, cfg: SolverConfig, mode: Mode = "jo
     residuals: list[float] = []
     converged = False
     for _ in range(cfg.max_iters):
-        q = base + cfg.discount * _continuation(mdp, values) + neg
+        q = base + cfg.discount * continuation(mdp, values) + neg
         new_values = _lift(q.max(axis=-1), g_add, mdp.n_actions)
         residual = float(np.max(np.abs(new_values - values)))
         residuals.append(residual)
@@ -207,7 +224,7 @@ def value_iteration_lifted(mdp: SpectrumMDP, cfg: SolverConfig, mode: Mode = "jo
         if residual <= cfg.epsilon:
             converged = True
             break
-    q = base + cfg.discount * _continuation(mdp, values) + neg
+    q = base + cfg.discount * continuation(mdp, values) + neg
     vt = ValueTable(values=values, converged=converged, residuals=residuals)
     return vt, PolicyTable(q.argmax(axis=-1).reshape(-1))
 
@@ -224,10 +241,10 @@ def value_iteration_full_columns(mdp: SpectrumMDP, cfg: SolverConfig,
     """
     base, g_add = _base_rewards(mdp)
     neg = column_mask(mdp, mode, pinned)
-    step_reward = base if g_add is None else base + cfg.discount * _continuation(mdp, g_add)
+    step_reward = base if g_add is None else base + cfg.discount * continuation(mdp, g_add)
 
     def q(values, reward):
-        cont = _continuation(mdp, values)
+        cont = continuation(mdp, values)
         return (reward + cfg.discount * cont + neg).reshape(-1, mdp.n_actions)
 
     w = q(mdp.reward_vec, base).max(axis=-1)

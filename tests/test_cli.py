@@ -15,6 +15,7 @@ from cogrelay.model import linear_to_db
 from cogrelay.solver import extract_lookup_table, value_iteration
 
 import conftest
+from oracles import state_values
 
 
 def small_model() -> dict:
@@ -150,7 +151,7 @@ def test_solve_exports_lookup_and_manifest(tmp_path):
     mode, pinned = rc.solver_mode()
     vt, _ = value_iteration(mdp, rc.solver_config(), mode=mode, pinned=pinned)
     exported = np.array([float(line.split(",")[-1]) for line in data])
-    np.testing.assert_array_equal(exported, vt.values)
+    np.testing.assert_array_equal(exported, state_values(mdp, vt.values))
     # ... and the pinned detection level is respected everywhere
     assert {line.split(",")[5] for line in data} == {"0.8"}
 

@@ -1,13 +1,19 @@
 """Every name a library module imports is read by it or re-exported,
 every top-level function and class of the library is reachable from an
-entry point, and no library module keeps a process-wide cache."""
+entry point, no library module keeps a process-wide cache, and the
+benchmark's tracer finds every name it wraps."""
 
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import conftest
 
 REPO = Path(__file__).resolve().parents[1]
 PACKAGE = REPO / "src" / "cogrelay"
@@ -229,3 +235,19 @@ def test_library_keeps_no_functools_cache():
     # a process-wide cache outlives the object it was computed for: it
     # would keep the last model's kernel alive and answer from it
     assert cached_callables() == []
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's tracer
+
+
+def test_the_benchmark_tracer_installs_on_the_library(tmp_path):
+    # perfbench/trace_child.py replaces library names by attribute and reads
+    # fields of the solver's results; a renamed name fails here, not only
+    # in a traced benchmark run
+    env = conftest.cli_subprocess_env()
+    env["PYTHONPATH"] = os.pathsep.join([env["PYTHONPATH"], str(REPO / "perfbench")])
+    code = "import trace_child; trace_child.install(trace_child.Tracer())"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr

@@ -14,11 +14,11 @@ from cogrelay.model import ChannelParams, QueueParams
 from cogrelay.sensing import false_alarm_from_detection
 from cogrelay.solver import (_ELIMINATION_PERIOD, LOOKUP_COLUMNS, SolverConfig,
                              _allowed_columns, _BlockBellman, _continuation, _lift,
-                             _may_still_win, evaluate_policy_exact, extract_lookup_table,
-                             policy_iteration, value_iteration)
+                             _may_still_win, _power_average, evaluate_policy_exact,
+                             extract_lookup_table, policy_iteration, value_iteration)
 from oracles import (dense_rewards, evaluate_policy, evaluate_policy_blocks,
                      evaluate_policy_dense, materialize_dense, outcome_kernel, policy_terms,
-                     value_iteration_dense, value_iteration_full_columns,
+                     state_values, value_iteration_dense, value_iteration_full_columns,
                      value_iteration_lifted)
 from tests.test_mdp import _hand_birth_death, make_params, small_grids
 
@@ -47,10 +47,10 @@ def throughput_twin(mdp):
 
 
 def library_values(mdp, block_actions, discount, reward):
-    """evaluate_policy_exact under the oracles' reward selector: the model
-    itself for "full", its throughput twin for "throughput"."""
+    """evaluate_policy_exact under the oracles' reward selector, per state:
+    the model itself for "full", its throughput twin for "throughput"."""
     model = throughput_twin(mdp) if reward == "throughput" else mdp
-    return evaluate_policy_exact(model, block_actions, discount=discount)
+    return state_values(model, evaluate_policy_exact(model, block_actions, discount=discount))
 
 
 def singleton_mdp(rho_s=0.5, costs=CostModel(0.0, 0.0), p_s_levels=(1.0,),
@@ -88,7 +88,7 @@ def test_zero_reward_model_converges_immediately():
     vt, _ = value_iteration(mdp, SolverConfig(epsilon=1e-12, discount=0.9))
     assert vt.converged
     assert vt.iterations == 1
-    np.testing.assert_array_equal(vt.values, np.zeros(mdp.n_states))
+    np.testing.assert_array_equal(state_values(mdp, vt.values), np.zeros(mdp.n_states))
 
 
 def test_single_state_geometric_series_dense():
@@ -105,7 +105,7 @@ def test_single_state_geometric_series_factored():
     vt, _ = value_iteration(mdp, cfg)
     assert vt.converged
     r0 = mdp.reward_vec[0]
-    assert vt.values[0] == pytest.approx(r0 / (1.0 - 0.9), abs=1e-9)
+    assert state_values(mdp, vt.values)[0] == pytest.approx(r0 / (1.0 - 0.9), abs=1e-9)
 
 
 def test_dense_rewards_shape_checked():
@@ -190,7 +190,7 @@ def test_power_redraw_chain_hand_formula():
     actions = np.zeros(2, dtype=int)
     vt = evaluate_policy(mdp, actions, SolverConfig(epsilon=1e-12, discount=d))
     np.testing.assert_allclose(vt.values, expected, atol=1e-10)
-    exact = evaluate_policy_exact(mdp, actions, discount=d)
+    exact = state_values(mdp, evaluate_policy_exact(mdp, actions, discount=d))
     np.testing.assert_allclose(exact, expected, atol=1e-13)
 
 
@@ -199,7 +199,7 @@ def test_evaluate_policy_agrees_with_value_iteration():
     cfg = SolverConfig(epsilon=1e-9, discount=0.9)
     vt, pt = value_iteration(mdp, cfg)
     jv = evaluate_policy(mdp, lifted(mdp, pt.actions), cfg)
-    np.testing.assert_allclose(jv.values, vt.values, atol=1e-6)
+    np.testing.assert_allclose(jv.values, state_values(mdp, vt.values), atol=1e-6)
 
 
 def test_fixed_pd_mode_pins_every_state():
@@ -237,7 +237,7 @@ def test_restricting_the_action_set_never_helps():
     cfg = SolverConfig(epsilon=1e-10, discount=0.9)
     joint, _ = value_iteration(mdp, cfg)
     pinned, _ = value_iteration(mdp, cfg, mode="fixed_pd", pinned=0)
-    assert np.all(joint.values >= pinned.values - 1e-8)
+    assert np.all(state_values(mdp, joint.values) >= state_values(mdp, pinned.values) - 1e-8)
 
 
 def test_lookup_table_layout():
@@ -253,7 +253,7 @@ def test_lookup_table_layout():
 
         rows = extract_lookup_table(mdp, vt, pt)
         assert rows.shape == (mdp.n_states, len(LOOKUP_COLUMNS))
-        np.testing.assert_array_equal(rows[:, -1], vt.values)
+        np.testing.assert_array_equal(rows[:, -1], state_values(mdp, vt.values))
         # the opt_pd / opt_ic columns repeat each block's action over its states
         sg, ag = mdp.grids.states, mdp.grids.actions
         n_ic = len(ag.ic_levels)
@@ -288,7 +288,7 @@ def test_values_respect_discounted_reward_bound():
     d = 0.95
     vt, _ = value_iteration(mdp, SolverConfig(epsilon=1e-8, discount=d))
     bound = (1.0 + 2.0 + 2.0 * mdp.params.power.p_av) / (1.0 - d)
-    assert float(np.max(np.abs(vt.values))) <= bound
+    assert float(np.max(np.abs(state_values(mdp, vt.values)))) <= bound
 
 
 def test_factored_route_matches_dense_route():
@@ -301,7 +301,7 @@ def test_factored_route_matches_dense_route():
     vt_d, greedy = value_iteration_dense(p, r, cfg, initial=mdp.reward_vec)
 
     assert vt_f.iterations == vt_d.iterations
-    np.testing.assert_allclose(vt_f.values, vt_d.values, atol=1e-10)
+    np.testing.assert_allclose(state_values(mdp, vt_f.values), vt_d.values, atol=1e-10)
     np.testing.assert_array_equal(lifted(mdp, pt_f.actions), greedy)
 
 
@@ -314,7 +314,7 @@ def assert_matches_lifted_route(mdp, cfg, mode="joint", pinned=None):
     assert vt.iterations == ref.iterations
     np.testing.assert_array_equal(pt.actions, ref_pt.actions)
     np.testing.assert_allclose(vt.residuals, ref.residuals, rtol=0.0, atol=1e-13)
-    np.testing.assert_allclose(vt.values, ref.values, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(state_values(mdp, vt.values), ref.values, rtol=1e-12, atol=0.0)
     return vt, pt
 
 
@@ -336,8 +336,8 @@ def test_block_value_iteration_matches_the_lifted_route_on_the_default_grids(cos
     # within value iteration's a-posteriori bound of its values
     exact = evaluate_policy_exact(mdp, pt.actions, cfg.discount)
     bound = cfg.discount * vt.final_residual / (1.0 - cfg.discount)
-    assert exact.shape == (mdp.n_states,)
-    assert np.max(np.abs(exact - vt.values)) <= bound
+    assert exact.shape == vt.values.shape == (mdp.n_states // mdp.n_actions,)
+    assert np.max(np.abs(state_values(mdp, exact) - state_values(mdp, vt.values))) <= bound
 
 
 def test_exact_policy_evaluation_matches_iterative():
@@ -348,12 +348,12 @@ def test_exact_policy_evaluation_matches_iterative():
     d = 0.9
     iterative = evaluate_policy(mdp, lifted(mdp, actions),
                                 SolverConfig(epsilon=1e-12, discount=d))
-    exact = evaluate_policy_exact(mdp, actions, discount=d)
+    exact = library_values(mdp, actions, d, "full")
     np.testing.assert_allclose(iterative.values, exact, atol=1e-10)
     iterative = evaluate_policy(mdp, lifted(mdp, actions),
                                 SolverConfig(epsilon=1e-12, discount=d),
                                 reward="throughput")
-    throughput = evaluate_policy_exact(throughput_twin(mdp), actions, discount=d)
+    throughput = library_values(mdp, actions, d, "throughput")
     np.testing.assert_allclose(iterative.values, throughput, atol=1e-10)
     assert np.all(throughput >= -1e-15)
 
@@ -389,10 +389,11 @@ def test_block_continuation_matches_the_lifted_table():
     for mdp in (small_mdp(), default_model()[0]):
         for _ in range(3):
             w = rng.normal(size=mdp.n_states // mdp.n_actions)
-            cont = _continuation(mdp, w)
+            cont = _continuation(mdp, _power_average(mdp, w), mdp.kernel)
             assert cont.shape == mdp.g_action.shape
+            lifted_w = _power_average(mdp, _lift(w, None, mdp.n_actions))
             np.testing.assert_allclose(
-                cont, _continuation(mdp, _lift(w, None, mdp.n_actions)),
+                cont, _continuation(mdp, lifted_w, mdp.kernel),
                 rtol=0.0, atol=1e-15 * np.abs(w).max())
 
 
@@ -459,7 +460,7 @@ BLOCK_ROUTE_RTOL = 1e-13
 
 
 def assert_matches_block_route(mdp, actions, discount):
-    exact = evaluate_policy_exact(mdp, actions, discount)
+    exact = state_values(mdp, evaluate_policy_exact(mdp, actions, discount))
     reference = evaluate_policy_blocks(mdp, actions, discount)
     scale = float(np.max(np.abs(reference)))
     np.testing.assert_allclose(exact, reference, rtol=0.0, atol=BLOCK_ROUTE_RTOL * scale)
@@ -504,6 +505,25 @@ def test_exact_policy_evaluation_matches_the_block_route_on_the_default_grids(co
     policies.append(policy_iteration(mdp, cfg)[1].actions)
     for actions in policies:
         assert_matches_block_route(mdp, actions, cfg.discount)
+
+
+@pytest.mark.parametrize("costs, chosen", [(None, False), (CostModel(0.0, 0.0), False),
+                                           (CostModel(0.0, 0.0), True)],
+                         ids=["default_costs", "zero_costs", "chosen_action"])
+def test_exact_policy_evaluation_on_its_own_columns_keeps_every_float(costs, chosen):
+    # evaluate_policy_exact holds only the columns its policy uses, and its
+    # values are the all-column operator's bit for bit.  A one-column policy
+    # catches a step reward that selects the column before the power
+    # average: einsum rounds a single column differently
+    mdp, cfg = default_model(costs, chosen)
+    n_blocks = mdp.n_states // mdp.n_actions
+    full = _BlockBellman(mdp, cfg.discount, np.arange(mdp.n_actions))
+    rng = np.random.default_rng(37)
+    policies = [np.full(n_blocks, a) for a in (0, 1, 117, mdp.n_actions - 1)]
+    policies += [random_block_policy(mdp, rng) for _ in range(2)]
+    for actions in policies:
+        exact = evaluate_policy_exact(mdp, actions, cfg.discount)
+        assert exact.tobytes() == full.evaluate(actions).tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -561,8 +581,9 @@ def test_values_lie_within_the_discounted_reward_range(case):
     # V* lies in [min r, max r] / (1 - d); the iterate is within the
     # a-posteriori bound d * residual / (1 - d) of V*
     slack = (d * vt.final_residual + 1e-12 * max(1.0, np.abs(r).max())) / (1.0 - d)
-    assert np.all(vt.values >= r.min() / (1.0 - d) - slack)
-    assert np.all(vt.values <= r.max() / (1.0 - d) + slack)
+    values = state_values(mdp, vt.values)
+    assert np.all(values >= r.min() / (1.0 - d) - slack)
+    assert np.all(values <= r.max() / (1.0 - d) + slack)
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +595,7 @@ def assert_matches_full_columns(mdp, cfg, mode="joint", pinned=None):
     values, residual list, sweep count and block actions."""
     vt, pt = value_iteration(mdp, cfg, mode=mode, pinned=pinned)
     ref, ref_pt = value_iteration_full_columns(mdp, cfg, mode=mode, pinned=pinned)
-    assert vt.values.tobytes() == ref.values.tobytes()
+    assert state_values(mdp, vt.values).tobytes() == ref.values.tobytes()
     assert vt.residuals == ref.residuals
     assert vt.iterations == ref.iterations and vt.converged == ref.converged
     assert pt.actions.dtype == ref_pt.actions.dtype
@@ -687,7 +708,7 @@ def assert_dropped_columns_never_win(mdp, cfg, mode="joint", pinned=None):
     block, on every later iterate and at the policy-iteration fixed point.
     Returns the number of columns ruled out."""
     bellman = _BlockBellman(mdp, cfg.discount, _allowed_columns(mdp, mode, pinned))
-    reward_bound = float(np.max(np.abs(bellman.step_reward[..., bellman.columns])))
+    reward_bound = float(np.max(np.abs(bellman.step_reward)))
     dropped = np.zeros(bellman.columns.size, dtype=bool)
 
     def assert_below_the_maximum(q):
@@ -758,7 +779,8 @@ def test_policy_iteration_matches_value_iteration_on_the_default_grids(costs, ch
     np.testing.assert_array_equal(pp.actions, pt.actions)
     # value iteration's a-posteriori bound on its own distance to V*
     bound = cfg.discount * vt.final_residual / (1.0 - cfg.discount)
-    assert np.max(np.abs(pv.values - vt.values)) <= bound + 1e-9
+    assert np.max(np.abs(state_values(mdp, pv.values)
+                         - state_values(mdp, vt.values))) <= bound + 1e-9
     assert pv.iterations <= 10
     # policy iteration evaluates through the exact evaluator's path
     np.testing.assert_array_equal(
@@ -772,7 +794,8 @@ def test_policy_iteration_matches_the_dense_route(chosen):
     vt, pt = policy_iteration(mdp, cfg)
     dense, greedy = value_iteration_dense(*materialize_dense(mdp), cfg)
     assert vt.converged and dense.converged
-    np.testing.assert_allclose(vt.values, dense.values, rtol=0.0, atol=1e-10)
+    np.testing.assert_allclose(state_values(mdp, vt.values), dense.values, rtol=0.0,
+                               atol=1e-10)
     np.testing.assert_array_equal(lifted(mdp, pt.actions), greedy)
     assert vt.final_residual <= 1e-12
     np.testing.assert_array_equal(vt.values, evaluate_policy_exact(mdp, pt.actions, 0.9))
@@ -804,7 +827,8 @@ def test_policy_iteration_stops_when_tied_actions_alternate():
         pv, _ = policy_iteration(mdp, cfg)
         assert pv.converged
         vt, _ = value_iteration(mdp, dataclasses.replace(cfg, max_iters=2000))
-        np.testing.assert_allclose(pv.values, vt.values, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(state_values(mdp, pv.values), state_values(mdp, vt.values),
+                                   rtol=0.0, atol=1e-9)
 
 
 def test_solvers_stop_on_a_non_finite_residual():
@@ -830,8 +854,9 @@ def test_policy_iteration_properties(case):
     cfg = SolverConfig(epsilon=1e-12, discount=d)
     joint, _ = policy_iteration(mdp, cfg)
     assert joint.converged
-    scale = max(1.0, float(np.max(np.abs(joint.values))))
+    values = state_values(mdp, joint.values)
+    scale = max(1.0, float(np.max(np.abs(values))))
     # the joint values are value iteration's on the dense arrays
     dense, _ = value_iteration_dense(*materialize_dense(mdp), cfg)
-    np.testing.assert_allclose(joint.values, dense.values, rtol=0.0,
+    np.testing.assert_allclose(values, dense.values, rtol=0.0,
                                atol=1e-9 * scale)
