@@ -537,6 +537,36 @@ def test_simulate_seed_override_and_determinism(tmp_path):
     assert (out1 / "simulate.csv").read_bytes() == (out2 / "simulate.csv").read_bytes()
 
 
+# the data rows of `simulate --seed 7` on `sim_doc(n_slots=20_000)`, recorded
+# before the rates were derived from the slot counts; a reordered row or a
+# moved bit fails here, which the |z| checks above cannot see
+PINNED_SIMULATE_ROWS = [
+    "mu_s,0.374885,0.0024686103051615904,0.37288673264309374,0.8094705562591734",
+    "mu_p,0.13635,0.0024265065165789274,0.1349795537622167,0.5647816020356086",
+    "outcome_fa,0.49955,0.003535532474041216,0.5004445267677511,-0.25301047984113734",
+    "outcome_nfa,0.30285,0.003249091238331112,0.2995554732322489,1.0139840731106493",
+    "outcome_md,0.038,0.0013519615379144483,0.039999999999999994,-1.479332025292094",
+    "outcome_d,0.1596,0.0025896702492788537,0.16000000000000003,-0.15445981978262574",
+    "branch_mu_s_fa,0.47555,0.0035313042739191993,0.47603755919182006,-0.13806773758381663",
+    "branch_mu_s_nfa,0.28705,0.003198845866089831,0.2849459804087512,0.6577433484848483",
+    "branch_mu_s_md,0.0346,0.0012923397386136511,0.03619349672143837,-1.233032362796324",
+    "branch_mu_s_d,0.1451,0.002490441627503042,0.14477398688575355,0.13090574404400943",
+    "branch_mu_ps_fa,0.4531,0.003519945951289593,0.4529282123245075,0.048804066275390454",
+    "branch_mu_ps_nfa,0.27395,0.003153580484940887,0.27111321580317754,0.8995439343846836",
+    "branch_mu_ps_md,0.03145,0.0012341170426665375,0.0327647493528236,-1.0653360316480536",
+    "branch_mu_ps_d,0.13095,0.002385394071217584,0.13105899741129443,-0.04569367074798626",
+]
+
+
+def test_simulate_rows_are_pinned(tmp_path):
+    cfg = write_config(tmp_path, sim_doc(n_slots=20_000))
+    out = tmp_path / "pinned"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out),
+                     "--seed", "7"]) == 0
+    _, _, data = read_output(out / "simulate.csv")
+    assert data == PINNED_SIMULATE_ROWS
+
+
 @pytest.mark.parametrize("seed, flag", [(7, "-1"), (-3, None)],
                          ids=["flag", "config"])
 def test_simulate_negative_seed_fails_naming_it(tmp_path, seed, flag):
