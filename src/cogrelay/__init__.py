@@ -54,6 +54,7 @@ from .sim import (
     SimConfig,
     SimStats,
     analytical_reference,
+    estimates,
     simulate,
 )
 from .config import DEFAULT_CONFIG, ConfigError, load_config, resolve_config

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -28,7 +27,7 @@ from .config import (ConfigError, ResolvedConfig, _grid_index, nearest_index,
 from .mdp import (ActionGrids, CostModel, MdpGrids, ModelParams, StateGrids,
                   build_spectrum_mdp, validate)
 from .model import linear_to_db
-from .sim import analytical_reference, simulate
+from .sim import analytical_reference, estimates, simulate, z_score
 from .solver import (LOOKUP_COLUMNS, SolverConfig, evaluate_policy_exact,
                      extract_lookup_table, policy_iteration, value_iteration)
 
@@ -276,9 +275,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # simulate
 
 
-_METRIC_LABELS = ("fa", "nfa", "md", "d")
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         rc = resolve_config(args.config)
@@ -293,43 +289,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     stats = simulate(cfg)
     wall = time.perf_counter() - t0
     ana = analytical_reference(cfg)
-
-    def z_score(est: float, se: float, ref: float) -> float:
-        if se == 0.0:
-            # A constant sample (all hits or all misses) still agrees with
-            # any rate the run could not resolve: zero successes in n slots
-            # is consistent with p up to about 3/n.
-            return 0.0 if abs(est - ref) <= 3.0 / max(stats.n_slots, 1) else math.inf
-        return (est - ref) / se
-
-    n = stats.n_slots
-    rows: list[tuple[str, float, float, float, float]] = []
-
-    def add(metric: str, est: float, se: float, ref: float) -> None:
-        rows.append((metric, est, se, ref, z_score(est, se, ref)))
-
-    add("mu_s", stats.mu_s, stats.mu_s_se, float(ana["mu_s"]))
-    add("mu_p", stats.mu_p, stats.mu_p_se, float(ana["mu_p"]))
-    for i, label in enumerate(_METRIC_LABELS):
-        f = float(stats.outcome_freq[i])
-        se = math.sqrt(max(f * (1.0 - f), 0.0) / n)
-        add(f"outcome_{label}", f, se, float(ana["outcome_freq"][i]))
-    for i, label in enumerate(_METRIC_LABELS):
-        add(f"branch_mu_s_{label}", float(stats.branch_mu_s[i]),
-            float(stats.branch_mu_s_se[i]), float(ana["branch_mu_s"][i]))
-    for i, label in enumerate(_METRIC_LABELS):
-        add(f"branch_mu_ps_{label}", float(stats.branch_mu_ps[i]),
-            float(stats.branch_mu_ps_se[i]), float(ana["branch_mu_ps"][i]))
+    rows = [(m, est, se, ana[m], z_score(est, se, ana[m], cfg.n_slots))
+            for m, (est, se) in estimates(cfg, stats).items()]
 
     manifest = _base_manifest("simulate", rc)
-    manifest.update({"n_slots": n, "seed": stats.seed})
+    manifest.update({"n_slots": cfg.n_slots, "seed": cfg.seed})
     out = _out_dir(args)
     path = out / "simulate.csv"
     _write_csv(path, manifest, ("metric", "estimate", "se", "analytical", "z"), rows)
 
     worst = max(abs(r[4]) for r in rows)
     ok = all(abs(r[4]) < 3.0 for r in rows)
-    print(f"simulate: {n} slots, worst |z| = {worst:.2f} -> {path} ({wall:.2f}s wall)")
+    print(f"simulate: {cfg.n_slots} slots, worst |z| = {worst:.2f} -> {path} ({wall:.2f}s wall)")
     return EXIT_OK if ok else EXIT_STATISTICAL
 
 

@@ -17,9 +17,10 @@ backlogs, the primary outage and the direct primary delivery.  One
 `bincount` per chunk adds the codes to a 256-bin histogram, and every count
 is then the sum of the bins whose codes satisfy its condition.
 
-All indicator averages come with binomial standard errors, the slot counts
-behind them stay in the one tally `SimStats.counts`, and a run is a pure
-function of its seed.
+A run's result is its slot counts, `SimStats.counts`; `estimates` derives
+every indicator average and its binomial standard error from them, and
+`analytical_reference` gives each one's closed form under the same key.  A
+run is a pure function of its seed.
 """
 
 from __future__ import annotations
@@ -38,13 +39,18 @@ __all__ = [
     "SimConfig",
     "SimStats",
     "simulate",
+    "estimates",
     "analytical_reference",
+    "z_score",
 ]
 
 _CHUNK = 1 << 20
 
 # flag bits of a slot code, above the outcome in bits 0-1
 _OWN, _RELAY, _QS, _QPS, _OUTAGE, _DIRECT = 4, 8, 16, 32, 64, 128
+
+# the sensing outcomes in OUTCOME_ORDER, as they appear in count and metric keys
+_OUTCOME_LABELS = ("fa", "nfa", "md", "d")
 
 
 @dataclass(frozen=True)
@@ -92,34 +98,24 @@ class SimConfig:
 
 @dataclass
 class SimStats:
-    """Empirical averages of one run, each with its standard error.
+    """The slot counts of one run of `n_slots` slots.
 
-    `counts` holds slot counts: "busy", "qs" and "qps" (primary active,
-    secondary and relay queues backlogged), "own_delivered", "pu_delivered",
-    "direct_served" (busy slots whose direct primary packet survived), and
-    "relayed_busy" / "relayed_total" (relay deliveries in busy / all slots).
+    `counts` holds "busy", "qs" and "qps" (primary active, secondary and
+    relay queues backlogged), "own_delivered", "pu_delivered",
+    "direct_served" (busy slots whose direct primary packet survived),
+    "relayed_busy" / "relayed_total" (relay deliveries in busy / all slots),
+    and for each sensing outcome o in fa, nfa, md, d: "outcome_<o>" (slots
+    with that outcome) and "own_pass_<o>" / "relay_pass_<o>" (those whose
+    own-link / relay-link fade cleared the outcome's cut-off).
     """
 
     n_slots: int
-    seed: int
-    pd: float
-    pf: float
-    pi1: float
-    mu_s: float
-    mu_s_se: float
-    mu_p: float
-    mu_p_se: float
-    outcome_freq: np.ndarray        # (4,) canonical order
-    branch_mu_s: np.ndarray         # (4,) own-link branch rates
-    branch_mu_s_se: np.ndarray
-    branch_mu_ps: np.ndarray        # (4,) relay-link branch rates
-    branch_mu_ps_se: np.ndarray
     counts: dict[str, int]
 
 
 def _se(successes: int, n: int) -> float:
     p = successes / n
-    return math.sqrt(max(p * (1.0 - p), 0.0) / n)
+    return math.sqrt(p * (1.0 - p) / n)
 
 
 def _fold(code: np.ndarray, flag: np.ndarray, bit: int) -> None:
@@ -208,36 +204,52 @@ def simulate(cfg: SimConfig) -> SimStats:
         ("relayed_busy", relay_delivered & busy),
         ("relayed_total", relay_delivered))}
     by_outcome = hist.reshape(64, 4)    # rows: codes >> 2, columns: the outcome
-    n_outcome = by_outcome.sum(axis=0)
-    n_branch_s = by_outcome[own[::4]].sum(axis=0)
-    n_branch_ps = by_outcome[relay[::4]].sum(axis=0)
-
-    frame = cfg.params.timing.data_fraction
-    return SimStats(
-        n_slots=n, seed=cfg.seed, pd=pd, pf=pf, pi1=pi1,
-        mu_s=frame * c["own_delivered"] / n,
-        mu_s_se=frame * _se(c["own_delivered"], n),
-        mu_p=c["pu_delivered"] / n,
-        mu_p_se=_se(c["pu_delivered"], n),
-        outcome_freq=n_outcome / n,
-        branch_mu_s=n_branch_s / n,
-        branch_mu_s_se=np.array([_se(int(k), n) for k in n_branch_s]),
-        branch_mu_ps=n_branch_ps / n,
-        branch_mu_ps_se=np.array([_se(int(k), n) for k in n_branch_ps]),
-        counts=c,
-    )
+    for name, rows in (("outcome", slice(None)), ("own_pass", own[::4]),
+                       ("relay_pass", relay[::4])):
+        c.update(zip([f"{name}_{o}" for o in _OUTCOME_LABELS],
+                     by_outcome[rows].sum(axis=0).tolist()))
+    return SimStats(n_slots=n, counts=c)
 
 
-def analytical_reference(cfg: SimConfig) -> dict[str, float | np.ndarray]:
-    """Closed-form companions of every SimStats estimate, for z-scoring."""
+def estimates(cfg: SimConfig, stats: SimStats) -> dict[str, tuple[float, float]]:
+    """(estimate, standard error) of every metric, in `simulate.csv` row order.
+
+    Each estimate is a slot rate k / n of one count k: the throughputs
+    "mu_s" (scaled by the data fraction of the frame) and "mu_p", then per
+    outcome o the outcome frequency "outcome_<o>" and the own-link and
+    relay-link branch rates "branch_mu_s_<o>" and "branch_mu_ps_<o>".
+    """
+    n, c = stats.n_slots, stats.counts
+    rates = [("mu_s", cfg.params.timing.data_fraction, c["own_delivered"]),
+             ("mu_p", 1.0, c["pu_delivered"])]
+    rates += [(f"{metric}_{o}", 1.0, c[f"{count}_{o}"])
+              for metric, count in (("outcome", "outcome"), ("branch_mu_s", "own_pass"),
+                                    ("branch_mu_ps", "relay_pass"))
+              for o in _OUTCOME_LABELS]
+    return {m: (scale * k / n, scale * _se(k, n)) for m, scale, k in rates}
+
+
+def analytical_reference(cfg: SimConfig) -> dict[str, float]:
+    """Closed form of every `estimates` metric, under the same keys."""
     ch, q, timing = cfg.params.channel, cfg.params.queues, cfg.params.timing
     pd, pf, pi1 = cfg.pd, cfg.resolved_pf, cfg.resolved_pi1
     branch_s = np.array([secondary_branch(o, pf, pd, pi1, ch) for o in OUTCOME_ORDER])
     branch_ps = np.array([relay_branch(o, pf, pd, pi1, ch) for o in OUTCOME_ORDER])
-    return {
-        "mu_s": secondary_throughput(float(branch_s.sum()), timing, q, ch),
-        "mu_p": primary_throughput(float(branch_ps.sum()), q, ch, pi1),
-        "outcome_freq": sensing_outcome_distribution(pi1, pd, pf),
-        "branch_mu_s": branch_s,
-        "branch_mu_ps": branch_ps,
-    }
+    ref = {"mu_s": secondary_throughput(float(branch_s.sum()), timing, q, ch),
+           "mu_p": primary_throughput(float(branch_ps.sum()), q, ch, pi1)}
+    for metric, values in (("outcome", sensing_outcome_distribution(pi1, pd, pf)),
+                           ("branch_mu_s", branch_s), ("branch_mu_ps", branch_ps)):
+        ref.update(zip([f"{metric}_{o}" for o in _OUTCOME_LABELS], values.tolist()))
+    return ref
+
+
+def z_score(est: float, se: float, ref: float, n_slots: int) -> float:
+    """(est - ref) / se, the signed distance of an estimate from its closed form.
+
+    A constant sample (all hits or all misses, se = 0) still agrees with any
+    rate the run could not resolve: zero successes in n slots is consistent
+    with p up to about 3/n, so it scores 0 within 3/n of ref and inf beyond.
+    """
+    if se == 0.0:
+        return 0.0 if abs(est - ref) <= 3.0 / n_slots else math.inf
+    return (est - ref) / se

@@ -44,7 +44,7 @@ from cogrelay.mdp import (CostModel, MdpGrids, ModelParams, SpectrumMDP,
                           constrained_power, transition)
 from cogrelay.model import success_probability
 from cogrelay.sensing import false_alarm_from_detection
-from cogrelay.sim import SimConfig, SimStats, _se, simulate
+from cogrelay.sim import _OUTCOME_LABELS, SimConfig, SimStats, simulate
 from cogrelay.solver import (Mode, PolicyTable, SolverConfig, ValueTable,
                              _allowed_columns, _base_rewards, _continuation, _lift,
                              _power_average)
@@ -357,12 +357,13 @@ def outcome_frequency_check(cfg: SimConfig, stats: SimStats | None = None) -> Ch
         raise ValueError(f"need at least 1e4 slots for a stable check, got {cfg.n_slots}")
     if stats is None:
         stats = simulate(cfg)
+    pd, pf = cfg.pd, cfg.resolved_pf
     n_busy = stats.counts["busy"]
     n_idle = stats.n_slots - n_busy
-    observed = stats.outcome_freq * stats.n_slots
+    observed = np.array([stats.counts[f"outcome_{o}"] for o in _OUTCOME_LABELS])
     expected = np.array([
-        n_idle * stats.pf, n_idle * (1.0 - stats.pf),
-        n_busy * (1.0 - stats.pd), n_busy * stats.pd,
+        n_idle * pf, n_idle * (1.0 - pf),
+        n_busy * (1.0 - pd), n_busy * pd,
     ])
 
     live = expected > 0.0
@@ -437,17 +438,8 @@ def simulate_reference(cfg: SimConfig) -> SimStats:
         c["relayed_total"] += int(relay_delivered.sum())
         done += m
 
-    frame = cfg.params.timing.data_fraction
-    return SimStats(
-        n_slots=n, seed=cfg.seed, pd=pd, pf=pf, pi1=cfg.resolved_pi1,
-        mu_s=frame * c["own_delivered"] / n,
-        mu_s_se=frame * _se(c["own_delivered"], n),
-        mu_p=c["pu_delivered"] / n,
-        mu_p_se=_se(c["pu_delivered"], n),
-        outcome_freq=n_outcome / n,
-        branch_mu_s=n_branch_s / n,
-        branch_mu_s_se=np.array([_se(int(k), n) for k in n_branch_s]),
-        branch_mu_ps=n_branch_ps / n,
-        branch_mu_ps_se=np.array([_se(int(k), n) for k in n_branch_ps]),
-        counts=c,
-    )
+    for name, tally in (("outcome", n_outcome), ("own_pass", n_branch_s),
+                        ("relay_pass", n_branch_ps)):
+        for o, k in zip(_OUTCOME_LABELS, tally):
+            c[f"{name}_{o}"] = int(k)
+    return SimStats(n, c)

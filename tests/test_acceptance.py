@@ -27,7 +27,7 @@ from cogrelay.model import (OUTCOME_ORDER, ChannelParams, QueueParams,
 from cogrelay.sensing import (SensingConfig, detection_from_threshold,
                               false_alarm_from_detection, q_function,
                               q_inverse, threshold_from_detection)
-from cogrelay.sim import SimConfig, analytical_reference, simulate
+from cogrelay.sim import SimConfig, analytical_reference, estimates, simulate
 from cogrelay.solver import SolverConfig, evaluate_policy_exact, value_iteration
 from oracles import state_values, value_iteration_dense
 
@@ -301,10 +301,10 @@ def test_criterion_05_simulation_matches_throughput_formulas():
     for i, (label, kw) in enumerate(runs):
         cfg = SimConfig(n_slots=1_000_000, seed=41_000 + i, params=params, **kw)
         stats = simulate(cfg)
-        ref = analytical_reference(cfg)
+        ref, est = analytical_reference(cfg), estimates(cfg, stats)
         worst = max(worst,
-                    z(stats.mu_s, stats.mu_s_se, float(ref["mu_s"]), stats.n_slots),
-                    z(stats.mu_p, stats.mu_p_se, float(ref["mu_p"]), stats.n_slots))
+                    z(*est["mu_s"], ref["mu_s"], stats.n_slots),
+                    z(*est["mu_p"], ref["mu_p"], stats.n_slots))
     elapsed = time.perf_counter() - t0
 
     passed = worst <= 3.0 and elapsed < 60.0

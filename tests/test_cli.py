@@ -12,6 +12,7 @@ import cogrelay.cli as cli
 from cogrelay.config import config_hash, resolve_config
 from cogrelay.mdp import build_spectrum_mdp
 from cogrelay.model import linear_to_db
+from cogrelay.sim import analytical_reference, estimates, simulate
 from cogrelay.solver import extract_lookup_table, value_iteration
 
 import conftest
@@ -565,6 +566,9 @@ def test_simulate_rows_are_pinned(tmp_path):
                      "--seed", "7"]) == 0
     _, _, data = read_output(out / "simulate.csv")
     assert data == PINNED_SIMULATE_ROWS
+    # the estimates and their closed forms share one key list, the CSV's rows
+    sim_cfg = resolve_config(cfg).sim_config()
+    assert list(estimates(sim_cfg, simulate(sim_cfg))) == list(analytical_reference(sim_cfg))
 
 
 @pytest.mark.parametrize("seed, flag", [(7, "-1"), (-3, None)],

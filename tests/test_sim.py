@@ -1,6 +1,5 @@
 """Monte-Carlo simulator: determinism, conservation laws and z-scores."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import cogrelay.sim
 from cogrelay.model import ChannelParams, QueueParams
-from cogrelay.sim import SimConfig, SimStats, analytical_reference, simulate
+from cogrelay.sim import (_OUTCOME_LABELS, SimConfig, SimStats, analytical_reference,
+                          estimates, simulate)
 from oracles import _CHI2_999, outcome_frequency_check, simulate_reference
 from tests.test_mdp import make_params
 
@@ -26,13 +26,10 @@ def assert_within_3se(est, se, ref, floor=1e-9):
 
 
 def test_identical_seeds_are_bit_identical():
-    a = simulate(mixed_config(n_slots=20_000, seed=101))
-    b = simulate(mixed_config(n_slots=20_000, seed=101))
-    assert a.counts == b.counts
-    assert (a.mu_s, a.mu_p) == (b.mu_s, b.mu_p)
-    np.testing.assert_array_equal(a.outcome_freq, b.outcome_freq)
-    np.testing.assert_array_equal(a.branch_mu_s, b.branch_mu_s)
-    np.testing.assert_array_equal(a.branch_mu_ps, b.branch_mu_ps)
+    cfg = mixed_config(n_slots=20_000, seed=101)
+    a, b = simulate(cfg), simulate(mixed_config(n_slots=20_000, seed=101))
+    assert a == b
+    assert estimates(cfg, a) == estimates(cfg, b)
 
 
 def test_different_seeds_differ():
@@ -59,28 +56,27 @@ def test_saturated_clean_link_hits_frame_rate():
     ref = frame * math.exp(-1.0 / 10.0)
     assert stats.counts["qs"] == stats.n_slots
     assert stats.counts["busy"] == 0
-    assert_within_3se(stats.mu_s, stats.mu_s_se, ref)
+    assert_within_3se(*estimates(cfg, stats)["mu_s"], ref)
 
 
 def test_mixed_run_matches_analytical_reference():
     cfg = mixed_config()
     stats = simulate(cfg)
     ref = analytical_reference(cfg)
-    assert_within_3se(stats.mu_s, stats.mu_s_se, ref["mu_s"])
-    assert_within_3se(stats.mu_p, stats.mu_p_se, ref["mu_p"])
-    for k in range(4):
-        assert_within_3se(stats.branch_mu_s[k], stats.branch_mu_s_se[k],
-                          ref["branch_mu_s"][k])
-        assert_within_3se(stats.branch_mu_ps[k], stats.branch_mu_ps_se[k],
-                          ref["branch_mu_ps"][k])
+    for metric, (est, se) in estimates(cfg, stats).items():
+        assert_within_3se(est, se, ref[metric])
 
 
 def test_outcome_frequencies_sum_to_one():
-    stats = simulate(mixed_config(n_slots=50_000))
-    assert stats.outcome_freq.sum() == pytest.approx(1.0, abs=1e-12)
-    assert stats.mu_s_se == pytest.approx(
-        cfg_frame() * math.sqrt((stats.mu_s / cfg_frame())
-                                * (1.0 - stats.mu_s / cfg_frame())
+    cfg = mixed_config(n_slots=50_000)
+    stats = simulate(cfg)
+    est = estimates(cfg, stats)
+    assert sum(stats.counts[f"outcome_{o}"] for o in _OUTCOME_LABELS) == stats.n_slots
+    assert sum(est[f"outcome_{o}"][0] for o in _OUTCOME_LABELS) == pytest.approx(1.0, abs=1e-12)
+    mu_s, mu_s_se = est["mu_s"]
+    assert mu_s_se == pytest.approx(
+        cfg_frame() * math.sqrt((mu_s / cfg_frame())
+                                * (1.0 - mu_s / cfg_frame())
                                 / stats.n_slots), rel=1e-12)
 
 
@@ -147,29 +143,14 @@ def test_chi_square_guards():
         outcome_frequency_check(mixed_config(n_slots=100))
 
 
-def test_stats_record_run_identity():
-    cfg = mixed_config(n_slots=20_000, seed=101)
-    stats = simulate(cfg)
-    assert isinstance(stats, SimStats)
-    assert (stats.n_slots, stats.seed) == (20_000, 101)
-    assert stats.pd == cfg.pd
-    assert stats.pf == cfg.resolved_pf
-    assert stats.pi1 == cfg.resolved_pi1
-
-
 # ---------------------------------------------------------------------------
 # the slot-code histogram against the per-indicator reference
 
 
 def assert_same_stats(got: SimStats, ref: SimStats) -> None:
-    for field in dataclasses.fields(SimStats):
-        a, b = getattr(got, field.name), getattr(ref, field.name)
-        if isinstance(b, np.ndarray):
-            assert a.dtype == b.dtype, field.name
-            np.testing.assert_array_equal(a, b, err_msg=field.name)
-        else:
-            assert a == b, field.name
-    assert list(got.counts) == list(ref.counts)
+    assert got.n_slots == ref.n_slots
+    assert list(got.counts.items()) == list(ref.counts.items())
+    assert all(type(k) is int for k in got.counts.values())
 
 
 SMALL_CHUNK = 4096
@@ -235,7 +216,13 @@ def test_mixed_run_counts_are_pinned():
     assert simulate(mixed_config()).counts == {
         "busy": 80137, "qs": 125199, "qps": 39952, "own_delivered": 105596,
         "pu_delivered": 47425, "direct_served": 44160, "relayed_busy": 1188,
-        "relayed_total": 3265}
+        "relayed_total": 3265,
+        "outcome_fa": 75073, "outcome_nfa": 44790, "outcome_md": 16138,
+        "outcome_d": 63999,
+        "own_pass_fa": 71359, "own_pass_nfa": 42576, "own_pass_md": 14691,
+        "own_pass_d": 57902,
+        "relay_pass_fa": 67852, "relay_pass_nfa": 40544, "relay_pass_md": 13185,
+        "relay_pass_d": 52313}
 
 
 # Ties: every threshold set equal to one slot's own draw, found by replaying
@@ -284,11 +271,6 @@ def tie_overrides(name):
     }[name]
 
 
-def tallies(stats):
-    return (stats.counts, stats.outcome_freq.tolist(), stats.branch_mu_s.tolist(),
-            stats.branch_mu_ps.tolist())
-
-
 @pytest.mark.parametrize("name", [
     "activity", "detection", "false_alarm", "secondary_queue", "relay_queue",
     "own_cutoff", "relay_cutoff", "outage", "direct"])
@@ -299,4 +281,4 @@ def test_ties_at_a_threshold_match_the_reference(name):
     # the tie is live: one ulp up on the tied value flips the tied slot
     key = next(iter(over))
     nudged = simulate_reference(tie_config(**dict(over, **{key: np.nextafter(over[key], np.inf)})))
-    assert tallies(nudged) != tallies(ref)
+    assert nudged.counts != ref.counts
