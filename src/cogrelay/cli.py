@@ -167,15 +167,16 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def _pinned_values(rc: ResolvedConfig, params: ModelParams, state_grids: StateGrids,
                    points: Sequence[tuple[float, float, float]],
-                   scfg: SolverConfig) -> list[float]:
+                   scfg: SolverConfig) -> tuple[list[float], float]:
     """Discounted throughput of holding each point's (pd, ic) fixed, read at
-    the reporting state for the point's primary utilisation rho_p.
+    the reporting state for the point's primary utilisation rho_p, and the
+    worst relative residual of the solves.
 
     One model spans the distinct pd and ic values, sorted as its grids
     require, and prices each slot by the throughput of the held action with
-    no control costs.  Each distinct (pd, ic) pair is one exact evaluation
-    on it, and every point of a pair reads its J from that pair's one value
-    vector."""
+    no control costs.  The distinct (pd, ic) pairs form one stack of
+    constant policies, evaluated exactly in one call, and every point of a
+    pair reads its J from that pair's row."""
     pds = sorted({pd for pd, _, _ in points})
     ics = sorted({ic for _, ic, _ in points})
     grids = MdpGrids(states=state_grids, actions=ActionGrids(pds, ics))
@@ -184,19 +185,20 @@ def _pinned_values(rc: ResolvedConfig, params: ModelParams, state_grids: StateGr
               for _, _, rp in points]
     mdp = build_spectrum_mdp(grids, params, CostModel(s_const=0.0, c_const=0.0),
                              reward_uses_chosen_action=True)
-    n_blocks = mdp.n_states // mdp.n_actions
-    solved = {}
-    for pd, ic in dict.fromkeys((pd, ic) for pd, ic, _ in points):
-        action = np.ravel_multi_index((pds.index(pd), ics.index(ic)), grids.shape[3:])
-        solved[pd, ic] = evaluate_policy_exact(mdp, np.full(n_blocks, action), scfg.discount)
-    return [float(solved[pd, ic][block]) for (pd, ic, _), block in zip(points, blocks)]
+    row = {pair: i for i, pair in enumerate(dict.fromkeys((pd, ic) for pd, ic, _ in points))}
+    actions = np.ravel_multi_index(([pds.index(pd) for pd, _ in row],
+                                    [ics.index(ic) for _, ic in row]), grids.shape[3:])
+    stack = np.repeat(actions[:, None], mdp.n_states // mdp.n_actions, axis=1)
+    values, residuals = evaluate_policy_exact(mdp, stack, scfg.discount, return_residual=True)
+    return ([float(values[row[pd, ic], block]) for (pd, ic, _), block in zip(points, blocks)],
+            float(residuals.max()))
 
 
 def _pinned_value(rc: ResolvedConfig, state_grids: StateGrids, pd: float,
                   ic: float, rho_p: float, scfg: SolverConfig) -> float:
     """Discounted throughput of holding (pd, ic) fixed, read at the
     reporting state for the requested primary utilisation."""
-    return _pinned_values(rc, rc.model_params(), state_grids, [(pd, ic, rho_p)], scfg)[0]
+    return _pinned_values(rc, rc.model_params(), state_grids, [(pd, ic, rho_p)], scfg)[0][0]
 
 
 def _pav_point(rc: ResolvedConfig, pav: float, scfg: SolverConfig) -> tuple[float, float, bool]:
@@ -230,6 +232,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     t0 = time.perf_counter()
     all_converged = True
+    facts: dict[str, Any] = {}
     try:
         if spec.variable in ("pd", "ic"):
             if spec.variable == "pd":
@@ -240,7 +243,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 header = ("ic_db", "pd", "rho_p", "J")
                 points = [(pd, ic, rp) for ic in spec.grid
                           for pd in spec.pd_fixed for rp in spec.rho_p]
-            values = _pinned_values(rc, params, grids.states, points, scfg)
+            values, facts["worst_relative_residual"] = _pinned_values(
+                rc, params, grids.states, points, scfg)
             rows = []
             for (pd, ic, rp), j in zip(points, values):
                 cells = {"pd": pd, "ic_db": linear_to_db(ic), "rho_p": rp, "J": j}
@@ -263,6 +267,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "variable": spec.variable,
         "points": len(rows),
         "converged": all_converged,
+        **facts,
     })
     out = _out_dir(args)
     path = out / f"sweep_{spec.variable}.csv"
@@ -281,7 +286,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if args.seed is not None:
             rc.raw["sim"]["seed"] = int(args.seed)
         params, _ = _checked_setup(rc)
-        cfg = rc.sim_config()
+        cfg = rc.sim_config(params)
     except (ConfigError, ValueError) as exc:
         return _fail_config(str(exc))
 

@@ -347,12 +347,14 @@ class ResolvedConfig:
     def reward_uses_chosen_action(self) -> bool:
         return bool(self.raw["solver"]["reward_uses_chosen_action"])
 
-    def sim_config(self) -> SimConfig:
+    def sim_config(self, params: ModelParams) -> SimConfig:
+        """The simulation settings on `params`, the model this configuration
+        resolves to (`model_params()`), which the caller already holds."""
         s = self.raw["sim"]
         return SimConfig(
             n_slots=int(s["n_slots"]),
             seed=int(s["seed"]),
-            params=self.model_params(),
+            params=params,
             pd=float(s["pd"]),
             pf=None if s["pf"] is None else float(s["pf"]),
             pi1=None if s["pi1"] is None else float(s["pi1"]),

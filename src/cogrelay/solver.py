@@ -10,7 +10,11 @@ operator over the blocks, so value iteration, policy iteration and
 `evaluate_policy_exact` all work on and return the B block values W(b).
 A policy is one action per block, as the greedy action never depends on
 the previous one, and its values follow from one banded solve on the
-(rho_p, rho_s) cells.  Only `extract_lookup_table` lifts to the S states.
+(rho_p, rho_s) cells.  Exact evaluation takes a stack of policies, shape
+(P, B), and solves their P systems in one Gaussian elimination over band
+storage, shape (P, cells, 2 n_rho_s + 3), each to the floats it gets alone;
+policy iteration passes a stack of one, shape (B,).  Only
+`extract_lookup_table` lifts to the S states.
 
 A mode's actions are an ascending index set of flat action columns (all
 231 at the defaults, one pd level's 21 or one ic level's 11), and the
@@ -26,8 +30,9 @@ floats as with all columns.  Policy iteration backs up all the columns,
 and `evaluate_policy_exact` the ones its policy uses.
 
 The tests hold this route against the references in `tests/oracles.py`
-(full-column and per-state value iteration, the B x B evaluation solve and
-a dense model built from the scalar `transition` rows), against brute-force
+(full-column and per-state value iteration, the B x B evaluation solve,
+the one-policy dense-matrix evaluation the stacked solve replaced, and a
+dense model built from the scalar `transition` rows), against brute-force
 policy enumeration on small instances, and the kernel itself against a
 scalar statement of the slot physics.
 """
@@ -154,19 +159,36 @@ def _continuation(mdp: SpectrumMDP, w: np.ndarray, kernel: np.ndarray) -> np.nda
     return cont
 
 
-def _solve_banded(a: np.ndarray, b: np.ndarray, band: int) -> np.ndarray:
-    """x with a x = b, for a strictly diagonally dominant `a` whose entries lie
-    within `band` of the diagonal: in-place Gaussian elimination without
-    pivoting, kept to the band, and back substitution by elementwise products."""
-    n = b.size
+def _solve_banded(bands: np.ndarray, b: np.ndarray, band: int) -> np.ndarray:
+    """x with a x = b for each of a stack of strictly diagonally dominant
+    matrices a whose entries lie within `band` of the diagonal.
+
+    bands, shape (P, n, 2 band + 1), holds a[p, i, j] at bands[p, i, band +
+    j - i], and b has shape (P, n); the slots of a row that fall before
+    column 0 or past column n - 1 are never read.  In-place Gaussian
+    elimination without pivoting, kept to the band, runs on all P systems at
+    once, and back substitution sums each row's products along its last,
+    contiguous axis, so each system gets the floats of solving it alone."""
+    n_sys, n, _ = bands.shape
+    s_sys, s_row, s_slot = bands.strides
+    # a[p, i, j] read in place: column j of row i sits (j - i) slots from the
+    # diagonal of row i.  Off the band the view aliases other slots, and the
+    # loops only touch |i - j| <= band
+    a = np.lib.stride_tricks.as_strided(bands[:, :, band:], shape=(n_sys, n, n),
+                                        strides=(s_sys, s_row - s_slot, s_slot))
+    # the elimination works on (i, j, p) and (i, p) views, which index the
+    # way a single system does and update the blocks in place
+    at, bt = a.transpose(1, 2, 0), b.T
     for k in range(n):
         below = slice(k + 1, min(k + band + 1, n))
-        f = a[below, k] / a[k, k]
-        a[below, below] -= f[:, None] * a[k, below]
-        b[below] -= f * b[k]
+        f = at[below, k] / at[k, k]
+        block = at[below, below]
+        block -= f[:, None] * at[k, below]
+        rest = bt[below]
+        rest -= f * bt[k]
     for k in reversed(range(n)):
         right = slice(k + 1, min(k + band + 1, n))
-        b[k] = (b[k] - np.sum(a[k, right] * b[right])) / a[k, k]
+        bt[k] = (bt[k] - np.add.reduce(a[:, k, right] * b[:, right], axis=-1)) / at[k, k]
     return b
 
 
@@ -238,27 +260,82 @@ class _BlockBellman:
         """Flat action index of each block's maximising column, the lowest on ties."""
         return self.columns[q.argmax(axis=-1)]
 
-    def evaluate(self, block_actions: np.ndarray) -> np.ndarray:
-        """W_sigma of one of the columns per block.  The next power level is a
-        stationary redraw, so W_sigma = r_sigma + d E[w(next)], where w, the
-        pstat average of W_sigma, solves (I - d M) w = r_bar on the (rho_p,
-        rho_s) cells, M and r_bar averaging the policy's kernel and reward
-        over pstat.  M's rows are stochastic, so I - d M is strictly
-        diagonally dominant by rows and needs no pivoting."""
+    def evaluate(self, block_actions: np.ndarray, return_residual: bool = False):
+        """W_sigma of each policy of a stack, one of the columns per block:
+        shape (P, B) to (P, B), and (B,) to (B,) for a stack of one.
+
+        The next power level is a stationary redraw, so W_sigma = r_sigma +
+        d E[w(next)], where w, the pstat average of W_sigma, solves
+        (I - d M) w = r_bar on the (rho_p, rho_s) cells, M and r_bar
+        averaging the policy's kernel and reward over pstat.  M's rows are
+        stochastic, so I - d M is strictly diagonally dominant by rows and
+        needs no pivoting; it is banded (`_cell_bands`), and one elimination
+        solves the whole stack.  With return_residual, also each policy's
+        relative residual (`_relative_residual`), shape (P,) or ().
+        """
         n_rp, n_rs, n_ps = self.mdp.grids.shape[:3]
-        n = n_rp * n_rs
-        sigma = np.searchsorted(self.columns, block_actions).reshape(n_rp, n_rs, n_ps, 1)
-        k = np.take_along_axis(self.kernel, sigma[None, None], axis=-1)
-        r_sigma = np.take_along_axis(self.step_reward, sigma, axis=-1)
-        pstat = np.array(self.mdp.grids.states.p_s_stationary)[:, None]
-        k_bar = (pstat * k).sum(axis=4, keepdims=True)
-        # column c of M backs up cell c's indicator; in C order, M's band is n_rho_s + 1
-        m = _continuation(self.mdp, np.eye(n).reshape(n_rp, n_rs, n),
-                          np.broadcast_to(k_bar, k_bar.shape[:-1] + (n,)))
-        a = np.eye(n) - self.discount * m.reshape(n, n)
-        w_bar = _solve_banded(a, (pstat * r_sigma).sum(axis=2).reshape(n), n_rs + 1)
-        cont = _continuation(self.mdp, w_bar.reshape(n_rp, n_rs, 1), k)
-        return (r_sigma + self.discount * cont).reshape(-1)
+        shape = np.shape(block_actions)
+        sigma = np.searchsorted(self.columns, block_actions).reshape(-1, n_rp, n_rs, n_ps)
+        n_pol = sigma.shape[0]
+        # a gather that indexes every axis is laid out in C order, the power
+        # axis last, so each pstat average sums one contiguous row as for a
+        # policy alone (numpy sums a longer row pairwise); one move at a time
+        # keeps the copies of the kernel small
+        kernel = self.kernel.reshape(9, n_rp, n_rs, n_ps, -1)
+        rp, rs, ps = np.ogrid[:n_rp, :n_rs, :n_ps]
+        pstat = np.array(self.mdp.grids.states.p_s_stationary)
+        k_bar = np.array([(pstat * move[rp, rs, ps, sigma]).sum(axis=-1) for move in kernel])
+        k_bar = k_bar.reshape(3, 3, n_pol, n_rp, n_rs)
+        r_sigma = self.step_reward[rp, rs, ps, sigma]
+        r_bar = (pstat * r_sigma).sum(axis=-1).reshape(n_pol, n_rp * n_rs)
+        rhs = r_bar.copy()
+        w_bar = _solve_banded(_cell_bands(k_bar, self.discount), r_bar, n_rs + 1)
+        # the stack's power averages and kernels side by side, one column each
+        w_cells = w_bar.reshape(n_pol, n_rp, n_rs).transpose(1, 2, 0)
+        k = kernel[np.arange(9).reshape(9, 1, 1, 1, 1), rp, rs, ps, sigma]
+        cont = _continuation(self.mdp, w_cells,
+                             k.reshape(3, 3, *sigma.shape).transpose(0, 1, 3, 4, 5, 2))
+        values = (r_sigma.transpose(1, 2, 3, 0) + self.discount * cont).reshape(-1, n_pol)
+        values = np.ascontiguousarray(values.T).reshape(shape)
+        if not return_residual:
+            return values
+        residual = _relative_residual(self.mdp, w_cells, k_bar, rhs, self.discount)
+        return values, residual.reshape(shape[:-1])
+
+
+def _cell_bands(k_bar: np.ndarray, discount: float) -> np.ndarray:
+    """I - d M of each policy of a stack, in `_solve_banded`'s storage.
+
+    k_bar[mp, ms, p, r, u] is the probability that cell (r, u) moves
+    (mp - 1, ms - 1) levels under policy p.  Cell c's row of M holds it at
+    the cells c + (mp - 1) n_rho_s + ms - 1 that stay on the grid, so I - d M
+    has a band of n_rho_s + 1; its entries are rounded as np.eye(n) - d * M
+    rounds them.  Shape (P, n_rho_p n_rho_s, 2 n_rho_s + 3)."""
+    _, _, n_pol, n_rp, n_rs = k_bar.shape
+    band = n_rs + 1
+    bands = np.zeros((n_pol, n_rp, n_rs, 2 * band + 1))
+    bands[..., band] = 1.0
+    for mp, ms in np.ndindex(3, 3):
+        # the cells whose move stays on the grid
+        rows = slice(max(0, 1 - mp), n_rp - max(0, mp - 1))
+        cols = slice(max(0, 1 - ms), n_rs - max(0, ms - 1))
+        bands[:, rows, cols, band + (mp - 1) * n_rs + ms - 1] -= (
+            discount * k_bar[mp, ms, :, rows, cols])
+    return bands.reshape(n_pol, n_rp * n_rs, -1)
+
+
+def _relative_residual(mdp: SpectrumMDP, w_cells: np.ndarray, k_bar: np.ndarray,
+                       r_bar: np.ndarray, discount: float) -> np.ndarray:
+    """||(I - d M) w - r_bar||_inf / ||r_bar||_inf of each policy of a stack,
+    shape (P,), for w_cells shaped (n_rho_p, n_rho_s, P), k_bar as
+    `_cell_bands` takes it and r_bar shaped (P, cells).  M w is backed up
+    from k_bar by `_continuation`, apart from the bands the solve used, so a
+    misplaced band entry shows here too.  A zero r_bar has w = 0, and its
+    residual is the absolute one."""
+    m_w = _continuation(mdp, w_cells, k_bar.transpose(0, 1, 3, 4, 2)[..., None, :])[:, :, 0]
+    error = (w_cells - discount * m_w).transpose(2, 0, 1).reshape(r_bar.shape) - r_bar
+    scale = np.max(np.abs(r_bar), axis=-1)
+    return np.max(np.abs(error), axis=-1) / np.where(scale > 0.0, scale, 1.0)
 
 
 # value iteration tests the backed-up columns for elimination every this many sweeps
@@ -400,22 +477,27 @@ def extract_lookup_table(mdp: SpectrumMDP, value_table: ValueTable,
 
 
 def evaluate_policy_exact(mdp: SpectrumMDP, block_actions: np.ndarray,
-                          discount: float) -> np.ndarray:
-    """Exact block values W(b), shape (B,), of one action per (rho_p, rho_s,
-    P_s) block, under the model's own reward.
+                          discount: float, return_residual: bool = False):
+    """Exact block values W(b) of one action per (rho_p, rho_s, P_s) block,
+    under the model's own reward: shape (B,) for one policy, or (P, B) for a
+    stack of P policies, one per row.
 
     Every policy the solvers make is constant on a block, so W is one banded
-    solve on the (rho_p, rho_s) cells, over the policy's own action columns.
-    W carries no iteration-tail error, which matters when comparing sweep
+    solve on the (rho_p, rho_s) cells, over the columns the stack uses.  The
+    systems of a stack are stored by bands, shape (P, n_cells, 2 n_rho_s +
+    3), and eliminated together, each to the floats it gets alone.  W
+    carries no iteration-tail error, which matters when comparing sweep
     points that differ by less than a value-iteration tolerance.  The
     throughput of the held action alone is the J of the model built with
-    zero costs and reward_uses_chosen_action=True.
+    zero costs and reward_uses_chosen_action=True.  With return_residual,
+    the result is (W, residual), the residual being each policy's
+    ||(I - d M) w - r_bar||_inf / ||r_bar||_inf on the cells, shape () or (P,).
     """
     actions = np.asarray(block_actions)
     n_blocks = mdp.n_states // mdp.n_actions
-    if actions.shape != (n_blocks,):
+    if actions.ndim not in (1, 2) or actions.shape[-1] != n_blocks or actions.size == 0:
         raise ValueError(f"policy must assign an action to each of {n_blocks} blocks")
     # the operator gathers kernel columns, where a negative index would wrap
     if actions.min() < 0 or actions.max() >= mdp.n_actions:
         raise ValueError("policy contains out-of-range action indices")
-    return _BlockBellman(mdp, discount, np.unique(actions)).evaluate(actions)
+    return _BlockBellman(mdp, discount, np.unique(actions)).evaluate(actions, return_residual)

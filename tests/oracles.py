@@ -12,7 +12,10 @@ is fixed-point policy evaluation of a per-state policy, the iterative twin
 of the library's exact, block-wise `evaluate_policy_exact`, and
 `evaluate_policy_blocks` solves the dense B x B block system
 (`block_matrix`) with LAPACK, the route the library's banded solve on the
-power-averaged cells replaced.
+power-averaged cells replaced.  `evaluate_one_policy` evaluates one policy
+by a dense (n, n) matrix on those cells and the one-system elimination
+`solve_banded_dense`, the route the library's stacked banded solve
+replaced; on the same operator it must give the same floats.
 `value_iteration_lifted` is value iteration backing up all S per-state
 values on every sweep, the route the library's block iteration replaced,
 and `value_iteration_full_columns` is block value iteration backing up
@@ -45,7 +48,7 @@ from cogrelay.mdp import (CostModel, MdpGrids, ModelParams, SpectrumMDP,
 from cogrelay.model import success_probability
 from cogrelay.sensing import false_alarm_from_detection
 from cogrelay.sim import _OUTCOME_LABELS, SimConfig, SimStats, simulate
-from cogrelay.solver import (Mode, PolicyTable, SolverConfig, ValueTable,
+from cogrelay.solver import (Mode, PolicyTable, SolverConfig, ValueTable, _BlockBellman,
                              _allowed_columns, _base_rewards, _continuation, _lift,
                              _power_average)
 
@@ -191,6 +194,52 @@ def evaluate_policy_blocks(mdp: SpectrumMDP, block_actions: np.ndarray,
     r_sigma = step_reward.reshape(blocks.size, -1)[blocks, block_actions]
     a = np.eye(blocks.size) - discount * block_matrix(mdp, block_actions)
     return _lift(np.linalg.solve(a, r_sigma), g_add, mdp.n_actions)
+
+
+def solve_banded_dense(a: np.ndarray, b: np.ndarray, band: int) -> np.ndarray:
+    """x with a x = b, for a strictly diagonally dominant `a` whose entries lie
+    within `band` of the diagonal: in-place Gaussian elimination without
+    pivoting, kept to the band, and back substitution by elementwise products."""
+    n = b.size
+    for k in range(n):
+        below = slice(k + 1, min(k + band + 1, n))
+        f = a[below, k] / a[k, k]
+        a[below, below] -= f[:, None] * a[k, below]
+        b[below] -= f * b[k]
+    for k in reversed(range(n)):
+        right = slice(k + 1, min(k + band + 1, n))
+        b[k] = (b[k] - np.sum(a[k, right] * b[right])) / a[k, k]
+    return b
+
+
+def evaluate_one_policy(bellman: _BlockBellman, block_actions: np.ndarray) -> np.ndarray:
+    """W_sigma of one of `bellman`'s columns per block, one policy at a time:
+    the power-averaged system (I - d M) w = r_bar built as a dense (n, n)
+    matrix by backing up each cell's indicator, and `solve_banded_dense`.
+    The library's stacked evaluation, which writes the bands of I - d M
+    directly and eliminates a stack at once, must give the same floats."""
+    n_rp, n_rs, n_ps = bellman.mdp.grids.shape[:3]
+    n = n_rp * n_rs
+    sigma = np.searchsorted(bellman.columns, block_actions).reshape(n_rp, n_rs, n_ps, 1)
+    k = np.take_along_axis(bellman.kernel, sigma[None, None], axis=-1)
+    r_sigma = np.take_along_axis(bellman.step_reward, sigma, axis=-1)
+    pstat = np.array(bellman.mdp.grids.states.p_s_stationary)[:, None]
+    k_bar = (pstat * k).sum(axis=4, keepdims=True)
+    # column c of M backs up cell c's indicator; in C order, M's band is n_rho_s + 1
+    m = _continuation(bellman.mdp, np.eye(n).reshape(n_rp, n_rs, n),
+                      np.broadcast_to(k_bar, k_bar.shape[:-1] + (n,)))
+    a = np.eye(n) - bellman.discount * m.reshape(n, n)
+    w_bar = solve_banded_dense(a, (pstat * r_sigma).sum(axis=2).reshape(n), n_rs + 1)
+    cont = _continuation(bellman.mdp, w_bar.reshape(n_rp, n_rs, 1), k)
+    return (r_sigma + bellman.discount * cont).reshape(-1)
+
+
+def evaluate_policy_exact_one(mdp: SpectrumMDP, block_actions: np.ndarray,
+                              discount: float) -> np.ndarray:
+    """`evaluate_one_policy` over the policy's own columns, the route each
+    call of `cogrelay.solver.evaluate_policy_exact` took before it took stacks."""
+    return evaluate_one_policy(_BlockBellman(mdp, discount, np.unique(block_actions)),
+                               block_actions)
 
 
 def column_mask(mdp: SpectrumMDP, mode: Mode, pinned: int | None) -> np.ndarray:

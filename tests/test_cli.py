@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import cogrelay.cli as cli
-from cogrelay.config import config_hash, resolve_config
+from cogrelay.config import ResolvedConfig, config_hash, resolve_config
 from cogrelay.mdp import build_spectrum_mdp
 from cogrelay.model import linear_to_db
 from cogrelay.sim import analytical_reference, estimates, simulate
@@ -401,7 +401,9 @@ def test_sweep_rows_match_one_pinned_model_per_point(tmp_path, sweep):
 
 
 def test_default_pinned_sweeps_solve_each_pair_once(tmp_path, monkeypatch):
+    # one model, one stacked evaluation, one constant policy per distinct pair
     calls = {"build": 0, "exact": 0}
+    stacks = []
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -409,16 +411,39 @@ def test_default_pinned_sweeps_solve_each_pair_once(tmp_path, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    def recorded(mdp, stack, *args, **kwargs):
+        stacks.append(np.array(stack))
+        return real_exact(mdp, stack, *args, **kwargs)
+
+    real_exact = cli.evaluate_policy_exact
     monkeypatch.setattr(cli, "build_spectrum_mdp", counted("build", cli.build_spectrum_mdp))
-    monkeypatch.setattr(cli, "evaluate_policy_exact",
-                        counted("exact", cli.evaluate_policy_exact))
+    monkeypatch.setattr(cli, "evaluate_policy_exact", counted("exact", recorded))
     for variable, rows, pairs in (("pd", 66, 33), ("ic", 84, 42)):
         calls.update(build=0, exact=0)
+        stacks.clear()
         cfg = write_config(tmp_path, {"sweep": {"variable": variable}}, f"{variable}.json")
         assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
         _, _, data = read_output(tmp_path / f"sweep_{variable}.csv")
         assert len(data) == rows
-        assert calls == {"build": 1, "exact": pairs}
+        assert calls == {"build": 1, "exact": 1}
+        (stack,) = stacks
+        assert stack.shape[0] == pairs
+        assert np.all(stack == stack[:, :1])
+        assert len(np.unique(stack[:, 0])) == pairs
+
+
+@pytest.mark.parametrize("variable", ["pd", "ic"])
+def test_pinned_sweep_manifest_reports_its_worst_relative_residual(tmp_path, variable):
+    manifests = []
+    for threads in ("1", "2"):
+        cfg = write_config(tmp_path, {"sweep": {"variable": variable}}, f"{variable}.json")
+        out = tmp_path / threads
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out),
+                         "--threads", threads]) == 0
+        manifests.append(read_output(out / f"sweep_{variable}.csv")[0])
+    worst = manifests[0]["worst_relative_residual"]
+    assert 0.0 <= worst < 1e-12
+    assert manifests[0] == manifests[1]
 
 
 def test_sweep_empty_grid_fails(tmp_path, capsys):
@@ -567,8 +592,25 @@ def test_simulate_rows_are_pinned(tmp_path):
     _, _, data = read_output(out / "simulate.csv")
     assert data == PINNED_SIMULATE_ROWS
     # the estimates and their closed forms share one key list, the CSV's rows
-    sim_cfg = resolve_config(cfg).sim_config()
+    rc = resolve_config(cfg)
+    sim_cfg = rc.sim_config(rc.model_params())
     assert list(estimates(sim_cfg, simulate(sim_cfg))) == list(analytical_reference(sim_cfg))
+
+
+def test_simulate_resolves_the_model_once(tmp_path, monkeypatch):
+    calls = []
+    real = ResolvedConfig.model_params
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(ResolvedConfig, "model_params", counted)
+    cfg = write_config(tmp_path, sim_doc(n_slots=20_000))
+    out = tmp_path / "once"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out), "--seed", "7"]) == 0
+    assert len(calls) == 1
+    assert read_output(out / "simulate.csv")[2] == PINNED_SIMULATE_ROWS
 
 
 @pytest.mark.parametrize("seed, flag", [(7, "-1"), (-3, None)],

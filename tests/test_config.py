@@ -125,10 +125,12 @@ def test_sweep_spec_strictness():
 
 def test_sim_config_resolution_and_seed_override():
     rc = resolve_config({"sim": {"n_slots": 5000, "seed": 9, "pd": 0.6}})
-    cfg = rc.sim_config()
+    cfg = rc.sim_config(rc.model_params())
     assert (cfg.n_slots, cfg.seed, cfg.pd) == (5000, 9, 0.6)
     assert cfg.pf is None and cfg.pi1 is None
-    assert resolve_config({"sim": {"seed": 77}}).sim_config().seed == 77
+    assert cfg.params == rc.model_params()
+    rc = resolve_config({"sim": {"seed": 77}})
+    assert rc.sim_config(rc.model_params()).seed == 77
 
 
 def test_config_hash_is_order_invariant():

@@ -14,10 +14,12 @@ from cogrelay.model import ChannelParams, QueueParams
 from cogrelay.sensing import false_alarm_from_detection
 from cogrelay.solver import (_ELIMINATION_PERIOD, LOOKUP_COLUMNS, SolverConfig,
                              _allowed_columns, _BlockBellman, _continuation, _lift,
-                             _may_still_win, _power_average, evaluate_policy_exact,
-                             extract_lookup_table, policy_iteration, value_iteration)
-from oracles import (dense_rewards, evaluate_policy, evaluate_policy_blocks,
-                     evaluate_policy_dense, materialize_dense, outcome_kernel, policy_terms,
+                             _may_still_win, _power_average, _solve_banded,
+                             evaluate_policy_exact, extract_lookup_table, policy_iteration,
+                             value_iteration)
+from oracles import (dense_rewards, evaluate_one_policy, evaluate_policy,
+                     evaluate_policy_blocks, evaluate_policy_dense, evaluate_policy_exact_one,
+                     materialize_dense, outcome_kernel, policy_terms, solve_banded_dense,
                      state_values, value_iteration_dense, value_iteration_full_columns,
                      value_iteration_lifted)
 from tests.test_mdp import _hand_birth_death, make_params, small_grids
@@ -175,6 +177,10 @@ def test_evaluate_policy_rejects_bad_policies():
     # one action per state is not one action per block
     with pytest.raises(ValueError, match="each of"):
         evaluate_policy_exact(mdp, np.zeros(mdp.n_states, dtype=int), discount=0.9)
+    # a stack holds one policy per row, and at least one
+    for shape in ((0, n_blocks), (2, 2, n_blocks), (2, n_blocks + 1)):
+        with pytest.raises(ValueError, match="each of"):
+            evaluate_policy_exact(mdp, np.zeros(shape, dtype=int), discount=0.9)
 
 
 def test_power_redraw_chain_hand_formula():
@@ -524,6 +530,110 @@ def test_exact_policy_evaluation_on_its_own_columns_keeps_every_float(costs, cho
     for actions in policies:
         exact = evaluate_policy_exact(mdp, actions, cfg.discount)
         assert exact.tobytes() == full.evaluate(actions).tobytes()
+
+
+def stacked_policies(mdp, rng):
+    """Constant policies and per-block random ones, with a repeated row."""
+    n_blocks = mdp.n_states // mdp.n_actions
+    rows = [np.full(n_blocks, a) for a in (0, mdp.n_actions // 2, mdp.n_actions - 1)]
+    rows += [random_block_policy(mdp, rng) for _ in range(3)]
+    rows.append(rows[3])
+    return np.array(rows)
+
+
+def assert_stack_keeps_every_float(mdp, stack, discount):
+    """The stacked evaluation against the one-policy route it replaced, bit
+    for bit: each row of the stack, each policy alone, and the all-column
+    operator's `evaluate`, which policy iteration calls, on both."""
+    values = evaluate_policy_exact(mdp, stack, discount)
+    assert values.shape == stack.shape
+    full = _BlockBellman(mdp, discount, np.arange(mdp.n_actions))
+    on_all_columns = full.evaluate(stack)
+    for actions, row, row_all in zip(stack, values, on_all_columns):
+        reference = evaluate_policy_exact_one(mdp, actions, discount)
+        assert row.tobytes() == reference.tobytes()
+        assert evaluate_policy_exact(mdp, actions, discount).tobytes() == reference.tobytes()
+        reference_all = evaluate_one_policy(full, actions)
+        assert row_all.tobytes() == reference_all.tobytes()
+        assert full.evaluate(actions).tobytes() == reference_all.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_models(), st.integers(0, 2**32 - 1))
+def test_stacked_evaluation_keeps_every_float_on_random_models(case, seed):
+    mdp, _, _, d = case
+    assert_stack_keeps_every_float(mdp, stacked_policies(mdp, np.random.default_rng(seed)), d)
+
+
+@pytest.mark.parametrize("chosen", [False, True])
+@pytest.mark.parametrize("rho_p_levels, rho_s_levels, n_ps", [
+    ((0.1, 0.5, 0.9), (0.4,), 2),       # one rho_s level: the band is 2 wide
+    ((0.5,), (0.4,), 2),                # a single cell
+    ((0.5,), (0.1, 0.5, 0.9), 2),       # a single rho_p level
+    ((0.1, 0.5), (0.2, 0.6), 9),        # a power average past numpy's unrolled sum
+], ids=["one_rho_s", "one_cell", "one_rho_p", "nine_power_levels"])
+def test_stacked_evaluation_keeps_every_float_at_the_edges(rho_p_levels, rho_s_levels,
+                                                           n_ps, chosen):
+    weights = np.arange(1.0, n_ps + 1.0)
+    states = StateGrids(rho_p_levels=rho_p_levels, rho_s_levels=rho_s_levels,
+                        p_s_levels=tuple(np.linspace(0.5, 2.5, n_ps)),
+                        p_s_stationary=tuple(weights / weights.sum()))
+    mdp = small_mdp(grids=MdpGrids(states=states, actions=small_grids().actions),
+                    chosen=chosen)
+    assert_stack_keeps_every_float(mdp, stacked_policies(mdp, np.random.default_rng(5)), 0.9)
+
+
+@pytest.mark.parametrize("cost", [0.0, 0.1, 2.0])
+def test_stacked_evaluation_keeps_every_float_on_the_default_grids(cost):
+    mdp, cfg = default_model(CostModel(cost, cost))
+    assert_stack_keeps_every_float(mdp, stacked_policies(mdp, np.random.default_rng(41)),
+                                   cfg.discount)
+
+
+def random_band_systems(n, band, n_sys, rng):
+    """Strictly diagonally dominant banded systems in `_solve_banded`'s
+    storage, the slots outside the matrix NaN, and the mask of the others."""
+    rows, slots = np.indices((n, 2 * band + 1))
+    inside = (rows + slots - band >= 0) & (rows + slots - band < n)
+    bands = np.where(inside, -rng.random((n_sys, n, 2 * band + 1)) / (2 * band + 1), np.nan)
+    bands[:, :, band] = 1.0 + rng.random((n_sys, n))
+    return bands, rng.normal(size=(n_sys, n)), inside
+
+
+def dense_from_bands(bands, band):
+    n = bands.shape[0]
+    dense = np.zeros((n, n))
+    for i, j in np.ndindex(n, n):
+        if abs(i - j) <= band:
+            dense[i, j] = bands[i, band + j - i]
+    return dense
+
+
+@pytest.mark.parametrize("n, band", [(100, 11), (7, 3), (3, 2), (1, 2)])
+def test_banded_solve_never_reads_outside_the_band(n, band):
+    # every slot that lies outside the matrix holds NaN; none may reach x
+    rng = np.random.default_rng(n * band)
+    bands, b, inside = random_band_systems(n, band, 4, rng)
+    x = _solve_banded(bands.copy(), b.copy(), band)
+    assert np.all(np.isfinite(x))
+    assert x.tobytes() == _solve_banded(np.where(inside, bands, 0.0), b.copy(), band).tobytes()
+    for p in range(len(b)):
+        dense = dense_from_bands(bands[p], band)
+        assert x[p].tobytes() == solve_banded_dense(dense, b[p].copy(), band).tobytes()
+
+
+def test_exact_evaluation_reports_each_relative_residual():
+    mdp, cfg = default_model(CostModel(0.0, 0.0), chosen=True)
+    stack = stacked_policies(mdp, np.random.default_rng(43))
+    values, residual = evaluate_policy_exact(mdp, stack, cfg.discount, return_residual=True)
+    assert values.tobytes() == evaluate_policy_exact(mdp, stack, cfg.discount).tobytes()
+    assert residual.shape == (len(stack),)
+    assert np.all(residual < 1e-12)
+    assert residual[-1] == residual[3]                  # the repeated row
+    one, one_residual = evaluate_policy_exact(mdp, stack[0], cfg.discount,
+                                              return_residual=True)
+    assert one.tobytes() == values[0].tobytes()
+    assert one_residual.shape == () and one_residual == residual[0]
 
 
 @settings(max_examples=40, deadline=None)
