@@ -500,4 +500,7 @@ def evaluate_policy_exact(mdp: SpectrumMDP, block_actions: np.ndarray,
     # the operator gathers kernel columns, where a negative index would wrap
     if actions.min() < 0 or actions.max() >= mdp.n_actions:
         raise ValueError("policy contains out-of-range action indices")
-    return _BlockBellman(mdp, discount, np.unique(actions)).evaluate(actions, return_residual)
+    # the ascending columns the stack uses; np.unique would import numpy.ma
+    # on its first call, about as long as a default pinned sweep's solve
+    columns = np.flatnonzero(np.bincount(actions.reshape(-1), minlength=mdp.n_actions))
+    return _BlockBellman(mdp, discount, columns).evaluate(actions, return_residual)
