@@ -95,11 +95,8 @@ def _reference_block(grids: MdpGrids, rc: ResolvedConfig, rp_ref: int) -> int:
 
 def _checked_setup(rc: ResolvedConfig, p_av: float | None = None):
     """Params and grids (at budget p_av if given); a constraint breach is a ConfigError."""
-    try:
-        params = rc.model_params(p_av)
-        grids = rc.grids(p_av)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    params = rc.model_params(p_av)
+    grids = rc.grids(p_av)
     report = validate(params, grids)
     if not report.ok:
         raise ConfigError(str(report))
@@ -126,7 +123,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         params, grids = _checked_setup(rc)
         mode, pinned = rc.solver_mode()
         scfg = rc.solver_config()
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         return _fail_config(str(exc))
 
     mdp = build_spectrum_mdp(grids, params, rc.costs(),
@@ -174,9 +171,9 @@ def _pinned_values(rc: ResolvedConfig, params: ModelParams, state_grids: StateGr
 
     One model spans the distinct pd and ic values, sorted as its grids
     require, and prices each slot by the throughput of the held action with
-    no control costs.  The distinct (pd, ic) pairs form one stack of
-    constant policies, evaluated exactly in one call, and every point of a
-    pair reads its J from that pair's row."""
+    no control costs.  Its actions form one stack of constant policies in
+    flat-action order, evaluated exactly in one call, and every point reads
+    its J from the row of its (pd, ic) pair."""
     pds = sorted({pd for pd, _, _ in points})
     ics = sorted({ic for _, ic, _ in points})
     grids = MdpGrids(states=state_grids, actions=ActionGrids(pds, ics))
@@ -185,13 +182,10 @@ def _pinned_values(rc: ResolvedConfig, params: ModelParams, state_grids: StateGr
               for _, _, rp in points]
     mdp = build_spectrum_mdp(grids, params, CostModel(s_const=0.0, c_const=0.0),
                              reward_uses_chosen_action=True)
-    row = {pair: i for i, pair in enumerate(dict.fromkeys((pd, ic) for pd, ic, _ in points))}
-    actions = np.ravel_multi_index(([pds.index(pd) for pd, _ in row],
-                                    [ics.index(ic) for _, ic in row]), grids.shape[3:])
-    stack = np.repeat(actions[:, None], mdp.n_states // mdp.n_actions, axis=1)
-    values, residuals = evaluate_policy_exact(mdp, stack, scfg.discount, return_residual=True)
-    return ([float(values[row[pd, ic], block]) for (pd, ic, _), block in zip(points, blocks)],
-            float(residuals.max()))
+    stack = np.repeat(np.arange(mdp.n_actions)[:, None], mdp.n_states // mdp.n_actions, axis=1)
+    values, residuals = evaluate_policy_exact(mdp, stack, scfg.discount)
+    return ([float(values[pds.index(pd) * len(ics) + ics.index(ic), block])
+             for (pd, ic, _), block in zip(points, blocks)], float(residuals.max()))
 
 
 def _pinned_value(rc: ResolvedConfig, state_grids: StateGrids, pd: float,
@@ -227,7 +221,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         params, grids = _checked_setup(rc)
         spec = rc.sweep_spec()
         scfg = rc.solver_config()
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         return _fail_config(str(exc))
 
     t0 = time.perf_counter()
@@ -258,7 +252,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             for pav, (pd_opt, ic_opt, converged) in zip(spec.grid, results):
                 all_converged &= converged
                 rows.append((linear_to_db(pav), pd_opt, linear_to_db(ic_opt)))
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         return _fail_config(str(exc))
     wall = time.perf_counter() - t0
 
@@ -287,7 +281,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             rc.raw["sim"]["seed"] = int(args.seed)
         params, _ = _checked_setup(rc)
         cfg = rc.sim_config(params)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         return _fail_config(str(exc))
 
     t0 = time.perf_counter()
@@ -316,10 +310,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     try:
         rc = resolve_config(args.config)
-    except ConfigError as exc:
-        return _fail_config(str(exc))
-
-    try:
         params = rc.model_params()
         grids = rc.grids()
     except ValueError as exc:

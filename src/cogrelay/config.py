@@ -209,7 +209,10 @@ def load_config(source: str | Path | Mapping[str, Any] | None) -> dict[str, Any]
     elif isinstance(source, Mapping):
         given = source
     else:
-        text = Path(source).read_text()
+        try:
+            text = Path(source).read_text()
+        except OSError as exc:
+            raise ConfigError(f"config file {source} cannot be read: {exc}") from exc
         try:
             given = json.loads(text)
         except json.JSONDecodeError as exc:

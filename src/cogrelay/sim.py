@@ -140,10 +140,10 @@ def simulate(cfg: SimConfig) -> SimStats:
     n = cfg.n_slots
     pd, pf, pi1 = cfg.pd, cfg.resolved_pf, cfg.resolved_pi1
 
-    # per-outcome cut-offs, each computed as the per-slot expression
-    # beta(declared) * (1 + gamma_ps * busy) / gamma would compute it
-    cutoff = [(ch.beta_sp if declared else ch.beta_s) * (1.0 + ch.gamma_ps * busy)
-              for declared, busy in ((True, 0.0), (False, 0.0), (False, 1.0), (True, 1.0))]
+    # per-outcome cut-offs in OUTCOME_ORDER, each computed as the per-slot
+    # expression beta(declared) * (1 + gamma_ps * busy) / gamma would compute it
+    cutoff = [(ch.beta_sp if o.declared_busy else ch.beta_s)
+              * (1.0 + ch.gamma_ps * float(o.primary_busy)) for o in OUTCOME_ORDER]
     declare_below = np.array([pf, pd])      # indexed by busy
     own_cut = np.array([c / ch.gamma_s for c in cutoff])
     relay_cut = np.array([c / ch.gamma_sp for c in cutoff])

@@ -26,8 +26,8 @@ iterate, rules out at every block (`_may_still_win` states the test and
 its rounding slack).  A dropped column can never reach or tie a
 later maximum and each Q entry is the same elementwise arithmetic whatever
 other columns are present, so values, residuals and actions are the same
-floats as with all columns.  Policy iteration backs up all the columns,
-and `evaluate_policy_exact` the ones its policy uses.
+floats as with all columns.  Policy iteration and `evaluate_policy_exact`
+work on all the columns.
 
 The tests hold this route against the references in `tests/oracles.py`
 (full-column and per-state value iteration, the B x B evaluation solve,
@@ -217,9 +217,9 @@ class _BlockBellman:
     step reward fixed for the whole solve.  The operator holds the kernel
     and that step reward on its columns only.  `q` backs up a block table,
     `q_state` a per-state one (the reward vector both solvers start from
-    has no block form), and `evaluate` solves for the block values of one
-    action per block.  `greedy` maps a column of a backup to its flat
-    action index.
+    has no block form), and `evaluate`, on all the model's columns, solves
+    for the block values of one flat action per block.  `greedy` maps a
+    column of a backup to its flat action index.
     """
 
     def __init__(self, mdp: SpectrumMDP, discount: float, columns: np.ndarray):
@@ -260,9 +260,10 @@ class _BlockBellman:
         """Flat action index of each block's maximising column, the lowest on ties."""
         return self.columns[q.argmax(axis=-1)]
 
-    def evaluate(self, block_actions: np.ndarray, return_residual: bool = False):
-        """W_sigma of each policy of a stack, one of the columns per block:
-        shape (P, B) to (P, B), and (B,) to (B,) for a stack of one.
+    def evaluate(self, block_actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """W_sigma and the relative residual (`_relative_residual`) of each
+        policy of a stack, one flat action per block, on an operator over all
+        the model's columns: (P, B) gives (P, B) and (P,), (B,) gives (B,) and ().
 
         The next power level is a stationary redraw, so W_sigma = r_sigma +
         d E[w(next)], where w, the pstat average of W_sigma, solves
@@ -270,37 +271,32 @@ class _BlockBellman:
         averaging the policy's kernel and reward over pstat.  M's rows are
         stochastic, so I - d M is strictly diagonally dominant by rows and
         needs no pivoting; it is banded (`_cell_bands`), and one elimination
-        solves the whole stack.  With return_residual, also each policy's
-        relative residual (`_relative_residual`), shape (P,) or ().
+        solves the whole stack.
         """
         n_rp, n_rs, n_ps = self.mdp.grids.shape[:3]
         shape = np.shape(block_actions)
-        sigma = np.searchsorted(self.columns, block_actions).reshape(-1, n_rp, n_rs, n_ps)
+        sigma = np.reshape(block_actions, (-1, n_rp, n_rs, n_ps))
         n_pol = sigma.shape[0]
-        # a gather that indexes every axis is laid out in C order, the power
-        # axis last, so each pstat average sums one contiguous row as for a
-        # policy alone (numpy sums a longer row pairwise); one move at a time
-        # keeps the copies of the kernel small
-        kernel = self.kernel.reshape(9, n_rp, n_rs, n_ps, -1)
+        # one gather of every move, shape (9, P, r, u, v), in C order with the
+        # power axis last, so each pstat average sums one contiguous row as
+        # for a policy alone (numpy sums a longer row pairwise); one move at
+        # a time keeps the temporaries small
         rp, rs, ps = np.ogrid[:n_rp, :n_rs, :n_ps]
+        k = self.kernel.reshape(9, n_rp, n_rs, n_ps, -1)[
+            np.arange(9)[:, None, None, None, None], rp, rs, ps, sigma]
         pstat = np.array(self.mdp.grids.states.p_s_stationary)
-        k_bar = np.array([(pstat * move[rp, rs, ps, sigma]).sum(axis=-1) for move in kernel])
+        k_bar = np.array([(pstat * move).sum(axis=-1) for move in k])
         k_bar = k_bar.reshape(3, 3, n_pol, n_rp, n_rs)
         r_sigma = self.step_reward[rp, rs, ps, sigma]
         r_bar = (pstat * r_sigma).sum(axis=-1).reshape(n_pol, n_rp * n_rs)
-        rhs = r_bar.copy()
-        w_bar = _solve_banded(_cell_bands(k_bar, self.discount), r_bar, n_rs + 1)
+        w_bar = _solve_banded(_cell_bands(k_bar, self.discount), r_bar.copy(), n_rs + 1)
         # the stack's power averages and kernels side by side, one column each
         w_cells = w_bar.reshape(n_pol, n_rp, n_rs).transpose(1, 2, 0)
-        k = kernel[np.arange(9).reshape(9, 1, 1, 1, 1), rp, rs, ps, sigma]
         cont = _continuation(self.mdp, w_cells,
                              k.reshape(3, 3, *sigma.shape).transpose(0, 1, 3, 4, 5, 2))
         values = (r_sigma.transpose(1, 2, 3, 0) + self.discount * cont).reshape(-1, n_pol)
-        values = np.ascontiguousarray(values.T).reshape(shape)
-        if not return_residual:
-            return values
-        residual = _relative_residual(self.mdp, w_cells, k_bar, rhs, self.discount)
-        return values, residual.reshape(shape[:-1])
+        residual = _relative_residual(self.mdp, w_cells, k_bar, r_bar, self.discount)
+        return np.ascontiguousarray(values.T).reshape(shape), residual.reshape(shape[:-1])
 
 
 def _cell_bands(k_bar: np.ndarray, discount: float) -> np.ndarray:
@@ -433,7 +429,7 @@ def policy_iteration(mdp: SpectrumMDP, cfg: SolverConfig) -> tuple[ValueTable, P
 
     for _ in range(cfg.max_iters):
         evaluated.add(greedy.tobytes())
-        w = bellman.evaluate(greedy)
+        w, _ = bellman.evaluate(greedy)
         q = bellman.q(w)
         residuals.append(float(np.max(np.abs(q.max(axis=-1) - w))))
         greedy = bellman.greedy(q)
@@ -477,30 +473,30 @@ def extract_lookup_table(mdp: SpectrumMDP, value_table: ValueTable,
 
 
 def evaluate_policy_exact(mdp: SpectrumMDP, block_actions: np.ndarray,
-                          discount: float, return_residual: bool = False):
-    """Exact block values W(b) of one action per (rho_p, rho_s, P_s) block,
-    under the model's own reward: shape (B,) for one policy, or (P, B) for a
-    stack of P policies, one per row.
+                          discount: float) -> tuple[np.ndarray, np.ndarray]:
+    """(W, residual): the exact block values W(b) of one action per (rho_p,
+    rho_s, P_s) block, under the model's own reward, and the relative
+    residual ||(I - d M) w - r_bar||_inf / ||r_bar||_inf of the solve on the
+    cells; shapes (B,) and () for one policy, (P, B) and (P,) for a stack of
+    P policies, one per row.
 
     Every policy the solvers make is constant on a block, so W is one banded
-    solve on the (rho_p, rho_s) cells, over the columns the stack uses.  The
+    solve on the (rho_p, rho_s) cells, over all the model's columns.  The
     systems of a stack are stored by bands, shape (P, n_cells, 2 n_rho_s +
     3), and eliminated together, each to the floats it gets alone.  W
     carries no iteration-tail error, which matters when comparing sweep
     points that differ by less than a value-iteration tolerance.  The
     throughput of the held action alone is the J of the model built with
-    zero costs and reward_uses_chosen_action=True.  With return_residual,
-    the result is (W, residual), the residual being each policy's
-    ||(I - d M) w - r_bar||_inf / ||r_bar||_inf on the cells, shape () or (P,).
+    zero costs and reward_uses_chosen_action=True.
     """
     actions = np.asarray(block_actions)
     n_blocks = mdp.n_states // mdp.n_actions
     if actions.ndim not in (1, 2) or actions.shape[-1] != n_blocks or actions.size == 0:
         raise ValueError(f"policy must assign an action to each of {n_blocks} blocks")
+    # a bool array would index as a mask, and a float one not at all
+    if not np.issubdtype(actions.dtype, np.integer):
+        raise ValueError(f"policy actions must be integers, got dtype {actions.dtype}")
     # the operator gathers kernel columns, where a negative index would wrap
     if actions.min() < 0 or actions.max() >= mdp.n_actions:
         raise ValueError("policy contains out-of-range action indices")
-    # the ascending columns the stack uses; np.unique would import numpy.ma
-    # on its first call, about as long as a default pinned sweep's solve
-    columns = np.flatnonzero(np.bincount(actions.reshape(-1), minlength=mdp.n_actions))
-    return _BlockBellman(mdp, discount, columns).evaluate(actions, return_residual)
+    return _BlockBellman(mdp, discount, np.arange(mdp.n_actions)).evaluate(actions)

@@ -236,8 +236,10 @@ def evaluate_one_policy(bellman: _BlockBellman, block_actions: np.ndarray) -> np
 
 def evaluate_policy_exact_one(mdp: SpectrumMDP, block_actions: np.ndarray,
                               discount: float) -> np.ndarray:
-    """`evaluate_one_policy` over the policy's own columns, the route each
-    call of `cogrelay.solver.evaluate_policy_exact` took before it took stacks."""
+    """`evaluate_one_policy` on an operator over the policy's own columns
+    only, the route each call of `cogrelay.solver.evaluate_policy_exact` took
+    before it took stacks; the library now evaluates on all the model's
+    columns, and must give the same floats."""
     return evaluate_one_policy(_BlockBellman(mdp, discount, np.unique(block_actions)),
                                block_actions)
 

@@ -444,8 +444,8 @@ def _operating_map(rc, pav_db: float) -> list[float]:
             grids = MdpGrids(states=sg, actions=ActionGrids((pd,), (ic,)))
             mdp = build_spectrum_mdp(grids, params, CostModel(0.0, 0.0),
                                      reward_uses_chosen_action=True)
-            j = evaluate_policy_exact(mdp, np.zeros(mdp.n_states, dtype=np.intp),
-                                      scfg.discount)
+            j, _ = evaluate_policy_exact(mdp, np.zeros(mdp.n_states, dtype=np.intp),
+                                         scfg.discount)
             values.append(float(j[flat]))
         best_pd.append(rc.action_grids().pd_levels[int(np.argmax(values))])
     return best_pd

@@ -430,6 +430,8 @@ def test_default_pinned_sweeps_solve_each_pair_once(tmp_path, monkeypatch):
         assert stack.shape[0] == pairs
         assert np.all(stack == stack[:, :1])
         assert len(np.unique(stack[:, 0])) == pairs
+        # the stack is every action of the sweep model, in flat-action order
+        np.testing.assert_array_equal(stack[:, 0], np.arange(pairs))
 
 
 @pytest.mark.parametrize("variable", ["pd", "ic"])
@@ -611,6 +613,21 @@ def test_simulate_resolves_the_model_once(tmp_path, monkeypatch):
     assert cli.main(["simulate", "--config", cfg, "--out", str(out), "--seed", "7"]) == 0
     assert len(calls) == 1
     assert read_output(out / "simulate.csv")[2] == PINNED_SIMULATE_ROWS
+
+
+@pytest.mark.parametrize("command", ["validate", "solve", "sweep", "simulate"])
+def test_unreadable_config_file_exits_1_without_a_traceback(tmp_path, command):
+    # a path that names nothing, and one that names a directory
+    out = tmp_path / "out"
+    for config in (tmp_path / "no_such.json", tmp_path):
+        proc = subprocess.run([sys.executable, "-m", "cogrelay", command, "--config",
+                               str(config), "--out", str(out)],
+                              capture_output=True, text=True, cwd=tmp_path,
+                              env=conftest.cli_subprocess_env())
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith(f"error: config file {config} cannot be read: ")
+        assert len(proc.stderr.splitlines()) == 1
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("seed, flag", [(7, "-1"), (-3, None)],

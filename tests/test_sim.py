@@ -8,7 +8,7 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 import cogrelay.sim
-from cogrelay.model import ChannelParams, QueueParams
+from cogrelay.model import OUTCOME_ORDER, ChannelParams, QueueParams
 from cogrelay.sim import (_OUTCOME_LABELS, SimConfig, SimStats, analytical_reference,
                           estimates, simulate)
 from oracles import _CHI2_999, outcome_frequency_check, simulate_reference
@@ -208,6 +208,17 @@ def test_simulate_matches_reference_on_random_channels(gammas, gamma_ps, betas, 
         assert_same_stats(simulate(cfg), simulate_reference(cfg))
     finally:
         cogrelay.sim._CHUNK = chunk
+
+
+def test_slot_outcome_code_is_the_index_in_outcome_order():
+    # a slot's outcome code 2*busy + (declared == busy) picks its cut-offs,
+    # which `simulate` builds in OUTCOME_ORDER, and its label
+    for code, outcome in enumerate(OUTCOME_ORDER):
+        busy, declared = outcome.primary_busy, outcome.declared_busy
+        assert 2 * busy + (declared == busy) == code
+        initials = "".join(word[0] for word in outcome.name.split("_")).lower()
+        assert _OUTCOME_LABELS[code] == initials
+    assert len(OUTCOME_ORDER) == len(_OUTCOME_LABELS)
 
 
 def test_mixed_run_counts_are_pinned():

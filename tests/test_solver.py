@@ -1,6 +1,7 @@
 """Value and policy iteration: both routes, policy evaluation and the lookup table."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -52,7 +53,7 @@ def library_values(mdp, block_actions, discount, reward):
     """evaluate_policy_exact under the oracles' reward selector, per state:
     the model itself for "full", its throughput twin for "throughput"."""
     model = throughput_twin(mdp) if reward == "throughput" else mdp
-    return state_values(model, evaluate_policy_exact(model, block_actions, discount=discount))
+    return state_values(model, evaluate_policy_exact(model, block_actions, discount=discount)[0])
 
 
 def singleton_mdp(rho_s=0.5, costs=CostModel(0.0, 0.0), p_s_levels=(1.0,),
@@ -181,6 +182,11 @@ def test_evaluate_policy_rejects_bad_policies():
     for shape in ((0, n_blocks), (2, 2, n_blocks), (2, n_blocks + 1)):
         with pytest.raises(ValueError, match="each of"):
             evaluate_policy_exact(mdp, np.zeros(shape, dtype=int), discount=0.9)
+    # actions are integers: a float array cannot index the kernel, and a bool
+    # one would index it as a mask
+    for shape, dtype in itertools.product((n_blocks, (2, n_blocks)), (float, bool)):
+        with pytest.raises(ValueError, match="must be integers"):
+            evaluate_policy_exact(mdp, np.zeros(shape, dtype=dtype), discount=0.9)
 
 
 def test_power_redraw_chain_hand_formula():
@@ -196,7 +202,7 @@ def test_power_redraw_chain_hand_formula():
     actions = np.zeros(2, dtype=int)
     vt = evaluate_policy(mdp, actions, SolverConfig(epsilon=1e-12, discount=d))
     np.testing.assert_allclose(vt.values, expected, atol=1e-10)
-    exact = state_values(mdp, evaluate_policy_exact(mdp, actions, discount=d))
+    exact = state_values(mdp, evaluate_policy_exact(mdp, actions, discount=d)[0])
     np.testing.assert_allclose(exact, expected, atol=1e-13)
 
 
@@ -340,7 +346,7 @@ def test_block_value_iteration_matches_the_lifted_route_on_the_default_grids(cos
     vt, pt = assert_matches_lifted_route(mdp, cfg)
     # the exact value of the returned policy, at the full 92,400 states, lies
     # within value iteration's a-posteriori bound of its values
-    exact = evaluate_policy_exact(mdp, pt.actions, cfg.discount)
+    exact, _ = evaluate_policy_exact(mdp, pt.actions, cfg.discount)
     bound = cfg.discount * vt.final_residual / (1.0 - cfg.discount)
     assert exact.shape == vt.values.shape == (mdp.n_states // mdp.n_actions,)
     assert np.max(np.abs(state_values(mdp, exact) - state_values(mdp, vt.values))) <= bound
@@ -466,7 +472,7 @@ BLOCK_ROUTE_RTOL = 1e-13
 
 
 def assert_matches_block_route(mdp, actions, discount):
-    exact = state_values(mdp, evaluate_policy_exact(mdp, actions, discount))
+    exact = state_values(mdp, evaluate_policy_exact(mdp, actions, discount)[0])
     reference = evaluate_policy_blocks(mdp, actions, discount)
     scale = float(np.max(np.abs(reference)))
     np.testing.assert_allclose(exact, reference, rtol=0.0, atol=BLOCK_ROUTE_RTOL * scale)
@@ -517,19 +523,19 @@ def test_exact_policy_evaluation_matches_the_block_route_on_the_default_grids(co
                                            (CostModel(0.0, 0.0), True)],
                          ids=["default_costs", "zero_costs", "chosen_action"])
 def test_exact_policy_evaluation_on_its_own_columns_keeps_every_float(costs, chosen):
-    # evaluate_policy_exact holds only the columns its policy uses, and its
-    # values are the all-column operator's bit for bit.  A one-column policy
-    # catches a step reward that selects the column before the power
-    # average: einsum rounds a single column differently
+    # evaluate_policy_exact works on all the model's columns, and its values
+    # are bit for bit those of the one-policy route on an operator that holds
+    # only the columns its policy uses (`evaluate_policy_exact_one`).  A
+    # one-column policy catches a step reward that selects the column before
+    # the power average: einsum rounds a single column differently
     mdp, cfg = default_model(costs, chosen)
     n_blocks = mdp.n_states // mdp.n_actions
-    full = _BlockBellman(mdp, cfg.discount, np.arange(mdp.n_actions))
     rng = np.random.default_rng(37)
     policies = [np.full(n_blocks, a) for a in (0, 1, 117, mdp.n_actions - 1)]
     policies += [random_block_policy(mdp, rng) for _ in range(2)]
     for actions in policies:
-        exact = evaluate_policy_exact(mdp, actions, cfg.discount)
-        assert exact.tobytes() == full.evaluate(actions).tobytes()
+        exact, _ = evaluate_policy_exact(mdp, actions, cfg.discount)
+        assert exact.tobytes() == evaluate_policy_exact_one(mdp, actions, cfg.discount).tobytes()
 
 
 def stacked_policies(mdp, rng):
@@ -545,17 +551,17 @@ def assert_stack_keeps_every_float(mdp, stack, discount):
     """The stacked evaluation against the one-policy route it replaced, bit
     for bit: each row of the stack, each policy alone, and the all-column
     operator's `evaluate`, which policy iteration calls, on both."""
-    values = evaluate_policy_exact(mdp, stack, discount)
+    values, _ = evaluate_policy_exact(mdp, stack, discount)
     assert values.shape == stack.shape
     full = _BlockBellman(mdp, discount, np.arange(mdp.n_actions))
-    on_all_columns = full.evaluate(stack)
+    on_all_columns, _ = full.evaluate(stack)
     for actions, row, row_all in zip(stack, values, on_all_columns):
         reference = evaluate_policy_exact_one(mdp, actions, discount)
         assert row.tobytes() == reference.tobytes()
-        assert evaluate_policy_exact(mdp, actions, discount).tobytes() == reference.tobytes()
+        assert evaluate_policy_exact(mdp, actions, discount)[0].tobytes() == reference.tobytes()
         reference_all = evaluate_one_policy(full, actions)
         assert row_all.tobytes() == reference_all.tobytes()
-        assert full.evaluate(actions).tobytes() == reference_all.tobytes()
+        assert full.evaluate(actions)[0].tobytes() == reference_all.tobytes()
 
 
 @settings(max_examples=30, deadline=None)
@@ -625,13 +631,12 @@ def test_banded_solve_never_reads_outside_the_band(n, band):
 def test_exact_evaluation_reports_each_relative_residual():
     mdp, cfg = default_model(CostModel(0.0, 0.0), chosen=True)
     stack = stacked_policies(mdp, np.random.default_rng(43))
-    values, residual = evaluate_policy_exact(mdp, stack, cfg.discount, return_residual=True)
-    assert values.tobytes() == evaluate_policy_exact(mdp, stack, cfg.discount).tobytes()
+    values, residual = evaluate_policy_exact(mdp, stack, cfg.discount)
+    assert values.shape == stack.shape
     assert residual.shape == (len(stack),)
     assert np.all(residual < 1e-12)
     assert residual[-1] == residual[3]                  # the repeated row
-    one, one_residual = evaluate_policy_exact(mdp, stack[0], cfg.discount,
-                                              return_residual=True)
+    one, one_residual = evaluate_policy_exact(mdp, stack[0], cfg.discount)
     assert one.tobytes() == values[0].tobytes()
     assert one_residual.shape == () and one_residual == residual[0]
 
@@ -837,12 +842,13 @@ def assert_dropped_columns_never_win(mdp, cfg, mode="joint", pinned=None):
         prev, w = w, new_w
     assert_below_the_maximum(bellman.q(w))
 
-    # Howard's steps over the mode's columns, from the last iterate
+    # Howard's steps over the mode's columns, from the last iterate; exact
+    # evaluation works on all the model's columns
     evaluated = set()
     greedy = bellman.greedy(bellman.q(w))
     while greedy.tobytes() not in evaluated:
         evaluated.add(greedy.tobytes())
-        q = bellman.q(bellman.evaluate(greedy))
+        q = bellman.q(evaluate_policy_exact(mdp, greedy, cfg.discount)[0])
         greedy = bellman.greedy(q)
     assert_below_the_maximum(q)
     return int(dropped.sum())
@@ -894,7 +900,7 @@ def test_policy_iteration_matches_value_iteration_on_the_default_grids(costs, ch
     assert pv.iterations <= 10
     # policy iteration evaluates through the exact evaluator's path
     np.testing.assert_array_equal(
-        pv.values, evaluate_policy_exact(mdp, pp.actions, cfg.discount))
+        pv.values, evaluate_policy_exact(mdp, pp.actions, cfg.discount)[0])
 
 
 @pytest.mark.parametrize("chosen", [False, True])
@@ -908,7 +914,7 @@ def test_policy_iteration_matches_the_dense_route(chosen):
                                atol=1e-10)
     np.testing.assert_array_equal(lifted(mdp, pt.actions), greedy)
     assert vt.final_residual <= 1e-12
-    np.testing.assert_array_equal(vt.values, evaluate_policy_exact(mdp, pt.actions, 0.9))
+    np.testing.assert_array_equal(vt.values, evaluate_policy_exact(mdp, pt.actions, 0.9)[0])
 
 
 def test_policy_iteration_step_cap_reports_no_convergence():
