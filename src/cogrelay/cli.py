@@ -6,6 +6,12 @@ a file is traceable to the exact run that produced it and reruns with the
 same configuration and seed are byte-identical, whatever `--threads` or the
 BLAS thread count.  Wall-clock timings go to stdout only, never into files.
 
+Each command is a setup, `cmd_<name>(args, rc)`, that resolves and checks
+everything it reads from the resolved configuration `rc` and returns the
+`run` that does the work.  `main` runs the setup in its one `try`, so a
+rejected configuration prints one ``error:`` line and exits 1 before
+anything is solved or written; `validate` runs every command's setup.
+
 Exit codes: 0 success, 1 invalid or unstable configuration, 2 solver hit its
 iteration cap, 3 simulation disagrees with the analytical model.
 """
@@ -18,7 +24,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -74,11 +80,6 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
-def _fail_config(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_CONFIG
-
-
 def _base_manifest(command: str, rc: ResolvedConfig) -> dict[str, Any]:
     return {"command": command, "config": rc.raw, "config_sha256": rc.sha256}
 
@@ -97,9 +98,9 @@ def _checked_setup(rc: ResolvedConfig, p_av: float | None = None):
     """Params and grids (at budget p_av if given); a constraint breach is a ConfigError."""
     params = rc.model_params(p_av)
     grids = rc.grids(p_av)
-    report = validate(params, grids)
-    if not report.ok:
-        raise ConfigError(str(report))
+    found = validate(params, grids)
+    if found:
+        raise ConfigError("; ".join(found))
     return params, grids
 
 
@@ -117,45 +118,44 @@ def _action_histogram(rc: ResolvedConfig, block_actions: np.ndarray) -> dict[str
             for p, i, c in zip(pd_i, ic_i, counts)}
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
-    try:
-        rc = resolve_config(args.config)
-        params, grids = _checked_setup(rc)
-        mode, pinned = rc.solver_mode()
-        scfg = rc.solver_config()
-    except ValueError as exc:
-        return _fail_config(str(exc))
+def cmd_solve(args: argparse.Namespace, rc: ResolvedConfig) -> Callable[[], int]:
+    params, grids = _checked_setup(rc)
+    mode, pinned = rc.solver_mode()
+    scfg = rc.solver_config()
+    costs = rc.costs()
 
-    mdp = build_spectrum_mdp(grids, params, rc.costs(),
-                             reward_uses_chosen_action=rc.reward_uses_chosen_action())
-    t0 = time.perf_counter()
-    vt, pt = value_iteration(mdp, scfg, mode=mode, pinned=pinned)
-    wall = time.perf_counter() - t0
-    rows = extract_lookup_table(mdp, vt, pt)
-    histogram = _action_histogram(rc, pt.actions)
+    def run() -> int:
+        mdp = build_spectrum_mdp(grids, params, costs,
+                                 reward_uses_chosen_action=rc.reward_uses_chosen_action())
+        t0 = time.perf_counter()
+        vt, pt = value_iteration(mdp, scfg, mode=mode, pinned=pinned)
+        wall = time.perf_counter() - t0
+        rows = extract_lookup_table(mdp, vt, pt)
+        histogram = _action_histogram(rc, pt.actions)
 
-    manifest = _base_manifest("solve", rc)
-    manifest.update({
-        "mode": mode,
-        "iterations": vt.iterations,
-        "converged": vt.converged,
-        "first_residual": vt.residuals[0],
-        "final_residual": vt.final_residual,
-        "error_bound": scfg.discount * vt.final_residual / (1.0 - scfg.discount),
-        "distinct_actions": len(histogram),
-        "active_actions": vt.active_actions,
-        "action_histogram": histogram,
-        "rows": mdp.n_states,
-    })
-    out = _out_dir(args)
-    _write_csv(out / "lookup.csv", manifest, LOOKUP_COLUMNS, rows)
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        manifest = _base_manifest("solve", rc)
+        manifest.update({
+            "mode": mode,
+            "iterations": vt.iterations,
+            "converged": vt.converged,
+            "first_residual": vt.residuals[0],
+            "final_residual": vt.final_residual,
+            "error_bound": scfg.discount * vt.final_residual / (1.0 - scfg.discount),
+            "distinct_actions": len(histogram),
+            "active_actions": vt.active_actions,
+            "action_histogram": histogram,
+            "rows": mdp.n_states,
+        })
+        out = _out_dir(args)
+        _write_csv(out / "lookup.csv", manifest, LOOKUP_COLUMNS, rows)
+        (out / "manifest.json").write_text(
+            json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
-    status = "converged" if vt.converged else "hit max_iters"
-    print(f"solve: {mdp.n_states} states, {vt.iterations} iterations, "
-          f"residual {vt.final_residual:.3e}, {status} ({wall:.2f}s wall)")
-    return EXIT_OK if vt.converged else EXIT_MAX_ITERS
+        status = "converged" if vt.converged else "hit max_iters"
+        print(f"solve: {mdp.n_states} states, {vt.iterations} iterations, "
+              f"residual {vt.final_residual:.3e}, {status} ({wall:.2f}s wall)")
+        return EXIT_OK if vt.converged else EXIT_MAX_ITERS
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -195,17 +195,17 @@ def _pinned_value(rc: ResolvedConfig, state_grids: StateGrids, pd: float,
     return _pinned_values(rc, rc.model_params(), state_grids, [(pd, ic, rho_p)], scfg)[0][0]
 
 
-def _pav_point(rc: ResolvedConfig, pav: float, scfg: SolverConfig) -> tuple[float, float, bool]:
+def _pav_point(rc: ResolvedConfig, params: ModelParams, grids: MdpGrids,
+               scfg: SolverConfig) -> tuple[float, float, bool]:
     """Joint-control argmax at the reporting state for one budget.
 
-    The model is `_checked_setup`'s at budget pav: the reference power
-    stays the configured one, so cut-offs keep their meaning while the
-    budget (and the power-state grid derived from it) moves.  It prices
-    `solve`'s reward at zero costs, under solver.reward_uses_chosen_action:
-    the throughput of the previous action, or of the chosen one, with no
-    sensing or interference charge.
+    params and grids are `_checked_setup`'s at that budget: the reference
+    power stays the configured one, so cut-offs keep their meaning while
+    the budget (and the power-state grid derived from it) moves.  The model
+    prices `solve`'s reward at zero costs, under
+    solver.reward_uses_chosen_action: the throughput of the previous
+    action, or of the chosen one, with no sensing or interference charge.
     """
-    params, grids = _checked_setup(rc, pav)
     mdp = build_spectrum_mdp(grids, params, CostModel(s_const=0.0, c_const=0.0),
                              reward_uses_chosen_action=rc.reward_uses_chosen_action())
     vt, pt = policy_iteration(mdp, scfg)
@@ -215,19 +215,18 @@ def _pav_point(rc: ResolvedConfig, pav: float, scfg: SolverConfig) -> tuple[floa
     return grids.actions.pd_levels[pd_i], grids.actions.ic_levels[ic_i], vt.converged
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        rc = resolve_config(args.config)
-        params, grids = _checked_setup(rc)
-        spec = rc.sweep_spec()
-        scfg = rc.solver_config()
-    except ValueError as exc:
-        return _fail_config(str(exc))
+def cmd_sweep(args: argparse.Namespace, rc: ResolvedConfig) -> Callable[[], int]:
+    params, grids = _checked_setup(rc)
+    spec = rc.sweep_spec()
+    scfg = rc.solver_config()
+    if spec.variable in ("pd", "ic"):
+        for rp in spec.rho_p:
+            _grid_index(rp, grids.states.rho_p_levels, "sweep.rho_p")
+    else:
+        budgets = [_checked_setup(rc, pav) for pav in spec.grid]
 
-    t0 = time.perf_counter()
-    all_converged = True
-    facts: dict[str, Any] = {}
-    try:
+    def run() -> int:
+        t0 = time.perf_counter()
         if spec.variable in ("pd", "ic"):
             if spec.variable == "pd":
                 header = ("pd", "ic_db", "rho_p", "J")
@@ -237,8 +236,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 header = ("ic_db", "pd", "rho_p", "J")
                 points = [(pd, ic, rp) for ic in spec.grid
                           for pd in spec.pd_fixed for rp in spec.rho_p]
-            values, facts["worst_relative_residual"] = _pinned_values(
-                rc, params, grids.states, points, scfg)
+            values, worst = _pinned_values(rc, params, grids.states, points, scfg)
+            facts = {"converged": True, "worst_relative_residual": worst}
             rows = []
             for (pd, ic, rp), j in zip(points, values):
                 cells = {"pd": pd, "ic_db": linear_to_db(ic), "rho_p": rp, "J": j}
@@ -246,78 +245,72 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         else:
             header = ("pav_db", "argmax_pd", "argmax_ic_db")
             with ThreadPoolExecutor(max_workers=args.threads) as pool:
-                results = list(pool.map(lambda pav: _pav_point(rc, pav, scfg),
-                                        spec.grid))
-            rows = []
-            for pav, (pd_opt, ic_opt, converged) in zip(spec.grid, results):
-                all_converged &= converged
-                rows.append((linear_to_db(pav), pd_opt, linear_to_db(ic_opt)))
-    except ValueError as exc:
-        return _fail_config(str(exc))
-    wall = time.perf_counter() - t0
+                results = list(pool.map(lambda setup: _pav_point(rc, *setup, scfg),
+                                        budgets))
+            rows = [(linear_to_db(pav), pd_opt, linear_to_db(ic_opt))
+                    for pav, (pd_opt, ic_opt, _) in zip(spec.grid, results)]
+            facts = {"converged": all(converged for *_, converged in results)}
+        wall = time.perf_counter() - t0
 
-    manifest = _base_manifest("sweep", rc)
-    manifest.update({
-        "variable": spec.variable,
-        "points": len(rows),
-        "converged": all_converged,
-        **facts,
-    })
-    out = _out_dir(args)
-    path = out / f"sweep_{spec.variable}.csv"
-    _write_csv(path, manifest, header, rows)
-    print(f"sweep {spec.variable}: {len(rows)} rows -> {path} ({wall:.2f}s wall)")
-    return EXIT_OK if all_converged else EXIT_MAX_ITERS
+        manifest = _base_manifest("sweep", rc)
+        manifest.update({
+            "variable": spec.variable,
+            "points": len(rows),
+            **facts,
+        })
+        out = _out_dir(args)
+        path = out / f"sweep_{spec.variable}.csv"
+        _write_csv(path, manifest, header, rows)
+        print(f"sweep {spec.variable}: {len(rows)} rows -> {path} ({wall:.2f}s wall)")
+        return EXIT_OK if facts["converged"] else EXIT_MAX_ITERS
+    return run
 
 
 # ---------------------------------------------------------------------------
 # simulate
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        rc = resolve_config(args.config)
-        if args.seed is not None:
-            rc.raw["sim"]["seed"] = int(args.seed)
-        params, _ = _checked_setup(rc)
-        cfg = rc.sim_config(params)
-    except ValueError as exc:
-        return _fail_config(str(exc))
+def cmd_simulate(args: argparse.Namespace, rc: ResolvedConfig) -> Callable[[], int]:
+    if getattr(args, "seed", None) is not None:     # validate has no --seed
+        rc.raw["sim"]["seed"] = int(args.seed)
+    params, _ = _checked_setup(rc)
+    cfg = rc.sim_config(params)
 
-    t0 = time.perf_counter()
-    stats = simulate(cfg)
-    wall = time.perf_counter() - t0
-    ana = analytical_reference(cfg)
-    rows = [(m, est, se, ana[m], z_score(est, se, ana[m], cfg.n_slots))
-            for m, (est, se) in estimates(cfg, stats).items()]
+    def run() -> int:
+        t0 = time.perf_counter()
+        stats = simulate(cfg)
+        wall = time.perf_counter() - t0
+        ana = analytical_reference(cfg)
+        rows = [(m, est, se, ana[m], z_score(est, se, ana[m], cfg.n_slots))
+                for m, (est, se) in estimates(cfg, stats).items()]
 
-    manifest = _base_manifest("simulate", rc)
-    manifest.update({"n_slots": cfg.n_slots, "seed": cfg.seed})
-    out = _out_dir(args)
-    path = out / "simulate.csv"
-    _write_csv(path, manifest, ("metric", "estimate", "se", "analytical", "z"), rows)
+        manifest = _base_manifest("simulate", rc)
+        manifest.update({"n_slots": cfg.n_slots, "seed": cfg.seed})
+        out = _out_dir(args)
+        path = out / "simulate.csv"
+        _write_csv(path, manifest, ("metric", "estimate", "se", "analytical", "z"), rows)
 
-    worst = max(abs(r[4]) for r in rows)
-    ok = all(abs(r[4]) < 3.0 for r in rows)
-    print(f"simulate: {cfg.n_slots} slots, worst |z| = {worst:.2f} -> {path} ({wall:.2f}s wall)")
-    return EXIT_OK if ok else EXIT_STATISTICAL
+        worst = max(abs(r[4]) for r in rows)
+        ok = all(abs(r[4]) < 3.0 for r in rows)
+        print(f"simulate: {cfg.n_slots} slots, worst |z| = {worst:.2f} -> {path} "
+              f"({wall:.2f}s wall)")
+        return EXIT_OK if ok else EXIT_STATISTICAL
+    return run
 
 
 # ---------------------------------------------------------------------------
 # validate
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        rc = resolve_config(args.config)
-        params = rc.model_params()
-        grids = rc.grids()
-    except ValueError as exc:
-        return _fail_config(str(exc))
+def cmd_validate(args: argparse.Namespace, rc: ResolvedConfig) -> Callable[[], int]:
+    """Every command's setup, and no run."""
+    for setup in (cmd_solve, cmd_sweep, cmd_simulate):
+        setup(args, rc)
 
-    report = validate(params, grids)
-    print(str(report))
-    return EXIT_OK if report.ok else EXIT_CONFIG
+    def run() -> int:
+        print("all constraints satisfied")
+        return EXIT_OK
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +362,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        run = args.func(args, resolve_config(args.config))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    return run()
 
 
 if __name__ == "__main__":

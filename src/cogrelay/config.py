@@ -133,8 +133,17 @@ _NULLABLE: dict[str, type] = {
     "sweep.grid_db": list,
 }
 
-# Integer slots with a lower bound, checked where the document is read.
-_AT_LEAST: dict[str, int] = {"state_grids.n_power_levels": 1}
+# Closed bounds of the slots that have them, checked where the document is
+# read.  A default-grid solve peaks near 13 MB of RSS per power level (1.66
+# MB of it the kernel): 1.6 GB at 128, a fifth of an 8 GB host.  A cost of
+# 1e3 outweighs any slot's throughput (at most 1) a thousandfold, far from
+# where the values overflow (1e307).  1e9 slots take a minute at 1.6e7/s.
+_BOUNDS: dict[str, tuple[float, float]] = {
+    "state_grids.n_power_levels": (1, 128),
+    "costs.s_const": (0, 1e3),
+    "costs.c_const": (0, 1e3),
+    "sim.n_slots": (1, 10**9),
+}
 
 _KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number",
                str: "a string", list: "a list of numbers"}
@@ -147,7 +156,7 @@ def _check_leaf(value: Any, kind: type, here: str) -> None:
     and booleans outside boolean slots get their own messages (JSON parsing
     lets all of them through as numbers).  A value in a slot whose key ends
     in ``_db`` must convert to a finite, nonzero linear value, and a slot in
-    `_AT_LEAST` must reach its bound."""
+    `_BOUNDS` must lie within its bounds."""
     if isinstance(value, bool) and kind is not bool:
         raise ConfigError(
             f"config key {here} must not be a boolean, got {json.dumps(value)}")
@@ -175,8 +184,8 @@ def _check_leaf(value: Any, kind: type, here: str) -> None:
         if linear == 0.0:
             raise ConfigError(f"config key {here} is too small a dB value, "
                               f"got {json.dumps(value)}")
-    if here in _AT_LEAST and value < _AT_LEAST[here]:
-        raise ConfigError(f"config key {here} must be at least {_AT_LEAST[here]}, "
+    if here in _BOUNDS and not _BOUNDS[here][0] <= value <= _BOUNDS[here][1]:
+        raise ConfigError(f"config key {here} must lie within {list(_BOUNDS[here])}, "
                           f"got {json.dumps(value)}")
 
 

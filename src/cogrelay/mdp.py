@@ -45,8 +45,6 @@ __all__ = [
     "CostModel",
     "PowerPolicy",
     "ModelParams",
-    "Violation",
-    "ValidationReport",
     "constrained_power",
     "sensing_outcome_distribution",
     "transition",
@@ -308,28 +306,8 @@ def transition(mdp: SpectrumMDP, state: int, action: int) -> tuple[np.ndarray, n
 # validation
 
 
-@dataclass(frozen=True)
-class Violation:
-    constraint: str
-    message: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __str__(self) -> str:
-        if self.ok:
-            return "all constraints satisfied"
-        return "; ".join(f"[{v.constraint}] {v.message}" for v in self.violations)
-
-
-def validate(params: ModelParams, grids: MdpGrids) -> ValidationReport:
-    """Check the operating constraints; report violations instead of raising.
+def validate(params: ModelParams, grids: MdpGrids) -> list[str]:
+    """Check the operating constraints; list the violations instead of raising.
 
     Covers the constraints that the argument constructors let through:
     strict queue stability (constraint 1; `QueueParams` admits lambda ==
@@ -337,29 +315,27 @@ def validate(params: ModelParams, grids: MdpGrids) -> ValidationReport:
     interference grid (constraint 4; `ActionGrids` admits ic = +inf).  The
     constructors reject the rest: `QueueParams` an arrival rate outside
     [0, 1], `StateGrids` a power level <= 0, and `ActionGrids` a pd level
-    outside [0, 1] (constraint 3) and a cap <= 0 or NaN.
+    outside [0, 1] (constraint 3) and a cap <= 0 or NaN.  Each violation
+    reads "[constraint <n> (<name>)] <message>".
     """
-    found: list[Violation] = []
+    found: list[str] = []
     q = params.queues
     for lam_name, mu_name in (("lambda_s", "mu_s_max"), ("lambda_p", "mu_p_max"),
                               ("lambda_ps", "mu_ps_max")):
         lam, mu = getattr(q, lam_name), getattr(q, mu_name)
         if lam >= mu:
-            found.append(Violation(
-                "constraint 1 (queue stability)",
-                f"{lam_name}={lam} must be below its service capacity {mu}"))
+            found.append(f"[constraint 1 (queue stability)] "
+                         f"{lam_name}={lam} must be below its service capacity {mu}")
     p_av = params.power.p_av
     for lvl in grids.states.p_s_levels:
         if lvl > p_av:
-            found.append(Violation(
-                "constraint 2 (power range)",
-                f"power state level {lvl} outside (0, p_av={p_av}]"))
+            found.append(f"[constraint 2 (power range)] "
+                         f"power state level {lvl} outside (0, p_av={p_av}]")
     ic = grids.actions.ic_levels
     if math.inf in ic:
-        found.append(Violation(
-            "constraint 4 (interference range)",
-            f"ic levels must be positive and finite, got {ic}"))
-    return ValidationReport(violations=tuple(found))
+        found.append(f"[constraint 4 (interference range)] "
+                     f"ic levels must be positive and finite, got {ic}")
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,62 @@ def test_validate_reports_grid_constraint_breaches(tmp_path, capsys):
     doc["state_grids"]["p_s_levels"] = [99.0]
     cfg = write_config(tmp_path, doc)
     assert cli.main(["validate", "--config", cfg]) == 1
-    assert "constraint 2" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [constraint 2 (power range)] ")
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("solve", {"costs": {"s_const": -1.0}}, "config key costs.s_const must lie within [0, "),
+    ("solve", {"solver": {"discount": 1.0}}, "discount must lie in [0, 1)"),
+    ("solve", {"solver": {"epsilon": 0.0}}, "epsilon must be positive"),
+    ("solve", {"solver": {"mode": "bogus"}}, "solver.mode must be joint"),
+    ("solve", {"solver": {"mode": "fixed_pd"}}, "solver.pinned_pd is required"),
+    ("simulate", {"sim": {"n_slots": 0}}, "config key sim.n_slots must lie within [1, "),
+    ("simulate", {"sim": {"pd": 2.0}}, "pd must be a probability"),
+    ("simulate", {"sim": {"seed": -1}}, "seed must be non-negative"),
+    ("sweep", {"sweep": {"variable": "x"}}, "sweep.variable must be pd, ic or pav"),
+    ("sweep", {"sweep": {"rho_p": [0.1, 0.35]}}, "sweep.rho_p=0.35 is not on the configured grid"),
+], ids=["cost", "discount", "epsilon", "mode", "pinned_pd", "n_slots", "sim_pd", "seed",
+        "variable", "rho_p"])
+def test_validate_rejects_what_a_command_rejects(tmp_path, capsys, command, doc, message):
+    # validate runs every command's setup: it exits 1 with the same one error
+    # line as the command that reads the key, which solves and writes nothing
+    cfg = write_config(tmp_path, doc)
+    for argv in (["validate"], [command, "--out", str(tmp_path / "out")]):
+        assert cli.main(argv + ["--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert len(captured.err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("doc", [
+    {"costs": {"s_const": 0.0, "c_const": 0.0}},
+    {"sweep": {"variable": "ic"}},
+    {"sweep": {"variable": "pav"}},
+    {"sim": {"n_slots": 10_000_000}},
+], ids=["zero_costs", "sweep_ic", "sweep_pav", "sim"])
+def test_validate_accepts_the_benchmark_configs(tmp_path, capsys, doc):
+    assert cli.main(["validate", "--config", write_config(tmp_path, doc)]) == 0
+    assert capsys.readouterr().out == "all constraints satisfied\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_a_value_error_while_running_is_not_a_config_error(tmp_path, monkeypatch, command):
+    # main reports a configuration its setup rejects; a ValueError from the
+    # run is a fault of the run, so it propagates instead of exiting 1
+    def broken(*args, **kwargs):
+        raise ValueError("raised while running")
+
+    monkeypatch.setattr(cli, "build_spectrum_mdp", broken)
+    cfg = write_config(tmp_path, sweep_doc(variable="pd", rho_p=[0.1]))
+    with pytest.raises(ValueError, match="raised while running"):
+        cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+    assert cli.main(["validate", "--config", cfg]) == 0     # it builds no model
 
 
 def test_unknown_config_key_fails_with_dotted_path(tmp_path, capsys):
@@ -117,10 +172,12 @@ def test_values_of_the_wrong_kind_exit_1_naming_the_key(tmp_path, capsys, doc, p
      "action_grids.ic_levels_db[0]"),
     ("validate", {"power": {"p_av_db": -5000.0}}, "power.p_av_db"),
     ("validate", {"channel": {"gamma_ps_db": -5000.0}}, "channel.gamma_ps_db"),
+    ("solve", {"costs": {"c_const": 1e4}}, "costs.c_const"),
 ])
 def test_out_of_range_values_exit_1_naming_the_key(tmp_path, capsys, command, doc, path):
-    # a dB value whose linear form overflows or underflows a float, and an
-    # empty power grid
+    # a dB value whose linear form overflows or underflows a float, an empty
+    # power grid and a cost past its bound (test_config_fuzz.py hands the
+    # size bounds' breaches to commands, in a child process)
     cfg = write_config(tmp_path, doc)
     assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     captured = capsys.readouterr()

@@ -1,11 +1,12 @@
 """Strict config parsing and resolution into runtime objects."""
 
 import json
+import re
 
 import pytest
 
-from cogrelay.config import (_NULLABLE, DEFAULT_CONFIG, ConfigError, config_hash,
-                             load_config, nearest_index, resolve_config)
+from cogrelay.config import (_BOUNDS, _NULLABLE, DEFAULT_CONFIG, ConfigError,
+                             config_hash, load_config, nearest_index, resolve_config)
 from cogrelay.mdp import truncated_exponential_levels
 
 
@@ -250,6 +251,17 @@ def test_slots_take_every_value_of_their_kind():
     assert cfg["channel"]["gamma_s_db"] == 10
     assert resolve_config(cfg).state_grids().p_s_levels == \
         truncated_exponential_levels(10.0 ** 0.5, 10.0 ** 0.5, 3)[0]
+
+
+@pytest.mark.parametrize("path", sorted(_BOUNDS))
+def test_bounded_slots_take_their_bounds_and_name_the_key_past_them(path):
+    section, key = path.split(".")
+    low, high = _BOUNDS[path]
+    for bound, past in ((low, low - 1), (high, high + 1)):
+        assert load_config({section: {key: bound}})[section][key] == bound
+        with pytest.raises(ConfigError, match=re.escape(
+                f"config key {path} must lie within [{low}, {high}], got {past}")):
+            load_config({section: {key: past}})
 
 
 def test_every_null_default_names_what_it_reads():

@@ -325,28 +325,26 @@ def test_transition_matches_hand_composed_product():
 
 def test_validate_passes_on_reference_queues():
     params = make_params(queues=QueueParams(lambda_s=0.5, mu_s_max=0.8))
-    report = validate(params, small_grids())
-    assert report.ok
-    assert str(report) == "all constraints satisfied"
+    assert validate(params, small_grids()) == []
 
 
 def test_validate_flags_saturated_queue():
     params = make_params(queues=QueueParams(lambda_s=0.8, mu_s_max=0.8))
-    report = validate(params, small_grids())
-    assert not report.ok
-    assert "constraint 1" in str(report)
+    found = validate(params, small_grids())
+    assert found
+    assert any(v.startswith("[constraint 1 (queue stability)] lambda_s=") for v in found)
 
 
 def test_validate_flags_power_level_above_budget():
     params = make_params(power=PowerPolicy(p_av=2.0))
-    report = validate(params, small_grids())   # grid level 2.5 > budget 2.0
-    assert any("constraint 2" in str(v.constraint) for v in report.violations)
+    found = validate(params, small_grids())   # grid level 2.5 > budget 2.0
+    assert any(v.startswith("[constraint 2 (power range)] ") for v in found)
 
 
 def test_validate_flags_unbounded_interference_grid():
     grids = small_grids(ic_levels=(1.0, math.inf))
-    report = validate(make_params(), grids)
-    assert any("constraint 4" in str(v.constraint) for v in report.violations)
+    found = validate(make_params(), grids)
+    assert any(v.startswith("[constraint 4 (interference range)] ") for v in found)
 
 
 # ---------------------------------------------------------------------------
