@@ -135,13 +135,12 @@ _NULLABLE: dict[str, type] = {
 
 # Closed bounds of the slots that have them, checked where the document is
 # read.  A default-grid solve peaks near 13 MB of RSS per power level (1.66
-# MB of it the kernel): 1.6 GB at 128, a fifth of an 8 GB host.  A cost of
-# 1e3 outweighs any slot's throughput (at most 1) a thousandfold, far from
-# where the values overflow (1e307).  1e9 slots take a minute at 1.6e7/s.
+# MB of it the kernel): 1.6 GB at 128, a fifth of an 8 GB host.  1e9 slots
+# take a minute at 1.6e7/s.
 _BOUNDS: dict[str, tuple[float, float]] = {
     "state_grids.n_power_levels": (1, 128),
-    "costs.s_const": (0, 1e3),
-    "costs.c_const": (0, 1e3),
+    "costs.s_const": (0, math.inf),
+    "costs.c_const": (0, math.inf),
     "sim.n_slots": (1, 10**9),
 }
 
@@ -415,6 +414,8 @@ class SweepSpec:
                     raise ConfigError(f"sweep.{key} must be non-empty for {self.variable} sweeps")
         if self.variable == "pd" and not all(0.0 <= v <= 1.0 for v in self.grid):
             raise ConfigError("pd sweep values must lie in [0, 1]")
+        if self.variable == "ic" and not all(0.0 <= v <= 1.0 for v in self.pd_fixed):
+            raise ConfigError("sweep.pd must lie in [0, 1] for ic sweeps")
         if self.variable in ("ic", "pav") and not all(v > 0.0 for v in self.grid):
             raise ConfigError(f"{self.variable} sweep values must be positive")
 

@@ -85,8 +85,9 @@ def test_validate_reports_grid_constraint_breaches(tmp_path, capsys):
     ("simulate", {"sim": {"seed": -1}}, "seed must be non-negative"),
     ("sweep", {"sweep": {"variable": "x"}}, "sweep.variable must be pd, ic or pav"),
     ("sweep", {"sweep": {"rho_p": [0.1, 0.35]}}, "sweep.rho_p=0.35 is not on the configured grid"),
+    ("sweep", {"sweep": {"variable": "ic", "pd": [2.0]}}, "sweep.pd must lie in [0, 1]"),
 ], ids=["cost", "discount", "epsilon", "mode", "pinned_pd", "n_slots", "sim_pd", "seed",
-        "variable", "rho_p"])
+        "variable", "rho_p", "ic_sweep_pd"])
 def test_validate_rejects_what_a_command_rejects(tmp_path, capsys, command, doc, message):
     # validate runs every command's setup: it exits 1 with the same one error
     # line as the command that reads the key, which solves and writes nothing
@@ -172,12 +173,11 @@ def test_values_of_the_wrong_kind_exit_1_naming_the_key(tmp_path, capsys, doc, p
      "action_grids.ic_levels_db[0]"),
     ("validate", {"power": {"p_av_db": -5000.0}}, "power.p_av_db"),
     ("validate", {"channel": {"gamma_ps_db": -5000.0}}, "channel.gamma_ps_db"),
-    ("solve", {"costs": {"c_const": 1e4}}, "costs.c_const"),
 ])
 def test_out_of_range_values_exit_1_naming_the_key(tmp_path, capsys, command, doc, path):
-    # a dB value whose linear form overflows or underflows a float, an empty
-    # power grid and a cost past its bound (test_config_fuzz.py hands the
-    # size bounds' breaches to commands, in a child process)
+    # a dB value whose linear form overflows or underflows a float and an
+    # empty power grid (test_config_fuzz.py hands the size bounds' breaches
+    # to commands, in a child process)
     cfg = write_config(tmp_path, doc)
     assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     captured = capsys.readouterr()
