@@ -32,7 +32,7 @@ from .config import (ConfigError, ResolvedConfig, _grid_index, nearest_index,
                      resolve_config)
 from .mdp import (ActionGrids, CostModel, MdpGrids, ModelParams, StateGrids,
                   build_spectrum_mdp, validate)
-from .model import linear_to_db
+from .model import db_to_linear, linear_to_db
 from .sim import analytical_reference, estimates, simulate, z_score
 from .solver import (LOOKUP_COLUMNS, SolverConfig, evaluate_policy_exact,
                      extract_lookup_table, policy_iteration, value_iteration)
@@ -41,6 +41,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_MAX_ITERS = 2
 EXIT_STATISTICAL = 3
+
+_BLOCK_ROWS = 4096     # rows per write of a CSV export
 
 
 def _fmt(value: Any) -> str:
@@ -67,11 +69,15 @@ def _fmt_column(column: Sequence[Any]) -> Sequence[str]:
 def _write_csv(path: Path, manifest: dict[str, Any], header: Sequence[str],
                rows: Sequence[Sequence[Any]]) -> None:
     """Rows are a 2-D float array or a sequence of tuples; each line is
-    `",".join(_fmt(v) for v in row)`, formatted column by column."""
+    `",".join(_fmt(v) for v in row)`, formatted column by column and
+    written a block of rows at a time, so the export holds one block's text
+    and not the file's."""
     columns = rows.T if isinstance(rows, np.ndarray) else list(zip(*rows))
-    lines = [_manifest_line(manifest), ",".join(header)]
-    lines.extend(map(",".join, zip(*map(_fmt_column, columns))))
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as out:
+        out.write(f"{_manifest_line(manifest)}\n{','.join(header)}\n")
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            block = [column[start:start + _BLOCK_ROWS] for column in columns]
+            out.write("\n".join(map(",".join, zip(*map(_fmt_column, block)))) + "\n")
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -94,10 +100,10 @@ def _reference_block(grids: MdpGrids, rc: ResolvedConfig, rp_ref: int) -> int:
     return int(np.ravel_multi_index((rp_ref, rs_ref, ps_ref), grids.shape[:3]))
 
 
-def _checked_setup(rc: ResolvedConfig, p_av: float | None = None):
-    """Params and grids (at budget p_av if given); a constraint breach is a ConfigError."""
-    params = rc.model_params(p_av)
-    grids = rc.grids(p_av)
+def _checked_setup(rc: ResolvedConfig):
+    """Params and grids; a constraint breach is a ConfigError."""
+    params = rc.model_params()
+    grids = rc.grids()
     found = validate(params, grids)
     if found:
         raise ConfigError("; ".join(found))
@@ -199,10 +205,10 @@ def _pav_point(rc: ResolvedConfig, params: ModelParams, grids: MdpGrids,
                scfg: SolverConfig) -> tuple[float, float, bool]:
     """Joint-control argmax at the reporting state for one budget.
 
-    params and grids are `_checked_setup`'s at that budget: the reference
-    power stays the configured one, so cut-offs keep their meaning while
-    the budget (and the power-state grid derived from it) moves.  The model
-    prices `solve`'s reward at zero costs, under
+    params and grids are `_checked_setup`'s of `rc.at_budget`: the
+    reference power stays the configured one, so cut-offs keep their
+    meaning while the budget (and the power-state grid derived from it)
+    moves.  The model prices `solve`'s reward at zero costs, under
     solver.reward_uses_chosen_action: the throughput of the previous
     action, or of the chosen one, with no sensing or interference charge.
     """
@@ -223,7 +229,7 @@ def cmd_sweep(args: argparse.Namespace, rc: ResolvedConfig) -> Callable[[], int]
         for rp in spec.rho_p:
             _grid_index(rp, grids.states.rho_p_levels, "sweep.rho_p")
     else:
-        budgets = [_checked_setup(rc, pav) for pav in spec.grid]
+        budgets = [_checked_setup(rc.at_budget(pav_db)) for pav_db in spec.grid]
 
     def run() -> int:
         t0 = time.perf_counter()
@@ -234,7 +240,7 @@ def cmd_sweep(args: argparse.Namespace, rc: ResolvedConfig) -> Callable[[], int]
                           for ic in spec.ic_fixed for rp in spec.rho_p]
             else:
                 header = ("ic_db", "pd", "rho_p", "J")
-                points = [(pd, ic, rp) for ic in spec.grid
+                points = [(pd, ic, rp) for ic in map(db_to_linear, spec.grid)
                           for pd in spec.pd_fixed for rp in spec.rho_p]
             values, worst = _pinned_values(rc, params, grids.states, points, scfg)
             facts = {"converged": True, "worst_relative_residual": worst}
@@ -247,8 +253,8 @@ def cmd_sweep(args: argparse.Namespace, rc: ResolvedConfig) -> Callable[[], int]
             with ThreadPoolExecutor(max_workers=args.threads) as pool:
                 results = list(pool.map(lambda setup: _pav_point(rc, *setup, scfg),
                                         budgets))
-            rows = [(linear_to_db(pav), pd_opt, linear_to_db(ic_opt))
-                    for pav, (pd_opt, ic_opt, _) in zip(spec.grid, results)]
+            rows = [(linear_to_db(params.power.p_av), pd_opt, linear_to_db(ic_opt))
+                    for (params, _), (pd_opt, ic_opt, _) in zip(budgets, results)]
             facts = {"converged": all(converged for *_, converged in results)}
         wall = time.perf_counter() - t0
 

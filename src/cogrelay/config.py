@@ -2,12 +2,14 @@
 
 A run configuration is a nested JSON document.  Every key has a default, so
 an empty document is a complete run; unknown keys are rejected by their
-dotted path.  Power-like quantities are written in dB under keys suffixed
-``_db`` and converted once at resolution time; everything downstream is
-linear.  Every key feeds the output of at least one command, so a run
-never carries a setting it ignores.  The fully resolved document (defaults
-filled in, exactly as the run used it) is echoed into every output file
-together with its SHA-256 hash, which is what makes reruns byte-comparable.
+dotted path.  A key names the field of the library object its section
+resolves to, plus an optional unit suffix: ``_db`` values convert from dB,
+``_ms`` from milliseconds, and ``_hz`` are already linear.  They convert
+once at resolution time; everything downstream is linear.  Every key feeds
+the output of at least one command, so a run never carries a setting it
+ignores.  The fully resolved document (defaults filled in, exactly as the
+run used it) is echoed into every output file together with its SHA-256
+hash, which is what makes reruns byte-comparable.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -134,8 +136,8 @@ _NULLABLE: dict[str, type] = {
 }
 
 # Closed bounds of the slots that have them, checked where the document is
-# read.  A default-grid solve peaks near 13 MB of RSS per power level (1.66
-# MB of it the kernel): 1.6 GB at 128, a fifth of an 8 GB host.  1e9 slots
+# read.  A default-grid solve peaks near 7.5 MB of RSS per power level (1.66
+# MB of it the kernel): 1.0 GB at 128, an eighth of an 8 GB host.  1e9 slots
 # take a minute at 1.6e7/s.
 _BOUNDS: dict[str, tuple[float, float]] = {
     "state_grids.n_power_levels": (1, 128),
@@ -236,10 +238,11 @@ def config_hash(resolved: Mapping[str, Any]) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _maybe_db(value: float | None) -> float | None:
-    if value is None:
-        return None
-    return db_to_linear(float(value))
+# A key names its library field plus an optional unit suffix, which says how
+# the configured value converts to the field's linear one.  The empty
+# suffix, which every key ends in, comes last.
+_UNITS = {"_db": db_to_linear, "_ms": lambda v: v * 1e-3, "_hz": lambda v: v,
+          "": lambda v: v}
 
 
 @dataclass
@@ -252,93 +255,81 @@ class ResolvedConfig:
     def sha256(self) -> str:
         return config_hash(self.raw)
 
+    def _fields(self, section: str, keys: Sequence[str] | None = None) -> dict[str, Any]:
+        """The library fields that a section's keys (all, or those named) set.
+
+        A key is its field's name plus an optional `_UNITS` suffix, and its
+        value takes the kind its slot is checked against: an int slot gives
+        an int, a float slot a float, a list slot a tuple of converted
+        floats, and null stays null."""
+        fields: dict[str, Any] = {}
+        for key in keys or self.raw[section]:
+            value = self.raw[section][key]
+            suffix = next(end for end in _UNITS if key.endswith(end))
+            name, unit = key[:len(key) - len(suffix)], _UNITS[suffix]
+            kind = _NULLABLE.get(f"{section}.{key}", type(DEFAULT_CONFIG[section][key]))
+            if value is not None:
+                value = tuple(unit(float(v)) for v in value) if kind is list else unit(kind(value))
+            fields[name] = value
+        return fields
+
     def channel(self) -> ChannelParams:
-        c = self.raw["channel"]
-        beta_s = float(c["beta_s"])
-        beta_sp = beta_s if c["beta_sp"] is None else float(c["beta_sp"])
-        return ChannelParams(
-            gamma_s=db_to_linear(c["gamma_s_db"]),
-            gamma_p=db_to_linear(c["gamma_p_db"]),
-            gamma_sp=db_to_linear(c["gamma_sp_db"]),
-            gamma_ps=db_to_linear(c["gamma_ps_db"]),
-            beta_s=beta_s, beta_sp=beta_sp, beta_p=float(c["beta_p"]),
-        )
+        c = self._fields("channel")
+        if c["beta_sp"] is None:
+            c["beta_sp"] = c["beta_s"]
+        return ChannelParams(**c)
 
     def queues(self) -> QueueParams:
-        q = self.raw["queues"]
-        return QueueParams(
-            lambda_s=float(q["lambda_s"]), mu_s_max=float(q["mu_s_max"]),
-            lambda_p=float(q["lambda_p"]), mu_p_max=float(q["mu_p_max"]),
-            lambda_ps=float(q["lambda_ps"]), mu_ps_max=float(q["mu_ps_max"]),
-        )
+        return QueueParams(**self._fields("queues"))
 
     def timing(self) -> SensingTiming:
-        t = self.raw["timing"]
-        return SensingTiming(tau=float(t["tau_ms"]) * 1e-3,
-                             t_frame=float(t["t_frame_ms"]) * 1e-3)
+        return SensingTiming(**self._fields("timing"))
 
     def sensing(self) -> SensingConfig:
-        s = self.raw["sensing"]
-        return SensingConfig(
-            gamma_se=db_to_linear(s["gamma_se_db"]),
-            tau=self.timing().tau,
-            f_s=float(s["f_s_hz"]),
-        )
+        return SensingConfig(**self._fields("sensing"), tau=self.timing().tau)
 
-    def power(self, p_av: float | None = None) -> PowerPolicy:
-        """The configured policy, or one at budget p_av that keeps the
-        configured reference power, so the cut-offs keep their meaning."""
-        p = self.raw["power"]
-        power = PowerPolicy(p_av=db_to_linear(p["p_av_db"]), mean_g_sp=float(p["mean_g_sp"]),
-                            p_ref=_maybe_db(p["p_ref_db"]))
-        return power if p_av is None else replace(power, p_av=p_av, p_ref=power.reference_power)
+    def power(self) -> PowerPolicy:
+        return PowerPolicy(**self._fields("power"))
 
-    def model_params(self, p_av: float | None = None) -> ModelParams:
+    def at_budget(self, p_av_db: float) -> ResolvedConfig:
+        """This configuration at power budget p_av_db, with the reference
+        power held at the configured one, so the cut-offs keep their meaning."""
+        power = self.raw["power"]
+        p_ref_db = power["p_av_db"] if power["p_ref_db"] is None else power["p_ref_db"]
+        return ResolvedConfig(raw={**self.raw, "power": {
+            **power, "p_av_db": p_av_db, "p_ref_db": p_ref_db}})
+
+    def model_params(self) -> ModelParams:
         return ModelParams(channel=self.channel(), queues=self.queues(),
                            timing=self.timing(), sensing=self.sensing(),
-                           power=self.power(p_av))
+                           power=self.power())
 
-    def state_grids(self, p_av: float | None = None) -> StateGrids:
-        g = self.raw["state_grids"]
-        budget = self.power(p_av).p_av
-        if g["p_s_levels"] is not None:
-            levels = tuple(float(v) for v in g["p_s_levels"])
-            if g["p_s_stationary"] is not None:
-                probs = tuple(float(v) for v in g["p_s_stationary"])
-            else:
-                probs = tuple(1.0 / len(levels) for _ in levels)
-        else:
-            levels, probs = truncated_exponential_levels(
-                budget, budget, int(g["n_power_levels"]))
-        return StateGrids(
-            rho_p_levels=tuple(float(v) for v in g["rho_p_levels"]),
-            rho_s_levels=tuple(float(v) for v in g["rho_s_levels"]),
-            p_s_levels=levels, p_s_stationary=probs,
-        )
+    def state_grids(self) -> StateGrids:
+        g = self._fields("state_grids")
+        n_power_levels = g.pop("n_power_levels")
+        if g["p_s_levels"] is None:
+            budget = self.power().p_av
+            g["p_s_levels"], g["p_s_stationary"] = truncated_exponential_levels(
+                budget, budget, n_power_levels)
+        elif g["p_s_stationary"] is None:
+            g["p_s_stationary"] = tuple(1.0 / len(g["p_s_levels"]) for _ in g["p_s_levels"])
+        return StateGrids(**g)
 
     def action_grids(self) -> ActionGrids:
-        a = self.raw["action_grids"]
-        return ActionGrids(
-            pd_levels=tuple(float(v) for v in a["pd_levels"]),
-            ic_levels=tuple(db_to_linear(v) for v in a["ic_levels_db"]),
-        )
+        return ActionGrids(**self._fields("action_grids"))
 
-    def grids(self, p_av: float | None = None) -> MdpGrids:
-        return MdpGrids(states=self.state_grids(p_av), actions=self.action_grids())
+    def grids(self) -> MdpGrids:
+        return MdpGrids(states=self.state_grids(), actions=self.action_grids())
 
     def costs(self) -> CostModel:
-        c = self.raw["costs"]
-        return CostModel(s_const=float(c["s_const"]), c_const=float(c["c_const"]))
+        return CostModel(**self._fields("costs"))
 
     def solver_config(self) -> SolverConfig:
-        s = self.raw["solver"]
-        return SolverConfig(epsilon=float(s["epsilon"]),
-                            max_iters=int(s["max_iters"]),
-                            discount=float(s["discount"]))
+        return SolverConfig(**self._fields("solver", ("epsilon", "max_iters", "discount")))
 
     def solver_mode(self) -> tuple[str, int | None]:
         """Mode plus the pinned grid index it applies to, resolved strictly."""
-        s = self.raw["solver"]
+        s = self._fields("solver", ("mode", "pinned_pd", "pinned_ic_db"))
         mode = s["mode"]
         if mode == "joint":
             return "joint", None
@@ -346,13 +337,12 @@ class ResolvedConfig:
             if s["pinned_pd"] is None:
                 raise ConfigError("solver.pinned_pd is required for mode fixed_pd")
             return "fixed_pd", _grid_index(
-                float(s["pinned_pd"]), self.action_grids().pd_levels, "solver.pinned_pd")
+                s["pinned_pd"], self.action_grids().pd_levels, "solver.pinned_pd")
         if mode == "fixed_ic":
-            if s["pinned_ic_db"] is None:
+            if s["pinned_ic"] is None:
                 raise ConfigError("solver.pinned_ic_db is required for mode fixed_ic")
             return "fixed_ic", _grid_index(
-                db_to_linear(s["pinned_ic_db"]), self.action_grids().ic_levels,
-                "solver.pinned_ic_db")
+                s["pinned_ic"], self.action_grids().ic_levels, "solver.pinned_ic_db")
         raise ConfigError(f"solver.mode must be joint, fixed_ic or fixed_pd, got {mode!r}")
 
     def reward_uses_chosen_action(self) -> bool:
@@ -361,42 +351,30 @@ class ResolvedConfig:
     def sim_config(self, params: ModelParams) -> SimConfig:
         """The simulation settings on `params`, the model this configuration
         resolves to (`model_params()`), which the caller already holds."""
-        s = self.raw["sim"]
-        return SimConfig(
-            n_slots=int(s["n_slots"]),
-            seed=int(s["seed"]),
-            params=params,
-            pd=float(s["pd"]),
-            pf=None if s["pf"] is None else float(s["pf"]),
-            pi1=None if s["pi1"] is None else float(s["pi1"]),
-        )
+        return SimConfig(**self._fields("sim"), params=params)
 
-    def sweep_spec(self) -> "SweepSpec":
+    def sweep_spec(self) -> SweepSpec:
         w = self.raw["sweep"]
         variable = w["variable"]
         if variable not in ("pd", "ic", "pav"):
             raise ConfigError(f"sweep.variable must be pd, ic or pav, got {variable!r}")
         if variable == "pd":
-            grid = w["grid"] if w["grid"] is not None else list(self.raw["action_grids"]["pd_levels"])
-            grid = [float(v) for v in grid]
+            grid = w["grid"] if w["grid"] is not None else self.raw["action_grids"]["pd_levels"]
         else:
-            source = w["grid_db"]
-            if source is None:
-                source = (self.raw["action_grids"]["ic_levels_db"] if variable == "ic"
-                          else [float(db) for db in range(-10, 11, 2)])
-            grid = [db_to_linear(v) for v in source]
-        return SweepSpec(
-            variable=variable,
-            grid=tuple(grid),
-            ic_fixed=tuple(db_to_linear(v) for v in w["ic_db"]),
-            pd_fixed=tuple(float(v) for v in w["pd"]),
-            rho_p=tuple(float(v) for v in w["rho_p"]),
-        )
+            grid = w["grid_db"]
+            if grid is None:
+                grid = (self.raw["action_grids"]["ic_levels_db"] if variable == "ic"
+                        else range(-10, 11, 2))
+        fixed = self._fields("sweep", ("ic_db", "pd", "rho_p"))
+        return SweepSpec(variable=variable, grid=tuple(float(v) for v in grid),
+                         ic_fixed=fixed["ic"], pd_fixed=fixed["pd"], rho_p=fixed["rho_p"])
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A resolved sweep: the swept grid (linear units) and fixed co-variables."""
+    """A resolved sweep: the swept grid, in the configured units (pd sweeps
+    probabilities, ic and pav sweeps dB), and the fixed co-variables
+    (linear units)."""
 
     variable: str
     grid: tuple[float, ...]
@@ -416,8 +394,6 @@ class SweepSpec:
             raise ConfigError("pd sweep values must lie in [0, 1]")
         if self.variable == "ic" and not all(0.0 <= v <= 1.0 for v in self.pd_fixed):
             raise ConfigError("sweep.pd must lie in [0, 1] for ic sweeps")
-        if self.variable in ("ic", "pav") and not all(v > 0.0 for v in self.grid):
-            raise ConfigError(f"{self.variable} sweep values must be positive")
 
 
 def _grid_index(value: float, levels: tuple[float, ...], name: str) -> int:

@@ -106,7 +106,7 @@ class ActionGrids:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pd_levels", _as_grid(self.pd_levels, "pd_levels", 0.0, 1.0))
-        object.__setattr__(self, "ic_levels", _as_grid(self.ic_levels, "ic_levels", 0.0, math.inf, lo_open=True))
+        object.__setattr__(self, "ic_levels", _as_grid(self.ic_levels, "ic_levels", 0.0, math.inf, lo_open=True, hi_open=True))
 
     @property
     def n_actions(self) -> int:
@@ -311,12 +311,12 @@ def validate(params: ModelParams, grids: MdpGrids) -> list[str]:
 
     Covers the constraints that the argument constructors let through:
     strict queue stability (constraint 1; `QueueParams` admits lambda ==
-    mu), power levels above the budget (constraint 2) and an unbounded
-    interference grid (constraint 4; `ActionGrids` admits ic = +inf).  The
+    mu) and power levels above the budget (constraint 2).  The
     constructors reject the rest: `QueueParams` an arrival rate outside
     [0, 1], `StateGrids` a power level <= 0, and `ActionGrids` a pd level
-    outside [0, 1] (constraint 3) and a cap <= 0 or NaN.  Each violation
-    reads "[constraint <n> (<name>)] <message>".
+    outside [0, 1] (constraint 3) and a cap <= 0, infinite or NaN
+    (constraint 4).  Each violation reads "[constraint <n> (<name>)]
+    <message>".
     """
     found: list[str] = []
     q = params.queues
@@ -331,10 +331,6 @@ def validate(params: ModelParams, grids: MdpGrids) -> list[str]:
         if lvl > p_av:
             found.append(f"[constraint 2 (power range)] "
                          f"power state level {lvl} outside (0, p_av={p_av}]")
-    ic = grids.actions.ic_levels
-    if math.inf in ic:
-        found.append(f"[constraint 4 (interference range)] "
-                     f"ic levels must be positive and finite, got {ic}")
     return found
 
 

@@ -10,7 +10,6 @@ import math
 import subprocess
 import sys
 import time
-from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -422,12 +421,8 @@ def test_criterion_08_ic_sweeps_flat_at_low_pd_rising_at_high_pd():
 
 def _operating_map(rc, pav_db: float) -> list[float]:
     """Throughput-argmax detection level per interference cap at one budget."""
-    base_power = rc.power()
-    pav = db_to_linear(pav_db)
-    power = PowerPolicy(p_av=pav, mean_g_sp=base_power.mean_g_sp,
-                        p_ref=base_power.reference_power)
-    params = replace(rc.model_params(), power=power)
-    sg = rc.state_grids(p_av=pav)
+    budget = rc.at_budget(pav_db)
+    params, sg = budget.model_params(), budget.state_grids()
     scfg = rc.solver_config()
 
     rp_ref = nearest_index(0.2, sg.rho_p_levels)

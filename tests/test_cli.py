@@ -11,7 +11,7 @@ import pytest
 import cogrelay.cli as cli
 from cogrelay.config import ResolvedConfig, config_hash, resolve_config
 from cogrelay.mdp import build_spectrum_mdp
-from cogrelay.model import linear_to_db
+from cogrelay.model import db_to_linear, linear_to_db
 from cogrelay.sim import analytical_reference, estimates, simulate
 from cogrelay.solver import extract_lookup_table, value_iteration
 
@@ -447,8 +447,8 @@ def test_sweep_rows_match_one_pinned_model_per_point(tmp_path, sweep):
         points = [(pd, ic, rp) for pd in spec.grid for ic in spec.ic_fixed
                   for rp in spec.rho_p]
     else:
-        points = [(pd, ic, rp) for ic in spec.grid for pd in spec.pd_fixed
-                  for rp in spec.rho_p]
+        points = [(pd, db_to_linear(ic_db), rp) for ic_db in spec.grid
+                  for pd in spec.pd_fixed for rp in spec.rho_p]
     expected = []
     for pd, ic, rp in points:
         cells = {"pd": pd, "ic_db": linear_to_db(ic), "rho_p": rp,

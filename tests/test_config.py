@@ -1,5 +1,6 @@
 """Strict config parsing and resolution into runtime objects."""
 
+import dataclasses
 import json
 import math
 import re
@@ -9,6 +10,7 @@ import pytest
 from cogrelay.config import (_BOUNDS, _NULLABLE, DEFAULT_CONFIG, ConfigError,
                              config_hash, load_config, nearest_index, resolve_config)
 from cogrelay.mdp import truncated_exponential_levels
+from cogrelay.model import db_to_linear
 
 
 def test_empty_document_is_a_complete_run():
@@ -74,6 +76,59 @@ def test_reference_power_defaults_to_budget():
     assert rc.power().reference_power == pytest.approx(1.0, rel=1e-15)
 
 
+# The sections that resolve by the naming rule, the object each builds, and
+# the keys it reads (None: every key of the section).
+_RULE_SECTIONS = {
+    "channel": (lambda rc: rc.channel(), None),
+    "queues": (lambda rc: rc.queues(), None),
+    "timing": (lambda rc: rc.timing(), None),
+    "sensing": (lambda rc: rc.sensing(), None),
+    "power": (lambda rc: rc.power(), None),
+    "action_grids": (lambda rc: rc.action_grids(), None),
+    "costs": (lambda rc: rc.costs(), None),
+    "solver": (lambda rc: rc.solver_config(), ("epsilon", "max_iters", "discount")),
+    "sim": (lambda rc: rc.sim_config(rc.model_params()), None),
+}
+# values apart from every library field default, so a field left unset shows
+_SET_APART = {"channel": {"beta_sp": 2.0e-3}, "queues": {"mu_p_max": 0.9},
+              "sensing": {"f_s_hz": 2.0e6}, "power": {"p_ref_db": 3.0},
+              "costs": {"s_const": 1.5, "c_const": 0.5},
+              "solver": {"epsilon": 1.0e-7, "max_iters": 1500},
+              "sim": {"pf": 0.1, "pi1": 0.3}}
+_UNIT_SUFFIXES = {"_db": db_to_linear, "_ms": lambda v: v * 1e-3, "_hz": lambda v: v}
+
+
+@pytest.mark.parametrize("section", _RULE_SECTIONS)
+def test_each_key_sets_the_library_field_it_names(section):
+    # a key is its field's name plus an optional unit suffix, so a renamed
+    # field or a key without one fails here and not at run time
+    build, keys = _RULE_SECTIONS[section]
+    rc = resolve_config(_SET_APART)
+    built = build(rc)
+    fields = {f.name: f for f in dataclasses.fields(built)}
+    for key in keys or DEFAULT_CONFIG[section]:
+        name, unit = key, lambda v: v
+        for suffix, convert in _UNIT_SUFFIXES.items():
+            if key.endswith(suffix):
+                name, unit = key[:-len(suffix)], convert
+        assert name in fields, f"{section}.{key} names no field of {type(built).__name__}"
+        value = rc.raw[section][key]
+        want = tuple(unit(float(v)) for v in value) if isinstance(value, list) else unit(value)
+        got = getattr(built, name)
+        assert got == want and type(got) is type(want), f"{section}.{key}"
+        assert got != fields[name].default, f"{section}.{key} reads as the library default"
+
+
+@pytest.mark.parametrize("p_ref_db", [None, 8.0])
+def test_a_budget_moves_p_av_and_keeps_the_reference_power(p_ref_db):
+    rc = resolve_config({"power": {"p_av_db": 5.0, "p_ref_db": p_ref_db}})
+    power = rc.at_budget(-3.0).power()
+    assert power.p_av == db_to_linear(-3.0)
+    assert power.p_ref == rc.power().reference_power
+    assert power.mean_g_sp == rc.power().mean_g_sp
+    assert rc.raw["power"] == {"p_av_db": 5.0, "mean_g_sp": 6000.0, "p_ref_db": p_ref_db}
+
+
 def test_solver_mode_resolution():
     rc = resolve_config({"solver": {"mode": "fixed_pd", "pinned_pd": 0.5}})
     assert rc.solver_mode() == ("fixed_pd", 5)
@@ -103,14 +158,15 @@ def test_sweep_spec_defaults():
 
 
 def test_sweep_spec_db_grids():
+    # ic and pav grids stay in dB; the sweep converts them
     spec = resolve_config({"sweep": {"variable": "ic"}}).sweep_spec()
     assert len(spec.grid) == 21
-    assert min(spec.grid) == pytest.approx(10.0 ** -1.5, rel=1e-15)
+    assert min(map(db_to_linear, spec.grid)) == pytest.approx(10.0 ** -1.5, rel=1e-15)
     spec = resolve_config({"sweep": {"variable": "pav"}}).sweep_spec()
     assert len(spec.grid) == 11
     spec = resolve_config(
         {"sweep": {"variable": "pav", "grid_db": [0.0, 40.0]}}).sweep_spec()
-    assert spec.grid == (1.0, pytest.approx(1.0e4, rel=1e-12))
+    assert tuple(map(db_to_linear, spec.grid)) == (1.0, pytest.approx(1.0e4, rel=1e-12))
 
 
 def test_sweep_spec_strictness():
@@ -167,8 +223,9 @@ def test_default_power_levels_follow_the_truncated_exponential():
     sg = rc.state_grids()
     assert sg.p_s_levels == levels
     assert sg.p_s_stationary == probs
-    assert rc.state_grids(p_av=2.0).p_s_levels == \
-        truncated_exponential_levels(2.0, 2.0, 4)[0]
+    # a budget of 10 dB is 10.0 exactly
+    assert rc.at_budget(10.0).state_grids().p_s_levels == \
+        truncated_exponential_levels(10.0, 10.0, 4)[0]
 
 
 def test_config_files_load_and_fail_loudly(tmp_path):

@@ -341,10 +341,9 @@ def test_validate_flags_power_level_above_budget():
     assert any(v.startswith("[constraint 2 (power range)] ") for v in found)
 
 
-def test_validate_flags_unbounded_interference_grid():
-    grids = small_grids(ic_levels=(1.0, math.inf))
-    found = validate(make_params(), grids)
-    assert any(v.startswith("[constraint 4 (interference range)] ") for v in found)
+def test_action_grids_reject_an_infinite_cap():
+    with pytest.raises(ValueError, match="ic_levels"):
+        ActionGrids(pd_levels=(0.5,), ic_levels=(1.0, math.inf))
 
 
 # ---------------------------------------------------------------------------
