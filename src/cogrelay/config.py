@@ -308,6 +308,9 @@ class ResolvedConfig:
         g = self._fields("state_grids")
         n_power_levels = g.pop("n_power_levels")
         if g["p_s_levels"] is None:
+            if g["p_s_stationary"] is not None:
+                raise ConfigError("state_grids.p_s_stationary needs state_grids.p_s_levels: "
+                                  "the default power levels carry their own equiprobable law")
             budget = self.power().p_av
             g["p_s_levels"], g["p_s_stationary"] = truncated_exponential_levels(
                 budget, budget, n_power_levels)

@@ -2,19 +2,23 @@
 
 The model's kernel K[mp, ms, r, u, v, a] is its whole transition law, up to
 the stationary power redraw, and the solvers read it only through
-`_continuation`, which contracts it with a value table's power averages;
-as the continuation value of a state depends on its previous-action
-coordinates only through the applied action, one backup touches each
-(rho_p, rho_s, P_s) block once.  `_BlockBellman` builds the Bellman
-operator over the blocks, so value iteration, policy iteration and
-`evaluate_policy_exact` all work on and return the B block values W(b).
-A policy is one action per block, as the greedy action never depends on
-the previous one, and its values follow from one banded solve on the
-(rho_p, rho_s) cells.  Exact evaluation takes a stack of policies, shape
-(P, B), and solves their P systems in one Gaussian elimination over band
-storage, shape (P, cells, 2 n_rho_s + 3), each to the floats it gets alone;
-policy iteration passes a stack of one, shape (B,).  Only
-`extract_lookup_table` lifts to the S states.
+`_continuation`, which contracts it with a value table's power averages in
+one einsum over the nine shifted (mp, ms) windows.  It adds the moves into
+each entry in move order, rounding each product and each sum apart (numpy's
+einsum kernels use no fused multiply-add), so the floats are those of nine
+`cont += k * w` passes, without their nine temporaries.  As the
+continuation value of a state depends on its previous-action coordinates
+only through the applied action, one backup touches each (rho_p, rho_s,
+P_s) block once.  `_BlockBellman` builds the Bellman operator over the
+blocks, so value iteration, policy iteration and `evaluate_policy_exact`
+all work on and return the B block values W(b).  A policy is one action
+per block, as the greedy action never depends on the previous one, and its
+values follow from one banded solve on the (rho_p, rho_s) cells.  Exact
+evaluation takes a stack of policies, shape (P, B), and solves their P
+systems in one Gaussian elimination over band storage, shape (P, cells,
+2 n_rho_s + 3), each to the floats it gets alone; policy iteration passes
+a stack of one, shape (B,).  Only `extract_lookup_table` lifts to the S
+states.
 
 A mode's actions are an ascending index set of flat action columns (all
 231 at the defaults, one pd level's 21 or one ic level's 11), and the
@@ -30,9 +34,10 @@ floats as with all columns.  Policy iteration and `evaluate_policy_exact`
 work on all the columns.
 
 The tests hold this route against the references in `tests/oracles.py`
-(full-column and per-state value iteration, the B x B evaluation solve,
-the one-policy dense-matrix evaluation the stacked solve replaced, and a
-dense model built from the scalar `transition` rows), against brute-force
+(the nine-pass continuation, full-column and per-state value iteration,
+the B x B evaluation solve, the one-policy dense-matrix evaluation the
+stacked solve replaced, and a dense model built from the scalar
+`transition` rows), against brute-force
 policy enumeration on small instances, and the kernel itself against a
 scalar statement of the slot physics.
 """
@@ -141,22 +146,22 @@ def _power_average(mdp: SpectrumMDP, table: np.ndarray) -> np.ndarray:
 
 def _continuation(mdp: SpectrumMDP, w: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """E[J(next) | r, u, v, a] over the action columns of `kernel`, shape
-    (r, u, v, m): nine shifted tensor contractions of `kernel`, m action
-    columns of `mdp.kernel`, against power averages of J.
+    (r, u, v, m): one contraction of `kernel`, m action columns of
+    `mdp.kernel`, against the nine shifted windows of power averages of J.
 
     w(rho_p, rho_s), shape (n_rho_p, n_rho_s, 1), backs up against every
     column; power averages side by side, shape (n_rho_p, n_rho_s, m), back
-    up the i-th against column i.  Each entry is the same nine
-    multiply-adds whatever the other columns are.
+    up the i-th against column i.  einsum runs the move axis as its outer
+    loop and adds one product a move into each entry, a multiply and an add
+    rounded apart, since numpy's einsum kernels use no fused multiply-add;
+    so each entry is rounded as nine `cont += k * w` passes round it,
+    whatever the other columns are.
     """
     n_rp, n_rs = mdp.grids.shape[:2]
     wp = np.zeros((n_rp + 2, n_rs + 2, w.shape[-1]))
     wp[1:-1, 1:-1] = w
-    cont = np.zeros(kernel.shape[2:])
-    for mp, ms in np.ndindex(3, 3):
-        shifted = wp[mp:mp + n_rp, ms:ms + n_rs]
-        cont += kernel[mp, ms] * shifted[:, :, None]
-    return cont
+    shifted = np.array([wp[mp:mp + n_rp, ms:ms + n_rs] for mp, ms in np.ndindex(3, 3)])
+    return np.einsum("mruva,mrua->ruva", kernel.reshape(9, *kernel.shape[2:]), shifted)
 
 
 def _solve_banded(bands: np.ndarray, b: np.ndarray, band: int) -> np.ndarray:
@@ -236,6 +241,8 @@ class _BlockBellman:
 
     def restrict(self, keep: np.ndarray) -> None:
         """Back up only the columns that the mask `keep` marks from here on."""
+        if keep.all():
+            return
         self.columns = self.columns[keep]
         self.kernel = np.ascontiguousarray(self.kernel[..., keep])
         self.step_reward = np.ascontiguousarray(self.step_reward[..., keep])

@@ -24,8 +24,12 @@ elimination replaced.  `tests/conftest.py` wraps `value_iteration_dense`,
 `value_iteration_lifted`, `value_iteration_full_columns` and
 `evaluate_policy` with the suite-wide contraction check.
 `state_values` lifts a solver's block values to the S states, as
-`extract_lookup_table` does, for the checks stated per state, and
-`continuation` backs up a per-state or block table over all columns.
+`extract_lookup_table` does, for the checks stated per state.
+`continuation_loop` is the library's `_continuation` as nine shifted
+multiply-adds, the route its single einsum replaced, and `continuation`
+backs up a per-state or block table over all columns through it; so
+`value_iteration_full_columns`, `value_iteration_lifted` and
+`evaluate_one_policy` hold the einsum to the loop's floats.
 `outcome_frequency_check` is a chi-square test of a simulation's
 sensing-outcome counts against their law.  `simulate_reference` is the
 simulator's chunk loop written with per-slot boolean arrays and one tally
@@ -49,8 +53,7 @@ from cogrelay.model import success_probability
 from cogrelay.sensing import false_alarm_from_detection
 from cogrelay.sim import _OUTCOME_LABELS, SimConfig, SimStats, simulate
 from cogrelay.solver import (Mode, PolicyTable, SolverConfig, ValueTable, _BlockBellman,
-                             _allowed_columns, _base_rewards, _continuation, _lift,
-                             _power_average)
+                             _allowed_columns, _base_rewards, _lift, _power_average)
 
 
 def state_values(mdp: SpectrumMDP, block_values: np.ndarray) -> np.ndarray:
@@ -59,10 +62,30 @@ def state_values(mdp: SpectrumMDP, block_values: np.ndarray) -> np.ndarray:
     return _lift(block_values, _base_rewards(mdp)[1], mdp.n_actions)
 
 
+def continuation_loop(mdp: SpectrumMDP, w: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """`cogrelay.solver._continuation` as nine shifted multiply-adds, one
+    (r, u, v, m) temporary each, the route the library's single einsum
+    contraction replaced; on the same arguments it must give the same floats.
+
+    w(rho_p, rho_s), shape (n_rho_p, n_rho_s, 1), backs up against every
+    column; power averages side by side, shape (n_rho_p, n_rho_s, m), back
+    up the i-th against column i.  Each entry is the same nine
+    multiply-adds whatever the other columns are.
+    """
+    n_rp, n_rs = mdp.grids.shape[:2]
+    wp = np.zeros((n_rp + 2, n_rs + 2, w.shape[-1]))
+    wp[1:-1, 1:-1] = w
+    cont = np.zeros(kernel.shape[2:])
+    for mp, ms in np.ndindex(3, 3):
+        shifted = wp[mp:mp + n_rp, ms:ms + n_rs]
+        cont += kernel[mp, ms] * shifted[:, :, None]
+    return cont
+
+
 def continuation(mdp: SpectrumMDP, table: np.ndarray) -> np.ndarray:
     """E[J(next) | r, u, v, a] over all action columns of a per-state table,
-    shape (S,), or a block table, shape (B,)."""
-    return _continuation(mdp, _power_average(mdp, table), mdp.kernel)
+    shape (S,), or a block table, shape (B,), by `continuation_loop`."""
+    return continuation_loop(mdp, _power_average(mdp, table), mdp.kernel)
 
 
 def outcome_kernel(pi1: float, rho_s: float, p_s: float, pd: float, ic: float,
@@ -226,11 +249,11 @@ def evaluate_one_policy(bellman: _BlockBellman, block_actions: np.ndarray) -> np
     pstat = np.array(bellman.mdp.grids.states.p_s_stationary)[:, None]
     k_bar = (pstat * k).sum(axis=4, keepdims=True)
     # column c of M backs up cell c's indicator; in C order, M's band is n_rho_s + 1
-    m = _continuation(bellman.mdp, np.eye(n).reshape(n_rp, n_rs, n),
-                      np.broadcast_to(k_bar, k_bar.shape[:-1] + (n,)))
+    m = continuation_loop(bellman.mdp, np.eye(n).reshape(n_rp, n_rs, n),
+                          np.broadcast_to(k_bar, k_bar.shape[:-1] + (n,)))
     a = np.eye(n) - bellman.discount * m.reshape(n, n)
     w_bar = solve_banded_dense(a, (pstat * r_sigma).sum(axis=2).reshape(n), n_rs + 1)
-    cont = _continuation(bellman.mdp, w_bar.reshape(n_rp, n_rs, 1), k)
+    cont = continuation_loop(bellman.mdp, w_bar.reshape(n_rp, n_rs, 1), k)
     return (r_sigma + bellman.discount * cont).reshape(-1)
 
 

@@ -7,6 +7,7 @@ import re
 
 import pytest
 
+import cogrelay.cli as cli
 from cogrelay.config import (_BOUNDS, _NULLABLE, DEFAULT_CONFIG, ConfigError,
                              config_hash, load_config, nearest_index, resolve_config)
 from cogrelay.mdp import truncated_exponential_levels
@@ -214,6 +215,20 @@ def test_explicit_power_levels_override_quantisation():
     assert sg.p_s_stationary == (0.3, 0.7)
     rc = resolve_config({"state_grids": {"p_s_levels": [0.5, 1.5]}})
     assert rc.state_grids().p_s_stationary == (0.5, 0.5)
+
+
+def test_a_stationary_law_without_power_levels_is_rejected(tmp_path, capsys):
+    # the default power levels carry their own law, which would silently
+    # replace this one
+    doc = {"state_grids": {"p_s_stationary": [0.7, 0.1, 0.1, 0.1]}}
+    with pytest.raises(ConfigError, match="state_grids.p_s_stationary"):
+        resolve_config(doc).state_grids()
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    for command in ("validate", "solve", "sweep", "simulate"):
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert "state_grids.p_s_stationary" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_default_power_levels_follow_the_truncated_exponential():

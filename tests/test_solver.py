@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cogrelay.solver
 from cogrelay.config import resolve_config
 from cogrelay.mdp import (ActionGrids, CostModel, MdpGrids, PowerPolicy,
                           StateGrids, _outcome_terms, build_spectrum_mdp,
@@ -18,7 +19,7 @@ from cogrelay.solver import (_ELIMINATION_PERIOD, LOOKUP_COLUMNS, SolverConfig,
                              _may_still_win, _power_average, _solve_banded,
                              evaluate_policy_exact, extract_lookup_table, policy_iteration,
                              value_iteration)
-from oracles import (dense_rewards, evaluate_one_policy, evaluate_policy,
+from oracles import (continuation_loop, dense_rewards, evaluate_one_policy, evaluate_policy,
                      evaluate_policy_blocks, evaluate_policy_dense, evaluate_policy_exact_one,
                      materialize_dense, outcome_kernel, policy_terms, solve_banded_dense,
                      state_values, value_iteration_dense, value_iteration_full_columns,
@@ -409,6 +410,66 @@ def test_block_continuation_matches_the_lifted_table():
                 rtol=0.0, atol=1e-15 * np.abs(w).max())
 
 
+def continuation_cases(mdp, rng):
+    """(w, kernel) in every shape the library contracts: a block table
+    against all columns and against a column subset, power averages side by
+    side against all columns and a subset, `evaluate`'s transposed gather,
+    `_relative_residual`'s (3, 3, r, u, 1, P) view and `evaluate_one_policy`'s
+    stride-0 kernel, each with w of mixed sign from 1e-3 to 1e3."""
+    n_rp, n_rs, n_ps = mdp.grids.shape[:3]
+    n_pol, n = 3, n_rp * n_rs
+
+    def table(m):
+        shape = (n_rp, n_rs, m)
+        return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-3.0, 3.0, shape)
+
+    subset = np.ascontiguousarray(mdp.kernel[..., np.sort(rng.choice(mdp.n_actions, 25,
+                                                                     replace=False))])
+    sigma = rng.integers(0, mdp.n_actions, (n_pol, n_rp, n_rs, n_ps))
+    rp, rs, ps = np.ogrid[:n_rp, :n_rs, :n_ps]
+    k = mdp.kernel.reshape(9, n_rp, n_rs, n_ps, -1)[
+        np.arange(9)[:, None, None, None, None], rp, rs, ps, sigma]
+    pstat = np.array(mdp.grids.states.p_s_stationary)
+    k_bar = np.array([(pstat * move).sum(axis=-1) for move in k])
+    k_bar = k_bar.reshape(3, 3, n_pol, n_rp, n_rs)
+    return [
+        (table(1), mdp.kernel),
+        (table(1), subset),
+        (table(mdp.n_actions), mdp.kernel),
+        (table(subset.shape[-1]), subset),
+        (table(n_pol), k.reshape(3, 3, *sigma.shape).transpose(0, 1, 3, 4, 5, 2)),
+        (table(n_pol), k_bar.transpose(0, 1, 3, 4, 2)[..., None, :]),
+        (table(n), np.broadcast_to(k_bar[:, :, 0, :, :, None, None], (3, 3, n_rp, n_rs, 1, n))),
+    ]
+
+
+@pytest.mark.parametrize("cost", [2.0, 0.0, 0.1])
+def test_continuation_keeps_every_float_of_the_nine_step_loop(cost, monkeypatch):
+    # one einsum over the nine shifted windows adds each move's product in
+    # move order, with a separate multiply and add: a build whose einsum
+    # fuses them into one rounding fails here
+    mdp, cfg = default_model(CostModel(cost, cost))
+    rng = np.random.default_rng(int(cost * 10) + 11)
+    for w, kernel in continuation_cases(mdp, rng):
+        got = _continuation(mdp, w, kernel)
+        assert got.shape == kernel.shape[2:-1] + (max(w.shape[-1], kernel.shape[-1]),)
+        assert got.tobytes() == continuation_loop(mdp, w, kernel).tobytes(), kernel.shape
+
+    # and on the arguments every library caller passes
+    calls = []
+
+    def recorded(mdp, w, kernel):
+        cont = _continuation(mdp, w, kernel)
+        calls.append(cont.tobytes() == continuation_loop(mdp, w, kernel).tobytes())
+        return cont
+
+    monkeypatch.setattr(cogrelay.solver, "_continuation", recorded)
+    value_iteration(mdp, dataclasses.replace(cfg, max_iters=3), mode="fixed_pd", pinned=4)
+    evaluate_policy_exact(mdp, rng.integers(0, mdp.n_actions, (3, mdp.n_states // mdp.n_actions)),
+                          cfg.discount)
+    assert len(calls) >= 6 and all(calls)
+
+
 def _levels(lo, hi, max_size):
     return st.lists(st.floats(lo, hi), min_size=1, max_size=max_size,
                     unique=True).map(lambda v: tuple(sorted(v)))
@@ -705,6 +766,19 @@ def test_values_lie_within_the_discounted_reward_range(case):
 # action elimination
 
 
+def test_restricting_to_every_column_copies_nothing():
+    mdp = small_mdp()
+    bellman = _BlockBellman(mdp, 0.9, np.arange(2, mdp.n_actions))
+    kernel, step_reward, columns = bellman.kernel, bellman.step_reward, bellman.columns
+    bellman.restrict(np.ones(columns.size, dtype=bool))
+    assert bellman.kernel is kernel and bellman.step_reward is step_reward
+    np.testing.assert_array_equal(bellman.columns, columns)
+    keep = np.arange(columns.size) % 2 == 0
+    bellman.restrict(keep)
+    np.testing.assert_array_equal(bellman.columns, columns[keep])
+    np.testing.assert_array_equal(bellman.kernel, kernel[..., keep])
+
+
 def assert_matches_full_columns(mdp, cfg, mode="joint", pinned=None):
     """Value iteration against the full-column block iteration, bit for bit:
     values, residual list, sweep count and block actions."""
@@ -882,6 +956,30 @@ def default_model(costs=None, chosen=False):
     rc = resolve_config(None)
     return build_spectrum_mdp(rc.grids(), rc.model_params(), costs or rc.costs(),
                               reward_uses_chosen_action=chosen), rc.solver_config()
+
+
+# value iteration on the default grids, keyed by s = c (2 is the default):
+# sweeps, columns still backed up at the end, the last residual and W at the
+# first, middle and last block, bit for bit, recorded on x86-64
+GOLDEN_SOLVE = {
+    2.0: (534, 1, "0x1.0ad88c4c00000p-20",
+          {0: "0x1.9c743ada38647p+2", 200: "0x1.69a1d74b9b609p+1",
+           399: "0x1.29aa8c7e54401p+1"}),
+    0.0: (605, 25, "0x1.08d2677800000p-20",
+          {0: "0x1.2c45bf2fe6ad8p+3", 200: "0x1.02005204a6a1cp+3",
+           399: "0x1.f6260aeda48eep+2"}),
+}
+
+
+@pytest.mark.parametrize("cost", sorted(GOLDEN_SOLVE))
+def test_value_iteration_keeps_its_golden_floats_on_the_default_grids(cost):
+    iterations, active, residual, values = GOLDEN_SOLVE[cost]
+    vt, _ = value_iteration(*default_model(CostModel(cost, cost)))
+    assert vt.converged and vt.values.shape == (400,)
+    assert (vt.iterations, vt.active_actions) == (iterations, active)
+    assert vt.final_residual == float.fromhex(residual)
+    for block, value in values.items():
+        assert vt.values[block] == float.fromhex(value), block
 
 
 @pytest.mark.parametrize("chosen", [False, True])
