@@ -24,6 +24,9 @@ when Ic is tight.  `_outcome_terms` is the one implementation of this slot
 physics and `_move_kernel` the one aggregation of it into the (rho_p move,
 rho_s move) law; `build_spectrum_mdp` runs both once on the whole grid,
 and the scalar `transition` reads a row of the model's kernel.
+`_move_kernel` assembles the kernel in place, one rho_p level at a time,
+because builds run side by side (one per power budget in a `pav` sweep):
+each should hold its kernel, not its birth-death tables.
 """
 
 from __future__ import annotations
@@ -262,23 +265,31 @@ def _birth_death(srv, lam: float, at_bottom, at_top) -> tuple[np.ndarray, np.nda
     return down, 1.0 - down - up, up
 
 
-def _move_kernel(dist, srv_p, srv_s, rp, rs, grids: MdpGrids,
+def _move_kernel(dist, srv_p, srv_s, grids: MdpGrids,
                  params: ModelParams) -> np.ndarray:
     """K[mp, ms, r, u, v, a]: the probability that rho_p moves mp - 1 levels
     and rho_s ms - 1 levels in one slot.
 
     The outcome law dist[r, a, x] weights the product of the two queues'
     birth-death steps, whose service probabilities are srv_p[r, v, a, x] and
-    srv_s[r, u, v, a, x].  rp and rs are the grid indices of the rho_p and
-    rho_s levels, shaped (r, 1, 1, 1) and (u, 1, 1, 1); they place the grid
-    edges.
+    srv_s[r, u, v, a, x]; the first and last level of each grid are its edges.
+    The kernel is assembled in place, one rho_p level at a time, so that
+    only one level's rho_s steps are alive beside it: the steps of every
+    level, stacked, would take 4/3 of the kernel again and a build would
+    peak at over three kernels.  Each entry is still einsum's sum over the
+    outcome axis x, so the floats are those of one contraction over the
+    whole grid.
     """
     q = params.queues
-    bdp = np.array(_birth_death(srv_p, q.lambda_p, rp == 0,
-                                rp == len(grids.states.rho_p_levels) - 1))
-    bds = np.array(_birth_death(srv_s, q.lambda_s, rs == 0,
-                                rs == len(grids.states.rho_s_levels) - 1))
-    return np.einsum("mrvax,nruvax->mnruva", dist[None, :, None] * bdp, bds)
+    n_rp, n_rs = grids.shape[:2]
+    rp, rs = (np.arange(n).reshape(-1, 1, 1, 1) for n in (n_rp, n_rs))
+    bdp = np.array(_birth_death(srv_p, q.lambda_p, rp == 0, rp == n_rp - 1))
+    bdp *= dist[:, None]
+    kernel = np.empty((3, 3) + srv_s.shape[:-1])
+    for r in range(n_rp):
+        for ms, step in enumerate(_birth_death(srv_s[r], q.lambda_s, rs == 0, rs == n_rs - 1)):
+            np.einsum("mvax,uvax->muva", bdp[:, r], step, out=kernel[:, ms, r])
+    return kernel
 
 
 def transition(mdp: SpectrumMDP, state: int, action: int) -> tuple[np.ndarray, np.ndarray]:
@@ -416,8 +427,7 @@ def build_spectrum_mdp(grids: MdpGrids, params: ModelParams, costs: CostModel,
     dist = np.repeat(dist.reshape(n_rp, n_pd, 4), n_ic, axis=1)     # (r, A, x)
     srv_p = srv_p.reshape(n_rp, n_ps, n_pd * n_ic, 4)               # (r, v, A, x)
     srv_s = srv_s.reshape(n_rp, n_rs, n_ps, n_pd * n_ic, 4)         # (r, u, v, A, x)
-    kernel = _move_kernel(dist, srv_p, srv_s, np.arange(n_rp).reshape(-1, 1, 1, 1),
-                          np.arange(n_rs).reshape(-1, 1, 1, 1), grids, params)
+    kernel = _move_kernel(dist, srv_p, srv_s, grids, params)
     # throughput part of the reward for any (state coords, action) combination;
     # flattened over the prev-action axes it is exactly the per-state g term
     g_action = srv_s.sum(axis=-1)

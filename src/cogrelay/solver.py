@@ -250,7 +250,9 @@ class _BlockBellman:
     def q(self, block_values: np.ndarray) -> np.ndarray:
         """Q(b, a) of a block table over the columns, shape (B, len(columns))."""
         cont = _continuation(self.mdp, _power_average(self.mdp, block_values), self.kernel)
-        return (self.step_reward + self.discount * cont).reshape(-1, self.columns.size)
+        cont *= self.discount
+        cont += self.step_reward
+        return cont.reshape(-1, self.columns.size)
 
     def q_state(self, values: np.ndarray) -> np.ndarray:
         """Q(b, a) of a per-state table over the columns, shape (B, len(columns)).
@@ -259,9 +261,10 @@ class _BlockBellman:
         depend on the action taken.  Its power average runs over all columns
         before the selection: on one column, einsum rounds differently."""
         w = _power_average(self.mdp, values)[..., self.columns]
-        q = (_base_rewards(self.mdp)[0][..., self.columns]
-             + self.discount * _continuation(self.mdp, w, self.kernel))
-        return q.reshape(-1, self.columns.size)
+        cont = _continuation(self.mdp, w, self.kernel)
+        cont *= self.discount
+        cont += _base_rewards(self.mdp)[0][..., self.columns]
+        return cont.reshape(-1, self.columns.size)
 
     def greedy(self, q: np.ndarray) -> np.ndarray:
         """Flat action index of each block's maximising column, the lowest on ties."""

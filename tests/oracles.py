@@ -30,6 +30,10 @@ multiply-adds, the route its single einsum replaced, and `continuation`
 backs up a per-state or block table over all columns through it; so
 `value_iteration_full_columns`, `value_iteration_lifted` and
 `evaluate_one_policy` hold the einsum to the loop's floats.
+`move_kernel_stacked` is the library's `_move_kernel` as one einsum over
+the stacked birth-death steps of both queues on the whole grid, the route
+its in-place assembly, one rho_p level at a time, replaced; it takes the
+same arguments and must give the same floats.
 `outcome_frequency_check` is a chi-square test of a simulation's
 sensing-outcome counts against their law.  `simulate_reference` is the
 simulator's chunk loop written with per-slot boolean arrays and one tally
@@ -48,7 +52,7 @@ import numpy as np
 
 import cogrelay.sim
 from cogrelay.mdp import (CostModel, MdpGrids, ModelParams, SpectrumMDP,
-                          constrained_power, transition)
+                          _birth_death, constrained_power, transition)
 from cogrelay.model import success_probability
 from cogrelay.sensing import false_alarm_from_detection
 from cogrelay.sim import _OUTCOME_LABELS, SimConfig, SimStats, simulate
@@ -120,6 +124,20 @@ def outcome_kernel(pi1: float, rho_s: float, p_s: float, pd: float, ic: float,
     srv_s = frame * dist * su_succ * rho_s * no_outage
     srv_p = pu_direct * pi1 + dist * sp_succ * q.rho_ps * (1.0 - no_outage)
     return dist, srv_p, srv_s
+
+
+def move_kernel_stacked(dist: np.ndarray, srv_p: np.ndarray, srv_s: np.ndarray,
+                        grids: MdpGrids, params: ModelParams) -> np.ndarray:
+    """`cogrelay.mdp._move_kernel` as one einsum over the stacked (down,
+    stay, up) steps of both queues on the whole grid: the rho_s stack alone
+    is 4/3 of the kernel, and `np.array` copies it while its three steps
+    are alive."""
+    q = params.queues
+    n_rp, n_rs = grids.shape[:2]
+    rp, rs = (np.arange(n).reshape(-1, 1, 1, 1) for n in (n_rp, n_rs))
+    bdp = np.array(_birth_death(srv_p, q.lambda_p, rp == 0, rp == n_rp - 1))
+    bds = np.array(_birth_death(srv_s, q.lambda_s, rs == 0, rs == n_rs - 1))
+    return np.einsum("mrvax,nruvax->mnruva", dist[None, :, None] * bdp, bds)
 
 
 def reward(state: int, grids: MdpGrids, params: ModelParams,

@@ -2,10 +2,13 @@
 
 import dataclasses
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import cogrelay.mdp
 from cogrelay.config import resolve_config
 from cogrelay.model import (OUTCOME_ORDER, ChannelParams, QueueParams,
                             SensingTiming, relay_branch, secondary_branch,
@@ -16,7 +19,7 @@ from cogrelay.mdp import (ActionGrids, CostModel, MdpGrids, ModelParams,
                           build_spectrum_mdp, constrained_power,
                           sensing_outcome_distribution, transition,
                           truncated_exponential_levels, validate)
-from oracles import outcome_kernel, reward
+from oracles import move_kernel_stacked, outcome_kernel, reward
 
 
 def make_params(**kw):
@@ -450,3 +453,52 @@ def test_compiled_tensors_reduce_to_the_closed_forms_at_the_reference_power():
         srv_p,
         direct + relay * params.queues.rho_ps * (1.0 - no_outage),
         rtol=1e-14, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# kernel assembly
+
+
+def stacked_kernel_model(grids, params):
+    """The model built with `move_kernel_stacked` in place of the library's
+    level-by-level `_move_kernel`."""
+    with mock.patch.object(cogrelay.mdp, "_move_kernel", move_kernel_stacked):
+        return build_spectrum_mdp(grids, params, CostModel())
+
+
+def assert_kernel_matches_stacked(mdp):
+    stacked = stacked_kernel_model(mdp.grids, mdp.params).kernel
+    assert mdp.kernel.tobytes() == stacked.tobytes()
+
+
+# the budgets of the default pav sweep; the test's None is the default model
+PAV_GRID_DB = resolve_config({"sweep": {"variable": "pav"}}).sweep_spec().grid
+
+
+@pytest.mark.parametrize("pav_db", [None, *PAV_GRID_DB])
+def test_kernel_keeps_the_floats_of_the_stacked_route(pav_db):
+    rc = resolve_config(None)
+    if pav_db is not None:
+        rc = rc.at_budget(pav_db)
+    assert_kernel_matches_stacked(build_spectrum_mdp(rc.grids(), rc.model_params(),
+                                                     CostModel()))
+
+
+def test_model_build_peaks_below_two_kernels():
+    """numpy reports its data buffers to tracemalloc, so the traced peak of
+    a build counts every array it allocates.  Assembled one rho_p level at a
+    time, the default model peaks near 1.8 kernels; the stacked route peaks
+    near 3.3, so the bound can fail."""
+    rc = resolve_config(None)
+    grids, params = rc.grids(), rc.model_params()
+
+    def peak_in_kernels(build):
+        tracemalloc.start()
+        try:
+            kernel = build().kernel
+            return tracemalloc.get_traced_memory()[1] / kernel.nbytes
+        finally:
+            tracemalloc.stop()
+
+    assert peak_in_kernels(lambda: build_spectrum_mdp(grids, params, CostModel())) <= 2.0
+    assert peak_in_kernels(lambda: stacked_kernel_model(grids, params)) > 2.0

@@ -24,7 +24,8 @@ from oracles import (continuation_loop, dense_rewards, evaluate_one_policy, eval
                      materialize_dense, outcome_kernel, policy_terms, solve_banded_dense,
                      state_values, value_iteration_dense, value_iteration_full_columns,
                      value_iteration_lifted)
-from tests.test_mdp import _hand_birth_death, make_params, small_grids
+from tests.test_mdp import (_hand_birth_death, assert_kernel_matches_stacked, make_params,
+                            small_grids)
 
 
 def small_mdp(costs=None, grids=None, params=None, chosen=False):
@@ -511,6 +512,12 @@ def small_models(draw):
     policy = random_block_policy(mdp, rng)
     return (mdp, policy, draw(st.sampled_from(["full", "throughput"])),
             draw(st.floats(0.0, 0.95)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_models())
+def test_kernel_keeps_the_floats_of_the_stacked_route_on_small_models(case):
+    assert_kernel_matches_stacked(case[0])
 
 
 @settings(max_examples=40, deadline=None)
