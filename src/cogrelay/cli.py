@@ -5,6 +5,9 @@ manifest carrying the fully resolved configuration and its SHA-256 hash, so
 a file is traceable to the exact run that produced it and reruns with the
 same configuration and seed are byte-identical, whatever `--threads` or the
 BLAS thread count.  Wall-clock timings go to stdout only, never into files.
+`sweep pav --threads N` solves its budgets in up to N worker processes
+forked from the command (the fork start method, so POSIX only); every other
+command, and `--threads 1`, runs in this process.
 
 Each command is a setup, `cmd_<name>(args, rc)`, that resolves and checks
 everything it reads from the resolved configuration `rc` and returns the
@@ -19,10 +22,10 @@ iteration cap, 3 simulation disagrees with the analytical model.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -221,6 +224,14 @@ def _pav_point(rc: ResolvedConfig, params: ModelParams, grids: MdpGrids,
     return grids.actions.pd_levels[pd_i], grids.actions.ic_levels[ic_i], vt.converged
 
 
+def _pav_budget(rc: ResolvedConfig, scfg: SolverConfig,
+                setup: tuple[ModelParams, MdpGrids]) -> tuple[float, float, bool]:
+    """`_pav_point` of one budget's params and grids.  The name is looked
+    up in this module when the budget runs, so a forked worker runs what
+    the command bound to it."""
+    return _pav_point(rc, *setup, scfg)
+
+
 def cmd_sweep(args: argparse.Namespace, rc: ResolvedConfig) -> Callable[[], int]:
     params, grids = _checked_setup(rc)
     spec = rc.sweep_spec()
@@ -230,6 +241,14 @@ def cmd_sweep(args: argparse.Namespace, rc: ResolvedConfig) -> Callable[[], int]
             _grid_index(rp, grids.states.rho_p_levels, "sweep.rho_p")
     else:
         budgets = [_checked_setup(rc.at_budget(pav_db)) for pav_db in spec.grid]
+        workers = min(getattr(args, "threads", 1), len(budgets))   # validate has no --threads
+        if workers > 1:
+            import multiprocessing
+            try:
+                fork = multiprocessing.get_context("fork")
+            except ValueError as exc:
+                raise ValueError(f"--threads {args.threads} needs the fork start "
+                                 f"method: {exc}") from None
 
     def run() -> int:
         t0 = time.perf_counter()
@@ -250,9 +269,14 @@ def cmd_sweep(args: argparse.Namespace, rc: ResolvedConfig) -> Callable[[], int]
                 rows.append(tuple(cells[name] for name in header))
         else:
             header = ("pav_db", "argmax_pd", "argmax_ic_db")
-            with ThreadPoolExecutor(max_workers=args.threads) as pool:
-                results = list(pool.map(lambda setup: _pav_point(rc, *setup, scfg),
-                                        budgets))
+            task = functools.partial(_pav_budget, rc, scfg)
+            if workers == 1:
+                results = list(map(task, budgets))
+            else:
+                # with fork, the pool starts every worker before its manager thread
+                from concurrent.futures import ProcessPoolExecutor
+                with ProcessPoolExecutor(max_workers=workers, mp_context=fork) as pool:
+                    results = list(pool.map(task, budgets))
             rows = [(linear_to_db(params.power.p_av), pd_opt, linear_to_db(ic_opt))
                     for (params, _), (pd_opt, ic_opt, _) in zip(budgets, results)]
             facts = {"converged": all(converged for *_, converged in results)}
@@ -333,7 +357,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def positive_int(text: str) -> int:
-    """An integer of at least 1, such as a worker-thread count."""
+    """An integer of at least 1, such as a worker count."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -359,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     command("solve", cmd_solve, "value-iterate and export the lookup table")
     command("sweep", cmd_sweep, "evaluate operating-point sweeps").add_argument(
         "--threads", type=positive_int, default=1,
-        help="worker threads for the pav sweep's budgets; pd and ic sweeps run in one")
+        help="worker processes for a pav sweep's budgets (fork start method; POSIX); "
+             "pd and ic sweeps run in this process")
     command("simulate", cmd_simulate, "Monte-Carlo run with analytical z-scores").add_argument(
         "--seed", type=int, default=None, help="override the simulation seed")
     command("validate", cmd_validate, "check a configuration against constraints")

@@ -1,6 +1,8 @@
 """End-to-end command behaviour: files, manifests, exit codes."""
 
+import concurrent.futures
 import json
+import multiprocessing
 import subprocess
 import sys
 from pathlib import Path
@@ -580,14 +582,66 @@ def test_only_the_budget_sweep_starts_a_pool(tmp_path, monkeypatch):
                                            ic_db=[-5.0, 5.0], rho_p=[0.1, 0.5]))
     out1, out3 = tmp_path / "t1", tmp_path / "t3"
     assert cli.main(["sweep", "--config", cfg, "--out", str(out1)]) == 0
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", _no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
     assert cli.main(["sweep", "--config", cfg, "--out", str(out3),
                      "--threads", "3"]) == 0
     assert (out1 / "sweep_pd.csv").read_bytes() == (out3 / "sweep_pd.csv").read_bytes()
-    pav = write_config(tmp_path, sweep_doc(variable="pav", grid_db=[0.0]), "pav.json")
+    pav = write_config(tmp_path, sweep_doc(variable="pav", grid_db=[0.0, 10.0]), "pav.json")
     with pytest.raises(_PoolStarted):
         cli.main(["sweep", "--config", pav, "--out", str(tmp_path / "pav"),
                   "--threads", "3"])
+
+
+def test_a_budget_sweep_forks_no_more_workers_than_budgets(tmp_path, monkeypatch):
+    workers = []
+
+    def recorded(*args, max_workers, **kwargs):
+        workers.append(max_workers)
+        return real_pool(*args, max_workers=max_workers, **kwargs)
+
+    real_pool = concurrent.futures.ProcessPoolExecutor
+    cfg = write_config(tmp_path, sweep_doc(variable="pav", grid_db=[0.0, 10.0]))
+    out1, out64 = tmp_path / "t1", tmp_path / "t64"
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out1)]) == 0
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recorded)
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out64),
+                     "--threads", "64"]) == 0
+    assert workers == [2]
+    assert (out1 / "sweep_pav.csv").read_bytes() == (out64 / "sweep_pav.csv").read_bytes()
+
+
+def test_a_budget_sweep_without_fork_is_a_config_error(tmp_path, monkeypatch, capsys):
+    def no_fork(method=None):
+        raise ValueError(f"cannot find context for {method!r}")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    cfg = write_config(tmp_path, sweep_doc(variable="pav", grid_db=[0.0, 10.0]))
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out), "--threads", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --threads 2 needs the fork start method")
+    assert len(captured.err.splitlines()) == 1
+    assert not out.exists()
+    # one worker, and validate, fork nothing
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    assert cli.main(["validate", "--config", cfg]) == 0
+
+
+def test_a_dead_budget_worker_fails_the_sweep(tmp_path):
+    # a worker that dies mid-budget breaks the pool: the command ends with
+    # BrokenProcessPool and a non-zero exit, and does not wait forever
+    cfg = write_config(tmp_path, sweep_doc(variable="pav", grid_db=[0.0, 10.0]))
+    argv = ["sweep", "--config", cfg, "--out", str(tmp_path / "out"), "--threads", "2"]
+    code = ("import os, sys\n"
+            "import cogrelay.cli as cli\n"
+            "cli._pav_point = lambda *args: os._exit(1)\n"
+            f"sys.exit(cli.main({argv!r}))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=tmp_path, env=conftest.cli_subprocess_env(), timeout=60)
+    assert proc.returncode != 0
+    assert "BrokenProcessPool" in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def sim_doc(n_slots=100_000, seed=7):
