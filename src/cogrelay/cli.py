@@ -14,6 +14,7 @@ everything it reads from the resolved configuration `rc` and returns the
 `run` that does the work.  `main` runs the setup in its one `try`, so a
 rejected configuration prints one ``error:`` line and exits 1 before
 anything is solved or written; `validate` runs every command's setup.
+Setups read no numpy, which loads at the first array a `run` makes.
 
 Exit codes: 0 success, 1 invalid or unstable configuration, 2 solver hit its
 iteration cap, 3 simulation disagrees with the analytical model.
@@ -29,8 +30,7 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .config import (ConfigError, ResolvedConfig, _grid_index, nearest_index,
                      resolve_config)
 from .mdp import (ActionGrids, CostModel, MdpGrids, ModelParams, StateGrids,
@@ -239,7 +239,18 @@ def cmd_sweep(args: argparse.Namespace, rc: ResolvedConfig) -> Callable[[], int]
     if spec.variable in ("pd", "ic"):
         for rp in spec.rho_p:
             _grid_index(rp, grids.states.rho_p_levels, "sweep.rho_p")
+        if spec.variable == "pd":
+            header = ("pd", "ic_db", "rho_p", "J")
+            points = [(pd, ic, rp) for pd in spec.grid
+                      for ic in spec.ic_fixed for rp in spec.rho_p]
+        else:
+            header = ("ic_db", "pd", "rho_p", "J")
+            points = [(pd, ic, rp) for ic in map(db_to_linear, spec.grid)
+                      for pd in spec.pd_fixed for rp in spec.rho_p]
+        rc.check_model_size(len({pd for pd, _, _ in points}) * len({ic for _, ic, _ in points}),
+                            "sweep pd x ic values")
     else:
+        header = ("pav_db", "argmax_pd", "argmax_ic_db")
         budgets = [_checked_setup(rc.at_budget(pav_db)) for pav_db in spec.grid]
         workers = min(getattr(args, "threads", 1), len(budgets))   # validate has no --threads
         if workers > 1:
@@ -253,14 +264,6 @@ def cmd_sweep(args: argparse.Namespace, rc: ResolvedConfig) -> Callable[[], int]
     def run() -> int:
         t0 = time.perf_counter()
         if spec.variable in ("pd", "ic"):
-            if spec.variable == "pd":
-                header = ("pd", "ic_db", "rho_p", "J")
-                points = [(pd, ic, rp) for pd in spec.grid
-                          for ic in spec.ic_fixed for rp in spec.rho_p]
-            else:
-                header = ("ic_db", "pd", "rho_p", "J")
-                points = [(pd, ic, rp) for ic in map(db_to_linear, spec.grid)
-                          for pd in spec.pd_fixed for rp in spec.rho_p]
             values, worst = _pinned_values(rc, params, grids.states, points, scfg)
             facts = {"converged": True, "worst_relative_residual": worst}
             rows = []
@@ -268,12 +271,13 @@ def cmd_sweep(args: argparse.Namespace, rc: ResolvedConfig) -> Callable[[], int]
                 cells = {"pd": pd, "ic_db": linear_to_db(ic), "rho_p": rp, "J": j}
                 rows.append(tuple(cells[name] for name in header))
         else:
-            header = ("pav_db", "argmax_pd", "argmax_ic_db")
             task = functools.partial(_pav_budget, rc, scfg)
             if workers == 1:
                 results = list(map(task, budgets))
             else:
-                # with fork, the pool starts every worker before its manager thread
+                # with fork, the pool starts every worker before its manager
+                # thread; numpy loads first, so the workers inherit it
+                np.ndarray
                 from concurrent.futures import ProcessPoolExecutor
                 with ProcessPoolExecutor(max_workers=workers, mp_context=fork) as pool:
                     results = list(pool.map(task, budgets))

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-import numpy as np
-
 from .model import ChannelParams, QueueParams, SensingTiming, db_to_linear
 from .mdp import (ActionGrids, CostModel, MdpGrids, ModelParams, PowerPolicy,
                   StateGrids, truncated_exponential_levels)
@@ -136,15 +134,16 @@ _NULLABLE: dict[str, type] = {
 }
 
 # Closed bounds of the slots that have them, checked where the document is
-# read.  A default-grid solve peaks near 7.5 MB of RSS per power level (1.66
-# MB of it the kernel): 1.0 GB at 128, an eighth of an 8 GB host.  1e9 slots
-# take a minute at 1.6e7/s.
+# read.  1e9 slots take a minute at 1.6e7/s.  MAX_MODEL_SIZE caps the
+# (rho_p, rho_s, P_s, action) cells of every model: 128 power levels on the
+# default grids, a 213 MB kernel and a `solve` peak near 1.0 GB.
 _BOUNDS: dict[str, tuple[float, float]] = {
-    "state_grids.n_power_levels": (1, 128),
+    "state_grids.n_power_levels": (1, math.inf),
     "costs.s_const": (0, math.inf),
     "costs.c_const": (0, math.inf),
     "sim.n_slots": (1, 10**9),
 }
+MAX_MODEL_SIZE = 10 * 10 * 128 * 231
 
 _KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number",
                str: "a string", list: "a list of numbers"}
@@ -321,8 +320,19 @@ class ResolvedConfig:
     def action_grids(self) -> ActionGrids:
         return ActionGrids(**self._fields("action_grids"))
 
+    def check_model_size(self, n_actions: int, actions: str) -> None:
+        """Reject a model of more than MAX_MODEL_SIZE cells with n_actions actions."""
+        g = self.raw["state_grids"]
+        n_ps = int(g["n_power_levels"]) if g["p_s_levels"] is None else len(g["p_s_levels"])
+        size = len(g["rho_p_levels"]) * len(g["rho_s_levels"]) * n_ps * n_actions
+        if size > MAX_MODEL_SIZE:
+            raise ConfigError(f"state_grids.rho_p_levels x rho_s_levels x n_power_levels (or "
+                              f"p_s_levels) x {actions} = {size} cells, over the cap {MAX_MODEL_SIZE}")
+
     def grids(self) -> MdpGrids:
-        return MdpGrids(states=self.state_grids(), actions=self.action_grids())
+        actions = self.action_grids()
+        self.check_model_size(actions.n_actions, "action_grids")
+        return MdpGrids(states=self.state_grids(), actions=actions)
 
     def costs(self) -> CostModel:
         return CostModel(**self._fields("costs"))
@@ -406,9 +416,10 @@ def _grid_index(value: float, levels: tuple[float, ...], name: str) -> int:
     raise ConfigError(f"{name}={value} is not on the configured grid {levels}")
 
 
-def nearest_index(value: float, levels: tuple[float, ...] | np.ndarray) -> int:
-    arr = np.asarray(levels, dtype=float)
-    return int(np.argmin(np.abs(arr - value)))
+def nearest_index(value: float, levels: Sequence[float]) -> int:
+    """Index of the level nearest value; of equally near levels, the first."""
+    distances = [abs(float(level) - value) for level in levels]
+    return distances.index(min(distances))
 
 
 def resolve_config(source: str | Path | Mapping[str, Any] | None) -> ResolvedConfig:

@@ -35,8 +35,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .model import (OUTCOME_ORDER, ChannelParams, QueueParams, SensingTiming,
                     success_probability)
 from .sensing import SensingConfig, false_alarm_from_detection
@@ -200,8 +199,8 @@ def constrained_power(pp: PowerPolicy, ic: float) -> float:
 
 
 # outcome attribute tables in the canonical order of sensing_outcome_distribution
-_OUTCOME_BUSY = np.array([o.primary_busy for o in OUTCOME_ORDER])
-_OUTCOME_DECLARED_BUSY = np.array([o.declared_busy for o in OUTCOME_ORDER])
+_OUTCOME_BUSY = tuple(o.primary_busy for o in OUTCOME_ORDER)
+_OUTCOME_DECLARED_BUSY = tuple(o.declared_busy for o in OUTCOME_ORDER)
 
 
 def sensing_outcome_distribution(pi1, pd, pf) -> np.ndarray:
@@ -239,7 +238,7 @@ def _outcome_terms(pi1, rho_s, p_s, pf, pd, ps1,
     p_ref = pw.reference_power
     p_tx = np.where(_OUTCOME_DECLARED_BUSY, ps1, p_s)
     beta = np.where(_OUTCOME_DECLARED_BUSY, ch.beta_sp, ch.beta_s) * (p_ref / p_tx)
-    interf = 1.0 + ch.gamma_ps * _OUTCOME_BUSY
+    interf = 1.0 + ch.gamma_ps * np.array(_OUTCOME_BUSY)
     su_succ = np.exp(-beta * interf / ch.gamma_s)
     sp_succ = np.exp(-beta * interf / ch.gamma_sp)
     # Interference-constrained transmissions sit far below the power states

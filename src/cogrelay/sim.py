@@ -28,8 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .mdp import ModelParams, sensing_outcome_distribution
 from .model import (OUTCOME_ORDER, primary_throughput, relay_branch,
                     secondary_branch, secondary_throughput)

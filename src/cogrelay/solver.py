@@ -49,8 +49,7 @@ import numbers
 from dataclasses import dataclass
 from typing import Literal
 
-import numpy as np
-
+from ._lazy import np
 from .mdp import SpectrumMDP
 
 __all__ = [

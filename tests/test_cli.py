@@ -770,24 +770,79 @@ def test_simulate_flags_statistical_disagreement(tmp_path, monkeypatch):
     assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 3
 
 
-@pytest.mark.parametrize("program", [
-    "import cogrelay, cogrelay.cli",
-    # what `python -m cogrelay validate` runs, with sys.modules read after it
-    "import runpy\n"
-    "sys.argv[1:] = ['validate']\n"
-    "try:\n"
-    "    runpy.run_module('cogrelay', run_name='__main__', alter_sys=True)\n"
-    "except SystemExit as exc:\n"
-    "    assert exc.code == 0, exc.code",
-], ids=["import", "validate"])
-def test_runtime_does_not_import_scipy(tmp_path, program):
-    # scipy is a test dependency only; importing it costs every command
-    # more than a second
-    code = f"import sys\n{program}\nprint('scipy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+# run in the child: `python -m cogrelay ARGV`, then its exit code and
+# whether scipy and numpy were loaded
+_ENTRY_POINT = """\
+import runpy, sys
+sys.argv[1:] = {argv!r}
+try:
+    runpy.run_module("cogrelay", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print(exc.code)
+print("scipy" in sys.modules, "numpy._core" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("command, doc, code, loads_numpy", [
+    (None, None, None, False),
+    ("validate", None, 0, False),
+    ("validate", {"sweep": {"variable": "pav"}}, 0, False),
+    ("validate", {"sim": {"n_slots": 10_000_000}}, 0, False),
+    ("solve", {"queues": {"lambda_s": 0.9}}, 1, False),
+    ("solve", small_model(), 0, True),
+], ids=["import", "validate", "validate_pav", "validate_sim", "config_error", "solve"])
+def test_setup_imports_neither_scipy_nor_numpy(tmp_path, command, doc, code, loads_numpy):
+    # scipy is a test dependency only, and numpy loads at the first array a
+    # command's run makes: importing either would cost every validate and
+    # every rejected configuration
+    if command is None:
+        program = ('import sys, cogrelay, cogrelay.cli\nprint(None)\n'
+                   'print("scipy" in sys.modules, "numpy._core" in sys.modules)')
+    else:
+        argv = [command, "--out", str(tmp_path / "out")]
+        if doc is not None:
+            argv += ["--config", write_config(tmp_path, doc)]
+        program = _ENTRY_POINT.format(argv=argv)
+    proc = subprocess.run([sys.executable, "-c", program], capture_output=True,
                           text=True, cwd=tmp_path, env=conftest.cli_subprocess_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False", proc.stdout
+    assert proc.stdout.splitlines()[-2:] == [str(code), f"False {loads_numpy}"], \
+        (proc.stdout, proc.stderr)
+
+
+def test_budget_workers_start_with_numpy_loaded(tmp_path):
+    # the command loads numpy before it forks, so every worker inherits it;
+    # a worker that imported numpy itself would add its copy to the peak RSS.
+    # Each worker reports in one write, so two reports never interleave.
+    cfg = write_config(tmp_path, sweep_doc(variable="pav", grid_db=[0.0, 10.0]))
+    argv = ["sweep", "--config", cfg, "--out", str(tmp_path / "out"), "--threads", "2"]
+    code = ("import os, sys\n"
+            "import cogrelay.cli as cli\n"
+            "point, parent = cli._pav_point, os.getpid()\n"
+            "def recorded(*args):\n"
+            "    loaded = 'numpy._core' in sys.modules\n"
+            "    os.write(1, f'budget {os.getpid() != parent} {loaded}\\n'.encode())\n"
+            "    return point(*args)\n"
+            "cli._pav_point = recorded\n"
+            f"sys.exit(cli.main({argv!r}))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=tmp_path, env=conftest.cli_subprocess_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    budgets = [line for line in proc.stdout.splitlines() if line.startswith("budget")]
+    assert budgets == ["budget True True"] * 2, proc.stdout
+
+
+def test_a_missing_numpy_fails_at_import(tmp_path):
+    code = ("import importlib.util\n"
+            "find_spec = importlib.util.find_spec\n"
+            "importlib.util.find_spec = lambda name, *args: (\n"
+            "    None if name == 'numpy' else find_spec(name, *args))\n"
+            "import cogrelay\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=tmp_path, env=conftest.cli_subprocess_env())
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1] == "ModuleNotFoundError: No module named 'numpy'", \
+        proc.stderr
 
 
 def test_module_entry_point_runs(tmp_path):

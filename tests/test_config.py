@@ -5,10 +5,11 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 import cogrelay.cli as cli
-from cogrelay.config import (_BOUNDS, _NULLABLE, DEFAULT_CONFIG, ConfigError,
+from cogrelay.config import (_BOUNDS, _NULLABLE, DEFAULT_CONFIG, MAX_MODEL_SIZE, ConfigError,
                              config_hash, load_config, nearest_index, resolve_config)
 from cogrelay.mdp import truncated_exponential_levels
 from cogrelay.model import db_to_linear
@@ -202,9 +203,29 @@ def test_config_hash_is_order_invariant():
     assert rc.sha256 == config_hash(rc.raw)
 
 
-def test_nearest_index():
-    assert nearest_index(0.23, (0.0, 0.2, 0.4)) == 1
-    assert nearest_index(5.0, (0.0, 0.2, 0.4)) == 2
+TWENTY_LEVELS = tuple(i / 20 for i in range(20))
+
+
+@pytest.mark.parametrize("value, levels", [
+    (0.23, (0.0, 0.2, 0.4)),
+    (5.0, (0.0, 0.2, 0.4)),
+    (-1.0, (0.0, 0.2, 0.4)),
+    (0.1, (0.0, 0.2)),
+    (2.0, (1.0, 3.0, 5.0)),
+    (0.625, TWENTY_LEVELS),
+    (0.3, (0.3, 0.3)),
+], ids=["between", "above", "below", "tie", "integral_tie", "rho_s_at_20_levels", "equal_levels"])
+def test_nearest_index_keeps_the_first_of_equally_near_levels(value, levels):
+    # the rule of np.argmin over the distances, for a tuple and an array alike
+    expected = int(np.argmin(np.abs(np.asarray(levels) - value)))
+    assert nearest_index(value, levels) == expected
+    assert nearest_index(value, np.asarray(levels)) == expected
+
+
+def test_the_configured_rho_s_ties_at_20_levels_and_reports_the_lower():
+    rho_s = resolve_config(None).queues().rho_s
+    assert rho_s - TWENTY_LEVELS[12] == TWENTY_LEVELS[13] - rho_s
+    assert nearest_index(rho_s, TWENTY_LEVELS) == 12
 
 
 def test_explicit_power_levels_override_quantisation():
@@ -337,6 +358,43 @@ def test_bounded_slots_take_their_bounds_and_name_the_key_past_them(path):
         with pytest.raises(ConfigError, match=re.escape(
                 f"config key {path} must lie within [{low}, {high}], got {past}")):
             load_config({section: {key: past}})
+
+
+def _no_build(*args, **kwargs):
+    raise AssertionError("a setup built a model")
+
+
+def _at_the_cap(past: bool) -> list[tuple[str, dict, str]]:
+    """(command, document, action keys) of models of MAX_MODEL_SIZE cells,
+    or of one grid level more: 10 x 10 x 128 x 231 on the default grids,
+    and pinned sweeps over 7392 (pd, ic) pairs on 10 x 10 x 4 state cells."""
+    extra = 1 if past else 0
+    pd_grid = [i / 2464 for i in range(2464)] + [1.0] * extra
+    ic_grid = [i / 100 - 30 for i in range(3696)] + [10.0] * extra
+    return [("solve", {"state_grids": {"n_power_levels": 128 + extra}}, "action_grids"),
+            ("sweep", {"sweep": {"grid": pd_grid}}, "sweep pd x ic values"),
+            ("sweep", {"sweep": {"variable": "ic", "grid_db": ic_grid}}, "sweep pd x ic values")]
+
+
+def test_a_model_at_the_size_cap_passes_setup_and_one_past_it_does_not(
+        tmp_path, capsys, monkeypatch):
+    # only setups run here, and they build no model
+    monkeypatch.setattr(cli, "build_spectrum_mdp", _no_build)
+    path = tmp_path / "run.json"
+    for _, doc, _ in _at_the_cap(past=False):
+        path.write_text(json.dumps(doc))
+        assert cli.main(["validate", "--config", str(path)]) == 0, doc
+    capsys.readouterr()
+    for command, doc, actions in _at_the_cap(past=True):
+        path.write_text(json.dumps(doc))
+        for argv in (["validate"], [command, "--out", str(tmp_path / "out")]):
+            assert cli.main(argv + ["--config", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: state_grids.rho_p_levels x rho_s_levels x "
+                                  f"n_power_levels (or p_s_levels) x {actions} = ")
+            assert err.endswith(f" cells, over the cap {MAX_MODEL_SIZE}\n")
+            assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_every_null_default_names_what_it_reads():

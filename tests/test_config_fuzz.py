@@ -4,10 +4,12 @@
 before it solves or simulates.  Each case also runs `validate` and `sweep`
 under the ic and pav sweeps, which read keys the pd sweep does not.
 
-Values at or past a finite upper bound (`config._BOUNDS`: the grid size and
-the run length) must never reach code that allocates, so they run in one
-child process under a memory limit and a timeout: a lost bound then fails
-the test instead of hanging it or exhausting the host."""
+Values at or past a size limit (the run length's bound in `config._BOUNDS`,
+and a power-level count that fills `config.MAX_MODEL_SIZE`) must never reach
+code that allocates, so they run in one child process under a memory limit
+and a timeout: a lost bound then fails the test instead of hanging it or
+exhausting the host.  So do three configurations whose model takes gigabytes
+on the default grids."""
 
 import contextlib
 import copy
@@ -22,7 +24,7 @@ from unittest import mock
 import pytest
 
 import cogrelay.cli as cli
-from cogrelay.config import _BOUNDS, DEFAULT_CONFIG
+from cogrelay.config import _BOUNDS, DEFAULT_CONFIG, MAX_MODEL_SIZE
 
 import conftest
 
@@ -50,23 +52,38 @@ COMMANDS = ("solve", "sweep", "simulate")
 # parsing leaves a parser as it was, so every case can share this one
 PARSER = cli.build_parser()
 
-# run in the child: the exit codes of each case, as JSON on stdout
+# run in the child: the function of this module named by argv[1] on each
+# case, as JSON on stdout
 _CHILD = """\
 import json, resource, sys
 from pathlib import Path
-from test_config_fuzz import exit_codes, with_leaf
+import test_config_fuzz
 resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))
-cases, tmp = json.loads(sys.argv[1]), Path(sys.argv[2])
-print(json.dumps([exit_codes(with_leaf(leaf, value), tmp) for leaf, value in cases]))
+run, cases, tmp = getattr(test_config_fuzz, sys.argv[1]), json.loads(sys.argv[2]), Path(sys.argv[3])
+print(json.dumps([run(*case, tmp) for case in cases]))
 """
 
 
-SIZED = {leaf for leaf, (_, high) in _BOUNDS.items() if high < math.inf}
+# the largest value of each sized leaf that BASE admits: the run length's
+# bound, and the power levels that fill the model size cap on BASE's other
+# grids (2 x 2 levels, 2 x 2 actions)
+SIZED = {**{leaf: high for leaf, (_, high) in _BOUNDS.items() if high < math.inf},
+         "state_grids.n_power_levels": MAX_MODEL_SIZE // (2 * 2 * 4)}
 
 
 def oversized(leaf, value) -> bool:
     return (leaf in SIZED and isinstance(value, (int, float))
-            and not isinstance(value, bool) and value >= _BOUNDS[leaf][1])
+            and not isinstance(value, bool) and value >= SIZED[leaf])
+
+
+def in_child(function: str, cases: list, tmp: Path) -> list:
+    """`function(*case, tmp)` of each case, run in a child process under a
+    2 GB address-space limit and a timeout."""
+    proc = subprocess.run([sys.executable, "-c", _CHILD, function, json.dumps(cases), str(tmp)],
+                          capture_output=True, text=True, timeout=60,
+                          cwd=Path(__file__).parent, env=conftest.cli_subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 def with_leaf(leaf, value) -> dict:
@@ -122,12 +139,46 @@ def test_each_edge_value_exits_with_a_documented_code(tmp_path, leaf):
 def test_oversized_values_are_rejected_before_anything_allocates(tmp_path):
     cases = [(leaf, value) for leaf in LEAVES for value in EDGE_VALUES
              if oversized(leaf, value)]
-    assert {leaf for leaf, _ in cases} == SIZED
-    proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(cases), str(tmp_path)],
-                          capture_output=True, text=True, timeout=60,
-                          cwd=Path(__file__).parent, env=conftest.cli_subprocess_env())
-    assert proc.returncode == 0, proc.stderr
-    for (leaf, value), codes in zip(cases, json.loads(proc.stdout), strict=True):
+    assert {leaf for leaf, _ in cases} == set(SIZED)
+    docs = [(with_leaf(leaf, value),) for leaf, value in cases]
+    for (leaf, value), codes in zip(cases, in_child("exit_codes", docs, tmp_path), strict=True):
         check((leaf, value), codes)
-        if value > _BOUNDS[leaf][1]:
+        if value > SIZED[leaf]:
             assert codes[""]["validate"] == 1, (leaf, value, codes)
+
+
+def errors(doc, tmp: Path) -> dict[str, list]:
+    """`cli.main`'s exit code and stderr for validate, solve and sweep on doc."""
+    path = tmp / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    found = {}
+    for command in ("validate", "solve", "sweep"):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main([command, "--config", str(path), "--out", str(tmp / "out")])
+        found[command] = [code, err.getvalue()]
+    return found
+
+
+# models of 3.0-6.0 GB of kernel on the default grids, each past the cap by one grid
+GIANT_MODELS = {
+    "rho_levels": ({"state_grids": {"rho_p_levels": [i / 300 for i in range(300)],
+                                    "rho_s_levels": [i / 300 for i in range(300)]}},
+                   "x action_grids = 83160000 cells"),
+    "p_s_levels": ({"state_grids": {"p_s_levels": [(i + 1) / 1000 for i in range(2000)]}},
+                   "x action_grids = 46200000 cells"),
+    "pd_levels": ({"action_grids": {"pd_levels": [i / 5000 for i in range(5001)]}},
+                  "x action_grids = 42008400 cells"),
+}
+
+
+def test_models_past_the_size_cap_are_rejected_before_anything_allocates(tmp_path):
+    cases = [(doc,) for doc, _ in GIANT_MODELS.values()]
+    for (name, (_, size)), found in zip(GIANT_MODELS.items(),
+                                        in_child("errors", cases, tmp_path), strict=True):
+        for command, (code, err) in found.items():
+            assert code == 1, (name, command, err)
+            assert err.startswith("error: state_grids.rho_p_levels x ") and size in err, \
+                (name, command, err)
+            assert len(err.splitlines()) == 1, (name, command, err)
+    assert not (tmp_path / "out").exists()
