@@ -30,8 +30,8 @@ iterate, rules out at every block (`_may_still_win` states the test and
 its rounding slack).  A dropped column can never reach or tie a
 later maximum and each Q entry is the same elementwise arithmetic whatever
 other columns are present, so values, residuals and actions are the same
-floats as with all columns.  Policy iteration and `evaluate_policy_exact`
-work on all the columns.
+floats as with all columns.  Policy iteration works on all the columns,
+`evaluate_policy_exact` on the ones its policies use.
 
 The tests hold this route against the references in `tests/oracles.py`
 (the nine-pass continuation, full-column and per-state value iteration,
@@ -221,8 +221,8 @@ class _BlockBellman:
     step reward fixed for the whole solve.  The operator holds the kernel
     and that step reward on its columns only.  `q` backs up a block table,
     `q_state` a per-state one (the reward vector both solvers start from
-    has no block form), and `evaluate`, on all the model's columns, solves
-    for the block values of one flat action per block.  `greedy` maps a
+    has no block form), and `evaluate` solves for the block values of one
+    of its columns per block, given as a flat action.  `greedy` maps a
     column of a backup to its flat action index.
     """
 
@@ -271,8 +271,8 @@ class _BlockBellman:
 
     def evaluate(self, block_actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """W_sigma and the relative residual (`_relative_residual`) of each
-        policy of a stack, one flat action per block, on an operator over all
-        the model's columns: (P, B) gives (P, B) and (P,), (B,) gives (B,) and ().
+        policy of a stack, one flat action per block among the operator's
+        columns: (P, B) gives (P, B) and (P,), (B,) gives (B,) and ().
 
         The next power level is a stationary redraw, so W_sigma = r_sigma +
         d E[w(next)], where w, the pstat average of W_sigma, solves
@@ -284,7 +284,7 @@ class _BlockBellman:
         """
         n_rp, n_rs, n_ps = self.mdp.grids.shape[:3]
         shape = np.shape(block_actions)
-        sigma = np.reshape(block_actions, (-1, n_rp, n_rs, n_ps))
+        sigma = np.searchsorted(self.columns, block_actions).reshape(-1, n_rp, n_rs, n_ps)
         n_pol = sigma.shape[0]
         # one gather of every move, shape (9, P, r, u, v), in C order with the
         # power axis last, so each pstat average sums one contiguous row as
@@ -490,7 +490,7 @@ def evaluate_policy_exact(mdp: SpectrumMDP, block_actions: np.ndarray,
     P policies, one per row.
 
     Every policy the solvers make is constant on a block, so W is one banded
-    solve on the (rho_p, rho_s) cells, over all the model's columns.  The
+    solve on the (rho_p, rho_s) cells, over the columns the policies use.  The
     systems of a stack are stored by bands, shape (P, n_cells, 2 n_rho_s +
     3), and eliminated together, each to the floats it gets alone.  W
     carries no iteration-tail error, which matters when comparing sweep
@@ -505,7 +505,7 @@ def evaluate_policy_exact(mdp: SpectrumMDP, block_actions: np.ndarray,
     # a bool array would index as a mask, and a float one not at all
     if not np.issubdtype(actions.dtype, np.integer):
         raise ValueError(f"policy actions must be integers, got dtype {actions.dtype}")
-    # the operator gathers kernel columns, where a negative index would wrap
+    # np.bincount takes no negative action, and the kernel has no column past the last
     if actions.min() < 0 or actions.max() >= mdp.n_actions:
         raise ValueError("policy contains out-of-range action indices")
-    return _BlockBellman(mdp, discount, np.arange(mdp.n_actions)).evaluate(actions)
+    return _BlockBellman(mdp, discount, np.flatnonzero(np.bincount(actions.ravel()))).evaluate(actions)

@@ -102,8 +102,8 @@ def _checked_value_iteration_lifted(mdp, cfg, mode="joint", pinned=None):
     return vt, pt
 
 
-def _checked_value_iteration_full_columns(mdp, cfg, mode="joint", pinned=None):
-    vt, pt = _real_value_iteration_full_columns(mdp, cfg, mode=mode, pinned=pinned)
+def _checked_value_iteration_full_columns(mdp, cfg, mode="joint", pinned=None, **observe):
+    vt, pt = _real_value_iteration_full_columns(mdp, cfg, mode=mode, pinned=pinned, **observe)
     assert_contraction(vt.residuals, cfg.discount,
                        f"value_iteration_full_columns[{mode}]", vt.values)
     return vt, pt

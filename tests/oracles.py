@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Literal
+from typing import Callable, Literal
 
 import numpy as np
 
@@ -279,8 +279,8 @@ def evaluate_policy_exact_one(mdp: SpectrumMDP, block_actions: np.ndarray,
                               discount: float) -> np.ndarray:
     """`evaluate_one_policy` on an operator over the policy's own columns
     only, the route each call of `cogrelay.solver.evaluate_policy_exact` took
-    before it took stacks; the library now evaluates on all the model's
-    columns, and must give the same floats."""
+    before it took stacks; the library now evaluates a stack on the columns
+    of all its policies, and must give the same floats."""
     return evaluate_one_policy(_BlockBellman(mdp, discount, np.unique(block_actions)),
                                block_actions)
 
@@ -322,14 +322,16 @@ def value_iteration_lifted(mdp: SpectrumMDP, cfg: SolverConfig, mode: Mode = "jo
 
 
 def value_iteration_full_columns(mdp: SpectrumMDP, cfg: SolverConfig,
-                                 mode: Mode = "joint", pinned: int | None = None
+                                 mode: Mode = "joint", pinned: int | None = None,
+                                 observe: Callable[..., None] = lambda *_: None
                                  ) -> tuple[ValueTable, PolicyTable]:
     """Block value iteration that backs up every action column on every sweep.
 
     The mode's columns are the ones a -inf mask leaves open.  Same start,
     stopping rule and tie rule as `cogrelay.solver.value_iteration`, which
     stops backing up the columns that can no longer win; the two agree bit
-    for bit.
+    for bit.  `observe(w, q, residuals)` sees each block iterate W_k, its
+    Q table over all columns, shape (B, A), and the residuals up to W_k.
     """
     base, g_add = _base_rewards(mdp)
     neg = column_mask(mdp, mode, pinned)
@@ -341,15 +343,18 @@ def value_iteration_full_columns(mdp: SpectrumMDP, cfg: SolverConfig,
 
     w = q(mdp.reward_vec, base).max(axis=-1)
     residuals = [float(np.max(np.abs(_lift(w, g_add, mdp.n_actions) - mdp.reward_vec)))]
-    while (len(residuals) < cfg.max_iters and math.isfinite(residuals[-1])
-           and residuals[-1] > cfg.epsilon):
-        new_w = q(w, step_reward).max(axis=-1)
-        residuals.append(float(np.max(np.abs(new_w - w))))
-        w = new_w
+    while True:
+        q_w = q(w, step_reward)
+        observe(w, q_w, residuals)
+        if not (len(residuals) < cfg.max_iters and math.isfinite(residuals[-1])
+                and residuals[-1] > cfg.epsilon):
+            break
+        w, prev = q_w.max(axis=-1), w
+        residuals.append(float(np.max(np.abs(w - prev))))
 
     vt = ValueTable(values=_lift(w, g_add, mdp.n_actions),
                     converged=residuals[-1] <= cfg.epsilon, residuals=residuals)
-    return vt, PolicyTable(q(w, step_reward).argmax(axis=-1))
+    return vt, PolicyTable(q_w.argmax(axis=-1))
 
 
 def value_iteration_dense(transitions: np.ndarray, rewards: np.ndarray,

@@ -16,9 +16,8 @@ import numpy as np
 import scipy.special
 
 import cogrelay.cli as cli
-from cogrelay.config import nearest_index, resolve_config
-from cogrelay.mdp import (ActionGrids, CostModel, MdpGrids, ModelParams,
-                          PowerPolicy, build_spectrum_mdp, transition)
+from cogrelay.config import resolve_config
+from cogrelay.mdp import CostModel, ModelParams, PowerPolicy, build_spectrum_mdp, transition
 from cogrelay.model import (OUTCOME_ORDER, ChannelParams, QueueParams,
                             SensingTiming, db_to_linear, primary_throughput,
                             relay_branch, secondary_branch,
@@ -27,7 +26,7 @@ from cogrelay.sensing import (SensingConfig, detection_from_threshold,
                               false_alarm_from_detection, q_function,
                               q_inverse, threshold_from_detection)
 from cogrelay.sim import SimConfig, analytical_reference, estimates, simulate
-from cogrelay.solver import SolverConfig, evaluate_policy_exact, value_iteration
+from cogrelay.solver import SolverConfig, value_iteration
 from oracles import state_values, value_iteration_dense
 
 # bind to the conftest module pytest itself loaded, so the run ledger and
@@ -361,12 +360,11 @@ def test_criterion_07_detection_curves_are_unimodal_and_ic_monotone():
     ic_dbs = (-15.0, -5.0, 5.0)
     rho_rows = (0.1, 0.9)
 
-    curves = {}
-    for ic_db in ic_dbs:
-        ic = db_to_linear(ic_db)
-        for rho in rho_rows:
-            curves[(ic_db, rho)] = np.array(
-                [cli._pinned_value(rc, sg, pd, ic, rho, scfg) for pd in pd_grid])
+    # the points of the default `sweep pd`, on the route it runs
+    keys = [(ic_db, rho) for ic_db in ic_dbs for rho in rho_rows]
+    values, _ = cli._pinned_values(rc, rc.model_params(), sg, [
+        (pd, db_to_linear(ic_db), rho) for ic_db, rho in keys for pd in pd_grid], scfg)
+    curves = dict(zip(keys, np.reshape(values, (len(keys), len(pd_grid)))))
 
     unimodal = True
     argmaxes = {}
@@ -398,14 +396,13 @@ def test_criterion_08_ic_sweeps_flat_at_low_pd_rising_at_high_pd():
     ic_levels = rc.action_grids().ic_levels
     rho_rows = (0.1, 0.9)
 
+    # the points of the default `sweep ic`, on the route it runs
+    values, _ = cli._pinned_values(rc, rc.model_params(), sg, [
+        (pd, ic, rho) for rho in rho_rows for pd in (0.1, 0.9) for ic in ic_levels], scfg)
     flat_ok = True
     rising_ok = True
     flat_ranges = []
-    for rho in rho_rows:
-        low = np.array([cli._pinned_value(rc, sg, 0.1, ic, rho, scfg)
-                        for ic in ic_levels])
-        high = np.array([cli._pinned_value(rc, sg, 0.9, ic, rho, scfg)
-                         for ic in ic_levels])
+    for low, high in np.reshape(values, (len(rho_rows), 2, len(ic_levels))):
         rel_range = float((low.max() - low.min()) / low.mean())
         flat_ranges.append(rel_range)
         flat_ok &= rel_range <= 0.05
@@ -420,30 +417,12 @@ def test_criterion_08_ic_sweeps_flat_at_low_pd_rising_at_high_pd():
 
 
 def _operating_map(rc, pav_db: float) -> list[float]:
-    """Throughput-argmax detection level per interference cap at one budget."""
+    """Throughput-argmax detection level per interference cap at one budget, at rho_p 0.2."""
     budget = rc.at_budget(pav_db)
-    params, sg = budget.model_params(), budget.state_grids()
-    scfg = rc.solver_config()
-
-    rp_ref = nearest_index(0.2, sg.rho_p_levels)
-    rs_ref = nearest_index(params.queues.rho_s, sg.rho_s_levels)
-    mean_ps = float(np.dot(sg.p_s_levels, sg.p_s_stationary))
-    ps_ref = nearest_index(mean_ps, sg.p_s_levels)
-    flat = ((rp_ref * len(sg.rho_s_levels) + rs_ref)
-            * len(sg.p_s_levels) + ps_ref)
-
-    best_pd = []
-    for ic in rc.action_grids().ic_levels:
-        values = []
-        for pd in rc.action_grids().pd_levels:
-            grids = MdpGrids(states=sg, actions=ActionGrids((pd,), (ic,)))
-            mdp = build_spectrum_mdp(grids, params, CostModel(0.0, 0.0),
-                                     reward_uses_chosen_action=True)
-            j, _ = evaluate_policy_exact(mdp, np.zeros(mdp.n_states, dtype=np.intp),
-                                         scfg.discount)
-            values.append(float(j[flat]))
-        best_pd.append(rc.action_grids().pd_levels[int(np.argmax(values))])
-    return best_pd
+    pd_levels, ic_levels = rc.action_grids().pd_levels, rc.action_grids().ic_levels
+    values, _ = cli._pinned_values(budget, budget.model_params(), budget.state_grids(), [
+        (pd, ic, 0.2) for ic in ic_levels for pd in pd_levels], rc.solver_config())
+    return [pd_levels[k] for k in np.reshape(values, (len(ic_levels), -1)).argmax(axis=1)]
 
 
 def test_criterion_09_operating_map_thresholds_and_saturates():

@@ -330,8 +330,9 @@ def test_solve_iteration_cap_exit_code(tmp_path):
     assert manifest["iterations"] == 1
 
 
-def sweep_doc(**sweep):
+def sweep_doc(power=(), **sweep):
     doc = small_model()
+    doc["power"].update(power)
     doc["solver"] = {"epsilon": 1e-8, "discount": 0.9}
     doc["sweep"] = sweep
     return doc
@@ -428,17 +429,20 @@ def test_sweep_off_grid_rho_p_fails(tmp_path, capsys):
     assert not any(tmp_path.glob("*.csv"))
 
 
-@pytest.mark.parametrize("sweep", [
+@pytest.mark.parametrize("sweep, power", [
     # an unsorted pd grid with a repeat, and two unsorted caps
-    {"variable": "pd", "grid": [0.8, 0.2, 0.8], "ic_db": [5.0, -5.0], "rho_p": [0.5, 0.1]},
+    ({"variable": "pd", "grid": [0.8, 0.2, 0.8], "ic_db": [5.0, -5.0], "rho_p": [0.5, 0.1]}, {}),
     # an unsorted cap grid against an unsorted pd list
-    {"variable": "ic", "grid_db": [5.0, -5.0, 0.0], "pd": [0.8, 0.2], "rho_p": [0.5, 0.1]},
-], ids=["pd", "ic"])
-def test_sweep_rows_match_one_pinned_model_per_point(tmp_path, sweep):
+    ({"variable": "ic", "grid_db": [5.0, -5.0, 0.0], "pd": [0.8, 0.2], "rho_p": [0.5, 0.1]}, {}),
+    # a pd x ic cross at a budget moved off the reference power, as criterion 9 reads it
+    ({"variable": "pd", "grid": [0.8, 0.2], "ic_db": [5.0, -5.0], "rho_p": [0.1, 0.5]},
+     {"p_av_db": -5.0, "p_ref_db": 5.0}),
+], ids=["pd", "ic", "pd_at_a_moved_budget"])
+def test_sweep_rows_match_one_pinned_model_per_point(tmp_path, sweep, power):
     # the sweep solves each (pd, ic) pair once on one model over all the
     # pairs; each row must be the J of that point's own one-action model,
     # in the configured order
-    cfg = write_config(tmp_path, sweep_doc(**sweep))
+    cfg = write_config(tmp_path, sweep_doc(power, **sweep))
     out = tmp_path / "sweep"
     assert cli.main(["sweep", "--config", cfg, "--out", str(out), "--threads", "2"]) == 0
     _, header, data = read_output(out / f"sweep_{sweep['variable']}.csv")

@@ -1,6 +1,7 @@
 """Value and policy iteration: both routes, policy evaluation and the lookup table."""
 
 import dataclasses
+import functools
 import itertools
 
 import numpy as np
@@ -14,8 +15,8 @@ from cogrelay.mdp import (ActionGrids, CostModel, MdpGrids, PowerPolicy,
                           constrained_power, transition)
 from cogrelay.model import ChannelParams, QueueParams
 from cogrelay.sensing import false_alarm_from_detection
-from cogrelay.solver import (_ELIMINATION_PERIOD, LOOKUP_COLUMNS, SolverConfig,
-                             _allowed_columns, _BlockBellman, _continuation, _lift,
+from cogrelay.solver import (_ELIMINATION_PERIOD, LOOKUP_COLUMNS, PolicyTable, SolverConfig,
+                             ValueTable, _allowed_columns, _BlockBellman, _continuation, _lift,
                              _may_still_win, _power_average, _solve_banded,
                              evaluate_policy_exact, extract_lookup_table, policy_iteration,
                              value_iteration)
@@ -591,19 +592,20 @@ def test_exact_policy_evaluation_matches_the_block_route_on_the_default_grids(co
                                            (CostModel(0.0, 0.0), True)],
                          ids=["default_costs", "zero_costs", "chosen_action"])
 def test_exact_policy_evaluation_on_its_own_columns_keeps_every_float(costs, chosen):
-    # evaluate_policy_exact works on all the model's columns, and its values
-    # are bit for bit those of the one-policy route on an operator that holds
-    # only the columns its policy uses (`evaluate_policy_exact_one`).  A
-    # one-column policy catches a step reward that selects the column before
-    # the power average: einsum rounds a single column differently
+    # evaluate_policy_exact works on the columns its policy uses, and its
+    # values are bit for bit those of the one-policy route on an operator
+    # over all the model's columns.  A one-column policy catches a step
+    # reward that selects the column before the power average: einsum
+    # rounds a single column differently
     mdp, cfg = default_model(costs, chosen)
     n_blocks = mdp.n_states // mdp.n_actions
+    full = _BlockBellman(mdp, cfg.discount, np.arange(mdp.n_actions))
     rng = np.random.default_rng(37)
     policies = [np.full(n_blocks, a) for a in (0, 1, 117, mdp.n_actions - 1)]
     policies += [random_block_policy(mdp, rng) for _ in range(2)]
     for actions in policies:
         exact, _ = evaluate_policy_exact(mdp, actions, cfg.discount)
-        assert exact.tobytes() == evaluate_policy_exact_one(mdp, actions, cfg.discount).tobytes()
+        assert exact.tobytes() == evaluate_one_policy(full, actions).tobytes()
 
 
 def stacked_policies(mdp, rng):
@@ -786,11 +788,11 @@ def test_restricting_to_every_column_copies_nothing():
     np.testing.assert_array_equal(bellman.kernel, kernel[..., keep])
 
 
-def assert_matches_full_columns(mdp, cfg, mode="joint", pinned=None):
-    """Value iteration against the full-column block iteration, bit for bit:
-    values, residual list, sweep count and block actions."""
+def assert_matches_full_columns(mdp, cfg, mode="joint", pinned=None, reference=None):
+    """Value iteration against the full-column block iteration at cfg, or its
+    given `reference` run, bit for bit: values, residuals, sweeps and actions."""
     vt, pt = value_iteration(mdp, cfg, mode=mode, pinned=pinned)
-    ref, ref_pt = value_iteration_full_columns(mdp, cfg, mode=mode, pinned=pinned)
+    ref, ref_pt = reference or value_iteration_full_columns(mdp, cfg, mode=mode, pinned=pinned)
     assert state_values(mdp, vt.values).tobytes() == ref.values.tobytes()
     assert vt.residuals == ref.residuals
     assert vt.iterations == ref.iterations and vt.converged == ref.converged
@@ -877,6 +879,55 @@ def test_action_elimination_keeps_every_float(case):
     assert 1 <= vt.active_actions <= allowed
 
 
+def full_column_reference(mdp, cfg, mode="joint", pinned=None, stops=()):
+    """`value_iteration_full_columns` at cfg, read also at the looser stopping
+    rules `stops` (a prefix of its iterates), with `_may_still_win` applied to
+    its own Q over the mode's columns as value iteration applies it.  Returns
+    {epsilon: (vt, pt)}, the number of columns ruled out, and the largest
+    q(b, a) - max q(b, :) of a ruled-out a on every later iterate and at the
+    Howard fixed point from the last one: below 0, or -inf if none."""
+    bellman = _BlockBellman(mdp, cfg.discount, _allowed_columns(mdp, mode, pinned))
+    reward_bound = float(np.max(np.abs(bellman.step_reward)))
+    dropped = np.zeros(bellman.columns.size, dtype=bool)
+    runs, last, worst = {}, [], -np.inf
+
+    def dropped_gap(q, columns):
+        # q's column columns[i] holds the mode's i-th
+        return float(np.max(q[:, columns[dropped]] - q.max(axis=-1)[:, None], initial=-np.inf))
+
+    def observe(w, q, residuals):
+        nonlocal dropped, worst
+        # as value iteration: Q(W_{k-1}) when it appends residual k, W_0 = W_1
+        if len(residuals) > 1 and len(residuals) % _ELIMINATION_PERIOD == 0:
+            (w_before, _), (w_last, q_last) = last
+            dropped |= ~_may_still_win(q_last[:, bellman.columns], w, w_last - w_before,
+                                       cfg.discount, reward_bound)
+        worst = max(worst, dropped_gap(q, bellman.columns))
+        for epsilon in stops:
+            if epsilon not in runs and residuals[-1] <= epsilon:
+                runs[epsilon] = (ValueTable(state_values(mdp, w), True, list(residuals)),
+                                 PolicyTable(q.argmax(axis=-1)))
+        last[:] = [last[-1] if last else (w, q), (w, q)]
+
+    runs[cfg.epsilon] = value_iteration_full_columns(mdp, cfg, mode, pinned, observe=observe)
+    # Howard's steps over the mode's columns, from the last iterate
+    evaluated, greedy = set(), runs[cfg.epsilon][1].actions
+    while greedy.tobytes() not in evaluated:
+        evaluated.add(greedy.tobytes())
+        q = bellman.q(evaluate_policy_exact(mdp, greedy, cfg.discount)[0])
+        greedy = bellman.greedy(q)
+    return runs, int(dropped.sum()), max(worst, dropped_gap(q, np.arange(dropped.size)))
+
+
+@functools.cache
+def default_grid_reference(costs, mode, pinned, chosen):
+    """`full_column_reference` of a default-grid model at 5e-12, so many
+    iterates follow the last elimination, and at the default 1e-6."""
+    mdp, cfg = default_model(costs, chosen)
+    return full_column_reference(mdp, dataclasses.replace(cfg, epsilon=5e-12), mode, pinned,
+                                 stops=(1e-6,))
+
+
 @pytest.mark.parametrize("mode, pinned, chosen", [("joint", None, False),
                                                   ("fixed_pd", 8, True)])
 @pytest.mark.parametrize("epsilon", [1e-6, 5e-12])
@@ -888,8 +939,9 @@ def test_action_elimination_keeps_every_float_on_the_default_grids(costs, epsilo
     # well after the first elimination test, so a test without its margins
     # fails there
     mdp, cfg = default_model(costs, chosen)
+    runs, _, _ = default_grid_reference(costs, mode, pinned, chosen)
     vt, _ = assert_matches_full_columns(mdp, dataclasses.replace(cfg, epsilon=epsilon),
-                                        mode, pinned)
+                                        mode, pinned, reference=runs[epsilon])
     # the columns left at the end, the same at both stopping rules; a weaker
     # margin leaves more (11 and 25 joint, 20 and 21 at pd level 8, at 1e-6)
     active = {("joint", True): 1, ("joint", False): 25,
@@ -897,49 +949,11 @@ def test_action_elimination_keeps_every_float_on_the_default_grids(costs, epsilo
     assert vt.active_actions == active[mode, costs is None]
 
 
-def assert_dropped_columns_never_win(mdp, cfg, mode="joint", pinned=None):
-    """Full-column block value iteration that applies `_may_still_win` at
-    every elimination point and checks the span argument directly: each
-    column it rules out stays strictly below the block maximum at every
-    block, on every later iterate and at the policy-iteration fixed point.
-    Returns the number of columns ruled out."""
-    bellman = _BlockBellman(mdp, cfg.discount, _allowed_columns(mdp, mode, pinned))
-    reward_bound = float(np.max(np.abs(bellman.step_reward)))
-    dropped = np.zeros(bellman.columns.size, dtype=bool)
-
-    def assert_below_the_maximum(q):
-        assert np.all(q[:, dropped] < q.max(axis=-1)[:, None])
-
-    w = bellman.q_state(mdp.reward_vec).max(axis=-1)
-    prev, sweeps, residual = w, 1, np.inf
-    while sweeps < cfg.max_iters and residual > cfg.epsilon:
-        q = bellman.q(w)
-        assert_below_the_maximum(q)
-        new_w = q.max(axis=-1)
-        residual = float(np.max(np.abs(new_w - w)))
-        sweeps += 1
-        if sweeps % _ELIMINATION_PERIOD == 0:
-            dropped |= ~_may_still_win(q, new_w, w - prev, cfg.discount, reward_bound)
-        prev, w = w, new_w
-    assert_below_the_maximum(bellman.q(w))
-
-    # Howard's steps over the mode's columns, from the last iterate; exact
-    # evaluation works on all the model's columns
-    evaluated = set()
-    greedy = bellman.greedy(bellman.q(w))
-    while greedy.tobytes() not in evaluated:
-        evaluated.add(greedy.tobytes())
-        q = bellman.q(evaluate_policy_exact(mdp, greedy, cfg.discount)[0])
-        greedy = bellman.greedy(q)
-    assert_below_the_maximum(q)
-    return int(dropped.sum())
-
-
 @settings(max_examples=60, deadline=None)
 @given(elimination_cases())
 def test_eliminated_columns_never_win_later(case):
     mdp, cfg, mode, pinned = case
-    assert_dropped_columns_never_win(mdp, cfg, mode, pinned)
+    assert full_column_reference(mdp, cfg, mode, pinned)[2] < 0.0
 
 
 @pytest.mark.parametrize("mode, pinned, chosen", [("joint", None, False),
@@ -948,11 +962,9 @@ def test_eliminated_columns_never_win_later(case):
                          ids=["default_costs", "zero_costs"])
 def test_eliminated_columns_never_win_later_on_the_default_grids(costs, mode, pinned,
                                                                  chosen):
-    mdp, cfg = default_model(costs, chosen)
-    # a tight stopping rule, so many iterates follow the last elimination
-    dropped = assert_dropped_columns_never_win(
-        mdp, dataclasses.replace(cfg, epsilon=5e-12), mode, pinned)
+    _, dropped, gap = default_grid_reference(costs, mode, pinned, chosen)
     assert dropped > 0
+    assert gap < 0.0
 
 
 # ---------------------------------------------------------------------------
