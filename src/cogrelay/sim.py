@@ -10,12 +10,14 @@ Secondary own traffic is served only outside relaying slots, which is
 exactly the split the closed-form throughput expressions integrate over, so
 the empirical averages here are an independent check of those formulas.
 
-The tally takes one pass per chunk of slots.  Each slot's facts fold into
-one 8-bit code: the sensing outcome (FA=0, NFA=1, MD=2, D=3) in bits 0-1,
-and one bit each for the own-link and relay-link passes, the two queue
-backlogs, the primary outage and the direct primary delivery.  One
-`bincount` per chunk adds the codes to a 256-bin histogram, and every count
-is then the sum of the bins whose codes satisfy its condition.
+The run goes in chunks of slots, and each of a chunk's seven draws streams
+through cache-sized blocks: a block is drawn and at once folded into its
+slots' 8-bit codes, so only the codes and the outcomes span the chunk.  A
+code holds the sensing outcome (FA=0, NFA=1, MD=2, D=3) in bits 0-1, and
+one bit each for the own-link and relay-link passes, the two queue
+backlogs, the primary outage and the direct primary delivery.  Each block
+of the last draw ends in one `bincount` into a 256-bin histogram, and every
+count is then the sum of the bins whose codes satisfy its condition.
 
 A run's result is its slot counts, `SimStats.counts`; `estimates` derives
 every indicator average and its binomial standard error from them, and
@@ -44,6 +46,7 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 20
+_BLOCK = 1 << 16
 
 # flag bits of a slot code, above the outcome in bits 0-1
 _OWN, _RELAY, _QS, _QPS, _OUTAGE, _DIRECT = 4, 8, 16, 32, 64, 128
@@ -127,12 +130,16 @@ def simulate(cfg: SimConfig) -> SimStats:
     """Run the slot simulation and aggregate indicator averages.
 
     The run goes in chunks of `_CHUNK` slots (the last one shorter).  Each
-    chunk draws seven whole-chunk arrays from one PCG64(seed) generator, in
-    this fixed order: activity, sensing decision, the two queue backlogs
-    (secondary, relay), then the three link fades (secondary, relay,
-    primary).  Identical configurations are therefore bit-identical, and
-    `_CHUNK` and the draw order together fix every `simulate.csv`: changing
-    either changes all outputs.
+    chunk draws seven stages of one value per slot from one PCG64(seed)
+    generator, in this fixed order: activity, sensing decision, the two
+    queue backlogs (secondary, relay), then the three link fades
+    (secondary, relay, primary); a stage draws all of the chunk's values
+    before the next one starts.  Identical configurations are therefore
+    bit-identical, and `_CHUNK` and the draw order together fix every
+    `simulate.csv`: changing either changes all outputs.  A stage fills
+    `_BLOCK` values at a time, which reads the same generator stream in the
+    same order as one whole-chunk fill, so `_BLOCK` fixes no output; it
+    bounds the float scratch and keeps each block's compares in cache.
     """
     ch, q = cfg.params.channel, cfg.params.queues
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
@@ -150,19 +157,17 @@ def simulate(cfg: SimConfig) -> SimStats:
     direct_from = ch.beta_p * (1.0 + ch.gamma_sp) / ch.gamma_p
 
     size = min(n, _CHUNK)
-    x_buf, cut_buf = np.empty(size), np.empty(size)
-    flag_buf, outcome_buf, code_buf = (np.empty(size, np.uint8) for _ in range(3))
+    outcome_buf, code_buf = np.empty(size, np.uint8), np.empty(size, np.uint8)
+    block = min(size, _BLOCK)
+    x_buf, cut_buf, flag_buf = np.empty(block), np.empty(block), np.empty(block, np.uint8)
     hist = np.zeros(256, dtype=np.int64)
 
-    done = 0
-    while done < n:
-        m = min(_CHUNK, n - done)
-        x, cut = x_buf[:m], cut_buf[:m]
-        flag, outcome, code = flag_buf[:m], outcome_buf[:m], code_buf[:m]
-
-        rng.random(out=x)
+    # each fold adds one block's draws x to that block's outcome and code;
+    # cut and flag are scratch of the block's length
+    def activity(x, cut, flag, outcome, code):
         np.less(x, pi1, out=outcome)                    # busy
-        rng.random(out=x)
+
+    def sensing(x, cut, flag, outcome, code):
         # every index is in range; "clip" skips take's costly bounds check
         np.take(declare_below, outcome, out=cut, mode="clip")
         np.less(x, cut, out=flag)                       # declared busy
@@ -171,21 +176,38 @@ def simulate(cfg: SimConfig) -> SimStats:
         outcome += flag                                 # FA=0, NFA=1, MD=2, D=3
         np.copyto(code, outcome)
 
-        rng.random(out=x)
-        _fold(code, np.less(x, q.rho_s, out=flag), _QS)
-        rng.random(out=x)
-        _fold(code, np.less(x, q.rho_ps, out=flag), _QPS)
-        rng.standard_exponential(out=x)
-        np.take(own_cut, outcome, out=cut, mode="clip")
-        _fold(code, np.greater_equal(x, cut, out=flag), _OWN)
-        rng.standard_exponential(out=x)
-        np.take(relay_cut, outcome, out=cut, mode="clip")
-        _fold(code, np.greater_equal(x, cut, out=flag), _RELAY)
-        rng.standard_exponential(out=x)
+    def below(limit, bit):
+        def fold(x, cut, flag, outcome, code):
+            _fold(code, np.less(x, limit, out=flag), bit)
+        return fold
+
+    def clears(cutoffs, bit):
+        def fold(x, cut, flag, outcome, code):
+            np.take(cutoffs, outcome, out=cut, mode="clip")
+            _fold(code, np.greater_equal(x, cut, out=flag), bit)
+        return fold
+
+    def primary(x, cut, flag, outcome, code):
         _fold(code, np.less(x, outage_below, out=flag), _OUTAGE)
         _fold(code, np.greater_equal(x, direct_from, out=flag), _DIRECT)
+        np.add(hist, np.bincount(code, minlength=256), out=hist)
 
-        hist += np.bincount(code, minlength=256)
+    uniform, fade = rng.random, rng.standard_exponential
+    stages = ((uniform, activity), (uniform, sensing),
+              (uniform, below(q.rho_s, _QS)), (uniform, below(q.rho_ps, _QPS)),
+              (fade, clears(own_cut, _OWN)), (fade, clears(relay_cut, _RELAY)),
+              (fade, primary))
+
+    done = 0
+    while done < n:
+        m = min(_CHUNK, n - done)
+        for draw, fold in stages:
+            for lo in range(0, m, block):
+                hi = min(lo + block, m)
+                x = x_buf[:hi - lo]
+                draw(out=x)
+                fold(x, cut_buf[:hi - lo], flag_buf[:hi - lo],
+                     outcome_buf[lo:hi], code_buf[lo:hi])
         done += m
 
     # every tally is a sum of histogram bins over a mask of slot codes

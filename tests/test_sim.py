@@ -1,6 +1,7 @@
 """Monte-Carlo simulator: determinism, conservation laws and z-scores."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,10 +183,17 @@ REFERENCE_CASES = {
 }
 
 
+# blocks of one slot, of a size that does not divide SMALL_CHUNK, and past the chunk
+SMALL_BLOCKS = (1, 1000, 3 * SMALL_CHUNK)
+
+
 @pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
-def test_simulate_matches_per_indicator_reference(name, small_chunk):
+def test_simulate_matches_per_indicator_reference(name, small_chunk, monkeypatch):
     cfg = REFERENCE_CASES[name]
-    assert_same_stats(simulate(cfg), simulate_reference(cfg))
+    ref = simulate_reference(cfg)
+    for block in SMALL_BLOCKS:
+        monkeypatch.setattr(cogrelay.sim, "_BLOCK", block)
+        assert_same_stats(simulate(cfg), ref)
 
 
 @settings(max_examples=40, deadline=None)
@@ -194,20 +202,18 @@ def test_simulate_matches_per_indicator_reference(name, small_chunk):
        betas=st.tuples(*[st.floats(0.0, 5.0)] * 3),
        pd=st.floats(0.0, 1.0), pf=st.none() | st.floats(0.0, 1.0),
        pi1=st.floats(0.0, 1.0), n_slots=st.integers(1, 3 * 512 + 17),
-       seed=st.integers(0, 2**32 - 1))
+       seed=st.integers(0, 2**32 - 1), block=st.integers(1, 2 * 512))
 def test_simulate_matches_reference_on_random_channels(gammas, gamma_ps, betas, pd, pf,
-                                                       pi1, n_slots, seed):
+                                                       pi1, n_slots, seed, block):
     ch = ChannelParams(gamma_s=gammas[0], gamma_p=gammas[1], gamma_sp=gammas[2],
                        gamma_ps=gamma_ps, beta_s=betas[0], beta_sp=betas[1],
                        beta_p=betas[2])
     cfg = SimConfig(n_slots=n_slots, seed=seed, params=make_params(channel=ch),
                     pd=pd, pf=pf, pi1=pi1)
-    chunk = cogrelay.sim._CHUNK
-    cogrelay.sim._CHUNK = 512
-    try:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cogrelay.sim, "_CHUNK", 512)
+        mp.setattr(cogrelay.sim, "_BLOCK", block)
         assert_same_stats(simulate(cfg), simulate_reference(cfg))
-    finally:
-        cogrelay.sim._CHUNK = chunk
 
 
 def test_slot_outcome_code_is_the_index_in_outcome_order():
@@ -234,6 +240,39 @@ def test_mixed_run_counts_are_pinned():
         "own_pass_d": 57902,
         "relay_pass_fa": 67852, "relay_pass_nfa": 40544, "relay_pass_md": 13185,
         "relay_pass_d": 52313}
+
+
+def test_counts_past_one_full_chunk_are_pinned():
+    # the real _CHUNK and _BLOCK: one full chunk of many blocks and a 3-slot
+    # tail, recorded when each stage still drew its whole chunk in one fill
+    assert simulate(mixed_config(n_slots=cogrelay.sim._CHUNK + 3, seed=2024)).counts == {
+        "busy": 419344, "qs": 654769, "qps": 209402, "own_delivered": 552716,
+        "pu_delivered": 247425, "direct_served": 230104, "relayed_busy": 6501,
+        "relayed_total": 17321,
+        "outcome_fa": 393324, "outcome_nfa": 235911, "outcome_md": 83400,
+        "outcome_d": 335944,
+        "own_pass_fa": 374304, "own_pass_nfa": 224434, "own_pass_md": 75459,
+        "own_pass_d": 304303,
+        "relay_pass_fa": 355958, "relay_pass_nfa": 213458, "relay_pass_md": 68392,
+        "relay_pass_d": 275024}
+
+
+def test_simulate_peaks_below_four_chunks_of_bytes():
+    """numpy reports its data buffers to tracemalloc, so the traced peak of
+    a run counts every array it allocates.  Drawing and folding one `_BLOCK`
+    at a time, a run of two chunks and a tail peaks near 3.6 `_CHUNK` bytes:
+    the chunk's uint8 outcome and code arrays and a few block buffers.
+    Whole-chunk float64 draw buffers and a whole-chunk `bincount` peak near
+    27 `_CHUNK` bytes, so the bound fails on them."""
+    chunk = cogrelay.sim._CHUNK
+    cfg = mixed_config(n_slots=2 * chunk + 5, seed=5)
+    tracemalloc.start()
+    try:
+        simulate(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * chunk
 
 
 # Ties: every threshold set equal to one slot's own draw, found by replaying
