@@ -3,11 +3,12 @@
 Every output is a plain CSV whose first line is a ``#``-prefixed JSON
 manifest carrying the fully resolved configuration and its SHA-256 hash, so
 a file is traceable to the exact run that produced it and reruns with the
-same configuration and seed are byte-identical, whatever `--threads` or the
-BLAS thread count.  Wall-clock timings go to stdout only, never into files.
-`sweep pav --threads N` solves its budgets in up to N worker processes
-forked from the command (the fork start method, so POSIX only); every other
-command, and `--threads 1`, runs in this process.
+same configuration and seed are byte-identical, whatever `--threads` (but
+where a pav sweep's actions tie exactly) or the BLAS thread count.
+Wall-clock timings go to stdout only, never into files.  `sweep pav
+--threads N` cuts its budgets into up to N contiguous slices and solves
+each slice in a worker process forked from the command (os.fork, so POSIX
+only); every other command, and `--threads 1`, runs in this process.
 
 Each command is a setup, `cmd_<name>(args, rc)`, that resolves and checks
 everything it reads from the resolved configuration `rc` and returns the
@@ -16,8 +17,9 @@ rejected configuration prints one ``error:`` line and exits 1 before
 anything is solved or written; `validate` runs every command's setup.
 Setups read no numpy, which loads at the first array a `run` makes.
 
-Exit codes: 0 success, 1 invalid or unstable configuration, 2 solver hit its
-iteration cap, 3 simulation disagrees with the analytical model.
+Exit codes: 0 success, 1 invalid or unstable configuration (or a failed
+sweep worker), 2 solver hit its iteration cap, 3 simulation disagrees with
+the analytical model.
 """
 
 from __future__ import annotations
@@ -205,8 +207,10 @@ def _pinned_value(rc: ResolvedConfig, state_grids: StateGrids, pd: float,
 
 
 def _pav_point(rc: ResolvedConfig, params: ModelParams, grids: MdpGrids,
-               scfg: SolverConfig) -> tuple[float, float, bool]:
-    """Joint-control argmax at the reporting state for one budget.
+               scfg: SolverConfig, start: np.ndarray | None = None
+               ) -> tuple[float, float, bool, np.ndarray]:
+    """Joint-control argmax at the reporting state for one budget, whether
+    its solve converged, and its block policy.
 
     params and grids are `_checked_setup`'s of `rc.at_budget`: the
     reference power stays the configured one, so cut-offs keep their
@@ -214,22 +218,103 @@ def _pav_point(rc: ResolvedConfig, params: ModelParams, grids: MdpGrids,
     moves.  The model prices `solve`'s reward at zero costs, under
     solver.reward_uses_chosen_action: the throughput of the previous
     action, or of the chosen one, with no sensing or interference charge.
+    Policy iteration starts from `start`, a block policy on the same grids,
+    when one is given.
     """
     mdp = build_spectrum_mdp(grids, params, CostModel(s_const=0.0, c_const=0.0),
                              reward_uses_chosen_action=rc.reward_uses_chosen_action())
-    vt, pt = policy_iteration(mdp, scfg)
+    vt, pt = policy_iteration(mdp, scfg, start)
     rp_ref = nearest_index(params.queues.rho_p, grids.states.rho_p_levels)
     pd_i, ic_i = np.unravel_index(pt.actions[_reference_block(grids, rc, rp_ref)],
                                   grids.shape[3:])
-    return grids.actions.pd_levels[pd_i], grids.actions.ic_levels[ic_i], vt.converged
+    return (grids.actions.pd_levels[pd_i], grids.actions.ic_levels[ic_i], vt.converged,
+            pt.actions)
 
 
-def _pav_budget(rc: ResolvedConfig, scfg: SolverConfig,
-                setup: tuple[ModelParams, MdpGrids]) -> tuple[float, float, bool]:
-    """`_pav_point` of one budget's params and grids.  The name is looked
-    up in this module when the budget runs, so a forked worker runs what
-    the command bound to it."""
-    return _pav_point(rc, *setup, scfg)
+def _pav_slice(rc: ResolvedConfig, scfg: SolverConfig,
+               budgets: Sequence[tuple[ModelParams, MdpGrids]]
+               ) -> list[tuple[float, float, bool]]:
+    """`_pav_point` of each budget's params and grids, in order, each solve
+    starting from the policy the budget before it ended on: neighbouring
+    budgets have nearly the same optimal policy, so a warm start saves
+    Howard steps and, away from exact ties, ends where a cold one does.
+    The name is looked up in this module when a budget runs, so a forked
+    worker runs what the command bound to it."""
+    rows, start = [], None
+    for params, grids in budgets:
+        pd, ic, converged, start = _pav_point(rc, params, grids, scfg, start)
+        rows.append((pd, ic, converged))
+    return rows
+
+
+def _slices(items: Sequence[Any], n: int) -> list[Sequence[Any]]:
+    """items cut into n contiguous slices in order, their lengths differing
+    by at most one, the longer ones first."""
+    size, extra = divmod(len(items), n)
+    bounds = [i * size + min(i, extra) for i in range(n + 1)]
+    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+class _WorkerError(RuntimeError):
+    """A forked worker that raised, died or was killed."""
+
+
+def _forked_map(task: Callable[[Any], Any], parts: Sequence[Any]) -> list[Any]:
+    """[task(part) for part in parts], each call in its own child forked
+    from this process, all running at once; each result comes back pickled
+    through the child's pipe.  A child ends in os._exit whatever task does,
+    so it never returns into the caller or flushes this process's buffered
+    output.  A child that raises, exits non-zero or is killed raises
+    _WorkerError here; every child is reaped, and killed first if need be,
+    before this returns or raises."""
+    import os
+    import pickle
+    import signal
+
+    pids: list[int] = []
+    pipes = []
+    try:
+        for part in parts:
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(read)
+                    try:
+                        reply, ok = task(part), True
+                    except Exception as exc:
+                        reply, ok = f"raised {type(exc).__name__}: {exc}", False
+                    with open(write, "wb") as pipe:
+                        pickle.dump(reply, pipe)
+                    code = 0 if ok else 1
+                finally:
+                    os._exit(code)
+            os.close(write)
+            pids.append(pid)
+            pipes.append(open(read, "rb"))
+
+        results = []
+        for i, pipe in enumerate(pipes):
+            reply = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pids[i], 0)[1])
+            pids[i] = 0
+            if code == 0:
+                results.append(pickle.loads(reply))
+                continue
+            if code < 0:
+                what = f"was killed by signal {-code}"
+            else:
+                what = pickle.loads(reply) if reply else f"exited with code {code}"
+            raise _WorkerError(f"worker {i + 1} of {len(parts)} {what}")
+        return results
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            if pid:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def cmd_sweep(args: argparse.Namespace, rc: ResolvedConfig) -> Callable[[], int]:
@@ -254,12 +339,10 @@ def cmd_sweep(args: argparse.Namespace, rc: ResolvedConfig) -> Callable[[], int]
         budgets = [_checked_setup(rc.at_budget(pav_db)) for pav_db in spec.grid]
         workers = min(getattr(args, "threads", 1), len(budgets))   # validate has no --threads
         if workers > 1:
-            import multiprocessing
-            try:
-                fork = multiprocessing.get_context("fork")
-            except ValueError as exc:
-                raise ValueError(f"--threads {args.threads} needs the fork start "
-                                 f"method: {exc}") from None
+            import os
+            if not hasattr(os, "fork"):
+                raise ValueError(f"--threads {args.threads} needs the fork start method, "
+                                 f"which this platform does not have")
 
     def run() -> int:
         t0 = time.perf_counter()
@@ -271,16 +354,17 @@ def cmd_sweep(args: argparse.Namespace, rc: ResolvedConfig) -> Callable[[], int]
                 cells = {"pd": pd, "ic_db": linear_to_db(ic), "rho_p": rp, "J": j}
                 rows.append(tuple(cells[name] for name in header))
         else:
-            task = functools.partial(_pav_budget, rc, scfg)
+            task = functools.partial(_pav_slice, rc, scfg)
             if workers == 1:
-                results = list(map(task, budgets))
+                results = task(budgets)
             else:
-                # with fork, the pool starts every worker before its manager
-                # thread; numpy loads first, so the workers inherit it
-                np.ndarray
-                from concurrent.futures import ProcessPoolExecutor
-                with ProcessPoolExecutor(max_workers=workers, mp_context=fork) as pool:
-                    results = list(pool.map(task, budgets))
+                np.ndarray      # numpy loads here, once, and every worker inherits it
+                try:
+                    results = [row for part in _forked_map(task, _slices(budgets, workers))
+                               for row in part]
+                except _WorkerError as exc:
+                    print(f"error: sweep pav {exc}", file=sys.stderr)
+                    return EXIT_CONFIG
             rows = [(linear_to_db(params.power.p_av), pd_opt, linear_to_db(ic_opt))
                     for (params, _), (pd_opt, ic_opt, _) in zip(budgets, results)]
             facts = {"converged": all(converged for *_, converged in results)}
@@ -387,8 +471,9 @@ def build_parser() -> argparse.ArgumentParser:
     command("solve", cmd_solve, "value-iterate and export the lookup table")
     command("sweep", cmd_sweep, "evaluate operating-point sweeps").add_argument(
         "--threads", type=positive_int, default=1,
-        help="worker processes for a pav sweep's budgets (fork start method; POSIX); "
-             "pd and ic sweeps run in this process")
+        help="at most this many forked worker processes for a pav sweep, each solving "
+             "one contiguous slice of the budgets (POSIX); pd and ic sweeps run in this "
+             "process")
     command("simulate", cmd_simulate, "Monte-Carlo run with analytical z-scores").add_argument(
         "--seed", type=int, default=None, help="override the simulation seed")
     command("validate", cmd_validate, "check a configuration against constraints")

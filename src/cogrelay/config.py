@@ -369,8 +369,12 @@ class ResolvedConfig:
     def sweep_spec(self) -> SweepSpec:
         w = self.raw["sweep"]
         variable = w["variable"]
-        if variable not in ("pd", "ic", "pav"):
+        if variable not in _SWEEP_KEYS:
             raise ConfigError(f"sweep.variable must be pd, ic or pav, got {variable!r}")
+        for key, default in DEFAULT_CONFIG["sweep"].items():
+            if key not in _SWEEP_KEYS[variable] and w[key] != default:
+                raise ConfigError(f"sweep.{key} is not read by {variable} sweeps, so it must "
+                                  f"keep its default {json.dumps(default)}")
         if variable == "pd":
             grid = w["grid"] if w["grid"] is not None else self.raw["action_grids"]["pd_levels"]
         else:
@@ -381,6 +385,12 @@ class ResolvedConfig:
         fixed = self._fields("sweep", ("ic_db", "pd", "rho_p"))
         return SweepSpec(variable=variable, grid=tuple(float(v) for v in grid),
                          ic_fixed=fixed["ic"], pd_fixed=fixed["pd"], rho_p=fixed["rho_p"])
+
+
+# the sweep keys each variable reads; the others must keep their defaults
+_SWEEP_KEYS = {"pd": ("variable", "grid", "ic_db", "rho_p"),
+               "ic": ("variable", "grid_db", "pd", "rho_p"),
+               "pav": ("variable", "grid_db")}
 
 
 @dataclass(frozen=True)

@@ -415,14 +415,19 @@ def value_iteration(mdp: SpectrumMDP, cfg: SolverConfig, mode: Mode = "joint",
     return vt, PolicyTable(bellman.greedy(bellman.q(w)))
 
 
-def policy_iteration(mdp: SpectrumMDP, cfg: SolverConfig) -> tuple[ValueTable, PolicyTable]:
+def policy_iteration(mdp: SpectrumMDP, cfg: SolverConfig,
+                     start: np.ndarray | None = None) -> tuple[ValueTable, PolicyTable]:
     """Howard policy iteration on the block values W(b), over all actions.
 
     Each step evaluates the policy exactly (`_BlockBellman.evaluate`) and
     improves it by value iteration's greedy step, with the same lowest-index
-    tie rule.  The first policy is greedy with respect to the reward vector;
-    the run stops when the greedy policy repeats one already evaluated.  In
-    exact arithmetic every change strictly improves the values, so a repeat
+    tie rule.  The first policy is `start`, flat actions of shape (B,) such
+    as another solve's `PolicyTable.actions`, or else greedy with respect to
+    the reward vector; the run stops when the greedy policy repeats one
+    already evaluated.  Policy iteration reaches an optimal policy from any
+    start, so a start near the optimum saves steps; only where actions tie
+    exactly can rounding settle it on another of the tied optima.  In exact
+    arithmetic every change strictly improves the values, so a repeat
     further back than the last policy only comes from rounding between
     actions that tie.  cfg.epsilon is not used; hitting cfg.max_iters steps
     first, or a non-finite residual, is reported through converged=False.
@@ -431,7 +436,13 @@ def policy_iteration(mdp: SpectrumMDP, cfg: SolverConfig) -> tuple[ValueTable, P
     point; the returned actions are greedy with respect to them.
     """
     bellman = _BlockBellman(mdp, cfg.discount, np.arange(mdp.n_actions))
-    greedy = bellman.greedy(bellman.q_state(mdp.reward_vec))
+    if start is None:
+        greedy = bellman.greedy(bellman.q_state(mdp.reward_vec))
+    else:
+        greedy = np.asarray(start, dtype=bellman.columns.dtype)
+        n_blocks = mdp.n_states // mdp.n_actions
+        if greedy.shape != (n_blocks,):
+            raise ValueError(f"start must assign an action to each of {n_blocks} blocks")
     evaluated: set[bytes] = set()
     residuals: list[float] = []
     converged = False

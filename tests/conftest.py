@@ -79,8 +79,8 @@ def bellman_residual(mdp, values, discount) -> float:
     return float(np.max(np.abs(backed_up - values)))
 
 
-def _checked_policy_iteration(mdp, cfg):
-    vt, pt = _real_policy_iteration(mdp, cfg)
+def _checked_policy_iteration(mdp, cfg, start=None):
+    vt, pt = _real_policy_iteration(mdp, cfg, start)
     if vt.converged:
         residual = bellman_residual(mdp, oracles.state_values(mdp, vt.values),
                                     cfg.discount)

@@ -1,8 +1,7 @@
 """End-to-end command behaviour: files, manifests, exit codes."""
 
-import concurrent.futures
 import json
-import multiprocessing
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -573,52 +572,73 @@ def test_default_pinned_sweeps_keep_their_golden_values(tmp_path, variable):
         assert float(data[row].split(",")[-1]) == float.fromhex(value), row
 
 
-class _PoolStarted(Exception):
+class _Forked(Exception):
     pass
 
 
-def _no_pool(*args, **kwargs):
-    raise _PoolStarted
+def _no_fork():
+    raise _Forked
 
 
-def test_only_the_budget_sweep_starts_a_pool(tmp_path, monkeypatch):
+def no_child_left():
+    """True when this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def test_only_the_budget_sweep_forks(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, sweep_doc(variable="pd", grid=[0.2, 0.8],
                                            ic_db=[-5.0, 5.0], rho_p=[0.1, 0.5]))
     out1, out3 = tmp_path / "t1", tmp_path / "t3"
     assert cli.main(["sweep", "--config", cfg, "--out", str(out1)]) == 0
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr(os, "fork", _no_fork)
     assert cli.main(["sweep", "--config", cfg, "--out", str(out3),
                      "--threads", "3"]) == 0
     assert (out1 / "sweep_pd.csv").read_bytes() == (out3 / "sweep_pd.csv").read_bytes()
     pav = write_config(tmp_path, sweep_doc(variable="pav", grid_db=[0.0, 10.0]), "pav.json")
-    with pytest.raises(_PoolStarted):
-        cli.main(["sweep", "--config", pav, "--out", str(tmp_path / "pav"),
+    assert cli.main(["sweep", "--config", pav, "--out", str(tmp_path / "pav1")]) == 0
+    with pytest.raises(_Forked):
+        cli.main(["sweep", "--config", pav, "--out", str(tmp_path / "pav3"),
                   "--threads", "3"])
+    assert no_child_left()
 
 
-def test_a_budget_sweep_forks_no_more_workers_than_budgets(tmp_path, monkeypatch):
-    workers = []
+def test_a_budget_sweep_forks_one_worker_per_budget_at_most(tmp_path, monkeypatch):
+    forks = []
 
-    def recorded(*args, max_workers, **kwargs):
-        workers.append(max_workers)
-        return real_pool(*args, max_workers=max_workers, **kwargs)
+    def recorded():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
 
-    real_pool = concurrent.futures.ProcessPoolExecutor
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", recorded)
     cfg = write_config(tmp_path, sweep_doc(variable="pav", grid_db=[0.0, 10.0]))
     out1, out64 = tmp_path / "t1", tmp_path / "t64"
     assert cli.main(["sweep", "--config", cfg, "--out", str(out1)]) == 0
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recorded)
+    assert forks == []
     assert cli.main(["sweep", "--config", cfg, "--out", str(out64),
                      "--threads", "64"]) == 0
-    assert workers == [2]
+    assert len(forks) == 2
     assert (out1 / "sweep_pav.csv").read_bytes() == (out64 / "sweep_pav.csv").read_bytes()
+    assert no_child_left()
+
+
+@pytest.mark.parametrize("threads, slices", [
+    (1, [5]), (2, [3, 2]), (3, [2, 2, 1]), (5, [1] * 5)])
+def test_budget_slices_are_contiguous_and_near_equal(threads, slices):
+    budgets = list(range(5))
+    parts = cli._slices(budgets, threads)
+    assert [len(part) for part in parts] == slices
+    assert [b for part in parts for b in part] == budgets
 
 
 def test_a_budget_sweep_without_fork_is_a_config_error(tmp_path, monkeypatch, capsys):
-    def no_fork(method=None):
-        raise ValueError(f"cannot find context for {method!r}")
-
-    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    monkeypatch.delattr(os, "fork")
     cfg = write_config(tmp_path, sweep_doc(variable="pav", grid_db=[0.0, 10.0]))
     out = tmp_path / "out"
     assert cli.main(["sweep", "--config", cfg, "--out", str(out), "--threads", "2"]) == 1
@@ -632,19 +652,51 @@ def test_a_budget_sweep_without_fork_is_a_config_error(tmp_path, monkeypatch, ca
     assert cli.main(["validate", "--config", cfg]) == 0
 
 
-def test_a_dead_budget_worker_fails_the_sweep(tmp_path):
-    # a worker that dies mid-budget breaks the pool: the command ends with
-    # BrokenProcessPool and a non-zero exit, and does not wait forever
+def test_a_raising_budget_worker_fails_the_sweep(tmp_path, monkeypatch, capsys):
+    # the worker reports what it raised and exits; the command prints one
+    # error line, writes nothing and leaves no child behind, then runs again
+    def raising(*args):
+        raise ZeroDivisionError("no budget")
+
+    cfg = write_config(tmp_path, sweep_doc(variable="pav", grid_db=[0.0, 10.0]))
+    out = tmp_path / "out"
+    argv = ["sweep", "--config", cfg, "--out", str(out), "--threads", "2"]
+    point = cli._pav_point
+    monkeypatch.setattr(cli, "_pav_point", raising)
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: sweep pav worker 1 of 2 raised ZeroDivisionError: no budget\n"
+    assert not out.exists()
+    assert no_child_left()
+    monkeypatch.setattr(cli, "_pav_point", point)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.count("sweep pav: 2 rows") == 1
+    assert no_child_left()
+
+
+@pytest.mark.parametrize("death, reason", [
+    ("os._exit(3)", "exited with code 3"),
+    ("os.kill(os.getpid(), signal.SIGKILL)", "was killed by signal 9")])
+def test_a_dead_budget_worker_fails_the_sweep(tmp_path, death, reason):
+    # a worker that dies mid-budget fails the command at once, with one
+    # error line, no output and no child left running or unreaped
     cfg = write_config(tmp_path, sweep_doc(variable="pav", grid_db=[0.0, 10.0]))
     argv = ["sweep", "--config", cfg, "--out", str(tmp_path / "out"), "--threads", "2"]
-    code = ("import os, sys\n"
+    code = ("import os, signal, sys\n"
             "import cogrelay.cli as cli\n"
-            "cli._pav_point = lambda *args: os._exit(1)\n"
-            f"sys.exit(cli.main({argv!r}))\n")
+            f"cli._pav_point = lambda *args: {death}\n"
+            f"status = cli.main({argv!r})\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError:\n"
+            "    print('no child left')\n"
+            "sys.exit(status)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           cwd=tmp_path, env=conftest.cli_subprocess_env(), timeout=60)
-    assert proc.returncode != 0
-    assert "BrokenProcessPool" in proc.stderr
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: sweep pav worker 1 of 2 {reason}\n"
+    assert proc.stdout == "no child left\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -817,7 +869,9 @@ def test_setup_imports_neither_scipy_nor_numpy(tmp_path, command, doc, code, loa
 def test_budget_workers_start_with_numpy_loaded(tmp_path):
     # the command loads numpy before it forks, so every worker inherits it;
     # a worker that imported numpy itself would add its copy to the peak RSS.
-    # Each worker reports in one write, so two reports never interleave.
+    # Each worker reports in one write, so two reports never interleave.  A
+    # worker ends without flushing the command's stdout, so the line
+    # buffered before the fork, and the summary, each print once.
     cfg = write_config(tmp_path, sweep_doc(variable="pav", grid_db=[0.0, 10.0]))
     argv = ["sweep", "--config", cfg, "--out", str(tmp_path / "out"), "--threads", "2"]
     code = ("import os, sys\n"
@@ -828,12 +882,15 @@ def test_budget_workers_start_with_numpy_loaded(tmp_path):
             "    os.write(1, f'budget {os.getpid() != parent} {loaded}\\n'.encode())\n"
             "    return point(*args)\n"
             "cli._pav_point = recorded\n"
+            "print('buffered before the fork')\n"
             f"sys.exit(cli.main({argv!r}))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           cwd=tmp_path, env=conftest.cli_subprocess_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     budgets = [line for line in proc.stdout.splitlines() if line.startswith("budget")]
     assert budgets == ["budget True True"] * 2, proc.stdout
+    assert proc.stdout.count("buffered before the fork") == 1, proc.stdout
+    assert proc.stdout.count("sweep pav: 2 rows") == 1, proc.stdout
 
 
 def test_a_missing_numpy_fails_at_import(tmp_path):

@@ -178,9 +178,27 @@ def test_sweep_spec_strictness():
         resolve_config({"sweep": {"variable": "power"}}).sweep_spec()
     with pytest.raises(ConfigError, match=r"lie in \[0, 1\]"):
         resolve_config({"sweep": {"grid": [0.5, 1.5]}}).sweep_spec()
-    # the budget sweep reads none of the co-variable lists
-    resolve_config({"sweep": {"variable": "pav", "ic_db": [], "pd": [],
-                              "rho_p": []}}).sweep_spec()
+    # a key the variable does not read must keep its default
+    with pytest.raises(ConfigError, match=r"sweep.ic_db is not read by pav sweeps, so it "
+                                          r"must keep its default \[-15.0, -5.0, 5.0\]"):
+        resolve_config({"sweep": {"variable": "pav", "ic_db": []}}).sweep_spec()
+    resolve_config({"sweep": {"variable": "pav", "ic_db": [-15, -5, 5]}}).sweep_spec()
+
+
+@pytest.mark.parametrize("variable, key, value", [
+    ("pd", "grid_db", [1.0, 2.0]), ("pd", "pd", [0.5]),
+    ("ic", "grid", [0.3, 0.5]), ("ic", "ic_db", [0.0]),
+    ("pav", "grid", [0.3]), ("pav", "pd", [0.5]), ("pav", "rho_p", [0.1])])
+def test_a_sweep_key_the_variable_does_not_read_must_keep_its_default(tmp_path, capsys,
+                                                                      variable, key, value):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"sweep": {"variable": variable, key: value}}))
+    for command in ("validate", "sweep"):
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: sweep.{key} is not read by {variable} sweeps, so it must keep its "
+            f"default {json.dumps(DEFAULT_CONFIG['sweep'][key])}\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_sim_config_resolution_and_seed_override():

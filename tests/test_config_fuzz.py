@@ -2,7 +2,9 @@
 `cli.main`: no exception escapes, every exit code is a documented one, and
 `validate` exits 1 exactly when some command rejects the configuration
 before it solves or simulates.  Each case also runs `validate` and `sweep`
-under the ic and pav sweeps, which read keys the pd sweep does not.
+under the ic and pav sweeps, which read keys the pd sweep does not, on the
+sweep keys each of them reads (a sweep rejects any other key that is not at
+its default).
 
 Values at or past a size limit (the run length's bound in `config._BOUNDS`,
 and a power-level count that fills `config.MAX_MODEL_SIZE`) must never reach
@@ -38,8 +40,14 @@ BASE = {
     "action_grids": {"pd_levels": [0.2, 0.8], "ic_levels_db": [-5.0, 5.0]},
     "solver": {"epsilon": 1e-3, "discount": 0.5},
     "sim": {"n_slots": 2000},
-    "sweep": {"grid_db": [-5.0, 5.0], "ic_db": [-5.0, 5.0], "rho_p": [0.1, 0.5]},
+    "sweep": {"ic_db": [-5.0, 5.0], "rho_p": [0.1, 0.5]},
 }
+
+# BASE's sweep section under the ic and pav sweeps: only keys each reads,
+# since a sweep rejects any other key off its default.  The sweep keys a
+# case changes go on top, read or not.
+VARIANTS = {"ic": {"grid_db": [-5.0, 5.0], "rho_p": [0.1, 0.5]},
+            "pav": {"grid_db": [-5.0, 5.0]}}
 
 EDGE_VALUES = (None, False, "x", {}, [], [0.5], [0.5, 0.1], [0.1, 0.1], [-1.0, 2.0],
                -1, 0, 0.5, 1, 2, 1e-300, 1e300, -1e300)
@@ -103,8 +111,13 @@ def exit_codes(doc, tmp: Path) -> dict[str, dict[str, int]]:
         runs.update(dict.fromkeys(("ic", "pav"), ("validate", "sweep")))
     codes = {}
     for variable, commands in runs.items():
-        path.write_text(json.dumps(
-            {**doc, "sweep": {**doc["sweep"], "variable": variable}} if variable else doc))
+        if variable:
+            changed = {k: v for k, v in doc["sweep"].items()
+                       if k not in BASE["sweep"] or BASE["sweep"][k] != v}
+            path.write_text(json.dumps({**doc, "sweep": {**VARIANTS[variable], **changed,
+                                                         "variable": variable}}))
+        else:
+            path.write_text(json.dumps(doc))
         codes[variable] = {}
         for command in commands:
             with contextlib.redirect_stdout(io.StringIO()), \

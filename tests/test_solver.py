@@ -12,7 +12,7 @@ import cogrelay.solver
 from cogrelay.config import resolve_config
 from cogrelay.mdp import (ActionGrids, CostModel, MdpGrids, PowerPolicy,
                           StateGrids, _outcome_terms, build_spectrum_mdp,
-                          constrained_power, transition)
+                          constrained_power, transition, truncated_exponential_levels)
 from cogrelay.model import ChannelParams, QueueParams
 from cogrelay.sensing import false_alarm_from_detection
 from cogrelay.solver import (_ELIMINATION_PERIOD, LOOKUP_COLUMNS, PolicyTable, SolverConfig,
@@ -1121,3 +1121,114 @@ def test_policy_iteration_properties(case):
     dense, _ = value_iteration_dense(*materialize_dense(mdp), cfg)
     np.testing.assert_allclose(values, dense.values, rtol=0.0,
                                atol=1e-9 * scale)
+
+
+# ---------------------------------------------------------------------------
+# warm starts: `sweep pav` starts each budget's policy iteration from the
+# policy of the budget before it, in contiguous slices of the grid.  A warm
+# chain over a whole sequence that ends where the cold starts end also does
+# over any cut of it into slices, since each slice's first budget starts cold.
+
+
+def assert_warm_starts_end_where_cold_starts_do(models, cfg, ties=False):
+    """Solve each model cold and warm, from the policy the warm solve of the
+    model before it ended on.  Both must end on the same actions and the
+    same values bit for bit.  With ties=True they may instead end on two
+    policies that tie to rounding: values within 4 ulps of the largest, and
+    at every block the two actions' Q at the cold values as close."""
+    start = None
+    for mdp in models:
+        cold_v, cold_p = policy_iteration(mdp, cfg)
+        warm_v, warm_p = policy_iteration(mdp, cfg, start)
+        start = warm_p.actions
+        assert warm_v.converged == cold_v.converged
+        if ties and (warm_v.values.tobytes() != cold_v.values.tobytes()
+                     or not np.array_equal(warm_p.actions, cold_p.actions)):
+            q = _BlockBellman(mdp, cfg.discount, np.arange(mdp.n_actions)).q(cold_v.values)
+            ulps = 4 * np.finfo(float).eps * float(np.max(np.abs(q)))
+            blocks = np.arange(q.shape[0])
+            assert np.max(np.abs(warm_v.values - cold_v.values)) <= ulps
+            assert np.max(np.abs(q[blocks, warm_p.actions] - q[blocks, cold_p.actions])) <= ulps
+            continue
+        np.testing.assert_array_equal(warm_p.actions, cold_p.actions)
+        assert warm_v.values.tobytes() == cold_v.values.tobytes()
+
+
+@st.composite
+def budget_sequences(draw):
+    """A random small slot model rebuilt at a few power budgets in a random
+    order, each with the power-state grid `ResolvedConfig.at_budget` derives
+    from it and the reference power held, and a discount."""
+    mdp, _, _, discount = draw(small_models())
+    costs = CostModel(s_const=draw(st.floats(0.0, 3.0)), c_const=draw(st.floats(0.0, 3.0)))
+    n_levels = len(mdp.grids.states.p_s_levels)
+    power = mdp.params.power
+    models = []
+    for budget in draw(st.lists(st.floats(0.2, 5.0), min_size=2, max_size=5, unique=True)):
+        levels, stationary = truncated_exponential_levels(budget, budget, n_levels)
+        states = dataclasses.replace(mdp.grids.states, p_s_levels=levels,
+                                     p_s_stationary=stationary)
+        params = dataclasses.replace(mdp.params, power=dataclasses.replace(
+            power, p_av=budget, p_ref=power.p_ref or power.p_av))
+        models.append(build_spectrum_mdp(dataclasses.replace(mdp.grids, states=states),
+                                         params, costs, mdp.reward_uses_chosen_action))
+    return models, discount
+
+
+@settings(max_examples=60, deadline=None)
+@given(budget_sequences())
+def test_warm_starts_match_cold_starts_but_at_rounding_ties_on_small_models(case):
+    models, discount = case
+    assert_warm_starts_end_where_cold_starts_do(
+        models, SolverConfig(epsilon=1e-12, discount=discount), ties=True)
+
+
+def test_warm_and_cold_starts_part_at_a_rounding_tie():
+    # a model whose reward does not depend on the action (no sensing or
+    # interference charge, and a throughput equal at both pd levels), so
+    # every policy is optimal.  Cold, the second budget's first greedy
+    # policy picks pd 0.5 at rho_p 0.5 by one ulp of rounding and keeps it;
+    # warm from the first budget's all-pd-0.05 policy, Q ties exactly and
+    # the lowest index stays.  This is the one way the two starts were seen
+    # to part, and it makes the argmax that `sweep pav` reports at an exact
+    # tie depend on the budget order and on --threads.
+    channel = ChannelParams(gamma_s=1.0, gamma_p=0.5, gamma_sp=1.0, gamma_ps=0.0,
+                            beta_s=0.0, beta_sp=0.0, beta_p=1.5)
+    params = make_params(channel=channel, queues=QueueParams(
+        lambda_s=0.5, mu_s_max=0.8, lambda_p=0.0625, mu_p_max=1.0,
+        lambda_ps=0.1, mu_ps_max=0.5))
+    models = []
+    for budget in (1.0, 0.5):
+        states = StateGrids(rho_p_levels=(0.0, 0.5), rho_s_levels=(0.5,),
+                            p_s_levels=truncated_exponential_levels(budget, budget, 1)[0],
+                            p_s_stationary=(1.0,))
+        models.append(build_spectrum_mdp(
+            MdpGrids(states=states, actions=ActionGrids((0.0546875, 0.5), (1.0,))),
+            dataclasses.replace(params, power=PowerPolicy(p_av=budget, p_ref=3.0)),
+            CostModel(0.0, 0.0)))
+    assert np.ptp(models[1].reward_vec) == 0.0
+    cfg = SolverConfig(epsilon=1e-12, discount=0.5)
+    assert_warm_starts_end_where_cold_starts_do(models, cfg, ties=True)
+    warm = policy_iteration(models[1], cfg, policy_iteration(models[0], cfg)[1].actions)
+    assert policy_iteration(models[1], cfg)[1].actions.tolist() == [0, 1]
+    assert warm[1].actions.tolist() == [0, 0]
+
+
+@pytest.mark.parametrize("chosen", [False, True])
+def test_warm_starts_keep_every_bit_on_the_default_budgets(chosen):
+    rc = resolve_config({"sweep": {"variable": "pav"},
+                         "solver": {"reward_uses_chosen_action": chosen}})
+    models = []
+    for pav_db in rc.sweep_spec().grid:
+        budget = rc.at_budget(pav_db)
+        models.append(build_spectrum_mdp(budget.grids(), budget.model_params(),
+                                         CostModel(0.0, 0.0), chosen))
+    assert len(models) == 11
+    assert_warm_starts_end_where_cold_starts_do(models, rc.solver_config())
+
+
+def test_a_start_of_the_wrong_shape_is_rejected():
+    mdp = small_mdp()
+    cfg = SolverConfig(epsilon=1e-12, discount=0.9)
+    with pytest.raises(ValueError, match="start must assign an action to each of 12 blocks"):
+        policy_iteration(mdp, cfg, np.zeros(11, dtype=int))
