@@ -3,12 +3,11 @@
 Every output is a plain CSV whose first line is a ``#``-prefixed JSON
 manifest carrying the fully resolved configuration and its SHA-256 hash, so
 a file is traceable to the exact run that produced it and reruns with the
-same configuration and seed are byte-identical, whatever `--threads` (but
-where a pav sweep's actions tie exactly) or the BLAS thread count.
-Wall-clock timings go to stdout only, never into files.  `sweep pav
---threads N` cuts its budgets into up to N contiguous slices and solves
-each slice in a worker process forked from the command (os.fork, so POSIX
-only); every other command, and `--threads 1`, runs in this process.
+same configuration and seed are byte-identical, whatever `--threads` or the
+BLAS thread count.  Wall-clock timings go to stdout only, never into files.
+`sweep pav --threads N` cuts its budgets into up to N contiguous slices and
+solves each slice in a worker process forked from the command (os.fork, so
+POSIX only); every other command, and `--threads 1`, runs in this process.
 
 Each command is a setup, `cmd_<name>(args, rc)`, that resolves and checks
 everything it reads from the resolved configuration `rc` and returns the
@@ -237,8 +236,8 @@ def _pav_slice(rc: ResolvedConfig, scfg: SolverConfig,
     """`_pav_point` of each budget's params and grids, in order, each solve
     starting from the policy the budget before it ended on: neighbouring
     budgets have nearly the same optimal policy, so a warm start saves
-    Howard steps and, away from exact ties, ends where a cold one does.
-    The name is looked up in this module when a budget runs, so a forked
+    Howard steps, and `policy_iteration` makes it change no float.  The
+    name is looked up in this module when a budget runs, so a forked
     worker runs what the command bound to it."""
     rows, start = [], None
     for params, grids in budgets:
@@ -264,9 +263,9 @@ def _forked_map(task: Callable[[Any], Any], parts: Sequence[Any]) -> list[Any]:
     from this process, all running at once; each result comes back pickled
     through the child's pipe.  A child ends in os._exit whatever task does,
     so it never returns into the caller or flushes this process's buffered
-    output.  A child that raises, exits non-zero or is killed raises
-    _WorkerError here; every child is reaped, and killed first if need be,
-    before this returns or raises."""
+    output.  A child that cannot start, raises, exits non-zero or is
+    killed raises _WorkerError here, its message one line; every child is
+    reaped, and killed first if need be, before this returns or raises."""
     import os
     import pickle
     import signal
@@ -275,8 +274,16 @@ def _forked_map(task: Callable[[Any], Any], parts: Sequence[Any]) -> list[Any]:
     pipes = []
     try:
         for part in parts:
-            read, write = os.pipe()
-            pid = os.fork()
+            fds: tuple[int, ...] = ()
+            try:
+                fds = os.pipe()
+                pid = os.fork()
+            except OSError as exc:
+                for fd in fds:
+                    os.close(fd)
+                raise _WorkerError(f"worker {len(pids) + 1} of {len(parts)} "
+                                   f"could not start: {exc}") from None
+            read, write = fds
             if pid == 0:
                 code = 1
                 try:
@@ -284,7 +291,8 @@ def _forked_map(task: Callable[[Any], Any], parts: Sequence[Any]) -> list[Any]:
                     try:
                         reply, ok = task(part), True
                     except Exception as exc:
-                        reply, ok = f"raised {type(exc).__name__}: {exc}", False
+                        first_line = "".join(str(exc).splitlines()[:1])
+                        reply, ok = f"raised {type(exc).__name__}: {first_line}", False
                     with open(write, "wb") as pipe:
                         pickle.dump(reply, pipe)
                     code = 0 if ok else 1

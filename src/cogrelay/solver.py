@@ -365,17 +365,24 @@ def _may_still_win(q: np.ndarray, new_w: np.ndarray, step: np.ndarray,
     floats.  Unlike a sup-norm margin, this one ignores the constant shift
     of the early iterates.
 
-    slack = 2^-40 * (max|r| + d max|W|) / (1 - d) covers rounding.  One Q
-    entry is r plus d times about n_ps + 9 products of W entries with
-    probabilities, so it is off by at most about (n_ps + 12) * 2^-53 of
-    max|r| + d max|W|; the computed iterates inherit that error over
-    1 / (1 - d) sweeps, on both sides of the test.  2^-40 is 2^13 such
-    roundings, a wide margin at any grid these models use.
+    slack, `_rounding_slack`, covers rounding on both sides of the test.
     """
     d = discount
     span = d / (1.0 - d) * float(np.max(step) - np.min(step))     # c_hi - c_lo
-    slack = 2.0**-40 * (reward_bound + d * float(np.max(np.abs(new_w)))) / (1.0 - d)
+    slack = _rounding_slack(reward_bound, new_w, d)
     return np.any(q + (2.0 * d * span + slack) >= new_w[:, None], axis=0)
+
+
+def _rounding_slack(reward_bound: float, w: np.ndarray, discount: float) -> float:
+    """2^-40 * (max|r| + d max|W|) / (1 - d), a bound on the rounding in the
+    Q table of a computed iterate W, reward_bound being max|r|.
+
+    One Q entry is r plus d times about n_ps + 9 products of W entries with
+    probabilities, so it is off by at most about (n_ps + 12) * 2^-53 of
+    max|r| + d max|W|; the computed iterates inherit that error over
+    1 / (1 - d) sweeps.  2^-40 is 2^13 such roundings, a wide margin at any
+    grid these models use."""
+    return 2.0**-40 * (reward_bound + discount * float(np.max(np.abs(w)))) / (1.0 - discount)
 
 
 def value_iteration(mdp: SpectrumMDP, cfg: SolverConfig, mode: Mode = "joint",
@@ -421,35 +428,34 @@ def policy_iteration(mdp: SpectrumMDP, cfg: SolverConfig,
 
     Each step evaluates the policy exactly (`_BlockBellman.evaluate`) and
     improves it by value iteration's greedy step, with the same lowest-index
-    tie rule.  The first policy is `start`, flat actions of shape (B,) such
-    as another solve's `PolicyTable.actions`, or else greedy with respect to
-    the reward vector; the run stops when the greedy policy repeats one
-    already evaluated.  Policy iteration reaches an optimal policy from any
-    start, so a start near the optimum saves steps; only where actions tie
-    exactly can rounding settle it on another of the tied optima.  In exact
-    arithmetic every change strictly improves the values, so a repeat
+    tie rule.  The first policy is greedy with respect to the reward vector;
+    the run stops when the greedy policy repeats one already evaluated.  In
+    exact arithmetic every change strictly improves the values, so a repeat
     further back than the last policy only comes from rounding between
     actions that tie.  cfg.epsilon is not used; hitting cfg.max_iters steps
     first, or a non-finite residual, is reported through converged=False.
     Each residual is the sup-norm of T V - V at the evaluated policy, so the
     last one is the distance of the returned values from a Bellman fixed
     point; the returned actions are greedy with respect to them.
+
+    `start`, flat actions of shape (B,) such as another solve's
+    `PolicyTable.actions`, saves steps and changes no float of the result:
+    the run starts from it, and its result is kept only if
+    `_settled_alone` shows that the run from the reward vector ends on the
+    same policy and values; otherwise the model is solved again from the
+    reward vector.
     """
     bellman = _BlockBellman(mdp, cfg.discount, np.arange(mdp.n_actions))
-    if start is None:
-        greedy = bellman.greedy(bellman.q_state(mdp.reward_vec))
-    else:
-        greedy = np.asarray(start, dtype=bellman.columns.dtype)
-        n_blocks = mdp.n_states // mdp.n_actions
-        if greedy.shape != (n_blocks,):
-            raise ValueError(f"start must assign an action to each of {n_blocks} blocks")
+    greedy = (bellman.greedy(bellman.q_state(mdp.reward_vec)) if start is None
+              else np.asarray(start))
     evaluated: set[bytes] = set()
     residuals: list[float] = []
     converged = False
 
     for _ in range(cfg.max_iters):
         evaluated.add(greedy.tobytes())
-        w, _ = bellman.evaluate(greedy)
+        policy = greedy
+        w, _ = bellman.evaluate(policy)
         q = bellman.q(w)
         residuals.append(float(np.max(np.abs(q.max(axis=-1) - w))))
         greedy = bellman.greedy(q)
@@ -459,9 +465,39 @@ def policy_iteration(mdp: SpectrumMDP, cfg: SolverConfig,
             converged = True
             break
 
+    if start is not None and not (converged and np.array_equal(greedy, policy)
+                                  and _settled_alone(bellman, q, greedy, w)):
+        return policy_iteration(mdp, cfg)
     vt = ValueTable(values=w, converged=converged, residuals=residuals,
                     active_actions=bellman.columns.size)
     return vt, PolicyTable(greedy)
+
+
+def _settled_alone(bellman: _BlockBellman, q: np.ndarray, greedy: np.ndarray,
+                   w: np.ndarray) -> bool:
+    """Whether every column within rounding of its block's maximum in
+    q = Q(w), w the values of the policy `greedy` itself, is a twin of the
+    greedy column: the same kernel and step reward bits at the block.  The
+    operator backs up all columns.
+
+    A twin's Q entry is the same float at any W, and a policy evaluates to
+    the same floats with a twin in its place.  Every other column trails
+    the maximum by more than m = `_rounding_slack` / (1 - d), d the
+    discount, so a policy that picks one is worse than the optimum by about
+    m at that block, and its greedy step gains about (1 - d) m, far past
+    rounding.  A run from any start therefore stops only on this policy up
+    to twins, evaluates it to these values and steps to this policy, the
+    lowest index among exact ties.  Near ties between columns that are not
+    twins give no such proof.
+    """
+    n_blocks = q.shape[0]
+    margin = _rounding_slack(float(np.max(np.abs(bellman.step_reward))), w,
+                             bellman.discount) / (1.0 - bellman.discount)
+    blocks, columns = np.nonzero(q >= (q.max(axis=-1) - margin)[:, None])
+    kernel = bellman.kernel.reshape(9, n_blocks, -1)
+    reward = bellman.step_reward.reshape(n_blocks, -1)
+    return (np.array_equal(kernel[:, blocks, columns], kernel[:, blocks, greedy[blocks]])
+            and np.array_equal(reward[blocks, columns], reward[blocks, greedy[blocks]]))
 
 
 LOOKUP_COLUMNS = ("rho_p", "rho_s", "p_s", "prev_pd", "prev_ic",

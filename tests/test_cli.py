@@ -1,5 +1,6 @@
 """End-to-end command behaviour: files, manifests, exit codes."""
 
+import errno
 import json
 import os
 import subprocess
@@ -653,10 +654,10 @@ def test_a_budget_sweep_without_fork_is_a_config_error(tmp_path, monkeypatch, ca
 
 
 def test_a_raising_budget_worker_fails_the_sweep(tmp_path, monkeypatch, capsys):
-    # the worker reports what it raised and exits; the command prints one
-    # error line, writes nothing and leaves no child behind, then runs again
+    # the worker reports the first line of what it raised and exits; the
+    # command prints one error line, writes nothing and leaves no child behind, then runs again
     def raising(*args):
-        raise ZeroDivisionError("no budget")
+        raise ZeroDivisionError("no budget\nand a second line")
 
     cfg = write_config(tmp_path, sweep_doc(variable="pav", grid_db=[0.0, 10.0]))
     out = tmp_path / "out"
@@ -673,6 +674,39 @@ def test_a_raising_budget_worker_fails_the_sweep(tmp_path, monkeypatch, capsys):
     assert cli.main(argv) == 0
     assert capsys.readouterr().out.count("sweep pav: 2 rows") == 1
     assert no_child_left()
+
+
+def test_a_worker_that_cannot_start_fails_the_sweep(tmp_path, monkeypatch, capsys):
+    # the second fork fails: the first worker is killed and reaped, and the
+    # second's pipe is closed, so nothing is left open or running
+    pipes, forks = [], []
+
+    def recorded_pipe():
+        pipes.append(real_pipe())
+        return pipes[-1]
+
+    def failing_fork():
+        if forks:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        forks.append(real_fork())
+        return forks[-1]
+
+    real_pipe, real_fork = os.pipe, os.fork
+    monkeypatch.setattr(os, "pipe", recorded_pipe)
+    monkeypatch.setattr(os, "fork", failing_fork)
+    cfg = write_config(tmp_path, sweep_doc(variable="pav", grid_db=[0.0, 10.0]))
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out), "--threads", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: sweep pav worker 2 of 2 could not start: "
+                            f"[Errno {errno.EAGAIN}] Resource temporarily unavailable\n")
+    assert not out.exists()
+    assert no_child_left()
+    assert len(pipes) == 2
+    for fd in (fd for pipe in pipes for fd in pipe):
+        with pytest.raises(OSError):
+            os.fstat(fd)
 
 
 @pytest.mark.parametrize("death, reason", [

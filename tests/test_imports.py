@@ -257,12 +257,12 @@ def test_the_benchmark_tracer_installs_on_the_library(tmp_path):
 # startup cost
 
 
-def test_importing_the_cli_loads_no_process_pool_machinery(tmp_path):
+def test_importing_the_cli_loads_no_worker_machinery(tmp_path):
     # every command pays for what `cogrelay.cli` imports at its top; only a
-    # pav sweep with more than one worker needs multiprocessing and
-    # concurrent.futures, and it imports them itself
+    # pav sweep with more than one worker forks, and it imports pickle and
+    # signal itself.  No process pool is imported at all
     code = ("import sys, cogrelay.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+            "if m.split('.')[0] in ('pickle', 'signal', 'multiprocessing', 'concurrent')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           cwd=tmp_path, env=conftest.cli_subprocess_env())
     assert proc.returncode == 0, proc.stderr
