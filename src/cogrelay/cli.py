@@ -12,8 +12,9 @@ POSIX only); every other command, and `--threads 1`, runs in this process.
 Each command is a setup, `cmd_<name>(args, rc)`, that resolves and checks
 everything it reads from the resolved configuration `rc` and returns the
 `run` that does the work.  `main` runs the setup in its one `try`, so a
-rejected configuration prints one ``error:`` line and exits 1 before
-anything is solved or written; `validate` runs every command's setup.
+rejected configuration, or an `--out` that cannot be a directory, prints
+one ``error:`` line and exits 1 before anything is solved or written;
+`validate` runs every command's setup.
 Setups read no numpy, which loads at the first array a `run` makes.
 
 Exit codes: 0 success, 1 invalid or unstable configuration (or a failed
@@ -29,7 +30,7 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from ._lazy import np
 from .config import (ConfigError, ResolvedConfig, _grid_index, nearest_index,
@@ -46,7 +47,7 @@ EXIT_CONFIG = 1
 EXIT_MAX_ITERS = 2
 EXIT_STATISTICAL = 3
 
-_BLOCK_ROWS = 4096     # rows per write of a CSV export
+_BLOCK_ROWS = 4096     # lookup.csv rows per block that `solve` extracts and writes
 
 
 def _fmt(value: Any) -> str:
@@ -71,23 +72,32 @@ def _fmt_column(column: Sequence[Any]) -> Sequence[str]:
 
 
 def _write_csv(path: Path, manifest: dict[str, Any], header: Sequence[str],
-               rows: Sequence[Sequence[Any]]) -> None:
-    """Rows are a 2-D float array or a sequence of tuples; each line is
-    `",".join(_fmt(v) for v in row)`, formatted column by column and
-    written a block of rows at a time, so the export holds one block's text
-    and not the file's."""
-    columns = rows.T if isinstance(rows, np.ndarray) else list(zip(*rows))
+               blocks: Iterable[Sequence[Sequence[Any]]]) -> None:
+    """The manifest line, the header, then each block's rows: a block is a
+    2-D float array or a non-empty sequence of tuples, and each line is
+    `",".join(_fmt(v) for v in row)`, formatted column by column a block at
+    a time, so the export holds one block's text and not the file's."""
     with path.open("w") as out:
         out.write(f"{_manifest_line(manifest)}\n{','.join(header)}\n")
-        for start in range(0, len(rows), _BLOCK_ROWS):
-            block = [column[start:start + _BLOCK_ROWS] for column in columns]
-            out.write("\n".join(map(",".join, zip(*map(_fmt_column, block)))) + "\n")
+        for rows in blocks:
+            columns = rows.T if isinstance(rows, np.ndarray) else list(zip(*rows))
+            out.write("\n".join(map(",".join, zip(*map(_fmt_column, columns)))) + "\n")
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _check_out(out: Path) -> None:
+    """Reject an output directory that `_out_dir` could not make: the
+    nearest path on it that exists is not a directory."""
+    for path in (out, *out.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ValueError(f"--out {out}: {path} exists and is not a directory")
+            return
 
 
 def _base_manifest(command: str, rc: ResolvedConfig) -> dict[str, Any]:
@@ -140,7 +150,6 @@ def cmd_solve(args: argparse.Namespace, rc: ResolvedConfig) -> Callable[[], int]
         t0 = time.perf_counter()
         vt, pt = value_iteration(mdp, scfg, mode=mode, pinned=pinned)
         wall = time.perf_counter() - t0
-        rows = extract_lookup_table(mdp, vt, pt)
         histogram = _action_histogram(rc, pt.actions)
 
         manifest = _base_manifest("solve", rc)
@@ -157,7 +166,9 @@ def cmd_solve(args: argparse.Namespace, rc: ResolvedConfig) -> Callable[[], int]
             "rows": mdp.n_states,
         })
         out = _out_dir(args)
-        _write_csv(out / "lookup.csv", manifest, LOOKUP_COLUMNS, rows)
+        blocks = (extract_lookup_table(mdp, vt, pt, slice(start, start + _BLOCK_ROWS))
+                  for start in range(0, mdp.n_states, _BLOCK_ROWS))
+        _write_csv(out / "lookup.csv", manifest, LOOKUP_COLUMNS, blocks)
         (out / "manifest.json").write_text(
             json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
@@ -386,7 +397,7 @@ def cmd_sweep(args: argparse.Namespace, rc: ResolvedConfig) -> Callable[[], int]
         })
         out = _out_dir(args)
         path = out / f"sweep_{spec.variable}.csv"
-        _write_csv(path, manifest, header, rows)
+        _write_csv(path, manifest, header, [rows])
         print(f"sweep {spec.variable}: {len(rows)} rows -> {path} ({wall:.2f}s wall)")
         return EXIT_OK if facts["converged"] else EXIT_MAX_ITERS
     return run
@@ -414,7 +425,7 @@ def cmd_simulate(args: argparse.Namespace, rc: ResolvedConfig) -> Callable[[], i
         manifest.update({"n_slots": cfg.n_slots, "seed": cfg.seed})
         out = _out_dir(args)
         path = out / "simulate.csv"
-        _write_csv(path, manifest, ("metric", "estimate", "se", "analytical", "z"), rows)
+        _write_csv(path, manifest, ("metric", "estimate", "se", "analytical", "z"), [rows])
 
         worst = max(abs(r[4]) for r in rows)
         ok = all(abs(r[4]) < 3.0 for r in rows)
@@ -491,6 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_out(args.out)
         run = args.func(args, resolve_config(args.config))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

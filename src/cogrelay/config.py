@@ -136,7 +136,7 @@ _NULLABLE: dict[str, type] = {
 # Closed bounds of the slots that have them, checked where the document is
 # read.  1e9 slots take a minute at 1.6e7/s.  MAX_MODEL_SIZE caps the
 # (rho_p, rho_s, P_s, action) cells of every model: 128 power levels on the
-# default grids, a 213 MB kernel and a `solve` peak near 1.0 GB.
+# default grids, a 213 MB kernel and a `solve` peak near 0.5 GB.
 _BOUNDS: dict[str, tuple[float, float]] = {
     "state_grids.n_power_levels": (1, math.inf),
     "costs.s_const": (0, math.inf),
@@ -313,8 +313,13 @@ class ResolvedConfig:
             budget = self.power().p_av
             g["p_s_levels"], g["p_s_stationary"] = truncated_exponential_levels(
                 budget, budget, n_power_levels)
-        elif g["p_s_stationary"] is None:
-            g["p_s_stationary"] = tuple(1.0 / len(g["p_s_levels"]) for _ in g["p_s_levels"])
+        else:
+            if n_power_levels != DEFAULT_CONFIG["state_grids"]["n_power_levels"]:
+                raise ConfigError("state_grids.n_power_levels is not read when "
+                                  "state_grids.p_s_levels is given: the explicit levels "
+                                  "set their own number")
+            if g["p_s_stationary"] is None:
+                g["p_s_stationary"] = tuple(1.0 / len(g["p_s_levels"]) for _ in g["p_s_levels"])
         return StateGrids(**g)
 
     def action_grids(self) -> ActionGrids:

@@ -17,8 +17,9 @@ values follow from one banded solve on the (rho_p, rho_s) cells.  Exact
 evaluation takes a stack of policies, shape (P, B), and solves their P
 systems in one Gaussian elimination over band storage, shape (P, cells,
 2 n_rho_s + 3), each to the floats it gets alone; policy iteration passes
-a stack of one, shape (B,).  Only `extract_lookup_table` lifts to the S
-states.
+a stack of one, shape (B,).  Only value iteration's first residual and
+`extract_lookup_table` lift to the S states, and the latter lifts any range
+of rows alone, so `solve` writes its table a block of rows at a time.
 
 A mode's actions are an ascending index set of flat action columns (all
 231 at the defaults, one pd level's 21 or one ic level's 11), and the
@@ -505,16 +506,20 @@ LOOKUP_COLUMNS = ("rho_p", "rho_s", "p_s", "prev_pd", "prev_ic",
 
 
 def extract_lookup_table(mdp: SpectrumMDP, value_table: ValueTable,
-                         policy_table: PolicyTable) -> np.ndarray:
-    """The (S, 8) per-state operating table, columns in LOOKUP_COLUMNS order.
+                         policy_table: PolicyTable, rows: slice = slice(None)) -> np.ndarray:
+    """The per-state operating table's rows of the flat states in `rows`
+    (all S by default), columns in LOOKUP_COLUMNS order.
 
-    Each block's greedy action is repeated over its previous-action states,
-    and its value W(b) lifts to V(b, prev) = W(b) + g_add(b, prev)."""
+    State s takes the greedy action of its block b = s // A, and its value
+    lifts W(b) to V(b, prev) = W(b) + g_add(b, prev)."""
     sg, ag = mdp.grids.states, mdp.grids.actions
     shape = mdp.grids.shape
-    rp_i, rs_i, ps_i, pd_i, ic_i = np.unravel_index(np.arange(mdp.n_states), shape)
-    pd_opt, ic_opt = np.unravel_index(np.repeat(policy_table.actions, mdp.n_actions),
-                                      shape[3:])
+    flat = np.arange(*rows.indices(mdp.n_states))
+    block = flat // mdp.n_actions
+    rp_i, rs_i, ps_i, pd_i, ic_i = np.unravel_index(flat, shape)
+    pd_opt, ic_opt = np.unravel_index(policy_table.actions[block], shape[3:])
+    g_add = _base_rewards(mdp)[1]
+    values = value_table.values[block]
 
     return np.column_stack([
         np.array(sg.rho_p_levels)[rp_i],
@@ -524,7 +529,7 @@ def extract_lookup_table(mdp: SpectrumMDP, value_table: ValueTable,
         np.array(ag.ic_levels)[ic_i],
         np.array(ag.pd_levels)[pd_opt],
         np.array(ag.ic_levels)[ic_opt],
-        _lift(value_table.values, _base_rewards(mdp)[1], mdp.n_actions),
+        values if g_add is None else values + g_add[flat],
     ])
 
 

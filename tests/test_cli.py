@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +68,7 @@ def test_validate_rejects_unstable_queues(tmp_path, capsys):
 
 def test_validate_reports_grid_constraint_breaches(tmp_path, capsys):
     doc = small_model()
+    del doc["state_grids"]["n_power_levels"]     # explicit levels set their own number
     doc["state_grids"]["p_s_levels"] = [99.0]
     cfg = write_config(tmp_path, doc)
     assert cli.main(["validate", "--config", cfg]) == 1
@@ -88,8 +90,10 @@ def test_validate_reports_grid_constraint_breaches(tmp_path, capsys):
     ("sweep", {"sweep": {"variable": "x"}}, "sweep.variable must be pd, ic or pav"),
     ("sweep", {"sweep": {"rho_p": [0.1, 0.35]}}, "sweep.rho_p=0.35 is not on the configured grid"),
     ("sweep", {"sweep": {"variable": "ic", "pd": [2.0]}}, "sweep.pd must lie in [0, 1]"),
+    ("simulate", {"state_grids": {"p_s_levels": [0.5, 1.0], "n_power_levels": 7}},
+     "state_grids.n_power_levels is not read when state_grids.p_s_levels is given"),
 ], ids=["cost", "discount", "epsilon", "mode", "pinned_pd", "n_slots", "sim_pd", "seed",
-        "variable", "rho_p", "ic_sweep_pd"])
+        "variable", "rho_p", "ic_sweep_pd", "unread_n_power_levels"])
 def test_validate_rejects_what_a_command_rejects(tmp_path, capsys, command, doc, message):
     # validate runs every command's setup: it exits 1 with the same one error
     # line as the command that reads the key, which solves and writes nothing
@@ -296,17 +300,65 @@ def test_write_csv_formats_like_each_cell_on_its_own(tmp_path):
     sweep_rows = [(0.2, -5.0, 0.1, 0.123), (0.8, 5.0, 0.1, -0.0)]
     simulate_rows = [("mu_s", 0.5, 1e-3, 0.5, 0.0), ("outcome_fa", 0.0, 0.0, 0.0, -np.inf),
                      ("branch_mu_s_d", float("nan"), 0.0, 0.1, float("nan"))]
-    cases = [(edge, ("a", "b", "c", "d")), (lookup, cli.LOOKUP_COLUMNS),
-             (lookup[:0], cli.LOOKUP_COLUMNS),
-             (sweep_rows, ("pd", "ic_db", "rho_p", "J")),
-             (simulate_rows, ("metric", "estimate", "se", "analytical", "z")),
-             ([(1, True, "x", np.float64(2.0))], ("i", "b", "s", "f"))]
-    for rows, header in cases:
+    # each table as one block, and the empty table as no block
+    cases = [(edge, ("a", "b", "c", "d"), [edge]), (lookup, cli.LOOKUP_COLUMNS, [lookup]),
+             (lookup[:0], cli.LOOKUP_COLUMNS, []),
+             (sweep_rows, ("pd", "ic_db", "rho_p", "J"), [sweep_rows]),
+             (simulate_rows, ("metric", "estimate", "se", "analytical", "z"), [simulate_rows]),
+             ([(1, True, "x", np.float64(2.0))], ("i", "b", "s", "f"),
+              [[(1, True, "x", np.float64(2.0))]])]
+    for rows, header, blocks in cases:
         path = tmp_path / "out.csv"
-        cli._write_csv(path, {"n": len(rows)}, header, rows)
+        cli._write_csv(path, {"n": len(rows)}, header, blocks)
         assert path.read_bytes() == per_cell_csv({"n": len(rows)}, header, rows)
     # the edge table keeps -0.0 apart from 0.0 and formats each NaN as nan
     assert b"\n-0.0,nan,5e-324,1.0\n0.0,inf,-5e-324,1.0\n" in per_cell_csv({}, "abcd", edge)
+
+
+@pytest.mark.parametrize("doc, sizes", [(small_model(), (1, 5, 1000)), (None, (1000, 100_000))],
+                         ids=["small", "default"])
+def test_solve_writes_the_whole_table_a_block_at_a_time(tmp_path, monkeypatch, doc, sizes):
+    # S is 32 on the small model and 92,400 on the defaults: blocks of one
+    # row, of a size that does not divide S, and past S each write the bytes
+    # of the whole table written as one block
+    rc = resolve_config(doc)
+    mdp = build_spectrum_mdp(rc.grids(), rc.model_params(), rc.costs(),
+                             reward_uses_chosen_action=rc.reward_uses_chosen_action())
+    vt, pt = value_iteration(mdp, rc.solver_config(), *rc.solver_mode())
+    table = extract_lookup_table(mdp, vt, pt)
+    argv = ["solve"] + ([] if doc is None else ["--config", write_config(tmp_path, doc)])
+    whole = tmp_path / "whole.csv"
+    for size in sizes:
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", size)
+        out = tmp_path / str(size)
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        cli._write_csv(whole, read_output(out / "lookup.csv")[0], cli.LOOKUP_COLUMNS, [table])
+        assert (out / "lookup.csv").read_bytes() == whole.read_bytes()
+
+
+def test_solve_exports_in_a_few_blocks_of_memory(tmp_path, monkeypatch):
+    """numpy reports its buffers to tracemalloc.  Past what it holds when
+    value iteration returns, a default `solve` peaks near 1.6 MiB: one
+    `_BLOCK_ROWS` block of the lookup table and its text.  Extracting the
+    whole (S, 8) table first peaks 16.2 MiB past it, so the bound fails on
+    that."""
+    solve, held = cli.value_iteration, []
+
+    def solved(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        held.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return result
+
+    monkeypatch.setattr(cli, "value_iteration", solved)
+    tracemalloc.start()
+    try:
+        assert cli.main(["solve", "--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 1
+    assert peak - held[0] <= 4 * 2**20
 
 
 def test_solve_reruns_are_byte_identical(tmp_path):
@@ -814,6 +866,22 @@ def test_simulate_resolves_the_model_once(tmp_path, monkeypatch):
     assert cli.main(["simulate", "--config", cfg, "--out", str(out), "--seed", "7"]) == 0
     assert len(calls) == 1
     assert read_output(out / "simulate.csv")[2] == PINNED_SIMULATE_ROWS
+
+
+@pytest.mark.parametrize("command", ["validate", "solve"])
+def test_an_out_that_is_not_a_directory_exits_1_before_anything_runs(tmp_path, capsys,
+                                                                      command):
+    # an existing file, and a path under one: the nearest existing path is
+    # the file, so the directory could never be made
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    for out in (blocker, blocker / "sub"):
+        assert cli.main([command, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --out {out}: {blocker} exists and is not a directory\n"
+    assert blocker.read_text() == "kept\n"
+    assert sorted(tmp_path.iterdir()) == [blocker]
 
 
 @pytest.mark.parametrize("command", ["validate", "solve", "sweep", "simulate"])

@@ -284,6 +284,11 @@ def test_lookup_table_layout():
             assert row[2] == sg.p_s_levels[ps]
             assert row[3] == ag.pd_levels[pd_i]
             assert row[4] == ag.ic_levels[ic_i]
+
+        # a range of rows is those rows of the whole table, bit for bit
+        for rows_of in (slice(0, 1), slice(5, 23), slice(17, None, 3), slice(-4, None)):
+            part = extract_lookup_table(mdp, vt, pt, rows_of)
+            assert part.view(np.uint64).tolist() == rows[rows_of].view(np.uint64).tolist()
     assert np.unique(pt.actions).size > 1
 
 
