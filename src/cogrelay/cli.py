@@ -360,7 +360,7 @@ def cmd_sweep(args: argparse.Namespace, rc: ResolvedConfig) -> Callable[[], int]
         if workers > 1:
             import os
             if not hasattr(os, "fork"):
-                raise ValueError(f"--threads {args.threads} needs the fork start method, "
+                raise ValueError(f"--threads {args.threads} needs os.fork, "
                                  f"which this platform does not have")
 
     def run() -> int:

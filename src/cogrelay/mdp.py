@@ -25,8 +25,9 @@ physics and `_move_kernel` the one aggregation of it into the (rho_p move,
 rho_s move) law; `build_spectrum_mdp` runs both once on the whole grid,
 and the scalar `transition` reads a row of the model's kernel.
 `_move_kernel` assembles the kernel in place, one rho_p level at a time,
-because builds run side by side (one per power budget in a `pav` sweep):
-each should hold its kernel, not its birth-death tables.
+for each process's peak: a process builds one model at a time (one per
+power budget in a `pav` sweep) and should hold its kernel, not its
+birth-death tables.
 """
 
 from __future__ import annotations

@@ -21,18 +21,18 @@ a stack of one, shape (B,).  Only value iteration's first residual and
 `extract_lookup_table` lift to the S states, and the latter lifts any range
 of rows alone, so `solve` writes its table a block of rows at a time.
 
-A mode's actions are an ascending index set of flat action columns (all
-231 at the defaults, one pd level's 21 or one ic level's 11), and the
-operator holds the kernel and step-reward slices of those columns only.
-Value iteration shrinks the set as it goes: every 25 sweeps it drops each
-column that MacQueen's suboptimal-action test, with Porteus's bounds on
-V* from the last two iterates and a span-seminorm margin for every later
-iterate, rules out at every block (`_may_still_win` states the test and
-its rounding slack).  A dropped column can never reach or tie a
-later maximum and each Q entry is the same elementwise arithmetic whatever
-other columns are present, so values, residuals and actions are the same
-floats as with all columns.  Policy iteration works on all the columns,
-`evaluate_policy_exact` on the ones its policies use.
+The operator spans every flat action column on the model's own kernel and,
+under the chosen-action reward, its reward vector; `restrict` alone narrows
+it, on copies.  Value iteration backs up the reward vector over every
+column, maximises over its mode's (all 231 at the defaults, one pd level's
+21 or one ic level's 11) and restricts to them, then every 25 sweeps drops
+each column that MacQueen's suboptimal-action test, with Porteus's bounds
+on V* from the last two iterates and a span-seminorm margin for every
+later iterate, rules out at every block (`_may_still_win` states the test
+and its rounding slack).  A dropped column can never reach or tie a later
+maximum and each Q entry is the same elementwise arithmetic whatever other
+columns are present, so values, residuals and actions are the same floats
+as with all columns.
 
 The tests hold this route against the references in `tests/oracles.py`
 (the nine-pass continuation, full-column and per-state value iteration,
@@ -116,23 +116,24 @@ class PolicyTable:
 
 
 def _allowed_columns(mdp: SpectrumMDP, mode: Mode, pinned: int | None) -> np.ndarray:
-    """The flat action columns (pd index * n_ic + ic index) a mode may use, ascending."""
+    """Mask of the flat action columns (pd index * n_ic + ic index) a mode may use."""
     n_pd = len(mdp.grids.actions.pd_levels)
     n_ic = len(mdp.grids.actions.ic_levels)
+    pd_index, ic_index = np.divmod(np.arange(n_pd * n_ic), n_ic)
     if mode == "joint":
         if pinned is not None:
             raise ValueError("joint mode takes no pinned index")
-        return np.arange(n_pd * n_ic)
+        return np.ones(n_pd * n_ic, dtype=bool)
     if pinned is None:
         raise ValueError(f"mode {mode!r} requires a pinned grid index")
     if mode == "fixed_ic":
         if not 0 <= pinned < n_ic:
             raise ValueError(f"pinned ic index {pinned} out of range")
-        return np.arange(pinned, n_pd * n_ic, n_ic)
+        return ic_index == pinned
     if mode == "fixed_pd":
         if not 0 <= pinned < n_pd:
             raise ValueError(f"pinned pd index {pinned} out of range")
-        return np.arange(pinned * n_ic, (pinned + 1) * n_ic)
+        return pd_index == pinned
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -199,48 +200,42 @@ def _solve_banded(bands: np.ndarray, b: np.ndarray, band: int) -> np.ndarray:
 
 def _base_rewards(mdp: SpectrumMDP) -> tuple[np.ndarray, np.ndarray | None]:
     """Per-(block, action) reward term and (for the default convention) the
-    per-state throughput that is added after maximisation.  Under the default
-    convention the first term is the negated action costs, shape (A,)."""
+    per-state throughput that is added after maximisation.  The first term
+    is a view of the reward vector, shape (r, u, v, A), under the chosen-
+    action convention and the negated action costs, shape (A,), otherwise."""
     if mdp.reward_uses_chosen_action:
-        return mdp.g_action - mdp.action_cost, None
+        return mdp.reward_vec.reshape(mdp.g_action.shape), None
     return -mdp.action_cost, mdp.g_action.reshape(-1)
-
-
-def _lift(block_values: np.ndarray, g_add: np.ndarray | None, n_a: int) -> np.ndarray:
-    """Per-state values V(b, prev) = W(b) + g_add(b, prev) from block values W."""
-    values = np.repeat(block_values.reshape(-1), n_a)
-    return values if g_add is None else values + g_add
 
 
 class _BlockBellman:
     """The Bellman operator of one model on block tables W(b), over the
-    ascending action `columns`.
+    ascending action `columns`, all of the model's until `restrict`.
 
     Every value table the solvers produce has the form V(b, prev) = W(b) +
     g_add(b, prev), so E[V(next) | b, a] = E[W(next) | b, a] +
     E[g_add(next) | b, a], and the second term, with the reward, is one
-    step reward fixed for the whole solve.  The operator holds the kernel
-    and that step reward on its columns only.  `q` backs up a block table,
-    `q_state` a per-state one (the reward vector both solvers start from
-    has no block form), and `evaluate` solves for the block values of one
-    of its columns per block, given as a flat action.  `greedy` maps a
-    column of a backup to its flat action index.
+    step reward fixed for the whole solve.  The operator starts on the
+    model's kernel and that step reward, and `restrict` copies the columns
+    it keeps.  `q` backs up a block table over the columns; before any
+    `restrict`, `q_state` backs up a per-state one (the reward vector both
+    solvers start from has no block form) and `evaluate` solves for the
+    block values of one flat action per block.  `greedy` maps a column of
+    a backup to its flat action index.
     """
 
-    def __init__(self, mdp: SpectrumMDP, discount: float, columns: np.ndarray):
+    def __init__(self, mdp: SpectrumMDP, discount: float):
         self.mdp = mdp
         self.discount = discount
-        self.columns = columns
+        self.columns = np.arange(mdp.n_actions)
+        self.kernel = mdp.kernel
         base, self.g_add = _base_rewards(mdp)
-        # all columns share the model's kernel; a subset reads a contiguous copy
-        self.kernel = (mdp.kernel if columns.size == mdp.n_actions
-                       else np.ascontiguousarray(mdp.kernel[..., columns]))
         # r(b, a) + d * E[g_add(next) | b, a], the Q table of g_add
-        self.step_reward = (np.ascontiguousarray(base[..., columns]) if self.g_add is None
+        self.step_reward = (base if self.g_add is None
                             else self.q_state(self.g_add).reshape(self.kernel.shape[2:]))
 
     def restrict(self, keep: np.ndarray) -> None:
-        """Back up only the columns that the mask `keep` marks from here on."""
+        """Back up only the columns the mask `keep` marks from here on, on copies."""
         if keep.all():
             return
         self.columns = self.columns[keep]
@@ -255,15 +250,13 @@ class _BlockBellman:
         return cont.reshape(-1, self.columns.size)
 
     def q_state(self, values: np.ndarray) -> np.ndarray:
-        """Q(b, a) of a per-state table over the columns, shape (B, len(columns)).
+        """Q(b, a) of a per-state table over every column, shape (B, A).
 
         A per-state table has no block form, since its next-state values
-        depend on the action taken.  Its power average runs over all columns
-        before the selection: on one column, einsum rounds differently."""
-        w = _power_average(self.mdp, values)[..., self.columns]
-        cont = _continuation(self.mdp, w, self.kernel)
+        depend on the action taken."""
+        cont = _continuation(self.mdp, _power_average(self.mdp, values), self.kernel)
         cont *= self.discount
-        cont += _base_rewards(self.mdp)[0][..., self.columns]
+        cont += _base_rewards(self.mdp)[0]
         return cont.reshape(-1, self.columns.size)
 
     def greedy(self, q: np.ndarray) -> np.ndarray:
@@ -272,8 +265,8 @@ class _BlockBellman:
 
     def evaluate(self, block_actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """W_sigma and the relative residual (`_relative_residual`) of each
-        policy of a stack, one flat action per block among the operator's
-        columns: (P, B) gives (P, B) and (P,), (B,) gives (B,) and ().
+        policy of a stack, one flat action per block: (P, B) gives (P, B)
+        and (P,), (B,) gives (B,) and ().
 
         The next power level is a stationary redraw, so W_sigma = r_sigma +
         d E[w(next)], where w, the pstat average of W_sigma, solves
@@ -285,7 +278,7 @@ class _BlockBellman:
         """
         n_rp, n_rs, n_ps = self.mdp.grids.shape[:3]
         shape = np.shape(block_actions)
-        sigma = np.searchsorted(self.columns, block_actions).reshape(-1, n_rp, n_rs, n_ps)
+        sigma = np.reshape(block_actions, (-1, n_rp, n_rs, n_ps))
         n_pol = sigma.shape[0]
         # one gather of every move, shape (9, P, r, u, v), in C order with the
         # power axis last, so each pstat average sums one contiguous row as
@@ -401,11 +394,13 @@ def value_iteration(mdp: SpectrumMDP, cfg: SolverConfig, mode: Mode = "joint",
     an exception.  Ties in the maximisation resolve to the
     lexicographically lowest (pd index, ic index) pair.
     """
-    bellman = _BlockBellman(mdp, cfg.discount, _allowed_columns(mdp, mode, pinned))
+    allowed = _allowed_columns(mdp, mode, pinned)
+    bellman = _BlockBellman(mdp, cfg.discount)
+    w = bellman.q_state(mdp.reward_vec)[:, allowed].max(axis=-1)
+    bellman.restrict(allowed)
     reward_bound = float(np.max(np.abs(bellman.step_reward)))
-    w = bellman.q_state(mdp.reward_vec).max(axis=-1)
-    residuals = [float(np.max(np.abs(_lift(w, bellman.g_add, mdp.n_actions)
-                                     - mdp.reward_vec)))]
+    lifted = w[:, None] if bellman.g_add is None else w[:, None] + bellman.g_add.reshape(w.size, -1)
+    residuals = [float(np.max(np.abs(lifted - mdp.reward_vec.reshape(w.size, -1))))]
     # the first test comes after several sweeps, so w - prev is then the
     # step between two block iterates
     prev = w
@@ -446,7 +441,7 @@ def policy_iteration(mdp: SpectrumMDP, cfg: SolverConfig,
     same policy and values; otherwise the model is solved again from the
     reward vector.
     """
-    bellman = _BlockBellman(mdp, cfg.discount, np.arange(mdp.n_actions))
+    bellman = _BlockBellman(mdp, cfg.discount)
     greedy = (bellman.greedy(bellman.q_state(mdp.reward_vec)) if start is None
               else np.asarray(start))
     evaluated: set[bytes] = set()
@@ -542,13 +537,13 @@ def evaluate_policy_exact(mdp: SpectrumMDP, block_actions: np.ndarray,
     P policies, one per row.
 
     Every policy the solvers make is constant on a block, so W is one banded
-    solve on the (rho_p, rho_s) cells, over the columns the policies use.  The
-    systems of a stack are stored by bands, shape (P, n_cells, 2 n_rho_s +
-    3), and eliminated together, each to the floats it gets alone.  W
-    carries no iteration-tail error, which matters when comparing sweep
-    points that differ by less than a value-iteration tolerance.  The
-    throughput of the held action alone is the J of the model built with
-    zero costs and reward_uses_chosen_action=True.
+    solve on the (rho_p, rho_s) cells.  The systems of a stack are stored
+    by bands, shape (P, n_cells, 2 n_rho_s + 3), and eliminated together,
+    each to the floats it gets alone.  W carries no iteration-tail error,
+    which matters when comparing sweep points that differ by less than a
+    value-iteration tolerance.  The throughput of the held action alone is
+    the J of the model built with zero costs and
+    reward_uses_chosen_action=True.
     """
     actions = np.asarray(block_actions)
     n_blocks = mdp.n_states // mdp.n_actions
@@ -557,7 +552,7 @@ def evaluate_policy_exact(mdp: SpectrumMDP, block_actions: np.ndarray,
     # a bool array would index as a mask, and a float one not at all
     if not np.issubdtype(actions.dtype, np.integer):
         raise ValueError(f"policy actions must be integers, got dtype {actions.dtype}")
-    # np.bincount takes no negative action, and the kernel has no column past the last
+    # a negative action would index from the last column, and there is none past it
     if actions.min() < 0 or actions.max() >= mdp.n_actions:
         raise ValueError("policy contains out-of-range action indices")
-    return _BlockBellman(mdp, discount, np.flatnonzero(np.bincount(actions.ravel()))).evaluate(actions)
+    return _BlockBellman(mdp, discount).evaluate(actions)

@@ -57,7 +57,13 @@ from cogrelay.model import success_probability
 from cogrelay.sensing import false_alarm_from_detection
 from cogrelay.sim import _OUTCOME_LABELS, SimConfig, SimStats, simulate
 from cogrelay.solver import (Mode, PolicyTable, SolverConfig, ValueTable, _BlockBellman,
-                             _allowed_columns, _base_rewards, _lift, _power_average)
+                             _allowed_columns, _base_rewards, _power_average)
+
+
+def _lift(block_values: np.ndarray, g_add: np.ndarray | None, n_a: int) -> np.ndarray:
+    """Per-state values V(b, prev) = W(b) + g_add(b, prev) from block values W."""
+    values = np.repeat(block_values.reshape(-1), n_a)
+    return values if g_add is None else values + g_add
 
 
 def state_values(mdp: SpectrumMDP, block_values: np.ndarray) -> np.ndarray:
@@ -277,12 +283,13 @@ def evaluate_one_policy(bellman: _BlockBellman, block_actions: np.ndarray) -> np
 
 def evaluate_policy_exact_one(mdp: SpectrumMDP, block_actions: np.ndarray,
                               discount: float) -> np.ndarray:
-    """`evaluate_one_policy` on an operator over the policy's own columns
-    only, the route each call of `cogrelay.solver.evaluate_policy_exact` took
-    before it took stacks; the library now evaluates a stack on the columns
-    of all its policies, and must give the same floats."""
-    return evaluate_one_policy(_BlockBellman(mdp, discount, np.unique(block_actions)),
-                               block_actions)
+    """`evaluate_one_policy` on an operator restricted to the policy's own
+    columns, the route each call of `cogrelay.solver.evaluate_policy_exact`
+    took before it took stacks; the library now evaluates a stack over every
+    column, and must give the same floats."""
+    bellman = _BlockBellman(mdp, discount)
+    bellman.restrict(np.isin(bellman.columns, block_actions))
+    return evaluate_one_policy(bellman, block_actions)
 
 
 def column_mask(mdp: SpectrumMDP, mode: Mode, pinned: int | None) -> np.ndarray:

@@ -697,7 +697,7 @@ def test_a_budget_sweep_without_fork_is_a_config_error(tmp_path, monkeypatch, ca
     assert cli.main(["sweep", "--config", cfg, "--out", str(out), "--threads", "2"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: --threads 2 needs the fork start method")
+    assert captured.err.startswith("error: --threads 2 needs os.fork")
     assert len(captured.err.splitlines()) == 1
     assert not out.exists()
     # one worker, and validate, fork nothing

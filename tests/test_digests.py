@@ -2,7 +2,10 @@
 
 One test runs, in this process, `solve` at the default and at zero costs,
 `sweep pd`, `sweep ic` and `sweep pav` at `--threads` 1 and 2, and
-`simulate --seed 7`, each on the default configuration otherwise.  Each
+`simulate --seed 7`, each on the default configuration otherwise; then
+`solve` under `fixed_pd` 0.5 with the chosen-action reward and under
+`fixed_ic` -5 dB at s = c = 0.1, and `sweep pav` at `--threads` 1 and 2
+with the chosen-action reward.  Each
 CSV's data rows (the lines after the manifest and the header) must hash to
 the SHA-256 recorded in RECORDED, its header must read as recorded, and its
 manifest is checked apart, key by key, so a new manifest field needs a new
@@ -37,6 +40,16 @@ RUNS = [
        {"sweep": {"variable": variable}})
       for variable in ("pd", "ic", "pav") for threads in (1, 2)),
     ("simulate", ["simulate", "--seed", "7"], None),
+    # the pinned modes and the chosen-action reward, whose solves restrict
+    # the operator and read the reward vector
+    ("solve_fixed_pd_chosen", ["solve"],
+     {"solver": {"mode": "fixed_pd", "pinned_pd": 0.5, "reward_uses_chosen_action": True}}),
+    ("solve_fixed_ic", ["solve"],
+     {"solver": {"mode": "fixed_ic", "pinned_ic_db": -5.0},
+      "costs": {"s_const": 0.1, "c_const": 0.1}}),
+    *(("sweep_pav_chosen", ["sweep", "--threads", str(threads)],
+       {"sweep": {"variable": "pav"}, "solver": {"reward_uses_chosen_action": True}})
+      for threads in (1, 2)),
 ]
 
 RECORDED_PLATFORM = "x86_64, numpy 2.4.6"
@@ -101,6 +114,64 @@ RECORDED = {
             "rows": 92400,
         },
     },
+    "solve_fixed_ic/lookup.csv": {
+        "header": "rho_p,rho_s,p_s,prev_pd,prev_ic,opt_pd,opt_ic,value",
+        "data_sha256": "97735b49680392037dcbcdaf9df77e0ba87027ce7f4f90b8574f988a25d06cf6",
+        "manifest": {
+            "action_histogram": {
+                "pd=0.0,ic_db=-5.0": 217,
+                "pd=0.1,ic_db=-5.0": 6,
+                "pd=0.2,ic_db=-5.0": 2,
+                "pd=0.3,ic_db=-5.0": 3,
+                "pd=0.5,ic_db=-5.0": 3,
+                "pd=0.6,ic_db=-5.0": 3,
+                "pd=0.7,ic_db=-5.0": 11,
+                "pd=0.8,ic_db=-5.0": 6,
+                "pd=0.9,ic_db=-5.0": 12,
+                "pd=1.0,ic_db=-5.0": 137,
+            },
+            "active_actions": 10,
+            "command": "solve",
+            "config_sha256": "fc0e2d47ebf6374e7b3d17c1bcf297ebd63e3fb36039bd7ce8b86665410d0903",
+            "converged": True,
+            "distinct_actions": 10,
+            "error_bound": 4.811272883209479e-05,
+            "final_residual": 9.818924251447925e-07,
+            "first_residual": 0.48198194137297695,
+            "iterations": 540,
+            "mode": "fixed_ic",
+            "rows": 92400,
+        },
+    },
+    "solve_fixed_pd_chosen/lookup.csv": {
+        "header": "rho_p,rho_s,p_s,prev_pd,prev_ic,opt_pd,opt_ic,value",
+        "data_sha256": "510b3fd1ccda5d819395b263c151e1f473fb81cba084d055f18c7aa8a6020bfa",
+        "manifest": {
+            "action_histogram": {
+                "pd=0.5,ic_db=-10.0": 4,
+                "pd=0.5,ic_db=-12.0": 4,
+                "pd=0.5,ic_db=-15.0": 8,
+                "pd=0.5,ic_db=-4.0": 8,
+                "pd=0.5,ic_db=-5.0": 4,
+                "pd=0.5,ic_db=-6.0": 4,
+                "pd=0.5,ic_db=-7.0": 8,
+                "pd=0.5,ic_db=-8.0": 4,
+                "pd=0.5,ic_db=4.0": 8,
+                "pd=0.5,ic_db=5.0": 348,
+            },
+            "active_actions": 10,
+            "command": "solve",
+            "config_sha256": "aa8dc66c0c91a9532721048f6f8ae795d3ebf1828e22f7763ff967f1e955f25f",
+            "converged": True,
+            "distinct_actions": 10,
+            "error_bound": 4.8636333239926396e-05,
+            "final_residual": 9.92578229386254e-07,
+            "first_residual": 1.9780951152264858,
+            "iterations": 677,
+            "mode": "fixed_pd",
+            "rows": 92400,
+        },
+    },
     "solve_zero_costs/lookup.csv": {
         "header": "rho_p,rho_s,p_s,prev_pd,prev_ic,opt_pd,opt_ic,value",
         "data_sha256": "f701776afe9fb66959f9a6565d8eec38cfaa0e611ad601ee1abe702ce297b61d",
@@ -143,6 +214,17 @@ RECORDED = {
         "manifest": {
             "command": "sweep",
             "config_sha256": "18bdffbc54b08998bfaaedf85f8d9cf8e5145b4aede882f88a6b5ba46f86da07",
+            "converged": True,
+            "points": 11,
+            "variable": "pav",
+        },
+    },
+    "sweep_pav_chosen/sweep_pav.csv": {
+        "header": "pav_db,argmax_pd,argmax_ic_db",
+        "data_sha256": "f195e220e5c2625a2b0da05b13c07a6c7f344cd35babe0ab10f3a358e57e6fb9",
+        "manifest": {
+            "command": "sweep",
+            "config_sha256": "260120734d13b48242bfafcaab9d4ffe4081a8cc9875517001a5c19144951876",
             "converged": True,
             "points": 11,
             "variable": "pav",

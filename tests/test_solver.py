@@ -16,8 +16,8 @@ from cogrelay.mdp import (ActionGrids, CostModel, MdpGrids, PowerPolicy,
 from cogrelay.model import ChannelParams, QueueParams
 from cogrelay.sensing import false_alarm_from_detection
 from cogrelay.solver import (_ELIMINATION_PERIOD, LOOKUP_COLUMNS, PolicyTable, SolverConfig,
-                             ValueTable, _allowed_columns, _BlockBellman, _continuation, _lift,
-                             _may_still_win, _power_average, _solve_banded,
+                             ValueTable, _allowed_columns, _BlockBellman, _base_rewards,
+                             _continuation, _may_still_win, _power_average, _solve_banded,
                              evaluate_policy_exact, extract_lookup_table, policy_iteration,
                              value_iteration)
 from oracles import (continuation_loop, dense_rewards, evaluate_one_policy, evaluate_policy,
@@ -411,7 +411,7 @@ def test_block_continuation_matches_the_lifted_table():
             w = rng.normal(size=mdp.n_states // mdp.n_actions)
             cont = _continuation(mdp, _power_average(mdp, w), mdp.kernel)
             assert cont.shape == mdp.g_action.shape
-            lifted_w = _power_average(mdp, _lift(w, None, mdp.n_actions))
+            lifted_w = _power_average(mdp, np.repeat(w, mdp.n_actions))
             np.testing.assert_allclose(
                 cont, _continuation(mdp, lifted_w, mdp.kernel),
                 rtol=0.0, atol=1e-15 * np.abs(w).max())
@@ -596,21 +596,23 @@ def test_exact_policy_evaluation_matches_the_block_route_on_the_default_grids(co
 @pytest.mark.parametrize("costs, chosen", [(None, False), (CostModel(0.0, 0.0), False),
                                            (CostModel(0.0, 0.0), True)],
                          ids=["default_costs", "zero_costs", "chosen_action"])
-def test_exact_policy_evaluation_on_its_own_columns_keeps_every_float(costs, chosen):
-    # evaluate_policy_exact works on the columns its policy uses, and its
-    # values are bit for bit those of the one-policy route on an operator
-    # over all the model's columns.  A one-column policy catches a step
-    # reward that selects the column before the power average: einsum
-    # rounds a single column differently
+def test_exact_policy_evaluation_keeps_every_float_on_every_column(costs, chosen):
+    # evaluate_policy_exact works on the operator over all the model's
+    # columns, and its values are bit for bit those of the one-policy route
+    # on that operator and on one restricted to the policy's own columns.
+    # A one-column policy catches a restricted step reward that would select
+    # its column before the power average: einsum rounds a single column
+    # differently
     mdp, cfg = default_model(costs, chosen)
     n_blocks = mdp.n_states // mdp.n_actions
-    full = _BlockBellman(mdp, cfg.discount, np.arange(mdp.n_actions))
+    full = _BlockBellman(mdp, cfg.discount)
     rng = np.random.default_rng(37)
     policies = [np.full(n_blocks, a) for a in (0, 1, 117, mdp.n_actions - 1)]
     policies += [random_block_policy(mdp, rng) for _ in range(2)]
     for actions in policies:
         exact, _ = evaluate_policy_exact(mdp, actions, cfg.discount)
         assert exact.tobytes() == evaluate_one_policy(full, actions).tobytes()
+        assert exact.tobytes() == evaluate_policy_exact_one(mdp, actions, cfg.discount).tobytes()
 
 
 def stacked_policies(mdp, rng):
@@ -628,7 +630,7 @@ def assert_stack_keeps_every_float(mdp, stack, discount):
     operator's `evaluate`, which policy iteration calls, on both."""
     values, _ = evaluate_policy_exact(mdp, stack, discount)
     assert values.shape == stack.shape
-    full = _BlockBellman(mdp, discount, np.arange(mdp.n_actions))
+    full = _BlockBellman(mdp, discount)
     on_all_columns, _ = full.evaluate(stack)
     for actions, row, row_all in zip(stack, values, on_all_columns):
         reference = evaluate_policy_exact_one(mdp, actions, discount)
@@ -782,8 +784,11 @@ def test_values_lie_within_the_discounted_reward_range(case):
 
 def test_restricting_to_every_column_copies_nothing():
     mdp = small_mdp()
-    bellman = _BlockBellman(mdp, 0.9, np.arange(2, mdp.n_actions))
+    bellman = _BlockBellman(mdp, 0.9)
+    assert bellman.kernel is mdp.kernel
+    bellman.restrict(np.arange(mdp.n_actions) >= 2)
     kernel, step_reward, columns = bellman.kernel, bellman.step_reward, bellman.columns
+    np.testing.assert_array_equal(columns, np.arange(2, mdp.n_actions))
     bellman.restrict(np.ones(columns.size, dtype=bool))
     assert bellman.kernel is kernel and bellman.step_reward is step_reward
     np.testing.assert_array_equal(bellman.columns, columns)
@@ -791,6 +796,27 @@ def test_restricting_to_every_column_copies_nothing():
     bellman.restrict(keep)
     np.testing.assert_array_equal(bellman.columns, columns[keep])
     np.testing.assert_array_equal(bellman.kernel, kernel[..., keep])
+
+
+def test_the_chosen_action_reward_is_the_models_reward_vector():
+    # under the chosen-action reward the step reward is a view of the
+    # model's reward vector, not g_action - action_cost computed again;
+    # restrict copies it, and no solve writes to it
+    mdp = small_mdp(chosen=True)
+    base, g_add = _base_rewards(mdp)
+    assert g_add is None and np.shares_memory(base, mdp.reward_vec)
+    assert base.tobytes() == (mdp.g_action - mdp.action_cost).tobytes()
+    bellman = _BlockBellman(mdp, 0.9)
+    assert np.shares_memory(bellman.step_reward, mdp.reward_vec)
+    bellman.restrict(np.arange(mdp.n_actions) % 2 == 0)
+    assert not np.shares_memory(bellman.step_reward, mdp.reward_vec)
+    reward = mdp.reward_vec.copy()
+    cfg = SolverConfig(discount=0.9)
+    value_iteration(mdp, cfg)
+    value_iteration(mdp, cfg, mode="fixed_pd", pinned=0)
+    policy_iteration(mdp, cfg)
+    evaluate_policy_exact(mdp, np.zeros(mdp.n_states // mdp.n_actions, dtype=int), 0.9)
+    assert mdp.reward_vec.tobytes() == reward.tobytes()
 
 
 def assert_matches_full_columns(mdp, cfg, mode="joint", pinned=None, reference=None):
@@ -891,7 +917,8 @@ def full_column_reference(mdp, cfg, mode="joint", pinned=None, stops=()):
     {epsilon: (vt, pt)}, the number of columns ruled out, and the largest
     q(b, a) - max q(b, :) of a ruled-out a on every later iterate and at the
     Howard fixed point from the last one: below 0, or -inf if none."""
-    bellman = _BlockBellman(mdp, cfg.discount, _allowed_columns(mdp, mode, pinned))
+    bellman = _BlockBellman(mdp, cfg.discount)
+    bellman.restrict(_allowed_columns(mdp, mode, pinned))
     reward_bound = float(np.max(np.abs(bellman.step_reward)))
     dropped = np.zeros(bellman.columns.size, dtype=bool)
     runs, last, worst = {}, [], -np.inf
@@ -1207,7 +1234,7 @@ def test_a_warm_start_at_a_rounding_tie_ends_where_the_cold_start_does():
     assert first.actions.tolist() == [0, 0]
     assert cold[1].actions.tolist() == warm[1].actions.tolist() == [0, 1]
     # the policy the warm run would have kept, had its result been trusted
-    kept = _BlockBellman(models[1], cfg.discount, np.arange(2))
+    kept = _BlockBellman(models[1], cfg.discount)
     w, _ = kept.evaluate(first.actions)
     assert kept.greedy(kept.q(w)).tolist() == [0, 0]
 
