@@ -21,13 +21,12 @@ sees an effective cut-off beta * (p_ref / P_tx), and the interference the
 secondary imposes on the primary link scales with P_tx / p_ref.  Constrained
 transmissions therefore both survive worse and protect the primary better
 when Ic is tight.  `_outcome_terms` is the one implementation of this slot
-physics and `_move_kernel` the one aggregation of it into the (rho_p move,
-rho_s move) law; `build_spectrum_mdp` runs both once on the whole grid,
-and the scalar `transition` reads a row of the model's kernel.
-`_move_kernel` assembles the kernel in place, one rho_p level at a time,
+physics.  `build_spectrum_mdp` runs it one rho_p level at a time and
+writes each level's (rho_p move, rho_s move) law into the kernel in place,
 for each process's peak: a process builds one model at a time (one per
-power budget in a `pav` sweep) and should hold its kernel, not its
-birth-death tables.
+power budget in a `pav` sweep) and should hold its kernel, not the
+physics and birth-death tables of every level.  The scalar `transition`
+reads a row of the model's kernel.
 """
 
 from __future__ import annotations
@@ -265,33 +264,6 @@ def _birth_death(srv, lam: float, at_bottom, at_top) -> tuple[np.ndarray, np.nda
     return down, 1.0 - down - up, up
 
 
-def _move_kernel(dist, srv_p, srv_s, grids: MdpGrids,
-                 params: ModelParams) -> np.ndarray:
-    """K[mp, ms, r, u, v, a]: the probability that rho_p moves mp - 1 levels
-    and rho_s ms - 1 levels in one slot.
-
-    The outcome law dist[r, a, x] weights the product of the two queues'
-    birth-death steps, whose service probabilities are srv_p[r, v, a, x] and
-    srv_s[r, u, v, a, x]; the first and last level of each grid are its edges.
-    The kernel is assembled in place, one rho_p level at a time, so that
-    only one level's rho_s steps are alive beside it: the steps of every
-    level, stacked, would take 4/3 of the kernel again and a build would
-    peak at over three kernels.  Each entry is still einsum's sum over the
-    outcome axis x, so the floats are those of one contraction over the
-    whole grid.
-    """
-    q = params.queues
-    n_rp, n_rs = grids.shape[:2]
-    rp, rs = (np.arange(n).reshape(-1, 1, 1, 1) for n in (n_rp, n_rs))
-    bdp = np.array(_birth_death(srv_p, q.lambda_p, rp == 0, rp == n_rp - 1))
-    bdp *= dist[:, None]
-    kernel = np.empty((3, 3) + srv_s.shape[:-1])
-    for r in range(n_rp):
-        for ms, step in enumerate(_birth_death(srv_s[r], q.lambda_s, rs == 0, rs == n_rs - 1)):
-            np.einsum("mvax,uvax->muva", bdp[:, r], step, out=kernel[:, ms, r])
-    return kernel
-
-
 def transition(mdp: SpectrumMDP, state: int, action: int) -> tuple[np.ndarray, np.ndarray]:
     """One-step distribution over next states of `mdp` under `action`.
 
@@ -377,7 +349,8 @@ class SpectrumMDP:
     """Precompiled tensors of the slot model, indexed on the grid axes.
 
     Axis letters used in comments: r=rho_p, u=rho_s, v=P_s, a=flat action,
-    m=move (-1, 0, +1).  kernel is `_move_kernel` on the whole grid; the next
+    m=move (-1, 0, +1).  kernel[mp, ms, r, u, v, a] is the probability that
+    rho_p moves mp - 1 levels and rho_s ms - 1 levels in one slot; the next
     power level is a stationary redraw, so it and the grids are the whole
     transition law.  Flattened, g_action is the throughput part of the
     per-state reward, read at the previous action.
@@ -402,35 +375,45 @@ class SpectrumMDP:
 
 def build_spectrum_mdp(grids: MdpGrids, params: ModelParams, costs: CostModel,
                        reward_uses_chosen_action: bool = False) -> SpectrumMDP:
-    """Compile the slot model on the whole grid and price it with the costs.
+    """Compile the slot model one rho_p level at a time and price it with the costs.
 
-    One call of the slot physics on (rho_p, rho_s, P_s, Pd, Ic)-shaped
-    inputs gives the outcome law and both service probabilities at every
-    state block and action, and one `_move_kernel` call aggregates them
-    into the transition kernel.
+    Per level, one call of the slot physics on (rho_s, P_s, Pd, Ic)-shaped
+    inputs gives the outcome law dist[a, x] and the service probabilities
+    srv_p[v, a, x] and srv_s[u, v, a, x].  The outcome law weights the
+    product of the two queues' birth-death steps, whose edges are the first
+    and last level of each grid, and einsum sums it over the outcomes x
+    into the level's slice of the kernel.
     """
     sg, ag = grids.states, grids.actions
     n_rp, n_rs, n_ps, n_pd, n_ic = grids.shape
+    q = params.queues
 
     pd = np.array(ag.pd_levels)
     pf = np.array([false_alarm_from_detection(v, params.sensing) for v in pd])
     ps1 = np.array([constrained_power(params.power, v) for v in ag.ic_levels])
 
     def along(axis: int, values) -> np.ndarray:
-        # grid axis `axis` of (r, u, v, n_pd, n_ic), with the outcome axis last
-        return np.reshape(values, (1,) * axis + (-1,) + (1,) * (5 - axis))
+        # grid axis `axis` of (u, v, n_pd, n_ic), with the outcome axis last
+        return np.reshape(values, (1,) * axis + (-1,) + (1,) * (4 - axis))
 
-    dist, srv_p, srv_s = _outcome_terms(
-        along(0, sg.rho_p_levels), along(1, sg.rho_s_levels), along(2, sg.p_s_levels),
-        along(3, pf), along(3, pd), along(4, ps1), params)
-    # the outcome law depends on the action through pd only
-    dist = np.repeat(dist.reshape(n_rp, n_pd, 4), n_ic, axis=1)     # (r, A, x)
-    srv_p = srv_p.reshape(n_rp, n_ps, n_pd * n_ic, 4)               # (r, v, A, x)
-    srv_s = srv_s.reshape(n_rp, n_rs, n_ps, n_pd * n_ic, 4)         # (r, u, v, A, x)
-    kernel = _move_kernel(dist, srv_p, srv_s, grids, params)
+    level_inputs = (along(0, sg.rho_s_levels), along(1, sg.p_s_levels),
+                    along(2, pf), along(2, pd), along(3, ps1))
+    rs = np.arange(n_rs).reshape(-1, 1, 1, 1)
+    kernel = np.empty((3, 3, n_rp, n_rs, n_ps, n_pd * n_ic))
     # throughput part of the reward for any (state coords, action) combination;
     # flattened over the prev-action axes it is exactly the per-state g term
-    g_action = srv_s.sum(axis=-1)
+    g_action = np.empty(kernel.shape[2:])
+    for r, pi1 in enumerate(sg.rho_p_levels):
+        dist, srv_p, srv_s = _outcome_terms(pi1, *level_inputs, params)
+        # the outcome law depends on the action through pd only
+        dist = np.repeat(dist.reshape(n_pd, 4), n_ic, axis=0)       # (A, x)
+        srv_p = srv_p.reshape(n_ps, n_pd * n_ic, 4)                 # (v, A, x)
+        srv_s = srv_s.reshape(n_rs, n_ps, n_pd * n_ic, 4)           # (u, v, A, x)
+        bdp = np.array(_birth_death(srv_p, q.lambda_p, r == 0, r == n_rp - 1))
+        bdp *= dist
+        for ms, step in enumerate(_birth_death(srv_s, q.lambda_s, rs == 0, rs == n_rs - 1)):
+            np.einsum("mvax,uvax->muva", bdp, step, out=kernel[:, ms, r])
+        g_action[r] = srv_s.sum(axis=-1)
     action_cost = (costs.s_const * np.repeat(pd, n_ic)
                    + costs.c_const * np.tile(ps1, n_pd))  # (A,)
     return SpectrumMDP(

@@ -30,10 +30,12 @@ multiply-adds, the route its single einsum replaced, and `continuation`
 backs up a per-state or block table over all columns through it; so
 `value_iteration_full_columns`, `value_iteration_lifted` and
 `evaluate_one_policy` hold the einsum to the loop's floats.
-`move_kernel_stacked` is the library's `_move_kernel` as one einsum over
-the stacked birth-death steps of both queues on the whole grid, the route
-its in-place assembly, one rho_p level at a time, replaced; it takes the
-same arguments and must give the same floats.
+`kernel_stacked` builds the model's kernel by the whole-grid route: one
+`_outcome_terms` call on every state block and action, and
+`move_kernel_stacked`, one einsum over the stacked birth-death steps of
+both queues.  `build_spectrum_mdp` replaced it with one pass per rho_p
+level, each writing its slice of the kernel in place; it must give the
+same floats.
 `outcome_frequency_check` is a chi-square test of a simulation's
 sensing-outcome counts against their law.  `simulate_reference` is the
 simulator's chunk loop written with per-slot boolean arrays and one tally
@@ -52,7 +54,7 @@ import numpy as np
 
 import cogrelay.sim
 from cogrelay.mdp import (CostModel, MdpGrids, ModelParams, SpectrumMDP,
-                          _birth_death, constrained_power, transition)
+                          _birth_death, _outcome_terms, constrained_power, transition)
 from cogrelay.model import success_probability
 from cogrelay.sensing import false_alarm_from_detection
 from cogrelay.sim import _OUTCOME_LABELS, SimConfig, SimStats, simulate
@@ -132,12 +134,38 @@ def outcome_kernel(pi1: float, rho_s: float, p_s: float, pd: float, ic: float,
     return dist, srv_p, srv_s
 
 
+def kernel_stacked(grids: MdpGrids, params: ModelParams) -> np.ndarray:
+    """The kernel K[mp, ms, r, u, v, a] of `build_spectrum_mdp(grids, params,
+    ...)` from one `_outcome_terms` call on (rho_p, rho_s, P_s, Pd, Ic)-shaped
+    inputs and one `move_kernel_stacked` contraction of the whole grid."""
+    sg, ag = grids.states, grids.actions
+    n_rp, n_rs, n_ps, n_pd, n_ic = grids.shape
+    pd = np.array(ag.pd_levels)
+    pf = np.array([false_alarm_from_detection(v, params.sensing) for v in pd])
+    ps1 = np.array([constrained_power(params.power, v) for v in ag.ic_levels])
+
+    def along(axis: int, values) -> np.ndarray:
+        # grid axis `axis` of (r, u, v, n_pd, n_ic), with the outcome axis last
+        return np.reshape(values, (1,) * axis + (-1,) + (1,) * (5 - axis))
+
+    dist, srv_p, srv_s = _outcome_terms(
+        along(0, sg.rho_p_levels), along(1, sg.rho_s_levels), along(2, sg.p_s_levels),
+        along(3, pf), along(3, pd), along(4, ps1), params)
+    # the outcome law depends on the action through pd only
+    return move_kernel_stacked(
+        np.repeat(dist.reshape(n_rp, n_pd, 4), n_ic, axis=1),      # (r, A, x)
+        srv_p.reshape(n_rp, n_ps, n_pd * n_ic, 4),                  # (r, v, A, x)
+        srv_s.reshape(n_rp, n_rs, n_ps, n_pd * n_ic, 4),            # (r, u, v, A, x)
+        grids, params)
+
+
 def move_kernel_stacked(dist: np.ndarray, srv_p: np.ndarray, srv_s: np.ndarray,
                         grids: MdpGrids, params: ModelParams) -> np.ndarray:
-    """`cogrelay.mdp._move_kernel` as one einsum over the stacked (down,
-    stay, up) steps of both queues on the whole grid: the rho_s stack alone
-    is 4/3 of the kernel, and `np.array` copies it while its three steps
-    are alive."""
+    """K[mp, ms, r, u, v, a] as one einsum over the stacked (down, stay, up)
+    steps of both queues on the whole grid, from the outcome law dist[r, a, x]
+    and the service probabilities srv_p[r, v, a, x] and srv_s[r, u, v, a, x]:
+    the rho_s stack alone is 4/3 of the kernel, and `np.array` copies it
+    while its three steps are alive."""
     q = params.queues
     n_rp, n_rs = grids.shape[:2]
     rp, rs = (np.arange(n).reshape(-1, 1, 1, 1) for n in (n_rp, n_rs))

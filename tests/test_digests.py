@@ -11,6 +11,15 @@ the SHA-256 recorded in RECORDED, its header must read as recorded, and its
 manifest is checked apart, key by key, so a new manifest field needs a new
 entry there and no new data digest.
 
+A second test digests the models themselves: one SHA-256 per model over
+the bytes of its kernel, g_action, reward_vec and action_cost, for the
+models `solve` builds at the default and zero costs, at 16 power levels,
+under the chosen-action reward and on a 1 x 1 rho grid, and for every
+model `sweep pd`, `sweep ic` and `sweep pav` build, as each command builds
+them.  The pav sweep's policy iteration runs cold on each budget under both
+reward conventions, and the block values and actions of its 11 budgets hash
+to one SHA-256 per convention, so a change behind an unmoved argmax shows.
+
 The digests hold on x86-64 (Linux, CPython 3.11) with numpy 2.4.6, whose
 einsum and the banded eliminations round without fused multiply-add.  A
 mismatch on another build means its arithmetic rounds differently: that is
@@ -20,6 +29,7 @@ prints the table) and says why.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -27,9 +37,11 @@ import platform
 import tempfile
 from pathlib import Path
 from pprint import pprint
+from unittest import mock
 
 import cogrelay.cli as cli
-from cogrelay.config import config_hash
+from cogrelay.config import config_hash, resolve_config
+from cogrelay.mdp import build_spectrum_mdp
 
 # (recorded entry, argv after the command's --out, config document or None);
 # a sweep's runs at --threads 1 and 2 share one entry
@@ -245,6 +257,120 @@ RECORDED = {
 }
 
 
+# config documents of the models `solve` builds
+SOLVE_MODELS = {
+    "solve": None,
+    "solve_zero_costs": {"costs": {"s_const": 0.0, "c_const": 0.0}},
+    "solve_16_power_levels": {"state_grids": {"n_power_levels": 16}},
+    # the reward convention steers the solvers only: the same floats as "solve"
+    "solve_chosen": {"solver": {"reward_uses_chosen_action": True}},
+    "solve_rho_1x1": {"state_grids": {"rho_p_levels": [0.5], "rho_s_levels": [0.5]}},
+}
+
+# the sweeps whose models are digested as the command builds them
+MODEL_SWEEPS = ("pd", "ic", "pav")
+
+
+def model_sha256(mdp) -> str:
+    digest = hashlib.sha256()
+    for array in (mdp.kernel, mdp.g_action, mdp.reward_vec, mdp.action_cost):
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+def observed_models(tmp: Path) -> dict[str, str]:
+    """"entry/model_<i>": the SHA-256 of each model, in build order, and
+    "sweep_pav/policy_iteration_<reward>": that of the cold policy
+    iteration's block values and actions over the pav budgets."""
+    facts = {}
+    for entry, doc in SOLVE_MODELS.items():
+        rc = resolve_config(doc)
+        params, grids = cli._checked_setup(rc)
+        facts[f"{entry}/model_00"] = model_sha256(build_spectrum_mdp(
+            grids, params, rc.costs(), reward_uses_chosen_action=rc.reward_uses_chosen_action()))
+
+    built: list[str] = []
+
+    def build(*args, **kw):
+        mdp = build_spectrum_mdp(*args, **kw)
+        built.append(model_sha256(mdp))
+        return mdp
+
+    policy_iteration = cli.policy_iteration
+    solves = {"previous_action": hashlib.sha256(), "chosen_action": hashlib.sha256()}
+
+    def cold_policy_iteration(mdp, cfg, start=None):
+        # each budget solved from the reward vector under both conventions;
+        # the sweep goes on with the run under its own
+        results = []
+        for chosen, digest in zip((False, True), solves.values()):
+            vt, pt = policy_iteration(
+                dataclasses.replace(mdp, reward_uses_chosen_action=chosen), cfg)
+            digest.update(vt.values.tobytes())
+            digest.update(pt.actions.tobytes())
+            results.append((vt, pt))
+        return results[mdp.reward_uses_chosen_action]
+
+    for variable in MODEL_SWEEPS:
+        cfg = tmp / f"model_sweep_{variable}.json"
+        cfg.write_text(json.dumps({"sweep": {"variable": variable}}))
+        built.clear()
+        with (mock.patch.object(cli, "build_spectrum_mdp", build),
+              mock.patch.object(cli, "policy_iteration", cold_policy_iteration),
+              contextlib.redirect_stdout(io.StringIO())):
+            code = cli.main(["sweep", "--out", str(tmp / f"model_sweep_{variable}"),
+                             "--threads", "1", "--config", str(cfg)])
+        assert code == 0, (variable, code)
+        facts.update((f"sweep_{variable}/model_{i:02d}", sha) for i, sha in enumerate(built))
+    facts.update((f"sweep_pav/policy_iteration_{reward}", digest.hexdigest())
+                 for reward, digest in solves.items())
+    return facts
+
+
+RECORDED_MODELS = {
+    "solve/model_00":
+        "2fd74564b2b7c6b81dda075eebf213e843ef30186d59ef1522eb35a8bf4036b4",
+    "solve_16_power_levels/model_00":
+        "ff796728cbca9025a82d948d47165d609dff112d6eacbce49b3a9b88ff0a6f44",
+    "solve_chosen/model_00":
+        "2fd74564b2b7c6b81dda075eebf213e843ef30186d59ef1522eb35a8bf4036b4",
+    "solve_rho_1x1/model_00":
+        "62da00412add079a97167c03c5c0858f7bf345386d7d13d126aefc4c5631c25b",
+    "solve_zero_costs/model_00":
+        "54941633078d76d8a35910ad9211d4c1ef66f9b25ff9a56c1695279cf61800cc",
+    "sweep_ic/model_00":
+        "6ad9aeb6af42cce810b16d3aa116f205948a38e1a5a4cf83fb5091dea1fe4dfb",
+    "sweep_pav/model_00":
+        "d3bc4f6311f7cd3df4b7be1219406742d5dbe1acd8f4151c9b1f9e49285ec60c",
+    "sweep_pav/model_01":
+        "29a1da3780fa19e4deb3a40e79464527af5049b731aba3925628c2ac1be0b9cc",
+    "sweep_pav/model_02":
+        "4c53e68f6318108cf4a4e793b100da674efe177c8d3727715b304b229934486a",
+    "sweep_pav/model_03":
+        "390057b8596492aa86cc05241aab569b785598f2a8984aa4f799f6a1d36be7ce",
+    "sweep_pav/model_04":
+        "9940d4c8de0e451875af7a517e0bee272c74f1cc3f37feadc0cd78ab2373efdc",
+    "sweep_pav/model_05":
+        "04e30df18a0b64d89d84e4f84999b2ff7acfb41496e79300ddf102dc9462b994",
+    "sweep_pav/model_06":
+        "0a5ac2742600385ec5eaf13e7f544fa6b9dcf3b48ea28054b10fd9460900dcf7",
+    "sweep_pav/model_07":
+        "50c4a7aa76c2962d329260a41d495eddd7dcc16a2d4b70591a6877cd03002f47",
+    "sweep_pav/model_08":
+        "04dba040c30560f77d82fb45537c60a2c4dee8213ac15efd3ab95e20423d8c34",
+    "sweep_pav/model_09":
+        "52c5e4ced9b45ad62b002e74085678603761cb9dd8991e6047a4061a1a72b87a",
+    "sweep_pav/model_10":
+        "851f98241aca241cb2bd5f13a63b0be377181e2849c9243bb6c0a153166dd99a",
+    "sweep_pav/policy_iteration_chosen_action":
+        "02629d88ec090d3abf54abddfb88f89d3d677a78f0fc1c211b841b5f8b56614c",
+    "sweep_pav/policy_iteration_previous_action":
+        "787e0ee1402e176a6610d7dfc797da067e922da29f59f699c4429d02d6630acc",
+    "sweep_pd/model_00":
+        "491e299812d59258d1fe4aaa3f899bde61b67baba313c00015ebd387d0eff192",
+}
+
+
 def test_every_command_keeps_its_recorded_outputs(tmp_path):
     facts = observed(tmp_path)
     where = f"recorded on {RECORDED_PLATFORM}; this is {platform.machine()}"
@@ -257,6 +383,15 @@ def test_every_command_keeps_its_recorded_outputs(tmp_path):
         assert got["data_sha256"] == want["data_sha256"], (name, where)
 
 
+def test_every_model_keeps_its_recorded_floats(tmp_path):
+    where = f"recorded on {RECORDED_PLATFORM}; this is {platform.machine()}"
+    got = observed_models(tmp_path)
+    assert set(got) == set(RECORDED_MODELS), where
+    for name, sha in got.items():
+        assert sha == RECORDED_MODELS[name], (name, where)
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         pprint(dict(observed(Path(tmp))), width=100)
+        pprint(observed_models(Path(tmp)), width=100)

@@ -3,12 +3,10 @@
 import dataclasses
 import math
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
 
-import cogrelay.mdp
 from cogrelay.config import resolve_config
 from cogrelay.model import (OUTCOME_ORDER, ChannelParams, QueueParams,
                             SensingTiming, relay_branch, secondary_branch,
@@ -19,7 +17,7 @@ from cogrelay.mdp import (ActionGrids, CostModel, MdpGrids, ModelParams,
                           build_spectrum_mdp, constrained_power,
                           sensing_outcome_distribution, transition,
                           truncated_exponential_levels, validate)
-from oracles import move_kernel_stacked, outcome_kernel, reward
+from oracles import kernel_stacked, outcome_kernel, reward
 
 
 def make_params(**kw):
@@ -459,16 +457,8 @@ def test_compiled_tensors_reduce_to_the_closed_forms_at_the_reference_power():
 # kernel assembly
 
 
-def stacked_kernel_model(grids, params):
-    """The model built with `move_kernel_stacked` in place of the library's
-    level-by-level `_move_kernel`."""
-    with mock.patch.object(cogrelay.mdp, "_move_kernel", move_kernel_stacked):
-        return build_spectrum_mdp(grids, params, CostModel())
-
-
 def assert_kernel_matches_stacked(mdp):
-    stacked = stacked_kernel_model(mdp.grids, mdp.params).kernel
-    assert mdp.kernel.tobytes() == stacked.tobytes()
+    assert mdp.kernel.tobytes() == kernel_stacked(mdp.grids, mdp.params).tobytes()
 
 
 # the budgets of the default pav sweep; the test's None is the default model
@@ -484,21 +474,22 @@ def test_kernel_keeps_the_floats_of_the_stacked_route(pav_db):
                                                      CostModel()))
 
 
-def test_model_build_peaks_below_two_kernels():
+@pytest.mark.parametrize("n_power_levels", [4, 16])
+def test_model_build_peaks_below_one_and_a_half_kernels(n_power_levels):
     """numpy reports its data buffers to tracemalloc, so the traced peak of
-    a build counts every array it allocates.  Assembled one rho_p level at a
-    time, the default model peaks near 1.8 kernels; the stacked route peaks
-    near 3.3, so the bound can fail."""
-    rc = resolve_config(None)
+    a build counts every array it allocates.  Built one rho_p level at a
+    time, the model peaks near 1.35 kernels; the stacked route peaks near
+    3.3, so the bound can fail."""
+    rc = resolve_config({"state_grids": {"n_power_levels": n_power_levels}})
     grids, params = rc.grids(), rc.model_params()
 
     def peak_in_kernels(build):
         tracemalloc.start()
         try:
-            kernel = build().kernel
+            kernel = build()
             return tracemalloc.get_traced_memory()[1] / kernel.nbytes
         finally:
             tracemalloc.stop()
 
-    assert peak_in_kernels(lambda: build_spectrum_mdp(grids, params, CostModel())) <= 2.0
-    assert peak_in_kernels(lambda: stacked_kernel_model(grids, params)) > 2.0
+    assert peak_in_kernels(lambda: build_spectrum_mdp(grids, params, CostModel()).kernel) <= 1.5
+    assert peak_in_kernels(lambda: kernel_stacked(grids, params)) > 2.0
